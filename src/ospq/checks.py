@@ -322,16 +322,17 @@ def check_e_inverse(config):
 # rtt
 # ----------------------------------------------------------------------
 
+def _graded_commutators(alphabet):
+    """xy - (-1)^{|x||y|} yx for every ordered pair of letters."""
+    grades = alphabet.grades
+    return [SuperPoly.word(alphabet, (x, y))
+            - SuperPoly.word(alphabet, (y, x), rat((-1) ** (grades[x] * grades[y])))
+            for x in alphabet.letters for y in alphabet.letters]
+
+
 def check_rtt_classical_limit(config):
     residuals = frt.rtt_residuals()
-    a9 = frt.ALPHABET9
-    grades = a9.grades
-    comms = []
-    for x in a9.letters:
-        for y in a9.letters:
-            sign = rat((-1) ** (grades[x] * grades[y]))
-            comms.append(SuperPoly.word(a9, (x, y))
-                         - SuperPoly.word(a9, (y, x), sign))
+    comms = _graded_commutators(frt.ALPHABET9)
     ok, detail = span_contains(comms, [f.substitute_parameter(p=0) for f in residuals],
                                2, seed=config.seed, symbolic=False)
     return ok, ("at p=0 every exchange residual is a graded commutator"
@@ -419,7 +420,7 @@ def check_span_negative(config):
 
 
 def _flip_sign_of_deformation(poly):
-    return poly.substitute_parameter() - rat(2) * (poly - poly.substitute_parameter(p=0))
+    return poly - rat(2) * (poly - poly.substitute_parameter(p=0))
 
 
 def check_relation_membership(config):
@@ -515,12 +516,7 @@ def check_s_squared(config):
 
 def check_hopf_classical_limit(config):
     a = frt.ALPHABET
-    grades = a.grades
-    comms = []
-    for x in a.letters:
-        for y in a.letters:
-            sign = rat((-1) ** (grades[x] * grades[y]))
-            comms.append(SuperPoly.word(a, (x, y)) - SuperPoly.word(a, (y, x), sign))
+    comms = _graded_commutators(a)
     comms.append(SuperPoly.word(a, ("al", "al")))
     comms.append(SuperPoly.word(a, ("de", "de")))
     rel0 = [f.substitute_parameter(p=0) for f in frt.defining_relations()]
@@ -555,12 +551,7 @@ def check_borel_rll_span(config):
 
 def check_borel_rll_classical(config):
     a = borel.RLL_ALPHABET
-    grades = a.grades
-    comms = []
-    for x in a.letters:
-        for y in a.letters:
-            sign = rat((-1) ** (grades[x] * grades[y]))
-            comms.append(SuperPoly.word(a, (x, y)) - SuperPoly.word(a, (y, x), sign))
+    comms = _graded_commutators(a)
     comms.append(SuperPoly.word(a, ("B", "B")))
     comms.append(SuperPoly.word(a, ("E", "E")))
     res0 = [f.substitute_parameter(p=0) for f in borel.rll_residuals()]

@@ -113,9 +113,12 @@ def graded_matrix_bracket(a: SuperMatrix, b: SuperMatrix, ga: int, gb: int) -> S
     return ab + ba if (ga and gb) else ab - ba
 
 
-def rep_defects():
-    """All 15 defining relations evaluated on the representation matrices."""
-    out = []
+def rep_defects(matrices=REP):
+    """All 15 defining relations evaluated on the representation matrices.
+
+    Yields ``((x, y), defect matrix)`` lazily, so a caller can stop at the
+    first nonzero defect.
+    """
     seen = set()
     for x in BASIS:
         for y in BASIS:
@@ -124,10 +127,9 @@ def rep_defects():
             seen.add((x, y))
             want = SuperMatrix.zero(SCALAR_ALPHABET, 3)
             for z, c in bracket(x, y).items():
-                want = want + REP[z].scale(rat(c))
-            got = graded_matrix_bracket(REP[x], REP[y], GRADE[x], GRADE[y])
-            out.append(((x, y), got - want))
-    return out
+                want = want + matrices[z].scale(rat(c))
+            got = graded_matrix_bracket(matrices[x], matrices[y], GRADE[x], GRADE[y])
+            yield (x, y), got - want
 
 
 def rep_is_faithful_presentation() -> bool:
@@ -175,27 +177,11 @@ def derive_lowering_matrices(grid=None):
             cand = dict(REP)
             cand["Xm"] = xm
             cand["Vm"] = vm
-            if _candidate_ok(cand):
+            if all(d.is_zero() for _, d in rep_defects(cand)):
                 solutions.append((xm, vm))
     if len(solutions) != 1:
         raise ValueError(f"expected a unique solution, found {len(solutions)}")
     return solutions[0]
-
-
-def _candidate_ok(cand) -> bool:
-    seen = set()
-    for x in BASIS:
-        for y in BASIS:
-            if (y, x) in seen:
-                continue
-            seen.add((x, y))
-            want = SuperMatrix.zero(SCALAR_ALPHABET, 3)
-            for z, c in bracket(x, y).items():
-                want = want + cand[z].scale(rat(c))
-            got = graded_matrix_bracket(cand[x], cand[y], GRADE[x], GRADE[y])
-            if not (got - want).is_zero():
-                return False
-    return True
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Scalar, ONE as S_ONE
+from .scalars import Scalar, ONE as S_ONE, _accumulate
 
 
 class GradedAlphabet:
@@ -152,9 +152,6 @@ class SuperPoly:
             raise ValueError("grade of a graded-mixed polynomial")
         return grades.pop() if grades else 0
 
-    def is_homogeneous(self) -> bool:
-        return len({self.alphabet.grade(w) for w in self._terms}) <= 1
-
     # -- arithmetic ----------------------------------------------------
 
     def _check(self, other):
@@ -165,16 +162,9 @@ class SuperPoly:
         if not isinstance(other, SuperPoly):
             return NotImplemented
         self._check(other)
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            cur = out.get(w)
-            s = cur + c if cur is not None else c
-            if s.is_zero:
-                if cur is not None:
-                    del out[w]
-            else:
-                out[w] = s
-        return SuperPoly(self.alphabet, out, _internal=True)
+        return SuperPoly(self.alphabet,
+                         _accumulate(other._terms.items(), dict(self._terms)),
+                         _internal=True)
 
     def __neg__(self):
         return SuperPoly(self.alphabet, {w: -c for w, c in self._terms.items()},
@@ -192,18 +182,9 @@ class SuperPoly:
         if not isinstance(other, SuperPoly):
             return NotImplemented
         self._check(other)
-        out = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                cur = out.get(w)
-                s = cur + c if cur is not None else c
-                if s.is_zero:
-                    if cur is not None:
-                        del out[w]
-                else:
-                    out[w] = s
+        out = _accumulate((w1 + w2, c1 * c2)
+                          for w1, c1 in self._terms.items()
+                          for w2, c2 in other._terms.items())
         return SuperPoly(self.alphabet, out, _internal=True)
 
     def __rmul__(self, other):
@@ -283,27 +264,10 @@ def sum_polys(polys, alphabet=None):
             raise ValueError("empty sum needs an alphabet")
         return SuperPoly.zero(alphabet)
     alphabet = polys[0].alphabet
-    out = {}
-    for f in polys:
-        if f.alphabet is not alphabet:
-            raise ValueError("mixed alphabets")
-        for w, c in f._terms.items():
-            cur = out.get(w)
-            s = cur + c if cur is not None else c
-            if s.is_zero:
-                if cur is not None:
-                    del out[w]
-            else:
-                out[w] = s
+    if any(f.alphabet is not alphabet for f in polys):
+        raise ValueError("mixed alphabets")
+    out = _accumulate((w, c) for f in polys for w, c in f._terms.items())
     return SuperPoly(alphabet, out, _internal=True)
-
-
-def commutator(f, g):
-    return f * g - g * f
-
-
-def anticommutator(f, g):
-    return f * g + g * f
 
 
 class TensorElement:
@@ -344,21 +308,13 @@ class TensorElement:
         """Tensor product of SuperPoly legs (no signs; this is x ox y, not a product)."""
         alphabet = legs[0].alphabet
         arity = len(legs)
-        out = {}
         def rec(i, key, coeff):
             if i == arity:
-                cur = out.get(key)
-                s = cur + coeff if cur is not None else coeff
-                if s.is_zero:
-                    if cur is not None:
-                        del out[key]
-                else:
-                    out[key] = s
+                yield key, coeff
                 return
             for w, c in legs[i]._terms.items():
-                rec(i + 1, key + (w,), coeff * c)
-        rec(0, (), S_ONE)
-        return cls(alphabet, arity, out, _internal=True)
+                yield from rec(i + 1, key + (w,), coeff * c)
+        return cls(alphabet, arity, _accumulate(rec(0, (), S_ONE)), _internal=True)
 
     def __bool__(self):
         return bool(self._terms)
@@ -378,16 +334,9 @@ class TensorElement:
         if not isinstance(other, TensorElement):
             return NotImplemented
         self._check(other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            cur = out.get(k)
-            s = cur + c if cur is not None else c
-            if s.is_zero:
-                if cur is not None:
-                    del out[k]
-            else:
-                out[k] = s
-        return TensorElement(self.alphabet, self.arity, out, _internal=True)
+        return TensorElement(self.alphabet, self.arity,
+                             _accumulate(other._terms.items(), dict(self._terms)),
+                             _internal=True)
 
     def __neg__(self):
         return TensorElement(self.alphabet, self.arity,
@@ -420,27 +369,20 @@ class TensorElement:
             return NotImplemented
         self._check(other)
         grade = self.alphabet.grade
-        out = {}
-        for k1, c1 in self._terms.items():
-            g1 = tuple(grade(w) for w in k1)
-            for k2, c2 in other._terms.items():
-                sign = 0
-                for i in range(self.arity):
-                    gi = grade(k2[i])
-                    if gi:
-                        sign += sum(g1[j] for j in range(i + 1, self.arity))
-                key = tuple(a + b for a, b in zip(k1, k2))
-                c = c1 * c2
-                if sign % 2:
-                    c = -c
-                cur = out.get(key)
-                s = cur + c if cur is not None else c
-                if s.is_zero:
-                    if cur is not None:
-                        del out[key]
-                else:
-                    out[key] = s
-        return TensorElement(self.alphabet, self.arity, out, _internal=True)
+
+        def products():
+            for k1, c1 in self._terms.items():
+                g1 = tuple(grade(w) for w in k1)
+                for k2, c2 in other._terms.items():
+                    sign = 0
+                    for i in range(self.arity):
+                        gi = grade(k2[i])
+                        if gi:
+                            sign += sum(g1[j] for j in range(i + 1, self.arity))
+                    c = c1 * c2
+                    yield tuple(a + b for a, b in zip(k1, k2)), (-c if sign % 2 else c)
+        return TensorElement(self.alphabet, self.arity, _accumulate(products()),
+                             _internal=True)
 
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
@@ -450,19 +392,9 @@ class TensorElement:
 
     def map_leg(self, leg: int, fn) -> "TensorElement":
         """Apply a linear word -> SuperPoly map to one leg."""
-        out = {}
-        for k, c in self._terms.items():
-            image = fn(k[leg])
-            for w2, c2 in image._terms.items():
-                key = k[:leg] + (w2,) + k[leg + 1:]
-                cc = c * c2
-                cur = out.get(key)
-                s = cur + cc if cur is not None else cc
-                if s.is_zero:
-                    if cur is not None:
-                        del out[key]
-                else:
-                    out[key] = s
+        out = _accumulate((k[:leg] + (w2,) + k[leg + 1:], c * c2)
+                          for k, c in self._terms.items()
+                          for w2, c2 in fn(k[leg])._terms.items())
         return TensorElement(self.alphabet, self.arity, out, _internal=True)
 
     def expand_leg(self, leg: int, fn, new_arity: int) -> "TensorElement":
@@ -471,22 +403,15 @@ class TensorElement:
         Used for (Delta ox id) style maps: ``fn`` sends a word to a
         TensorElement whose legs are spliced in place of the original leg.
         """
-        out = {}
-        for k, c in self._terms.items():
-            image = fn(k[leg])
-            for k2, c2 in image._terms.items():
-                key = k[:leg] + k2 + k[leg + 1:]
-                if len(key) != new_arity:
-                    raise ValueError("arity mismatch in expand_leg")
-                cc = c * c2
-                cur = out.get(key)
-                s = cur + cc if cur is not None else cc
-                if s.is_zero:
-                    if cur is not None:
-                        del out[key]
-                else:
-                    out[key] = s
-        return TensorElement(self.alphabet, new_arity, out, _internal=True)
+        def spliced():
+            for k, c in self._terms.items():
+                for k2, c2 in fn(k[leg])._terms.items():
+                    key = k[:leg] + k2 + k[leg + 1:]
+                    if len(key) != new_arity:
+                        raise ValueError("arity mismatch in expand_leg")
+                    yield key, c * c2
+        return TensorElement(self.alphabet, new_arity, _accumulate(spliced()),
+                             _internal=True)
 
     def __repr__(self):
         from .serialize import format_tensor

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import Scalar, rat, P, HALF
+from .scalars import Scalar, rat, P, HALF, _accumulate
 from .freealg import GradedAlphabet, SuperPoly, TensorElement, sum_polys
 from .rewrite import RewriteSystem, complete, primitive_part, RatP, _RATP_ONE
 from .supermatrix import (SuperMatrix, embed_left, embed_right, exp_nilpotent,
@@ -127,13 +127,7 @@ def _nullspace_ratp(rows, ncols):
             c = row.get(pcol)
             if c is None or not c:
                 continue
-            for k, v in prow.items():
-                cur = row.get(k)
-                nv = (cur - c * v) if cur is not None else -(c * v)
-                if nv:
-                    row[k] = nv
-                elif k in row:
-                    del row[k]
+            _accumulate(((k, -(c * v)) for k, v in prow.items()), row)
         row = {k: v for k, v in row.items() if v}
         if not row:
             continue
@@ -145,13 +139,7 @@ def _nullspace_ratp(rows, ncols):
             c = prow.get(pcol)
             if c is None or not c:
                 continue
-            for k, v in row.items():
-                cur = prow.get(k)
-                nv = (cur - c * v) if cur is not None else -(c * v)
-                if nv:
-                    prow[k] = nv
-                elif k in prow:
-                    del prow[k]
+            _accumulate(((k, -(c * v)) for k, v in row.items()), prow)
         pivots.append(pcol)
         reduced.append(row)
     free = [c for c in range(ncols) if c not in pivots]

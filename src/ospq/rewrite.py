@@ -12,8 +12,9 @@ symbolic pass over Q(p) as the certificate.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from .scalars import Scalar
+from .scalars import Scalar, _accumulate
 from .freealg import SuperPoly
 
 
@@ -135,32 +136,15 @@ class RewriteSystem:
             if missing:
                 stack.extend(missing)
                 continue
-            acc = {}
-            for w2, c2 in rhs._terms.items():
-                red = cache[pre + w2 + post]
-                for w3, c3 in red._terms.items():
-                    cur = acc.get(w3)
-                    s = cur + c2 * c3 if cur is not None else c2 * c3
-                    if s.is_zero:
-                        if cur is not None:
-                            del acc[w3]
-                    else:
-                        acc[w3] = s
+            acc = _accumulate((w3, c2 * c3) for w2, c2 in rhs._terms.items()
+                              for w3, c3 in cache[pre + w2 + post]._terms.items())
             cache[w] = SuperPoly(self.alphabet, acc, _internal=True)
             stack.pop()
         return cache[word]
 
     def normal_form(self, poly: SuperPoly) -> SuperPoly:
-        out = {}
-        for w, c in poly._terms.items():
-            for w2, c2 in self.nf_word(w)._terms.items():
-                cur = out.get(w2)
-                s = cur + c * c2 if cur is not None else c * c2
-                if s.is_zero:
-                    if cur is not None:
-                        del out[w2]
-                else:
-                    out[w2] = s
+        out = _accumulate((w2, c * c2) for w, c in poly._terms.items()
+                          for w2, c2 in self.nf_word(w)._terms.items())
         return SuperPoly(self.alphabet, out, _internal=True)
 
     def reduces_to_zero(self, poly: SuperPoly) -> bool:
@@ -191,16 +175,7 @@ class RewriteSystem:
 
     def _apply_rule_at(self, word, lhs, i):
         pre, post = word[:i], word[i + len(lhs):]
-        out = {}
-        for w2, c2 in self.rules[lhs]._terms.items():
-            key = pre + w2 + post
-            cur = out.get(key)
-            s = cur + c2 if cur is not None else c2
-            if s.is_zero:
-                if cur is not None:
-                    del out[key]
-            else:
-                out[key] = s
+        out = _accumulate((pre + w2 + post, c2) for w2, c2 in self.rules[lhs]._terms.items())
         return SuperPoly(self.alphabet, out, _internal=True)
 
     def overlap_check(self, max_degree: int):
@@ -436,7 +411,6 @@ def _word_ranks(alphabet, degree_bound):
 
 
 def _gcd_all(values):
-    from math import gcd
     g = 0
     for v in values:
         g = gcd(g, v)
@@ -456,7 +430,7 @@ def _int_rows(polys, ranks, pval):
             q = c.substitute(p=pval).as_rational()
             if q:
                 row[ranks[w]] = q
-                denom = denom * q.denominator // _gcd_int(denom, q.denominator)
+                denom = denom * q.denominator // gcd(denom, q.denominator)
         if not row:
             rows.append({})
             continue
@@ -466,42 +440,9 @@ def _int_rows(polys, ranks, pval):
     return rows
 
 
-def _gcd_int(a, b):
-    from math import gcd
-    return gcd(a, b)
-
-
-def _int_insert(basis, row):
-    """Fraction-free insertion into an integer echelon basis."""
-    while row:
-        lead = max(row)
-        piv = basis.get(lead)
-        if piv is None:
-            g = _gcd_all(row.values())
-            basis[lead] = {k: v // g for k, v in row.items()}
-            return True
-        a = piv[lead]
-        b = row[lead]
-        new = {k: a * v for k, v in row.items()}
-        for k, v in piv.items():
-            cur = new.get(k, 0) - b * v
-            if cur:
-                new[k] = cur
-            elif k in new:
-                del new[k]
-        row = new
-        if row:
-            g = _gcd_all(row.values())
-            if g > 1:
-                row = {k: v // g for k, v in row.items()}
-    return False
-
-
-def _int_reduces_to_zero(basis, row):
-    return not _int_insert_probe(basis, dict(row))
-
-
-def _int_insert_probe(basis, row):
+def _int_reduce(basis, row):
+    """Fraction-free remainder of a primitive integer row modulo an echelon
+    basis; the remainder is primitive, and empty when the row is in the span."""
     while row:
         lead = max(row)
         piv = basis.get(lead)
@@ -524,6 +465,19 @@ def _int_insert_probe(basis, row):
     return row
 
 
+def _int_insert(basis, row):
+    """Fraction-free insertion into an integer echelon basis; False when the
+    row is already in the span."""
+    row = _int_reduce(basis, row)
+    if row:
+        basis[max(row)] = row
+    return bool(row)
+
+
+def _int_reduces_to_zero(basis, row):
+    return not _int_reduce(basis, row)
+
+
 # -- integer-coefficient univariate polynomials (for the symbolic pass) ----
 
 def _ip_norm(d):
@@ -535,18 +489,6 @@ def _ip_mul(a, b):
     for i, u in a.items():
         for j, v in b.items():
             out[i + j] = out.get(i + j, 0) + u * v
-    return _ip_norm(out)
-
-
-def _ip_scale_sub(a, ca, b, cb):
-    """ca*a - cb*b for int polys a, b and int-poly scalars ca, cb."""
-    out = {}
-    for i, u in a.items():
-        for j, v in ca.items():
-            out[i + j] = out.get(i + j, 0) + u * v
-    for i, u in b.items():
-        for j, v in cb.items():
-            out[i + j] = out.get(i + j, 0) - u * v
     return _ip_norm(out)
 
 
@@ -634,7 +576,7 @@ def _sym_rows(polys, ranks):
             if poly:
                 row[ranks[w]] = poly
                 for v in poly.values():
-                    denom = denom * v.denominator // _gcd_int(denom, v.denominator)
+                    denom = denom * v.denominator // gcd(denom, v.denominator)
         irow = {}
         for k, poly in row.items():
             irow[k] = {d: int(v * denom) for d, v in poly.items()}
@@ -645,7 +587,6 @@ def _sym_rows(polys, ranks):
 def _row_content(row):
     """(integer content, polynomial content) of a symbolic row."""
     ig = 0
-    from math import gcd
     for poly in row.values():
         for v in poly.values():
             ig = gcd(ig, v)
@@ -653,7 +594,7 @@ def _row_content(row):
                 break
     pg = None
     for poly in row.values():
-        pg = dict(poly) if pg is None else _ip_gcd(pg, poly)
+        pg = _ip_primitive(poly) if pg is None else _ip_gcd(pg, poly)
         if _ip_deg(pg) == 0:
             pg = None
             break
@@ -671,14 +612,16 @@ def _sym_strip(row):
     return row
 
 
-def _sym_insert(basis, row):
+def _sym_reduce(basis, row):
+    """Fraction-free remainder of a row over Z[p] modulo an echelon basis;
+    the remainder is stripped of its content, and empty when the row is in
+    the span."""
     row = _sym_strip(row)
     while row:
         lead = max(row)
         piv = basis.get(lead)
         if piv is None:
-            basis[lead] = row
-            return True
+            return row
         a = piv[lead]
         b = row[lead]
         new = {}
@@ -699,37 +642,20 @@ def _sym_insert(basis, row):
                 if not cur:
                     del new[k]
         row = _sym_strip({k: v for k, v in new.items() if v})
-    return False
+    return row
+
+
+def _sym_insert(basis, row):
+    """Insertion into a symbolic echelon basis; False when the row is
+    already in the span."""
+    row = _sym_reduce(basis, row)
+    if row:
+        basis[max(row)] = row
+    return bool(row)
 
 
 def _sym_reduces_to_zero(basis, row):
-    row = _sym_strip(dict(row))
-    while row:
-        lead = max(row)
-        piv = basis.get(lead)
-        if piv is None:
-            return False
-        a = piv[lead]
-        b = row[lead]
-        new = {}
-        for k, poly in row.items():
-            new[k] = _ip_mul(poly, a)
-        for k, poly in piv.items():
-            sub = _ip_mul(poly, b)
-            cur = new.get(k)
-            if cur is None:
-                new[k] = {d: -v for d, v in sub.items()}
-            else:
-                for d, v in sub.items():
-                    nv = cur.get(d, 0) - v
-                    if nv:
-                        cur[d] = nv
-                    elif d in cur:
-                        del cur[d]
-                if not cur:
-                    del new[k]
-        row = _sym_strip({k: v for k, v in new.items() if v})
-    return True
+    return not _sym_reduce(basis, row)
 
 
 _ECHELON_CACHE = {}

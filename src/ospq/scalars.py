@@ -18,10 +18,29 @@ VARS = ("p", "x", "y", "z", "t")
 _NVARS = len(VARS)
 _ZEXP = (0,) * _NVARS
 
-Q2 = tuple  # (Fraction, Fraction) meaning a + b*sqrt(2)
-
 _Q2_ZERO = (Fraction(0), Fraction(0))
 _Q2_ONE = (Fraction(1), Fraction(0))
+
+
+def _accumulate(pairs, out=None):
+    """Sum ``(key, coeff)`` pairs into ``out`` (a new dict by default).
+
+    A key whose sum becomes zero is deleted; the zero test is truthiness, so
+    any coefficient type with ``__bool__`` works (Scalar, RatP, int).  A key
+    that cancels and comes back is re-added at the end of the dict.  The
+    sparse containers built on Scalar sum their terms through this loop.
+    Returns ``out``.
+    """
+    if out is None:
+        out = {}
+    for k, c in pairs:
+        cur = out.get(k)
+        s = cur + c if cur is not None else c
+        if s:
+            out[k] = s
+        elif cur is not None:
+            del out[k]
+    return out
 
 
 def _q2_add(u, v):
@@ -149,18 +168,6 @@ class Scalar:
         if not self.is_rational:
             raise ValueError(f"not a rational constant: {self}")
         return self._terms[_ZEXP][0]
-
-    def variables_used(self):
-        used = set()
-        for e in self._terms:
-            for i, k in enumerate(e):
-                if k:
-                    used.add(VARS[i])
-        return used
-
-    def degree_in(self, name: str) -> int:
-        i = VARS.index(name)
-        return max((e[i] for e in self._terms), default=-1)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -353,24 +360,6 @@ class Scalar:
     def sorted_terms(self):
         """Terms sorted descending by (total degree, exponent tuple)."""
         return sorted(self._terms.items(), key=lambda ec: (sum(ec[0]), ec[0]), reverse=True)
-
-
-def _format_q2(c: Q2, with_star: bool) -> str:
-    a, b = c
-    if b == 0:
-        s = str(a)
-    elif a == 0:
-        if b == 1:
-            s = "s"
-        elif b == -1:
-            s = "-s"
-        else:
-            s = f"{b}*s"
-    else:
-        s = f"({a}+{b}*s)" if b > 0 else f"({a}-{-b}*s)"
-    if with_star and s not in ("s", "-s") and not s.endswith(")"):
-        return s
-    return s
 
 
 def format_scalar(value: Scalar) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .scalars import Scalar
+from .scalars import Scalar, _accumulate
 from .freealg import SuperPoly, SCALAR_ALPHABET
 
 INDEX_GRADE = (0, 1, 0)  # grade of 3x3 index 1,2,3
@@ -158,12 +158,6 @@ class SuperMatrix:
 
     __rmul__ = __mul__
 
-    def power(self, k: int) -> "SuperMatrix":
-        out = SuperMatrix.identity(self.alphabet, self.n)
-        for _ in range(k):
-            out = out @ self
-        return out
-
     def map_entries(self, fn) -> "SuperMatrix":
         return SuperMatrix(self.alphabet,
                            [[fn(e) for e in row] for row in self.entries])
@@ -200,12 +194,7 @@ class MatrixTensor:
         out = cls(arity)
         def rec(i, key, coeff):
             if i == arity:
-                cur = out.terms.get(key)
-                s = cur + coeff if cur is not None else coeff
-                if s.is_zero:
-                    out.terms.pop(key, None)
-                else:
-                    out.terms[key] = s
+                yield key, coeff
                 return
             m = mats[i]
             for r in range(1, 4):
@@ -214,21 +203,15 @@ class MatrixTensor:
                     if e.is_zero:
                         continue
                     ce = e.coefficient(())
-                    rec(i + 1, key + ((r, c),), coeff * ce)
-        rec(0, (), Scalar.one())
+                    yield from rec(i + 1, key + ((r, c),), coeff * ce)
+        _accumulate(rec(0, (), Scalar.one()), out.terms)
         return out
 
     def __add__(self, other):
         if self.arity != other.arity:
             raise ValueError("mixing arities")
-        out = MatrixTensor(self.arity, dict(self.terms))
-        for k, c in other.terms.items():
-            cur = out.terms.get(k)
-            s = cur + c if cur is not None else c
-            if s.is_zero:
-                out.terms.pop(k, None)
-            else:
-                out.terms[k] = s
+        out = MatrixTensor(self.arity, self.terms)
+        _accumulate(other.terms.items(), out.terms)
         return out
 
     def __sub__(self, other):
@@ -241,12 +224,8 @@ class MatrixTensor:
     def leg_identity_inserted(self, position: int) -> "MatrixTensor":
         """Insert an identity leg at ``position`` (0-based), raising arity by 1."""
         out = MatrixTensor(self.arity + 1)
-        for k, c in self.terms.items():
-            for d in range(1, 4):
-                key = k[:position] + ((d, d),) + k[position:]
-                cur = out.terms.get(key)
-                s = cur + c if cur is not None else c
-                out.terms[key] = s
+        _accumulate(((k[:position] + ((d, d),) + k[position:], c)
+                     for k, c in self.terms.items() for d in range(1, 4)), out.terms)
         return out
 
 

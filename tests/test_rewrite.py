@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -6,6 +8,8 @@ from ospq.scalars import rat, P, HALF
 from ospq.freealg import GradedAlphabet, SuperPoly
 from ospq.rewrite import (RewriteSystem, orient, span_equal,
                           span_contains, primitive_part, OrientationError)
+from ospq.rewrite import (RatP, _int_insert, _int_reduces_to_zero, _ip_mul,
+                          _sym_insert, _sym_reduces_to_zero)
 from ospq import frt
 
 
@@ -163,3 +167,115 @@ def test_classical_limit_commutes_with_reduction(system):
         lhs = system.normal_form(f).substitute_parameter(p=0)
         rhs = classical_system.normal_form(f.substitute_parameter(p=0))
         assert lhs == rhs
+
+
+# -- the fraction-free echelons -------------------------------------------
+
+def _rank(rows, zero, convert):
+    """Rank of sparse rows by plain Gaussian elimination over a field."""
+    pivots = {}
+    for row in rows:
+        row = {k: convert(v) for k, v in row.items()}
+        row = {k: v for k, v in row.items() if v != zero}
+        while row:
+            lead = max(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = row
+                break
+            f = row[lead] / piv[lead]
+            for k, v in piv.items():
+                row[k] = row.get(k, zero) - f * v
+            row = {k: v for k, v in row.items() if v != zero}
+    return len(pivots)
+
+
+def _echelon_stream(rng, random_entry, combine, ncols=7, nrows=40):
+    """Random rows, every other one a combination of two earlier rows."""
+    rows = []
+    for i in range(nrows):
+        if rows and i % 2:
+            a, b = rng.choice(rows), rng.choice(rows)
+            ca, cb = random_entry(rng), random_entry(rng)
+            row = {}
+            for k in set(a) | set(b):
+                row[k] = combine(ca, a.get(k), cb, b.get(k))
+        else:
+            cols = rng.sample(range(ncols), rng.randint(1, 3))
+            row = {k: random_entry(rng) for k in cols}
+        rows.append({k: v for k, v in row.items() if v})
+    return rows
+
+
+def _check_echelon(rows, insert, reduces_to_zero, in_span, fresh_row):
+    basis = {}
+    inserted = []
+    for row in rows:
+        before = dict(basis)
+        expected_new = not in_span(inserted, row)
+        assert insert(basis, row) is expected_new
+        if expected_new:
+            inserted.append(row)
+        else:
+            assert basis == before
+        assert reduces_to_zero(basis, row)
+    for row in rows:
+        assert reduces_to_zero(basis, row)
+    assert not reduces_to_zero(basis, fresh_row)
+    # the stream exercised both outcomes of insert
+    assert 0 < len(inserted) < len(rows)
+
+
+def test_integer_echelon_insert_and_probe_agree_with_rank():
+    def primitive(row):
+        g = 0
+        for v in row.values():
+            g = gcd(g, v)
+        return {k: v // g for k, v in row.items()} if g > 1 else row
+
+    def combine(ca, x, cb, y):
+        return ca * (x or 0) + cb * (y or 0)
+
+    def in_span(rows, row):
+        return _rank(rows + [row], Fraction(0), Fraction) == _rank(rows, Fraction(0), Fraction)
+
+    rng = random.Random(5)
+    for _ in range(10):
+        rows = _echelon_stream(rng, lambda r: r.choice([-3, -2, -1, 1, 2, 4]), combine)
+        rows = [primitive(r) for r in rows if r]
+        _check_echelon(rows, _int_insert, _int_reduces_to_zero, in_span, {99: 1, 0: 2})
+
+
+def test_symbolic_echelon_insert_and_probe_agree_with_rank():
+    def entry(rng):
+        return {d: rng.choice([-2, -1, 1, 2]) for d in range(rng.randint(1, 2))}
+
+    def add_poly(a, b):
+        out = dict(a)
+        for d, v in b.items():
+            out[d] = out.get(d, 0) + v
+        return {d: v for d, v in out.items() if v}
+
+    def combine(ca, x, cb, y):
+        return add_poly(_ip_mul(ca, x or {}), _ip_mul(cb, y or {}))
+
+    def ratp(poly):
+        return RatP({d: Fraction(v) for d, v in poly.items()})
+
+    def in_span(rows, row):
+        zero = RatP({})
+        return _rank(rows + [row], zero, ratp) == _rank(rows, zero, ratp)
+
+    rng = random.Random(8)
+    for _ in range(6):
+        rows = [r for r in _echelon_stream(rng, entry, combine, nrows=24) if r]
+        _check_echelon(rows, _sym_insert, _sym_reduces_to_zero, in_span,
+                       {99: {1: 1}, 0: {0: 2}})
+
+
+def test_symbolic_span_of_a_monomial_with_non_primitive_coefficient():
+    # one-entry rows whose coefficient has integer content and positive degree
+    m = w("a", "c")
+    scaled = m.scale(rat(2) * P + rat(2))
+    assert span_contains([m], [scaled], 2)[0]
+    assert span_contains([scaled], [m], 2)[0]

@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from ospq.scalars import Scalar, rat, P, HALF, SQRT2, format_scalar
+from ospq.scalars import Scalar, rat, P, HALF, SQRT2, format_scalar, _accumulate
+from ospq.freealg import GradedAlphabet, SuperPoly, TensorElement
+from ospq.supermatrix import MatrixTensor
+from ospq.borel import BorelSeries, BorelTensor, XSeries
+from ospq.rewrite import RatP
 
 
 def test_sqrt2_squares_to_two():
@@ -88,3 +92,123 @@ def test_hash_consistency():
     a = P * HALF + rat(3)
     b = rat(3) + HALF * P
     assert a == b and hash(a) == hash(b)
+
+
+# -- the accumulate-and-prune kernel ------------------------------------
+
+def _reference_sum_loop(pairs, out):
+    """The per-container loop the kernel replaced, kept as the order reference."""
+    for k, c in pairs:
+        cur = out.get(k)
+        s = cur + c if cur is not None else c
+        if s.is_zero:
+            if cur is not None:
+                del out[k]
+        else:
+            out[k] = s
+    return out
+
+
+def _cancelling_stream(rng, nkeys=6, length=60):
+    """(key, Scalar) pairs where most terms are later cancelled, some re-added."""
+    pairs = []
+    live = []
+    for _ in range(length):
+        roll = rng.random()
+        if live and roll < 0.45:
+            k, c = live.pop(rng.randrange(len(live)))
+            pairs.append((k, -c))
+        elif pairs and roll < 0.6:
+            pairs.append(rng.choice(pairs))
+        else:
+            k = rng.randrange(nkeys)
+            c = _random_scalar(rng)
+            pairs.append((k, c))
+            live.append((k, c))
+    return pairs
+
+
+def _naive_sum(pairs):
+    sums = {}
+    for k, c in pairs:
+        sums[k] = sums.get(k, Scalar.zero()) + c
+    return {k: c for k, c in sums.items() if not c.is_zero}
+
+
+def test_accumulate_matches_naive_sum_and_reference_order():
+    rng = random.Random(2024)
+    for _ in range(200):
+        pairs = _cancelling_stream(rng)
+        got = _accumulate(iter(pairs))
+        assert got == _naive_sum(pairs)
+        assert all(not c.is_zero for c in got.values())
+        assert list(got) == list(_reference_sum_loop(pairs, {}))
+        start = _naive_sum(_cancelling_stream(rng))
+        into = _accumulate(pairs, dict(start))
+        assert list(into) == list(_reference_sum_loop(pairs, dict(start)))
+        assert into == _naive_sum(list(start.items()) + pairs)
+
+
+def test_accumulate_readds_a_cancelled_key_at_the_end():
+    a, b = P, rat(3)
+    out = _accumulate([("u", a), ("v", b), ("u", -a), ("w", b), ("u", a)])
+    assert list(out) == ["v", "w", "u"]
+    assert out == {"v": b, "w": b, "u": a}
+    target = {"u": a}
+    assert _accumulate([("u", -a)], target) is target and target == {}
+
+
+def test_accumulate_zero_test_is_truthiness():
+    assert _accumulate([(0, 2), (1, 0), (0, -2), (2, 5)]) == {2: 5}
+    half = RatP({1: Fraction(1, 2)})
+    out = _accumulate([("x", half), ("y", half), ("x", -half)])
+    assert list(out) == ["y"] and out["y"] == half
+
+
+def _container_makers():
+    """(name, random key, constructor from a term dict) for every sparse container."""
+    alphabet = GradedAlphabet(("u", "v"), {"u": 0, "v": 1})
+    words = [(), ("u",), ("v",), ("u", "v"), ("v", "u")]
+
+    def mono(rng):
+        return (rng.randint(0, 1), rng.randint(0, 2), rng.randint(0, 2))
+
+    def slot(rng):
+        return (rng.randint(1, 3), rng.randint(1, 3))
+
+    return [
+        ("SuperPoly", lambda rng: rng.choice(words),
+         lambda t: SuperPoly(alphabet, t)),
+        ("TensorElement", lambda rng: (rng.choice(words), rng.choice(words)),
+         lambda t: TensorElement(alphabet, 2, t)),
+        ("MatrixTensor", lambda rng: (slot(rng), slot(rng)),
+         lambda t: MatrixTensor(2, t)),
+        ("BorelSeries", mono, lambda t: BorelSeries(8, t)),
+        ("BorelTensor", lambda rng: (mono(rng), mono(rng)),
+         lambda t: BorelTensor(2, 8, t)),
+        ("XSeries", lambda rng: rng.randint(0, 4), lambda t: XSeries(4, t)),
+    ]
+
+
+def _stored(x):
+    for attr in ("_terms", "terms", "coeffs"):
+        terms = getattr(x, attr, None)
+        if isinstance(terms, dict):
+            return terms
+    raise AssertionError(f"no term dict on {type(x).__name__}")
+
+
+def test_containers_store_no_zero_coefficients():
+    rng = random.Random(11)
+    for name, key, make in _container_makers():
+        for _ in range(30):
+            tx = {key(rng): _random_scalar(rng) for _ in range(5)}
+            # y cancels half of x exactly and overlaps it elsewhere
+            ty = {k: -c for k, c in list(tx.items())[::2]}
+            ty.update({key(rng): _random_scalar(rng) for _ in range(3)})
+            x, y = make(tx), make(ty)
+            assert _stored(x - x) == {}, name
+            total = _stored(x + y)
+            assert all(not c.is_zero for c in total.values()), name
+            assert total == _naive_sum(list(_stored(x).items())
+                                       + list(_stored(y).items())), name
