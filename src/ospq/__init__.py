@@ -12,8 +12,7 @@ from .supermatrix import (SuperMatrix, MatrixTensor, graded_embed, embed_left,
                           embed_right, exp_nilpotent, invert_unipotent,
                           partial_transpose_first, supertranspose3, desuperize,
                           ybe_check)
-from .borel import (XSeries, BorelSeries, BorelTensor, AnsatzFunctions,
-                    DEFAULT_TRUNCATION)
+from .borel import BorelSeries, BorelTensor, AnsatzFunctions, DEFAULT_TRUNCATION
 
 __version__ = "0.1.0"
 
@@ -24,6 +23,5 @@ __all__ = [
     "SuperMatrix", "MatrixTensor", "graded_embed", "embed_left", "embed_right",
     "exp_nilpotent", "invert_unipotent", "partial_transpose_first",
     "supertranspose3", "desuperize", "ybe_check",
-    "XSeries", "BorelSeries", "BorelTensor", "AnsatzFunctions",
-    "DEFAULT_TRUNCATION",
+    "BorelSeries", "BorelTensor", "AnsatzFunctions", "DEFAULT_TRUNCATION",
 ]

@@ -30,145 +30,6 @@ RLL_ALPHABET = GradedAlphabet(
 
 
 # ----------------------------------------------------------------------
-# Series in X alone (the commutative subalgebra the ansatz lives in).
-# ----------------------------------------------------------------------
-
-class XSeries:
-    """Truncated power series in X with Scalar coefficients."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs=None):
-        self.order = order
-        self.coeffs = {}
-        if coeffs:
-            for n, c in coeffs.items():
-                if n <= order and not c.is_zero:
-                    self.coeffs[n] = c
-
-    @classmethod
-    def constant(cls, order, value) -> "XSeries":
-        return cls(order, {0: value if isinstance(value, Scalar) else rat(value)})
-
-    @classmethod
-    def x(cls, order) -> "XSeries":
-        return cls(order, {1: Scalar.one()})
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def constant_term(self) -> Scalar:
-        return self.coeffs.get(0, Scalar.zero())
-
-    def _order_with(self, other):
-        return min(self.order, other.order)
-
-    def __add__(self, other):
-        return XSeries(self._order_with(other),
-                       _accumulate(other.coeffs.items(), dict(self.coeffs)))
-
-    def __neg__(self):
-        return XSeries(self.order, {n: -c for n, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self.scale(other)
-        order = self._order_with(other)
-        out = _accumulate((i + j, u * v) for i, u in self.coeffs.items()
-                          for j, v in other.coeffs.items() if i + j <= order)
-        return XSeries(order, out)
-
-    __rmul__ = __mul__
-
-    def scale(self, coeff) -> "XSeries":
-        coeff = coeff if isinstance(coeff, Scalar) else rat(coeff)
-        return XSeries(self.order, {n: c * coeff for n, c in self.coeffs.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, XSeries):
-            return NotImplemented
-        order = self._order_with(other)
-        for n in set(self.coeffs) | set(other.coeffs):
-            if n > order:
-                continue
-            if self.coeffs.get(n, Scalar.zero()) != other.coeffs.get(n, Scalar.zero()):
-                return False
-        return True
-
-    def inverse(self) -> "XSeries":
-        c0 = self.constant_term()
-        if c0.is_zero or not c0.is_constant:
-            raise ValueError("inverse needs an invertible constant term")
-        inv0 = c0.unit_inverse()
-        out = {0: inv0}
-        for n in range(1, self.order + 1):
-            acc = Scalar.zero()
-            for i in range(1, n + 1):
-                ci = self.coeffs.get(i)
-                oj = out.get(n - i)
-                if ci is not None and oj is not None:
-                    acc = acc + ci * oj
-            c = -(inv0 * acc)
-            if not c.is_zero:
-                out[n] = c
-        return XSeries(self.order, out)
-
-    def sqrt(self) -> "XSeries":
-        """Series square root; the constant term must be a perfect square."""
-        c0 = self.constant_term()
-        if c0.is_zero:
-            raise ValueError("square root needs a nonzero constant term")
-        g0 = c0.sqrt()
-        two_g0 = rat(2) * g0
-        out = {0: g0}
-        for n in range(1, self.order + 1):
-            acc = self.coeffs.get(n, Scalar.zero())
-            for i in range(1, n):
-                gi, gj = out.get(i), out.get(n - i)
-                if gi is not None and gj is not None:
-                    acc = acc - gi * gj
-            c = acc.divide_exact(two_g0)
-            if not c.is_zero:
-                out[n] = c
-        return XSeries(self.order, out)
-
-    def derivative(self) -> "XSeries":
-        return XSeries(self.order, {n - 1: rat(n) * c
-                                    for n, c in self.coeffs.items() if n >= 1})
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "XSeries(0)"
-        bits = [f"({self.coeffs[n]})*X^{n}" if n else f"({self.coeffs[n]})"
-                for n in sorted(self.coeffs)]
-        return "XSeries(" + " + ".join(bits) + f"; order {self.order})"
-
-
-def one_plus_px(order: int) -> XSeries:
-    return XSeries(order, {0: Scalar.one(), 1: P})
-
-
-def exp_sigma(order: int) -> XSeries:
-    """(1 + pX)^(1/2)."""
-    return one_plus_px(order).sqrt()
-
-
-def exp_minus_sigma(order: int) -> XSeries:
-    return exp_sigma(order).inverse()
-
-
-def exp_minus_two_sigma(order: int) -> XSeries:
-    return one_plus_px(order).inverse()
-
-
-# ----------------------------------------------------------------------
 # Normal-ordered Borel series.
 # ----------------------------------------------------------------------
 
@@ -250,8 +111,9 @@ class BorelSeries:
         return cls(w, {(0, 0, 1): Scalar.one()}, _internal=True)
 
     @classmethod
-    def from_xseries(cls, w, series: XSeries):
-        return cls(w, {(0, 0, n): c for n, c in series.coeffs.items()})
+    def in_x(cls, w, coeffs):
+        """The series in X alone with coefficient ``coeffs[n]`` on X^n."""
+        return cls(w, {(0, 0, n): c for n, c in coeffs.items()})
 
     # -- structure --------------------------------------------------------
 
@@ -318,6 +180,60 @@ class BorelSeries:
     def counit(self) -> Scalar:
         return self._terms.get((0, 0, 0), Scalar.zero())
 
+    # -- the commutative slice of series in X alone ------------------------
+
+    def _x_coeffs(self):
+        """{n: coefficient of X^n}; the recurrences below hold only on this
+        slice (H has weight 0 and is not nilpotent)."""
+        if any(e or m for e, m, _ in self._terms):
+            raise ValueError("series in X alone expected, found a V or H term")
+        return {n: c for (_, _, n), c in self._terms.items()}
+
+    def inverse(self) -> "BorelSeries":
+        coeffs = self._x_coeffs()
+        c0 = coeffs.get(0, Scalar.zero())
+        if c0.is_zero or not c0.is_constant:
+            raise ValueError("inverse needs an invertible constant term")
+        inv0 = c0.unit_inverse()
+        out = {0: inv0}
+        for n in range(1, self.weight_bound // 2 + 1):
+            acc = Scalar.zero()
+            for i in range(1, n + 1):
+                ci = coeffs.get(i)
+                oj = out.get(n - i)
+                if ci is not None and oj is not None:
+                    acc = acc + ci * oj
+            c = -(inv0 * acc)
+            if not c.is_zero:
+                out[n] = c
+        return BorelSeries.in_x(self.weight_bound, out)
+
+    def sqrt(self) -> "BorelSeries":
+        """Series square root; the constant term must be a perfect square."""
+        coeffs = self._x_coeffs()
+        c0 = coeffs.get(0, Scalar.zero())
+        if c0.is_zero:
+            raise ValueError("square root needs a nonzero constant term")
+        g0 = c0.sqrt()
+        two_g0 = rat(2) * g0
+        out = {0: g0}
+        for n in range(1, self.weight_bound // 2 + 1):
+            acc = coeffs.get(n, Scalar.zero())
+            for i in range(1, n):
+                gi, gj = out.get(i), out.get(n - i)
+                if gi is not None and gj is not None:
+                    acc = acc - gi * gj
+            c = acc.divide_exact(two_g0)
+            if not c.is_zero:
+                out[n] = c
+        return BorelSeries.in_x(self.weight_bound, out)
+
+    def derivative(self) -> "BorelSeries":
+        """d/dX of a series in X alone."""
+        return BorelSeries.in_x(self.weight_bound,
+                                {n - 1: rat(n) * c
+                                 for n, c in self._x_coeffs().items() if n >= 1})
+
     def __repr__(self):
         if not self._terms:
             return "BorelSeries(0)"
@@ -327,6 +243,23 @@ class BorelSeries:
                            + (["X^%d" % n] if n else [])) or "1"
             bits.append(f"({c})*{mono}")
         return "BorelSeries(" + " + ".join(bits) + ")"
+
+
+def one_plus_px(w: int) -> BorelSeries:
+    return BorelSeries.in_x(w, {0: Scalar.one(), 1: P})
+
+
+def exp_sigma(w: int) -> BorelSeries:
+    """(1 + pX)^(1/2)."""
+    return one_plus_px(w).sqrt()
+
+
+def exp_minus_sigma(w: int) -> BorelSeries:
+    return exp_sigma(w).inverse()
+
+
+def exp_minus_two_sigma(w: int) -> BorelSeries:
+    return one_plus_px(w).inverse()
 
 
 # ----------------------------------------------------------------------
@@ -479,15 +412,15 @@ class BorelTensor:
 
 def delta_v(w: int) -> BorelTensor:
     """Delta(V) = e^sigma ox V + V ox 1."""
-    es = BorelSeries.from_xseries(w, exp_sigma(w // 2))
+    es = exp_sigma(w)
     return (BorelTensor.of(es, BorelSeries.v(w))
             + BorelTensor.of(BorelSeries.v(w), BorelSeries.one(w)))
 
 
 def delta_h(w: int) -> BorelTensor:
     """Delta(H) = 1 ox H + p V e^-sigma ox V e^-2sigma + H ox e^-2sigma."""
-    esi = BorelSeries.from_xseries(w, exp_minus_sigma(w // 2))
-    es2i = BorelSeries.from_xseries(w, exp_minus_two_sigma(w // 2))
+    esi = exp_minus_sigma(w)
+    es2i = exp_minus_two_sigma(w)
     v = BorelSeries.v(w)
     h = BorelSeries.h(w)
     return (BorelTensor.of(BorelSeries.one(w), h)
@@ -504,7 +437,7 @@ def delta_x(w: int) -> BorelTensor:
 
 
 def delta_exp_sigma(w: int) -> BorelTensor:
-    es = BorelSeries.from_xseries(w, exp_sigma(w // 2))
+    es = exp_sigma(w)
     return BorelTensor.of(es, es)
 
 
@@ -541,8 +474,7 @@ def counit_defects(w: int):
     """(eps ox id)Delta(g) - g and (id ox eps)Delta(g) - g for the generators."""
     out = {}
     gens = {
-        "exp_sigma": (delta_exp_sigma(w),
-                      BorelSeries.from_xseries(w, exp_sigma(w // 2))),
+        "exp_sigma": (delta_exp_sigma(w), exp_sigma(w)),
         "V": (delta_v(w), BorelSeries.v(w)),
         "H": (delta_h(w), BorelSeries.h(w)),
     }
@@ -588,8 +520,8 @@ def antipode_candidate(w: int):
     S(e^sigma) = e^-sigma, S(V) = -e^-sigma V, S(H) = -H e^{2 sigma} + (p/4) X;
     both axiom sides are checked in antipode_axiom_defects.
     """
-    esi = BorelSeries.from_xseries(w, exp_minus_sigma(w // 2))
-    es2 = BorelSeries.from_xseries(w, one_plus_px(w // 2))
+    esi = exp_minus_sigma(w)
+    es2 = one_plus_px(w)
     v, h, x = BorelSeries.v(w), BorelSeries.h(w), BorelSeries.x(w)
     return {
         "exp_sigma": esi,
@@ -605,23 +537,18 @@ def antipode_axiom_defects(w: int):
             "V": (delta_v(w), Scalar.zero()),
             "H": (delta_h(w), Scalar.zero())}
 
+    # S(X) from X = (e^{2 sigma} - 1)/p: S(X) = (e^{-2 sigma} - 1)/p
+    s_x = BorelSeries(w, {k: c.divide_exact(P)
+                          for k, c in exp_minus_two_sigma(w)._terms.items() if k[2]})
+
     def s_of_monomial(key):
         eps, m, n = key
         out = BorelSeries.one(w)
         # anti-homomorphism with Koszul sign: only one odd factor can occur
-        factors = [cand["V"]] * eps + [cand["H"]] * m + [s_x()] * n
+        factors = [cand["V"]] * eps + [cand["H"]] * m + [s_x] * n
         for f in reversed(factors):
             out = out * f
         return out
-
-    def s_x():
-        # S(X) from X = (e^{2 sigma} - 1)/p: S(X) = (e^{-2 sigma} - 1)/p
-        es2i = exp_minus_two_sigma(w // 2)
-        shifted = XSeries(w // 2, {n: c for n, c in es2i.coeffs.items() if n >= 1})
-        out = XSeries(w // 2)
-        for n, c in shifted.coeffs.items():
-            out = out + XSeries(w // 2, {n: c.divide_exact(P)})
-        return BorelSeries.from_xseries(w, out)
 
     defects = {}
     for name, (d, eps_val) in gens.items():
@@ -642,48 +569,48 @@ def antipode_axiom_defects(w: int):
 @dataclass
 class AnsatzFunctions:
     """The five series of the triangular ansatz; K(0) must be 1-like."""
-    K: XSeries
-    L: XSeries
-    M: XSeries
-    N: XSeries
-    P: XSeries
+    K: BorelSeries
+    L: BorelSeries
+    M: BorelSeries
+    N: BorelSeries
+    P: BorelSeries
 
 
-def particular_solution(order: int) -> AnsatzFunctions:
+def particular_solution(w: int) -> AnsatzFunctions:
     """K = e^sigma, L = e^-sigma, M = sqrt2 p, N = sqrt2 p e^-sigma, P = 2p e^sigma."""
-    es = exp_sigma(order)
-    esi = exp_minus_sigma(order)
+    es = exp_sigma(w)
+    esi = exp_minus_sigma(w)
     sp = SQRT2 * P
     return AnsatzFunctions(
         K=es,
         L=esi,
-        M=XSeries.constant(order, sp),
+        M=BorelSeries.in_x(w, {0: sp}),
         N=esi * sp,
         P=es * (rat(2) * P),
     )
 
 
-def trivial_solution(order: int) -> AnsatzFunctions:
-    one = XSeries.constant(order, Scalar.one())
-    zero = XSeries(order)
+def trivial_solution(w: int) -> AnsatzFunctions:
+    one = BorelSeries.one(w)
+    zero = BorelSeries.zero(w)
     return AnsatzFunctions(K=one, L=one, M=zero, N=zero, P=zero)
 
 
-def affine_solution(order: int) -> AnsatzFunctions:
+def affine_solution(w: int) -> AnsatzFunctions:
     """The K = 1 + pX family (square roots stay inside the coefficient ring)."""
-    k = one_plus_px(order)
+    k = one_plus_px(w)
     ksq = k * k
-    num = XSeries(order, {0: rat(4) * P * P, 1: rat(2) * P * P * P})
+    num = BorelSeries.in_x(w, {0: rat(4) * P * P, 1: rat(2) * P * P * P})
     n = (num * ksq.inverse()).sqrt()
-    p_series = XSeries(order, {0: rat(2) * P, 1: P * P})
+    p_series = BorelSeries.in_x(w, {0: rat(2) * P, 1: P * P})
     return AnsatzFunctions(K=k, L=k.inverse(), M=k * n, N=n, P=p_series)
 
 
 def check_ansatz_conditions(f: AnsatzFunctions) -> bool:
     """Division-free conditions: KL = 1, M = KN, P X K' = p(K^2-1), (X/2) N^2 K^2 = p(K^2-1)."""
-    order = f.K.order
-    one = XSeries.constant(order, Scalar.one())
-    x = XSeries.x(order)
+    w = f.K.weight_bound
+    one = BorelSeries.one(w)
+    x = BorelSeries.x(w)
     ksq = f.K * f.K
     rhs = (ksq - one) * P
     ok1 = f.K * f.L == one
@@ -765,11 +692,11 @@ def rll_span_matches_relations(seed: int = 0) -> bool:
 def verify_rll_solution(f: AnsatzFunctions, w: int = DEFAULT_TRUNCATION) -> bool:
     """Substitute the ansatz into every dual relation; all must vanish."""
     values = {
-        "A": BorelSeries.from_xseries(w, f.K),
-        "F": BorelSeries.from_xseries(w, f.L),
-        "B": BorelSeries.v(w) * BorelSeries.from_xseries(w, f.M),
-        "E": BorelSeries.v(w) * BorelSeries.from_xseries(w, f.N),
-        "C_L": BorelSeries.h(w) * BorelSeries.from_xseries(w, f.P),
+        "A": f.K,
+        "F": f.L,
+        "B": BorelSeries.v(w) * f.M,
+        "E": BorelSeries.v(w) * f.N,
+        "C_L": BorelSeries.h(w) * f.P,
     }
     for rel in dual_relations():
         acc = BorelSeries.zero(w)

@@ -90,14 +90,12 @@ def export_artifacts(directory):
         lines.append(f"entry ({i + 1},{j + 1}) left:  {format_poly(left)}")
         lines.append(f"entry ({i + 1},{j + 1}) right: {format_poly(right)}")
     write("hopf_antipode_traces.txt", "\n".join(lines) + "\n")
-    order = borel.DEFAULT_TRUNCATION // 2
-    sol = borel.particular_solution(order)
+    sol = borel.particular_solution(borel.DEFAULT_TRUNCATION)
     series_lines = []
-    for name, xs in (("K", sol.K), ("L", sol.L), ("M", sol.M),
-                     ("N", sol.N), ("P", sol.P)):
+    for name, series in (("K", sol.K), ("L", sol.L), ("M", sol.M),
+                         ("N", sol.N), ("P", sol.P)):
         series_lines.append(f"# {name}")
-        series_lines.append(format_series(borel.BorelSeries.from_xseries(
-            borel.DEFAULT_TRUNCATION, xs)))
+        series_lines.append(format_series(series))
     write("series_ansatz_particular.txt", "\n".join(series_lines))
 
 

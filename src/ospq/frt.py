@@ -16,7 +16,8 @@ from functools import lru_cache
 
 from .scalars import Scalar, rat, P, HALF, _accumulate
 from .freealg import GradedAlphabet, SuperPoly, TensorElement, sum_polys
-from .rewrite import RewriteSystem, complete, primitive_part, RatP, _RATP_ONE
+from .rewrite import (RewriteSystem, complete, primitive_part, RatP, _RATP_ONE,
+                      _scalar_from_ppoly, _poly_mul, _poly_divmod, _poly_gcd)
 from .supermatrix import (SuperMatrix, embed_left, embed_right, exp_nilpotent,
                           graded_embed, partial_transpose_first, supertranspose3)
 from . import classical
@@ -85,7 +86,7 @@ def derive_metric_solutions(r: SuperMatrix = None):
     rows = []
     for rr in range(9):
         for ss in range(9):
-            coeffs = {}
+            pairs = []
             for u in range(9):
                 a = _scalar_entry(r, rr, u)
                 if a.is_zero:
@@ -97,14 +98,12 @@ def derive_metric_solutions(r: SuperMatrix = None):
                         continue
                     j, n_ = divmod(v, 3)
                     if m == n_:
-                        k = 3 * i + j
-                        coeffs[k] = coeffs.get(k, Scalar.zero()) + a * b
+                        pairs.append((3 * i + j, a * b))
             i, m = divmod(rr, 3)
             j, n_ = divmod(ss, 3)
             if m == n_:
-                k = 3 * i + j
-                coeffs[k] = coeffs.get(k, Scalar.zero()) - Scalar.one()
-            coeffs = {k: v for k, v in coeffs.items() if not v.is_zero}
+                pairs.append((3 * i + j, -Scalar.one()))
+            coeffs = _accumulate(pairs)
             if coeffs:
                 rows.append(coeffs)
     basis = _nullspace_ratp(rows, 9)
@@ -154,7 +153,6 @@ def _nullspace_ratp(rows, ncols):
             if c is not None and c:
                 entries[pcol] = -c
         den_lcm = {0: Fraction(1)}
-        from .rewrite import _poly_mul, _poly_divmod, _poly_gcd
         for v in entries.values():
             g = _poly_gcd(den_lcm, v.den)
             den_lcm = _poly_mul(_poly_divmod(den_lcm, g)[0], v.den)
@@ -163,13 +161,6 @@ def _nullspace_ratp(rows, ncols):
             vec[col] = _scalar_from_ppoly(num)
         basis.append(vec)
     return basis
-
-
-def _scalar_from_ppoly(poly):
-    out = Scalar.zero()
-    for deg, coeff in poly.items():
-        out = out + rat(coeff) * (P ** deg)
-    return out
 
 
 @lru_cache(maxsize=None)

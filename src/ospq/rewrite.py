@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .scalars import Scalar, _accumulate
+from .scalars import Scalar, rat, P, _accumulate
 from .freealg import SuperPoly
 
 
@@ -41,10 +41,7 @@ def primitive_part(poly):
         content = dict(cp.num) if content is None else _poly_gcd(content, cp.num)
         if _poly_deg(content) == 0:
             return poly
-    out = poly
-    g = Scalar.zero()
-    for deg, coeff in content.items():
-        g = g + Scalar.rational(coeff) * Scalar.var("p") ** deg
+    g = _scalar_from_ppoly(content)
     return poly.map_scalars(lambda c: c.divide_exact(g))
 
 
@@ -363,6 +360,14 @@ class RatP:
 
 
 _RATP_ONE = RatP({0: Fraction(1)})
+
+
+def _scalar_from_ppoly(poly):
+    """The Scalar of a polynomial in p given as {degree: Fraction}."""
+    out = Scalar.zero()
+    for deg, coeff in poly.items():
+        out = out + rat(coeff) * (P ** deg)
+    return out
 
 
 # ----------------------------------------------------------------------

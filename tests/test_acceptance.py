@@ -186,9 +186,9 @@ def test_criterion_08_dual_exchange_span():
 
 def test_criterion_09_ansatz():
     started = time.monotonic()
-    order = CONFIG.truncation // 2
-    sols = [borel.particular_solution(order), borel.trivial_solution(order),
-            borel.affine_solution(order)]
+    w = CONFIG.truncation
+    sols = [borel.particular_solution(w), borel.trivial_solution(w),
+            borel.affine_solution(w)]
     ok = all(borel.check_ansatz_conditions(f) for f in sols)
     ok = ok and all(borel.verify_rll_solution(f, CONFIG.truncation) for f in sols)
     assert _report(9, "particular, trivial, and affine solutions satisfy the "

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import os
 
 from ospq.cli import main
 from ospq.checks import CheckConfig, run_checks
+
+EXPORT_DIGEST = "bc8a6fbc3d6c66902a309d25b37dbe99fd06428241209b0d2607f966e89fa6b1"
 
 
 def test_fast_group_passes(capsys):
@@ -63,6 +66,14 @@ def test_export_writes_artifacts(tmp_path, capsys):
     assert "series_ansatz_particular.txt" in names
     text = (target / "matrix_r.txt").read_text()
     assert text.splitlines()[0] == "9"
+    # the artifact bytes are pinned: sorted names, each name and each file's
+    # bytes followed by a NUL, hashed with SHA-256
+    h = hashlib.sha256()
+    for name in names:
+        h.update(name.encode() + b"\0")
+        h.update((target / name).read_bytes())
+        h.update(b"\0")
+    assert h.hexdigest() == EXPORT_DIGEST
 
 
 def test_exit_code_contract_on_failure(monkeypatch, capsys):
@@ -79,14 +90,6 @@ def test_every_registered_check_appears_exactly_once():
     from ospq.checks import CHECKS
     names = [name for group in CHECKS.values() for name, _ in group]
     assert len(names) == len(set(names))
-
-
-def test_export_includes_classical_constants(tmp_path):
-    from ospq.cli import export_artifacts
-    export_artifacts(str(tmp_path / "out"))
-    names = os.listdir(tmp_path / "out")
-    assert "matrix_representation.txt" in names
-    assert "structure_constants.txt" in names
 
 
 def test_unwritable_export_is_usage_error(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from ospq.scalars import Scalar, rat, P, HALF, SQRT2, format_scalar, _accumulate
 from ospq.freealg import GradedAlphabet, SuperPoly, TensorElement
 from ospq.supermatrix import MatrixTensor
-from ospq.borel import BorelSeries, BorelTensor, XSeries
+from ospq.borel import BorelSeries, BorelTensor
 from ospq.rewrite import RatP
 
 
@@ -186,12 +186,11 @@ def _container_makers():
         ("BorelSeries", mono, lambda t: BorelSeries(8, t)),
         ("BorelTensor", lambda rng: (mono(rng), mono(rng)),
          lambda t: BorelTensor(2, 8, t)),
-        ("XSeries", lambda rng: rng.randint(0, 4), lambda t: XSeries(4, t)),
     ]
 
 
 def _stored(x):
-    for attr in ("_terms", "terms", "coeffs"):
+    for attr in ("_terms", "terms"):
         terms = getattr(x, attr, None)
         if isinstance(terms, dict):
             return terms

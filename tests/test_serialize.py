@@ -84,7 +84,7 @@ def test_matrix_roundtrip_r():
 
 
 def test_series_format():
-    s = borel.BorelSeries.from_xseries(8, borel.exp_sigma(4))
+    s = borel.exp_sigma(8)
     text = format_series(s)
     assert text.splitlines()[0] == "0 0 0 : 1"
     assert "0 0 1 : 1/2*p" in text
