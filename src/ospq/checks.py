@@ -401,10 +401,10 @@ def check_rtt_span(config):
     rtt, orth = frt.eliminated_residuals()
     residuals = rtt + orth
     relations = pres.all_relations()
-    ok1, d1 = span_contains(relations, residuals, 4, seed=config.seed)
+    ok1, d1 = span_contains(relations, residuals, 4)
     if not ok1:
         return False, f"residuals escape the relation span: {d1}"
-    ok2, d2 = span_contains(residuals, relations, 4, seed=config.seed)
+    ok2, d2 = span_contains(residuals, relations, 4)
     if not ok2:
         return False, f"relations escape the residual span: {d2}"
     return True, "mutual degree-4 span containment holds both ways"
@@ -414,7 +414,7 @@ def check_span_negative(config):
     relations = frt.defining_relations()
     flipped = list(relations)
     flipped[0] = _flip_sign_of_deformation(flipped[0])
-    ok = not span_equal(relations, flipped, 3, seed=config.seed, symbolic=False)
+    ok = not span_equal(relations, flipped, 3)
     return ok, ("sign-flipped relation breaks span equality"
                 if ok else "sign flip not detected")
 
@@ -432,9 +432,8 @@ def check_relation_membership(config):
     good = frt.defining_relations()[10]           # [c,al] = p c de
     perturbed = (SuperPoly.word(a, ("c", "al")) - SuperPoly.word(a, ("al", "c"))
                  - SuperPoly.word(a, ("c", "de")))  # coefficient 1 instead of p
-    ok_good, _ = span_contains(residuals, [good], 4, seed=config.seed)
-    ok_bad, _ = span_contains(residuals, [perturbed], 4, seed=config.seed,
-                              symbolic=False)
+    ok_good, _ = span_contains(residuals, [good], 4)
+    ok_bad, _ = span_contains(residuals, [perturbed], 4)
     ok = ok_good and not ok_bad
     return ok, ("the deformed odd exchange relation is a member; the same "
                 "relation with unit coefficient is not" if ok
@@ -544,7 +543,7 @@ def check_hopf_classical_limit(config):
 # ----------------------------------------------------------------------
 
 def check_borel_rll_span(config):
-    ok = borel.rll_span_matches_relations(seed=config.seed)
+    ok = borel.rll_span_matches_relations()
     return ok, ("dual residual span equals the exchange relation span "
                 "(degree 2, both ways)" if ok else "dual spans differ")
 

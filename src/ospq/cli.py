@@ -2,8 +2,8 @@
 
 Subcommands select check groups; ``all`` runs everything.  Exit status: 0 when
 every non-skipped check passes, 1 when any fails, 2 on usage errors.  The seed
-only moves the internal rational evaluation points used to accelerate span
-comparisons; it never changes any verdict.
+only moves the integer evaluation points of p in the classical-limit span
+comparisons; their inputs are free of p, so it never changes any verdict.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ def build_parser():
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for internal rational evaluation points")
+                        help="seed for the evaluation points of p in the "
+                             "classical-limit spans (inputs free of p)")
     parser.add_argument("--export", metavar="DIR", default=None,
                         help="write canonical-serialization artifacts to DIR")
     return parser

@@ -5,13 +5,15 @@ Rules are stored as ``lhs word -> rhs SuperPoly`` with every right-hand
 monomial strictly below the left side in the alphabet's monomial order, so
 rewriting terminates and normal forms certify ideal membership.  Span tools
 compare Scalar-linear spans of shifted relation families inside a degree
-slice, with seeded rational evaluations of p as an accelerator and one fully
-symbolic pass over Q(p) as the certificate.
+slice by one fraction-free echelon over Z[p], which decides membership over
+Q(p) exactly.  An echelon at seeded integer values of p is kept for spans
+whose coefficients are free of p, where evaluation changes nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .scalars import Scalar, rat, P, _accumulate
@@ -239,7 +241,8 @@ def complete(alphabet, relations, max_degree: int, max_rounds: int = 30) -> Rewr
 
 
 # ----------------------------------------------------------------------
-# Rational functions in p over Q (internal helper for the symbolic pass).
+# Polynomials in p as {degree: coefficient} over Q or Z, and rational
+# functions in p over Q (internal helpers for the symbolic pass).
 # ----------------------------------------------------------------------
 
 def _poly_norm(d):
@@ -250,7 +253,7 @@ def _poly_mul(a, b):
     out = {}
     for i, u in a.items():
         for j, v in b.items():
-            out[i + j] = out.get(i + j, Fraction(0)) + u * v
+            out[i + j] = out.get(i + j, 0) + u * v
     return _poly_norm(out)
 
 
@@ -485,38 +488,18 @@ def _int_reduces_to_zero(basis, row):
 
 # -- integer-coefficient univariate polynomials (for the symbolic pass) ----
 
-def _ip_norm(d):
-    return {k: v for k, v in d.items() if v}
-
-
-def _ip_mul(a, b):
-    out = {}
-    for i, u in a.items():
-        for j, v in b.items():
-            out[i + j] = out.get(i + j, 0) + u * v
-    return _ip_norm(out)
-
-
-def _ip_content(a):
-    return _gcd_all(a.values())
-
-
 def _ip_primitive(a):
-    g = _ip_content(a)
+    g = _gcd_all(a.values())
     return {k: v // g for k, v in a.items()} if g > 1 else a
-
-
-def _ip_deg(a):
-    return max(a) if a else -1
 
 
 def _ip_pseudo_rem(a, b):
     """Pseudo-remainder of primitive int polys (Euclid step)."""
-    db = _ip_deg(b)
+    db = _poly_deg(b)
     lb = b[db]
     r = dict(a)
-    while r and _ip_deg(r) >= db:
-        dr = _ip_deg(r)
+    while r and _poly_deg(r) >= db:
+        dr = _poly_deg(r)
         lr = r[dr]
         new = {}
         for k, v in r.items():
@@ -524,14 +507,14 @@ def _ip_pseudo_rem(a, b):
         for k, v in b.items():
             kk = k + dr - db
             new[kk] = new.get(kk, 0) - v * lr
-        r = _ip_norm(new)
+        r = _poly_norm(new)
         if r:
             r = _ip_primitive(r)
     return r
 
 
 def _ip_gcd(a, b):
-    a, b = _ip_norm(a), _ip_norm(b)
+    a, b = _poly_norm(a), _poly_norm(b)
     if not a:
         return _ip_primitive(b) if b else {}
     if not b:
@@ -544,15 +527,15 @@ def _ip_gcd(a, b):
 
 def _ip_div_exact(a, g):
     """Exact division of an int poly by a primitive divisor."""
-    if _ip_deg(g) == 0:
+    if _poly_deg(g) == 0:
         c = g[0]
         return {k: v // c for k, v in a.items()}
     out = {}
     r = dict(a)
-    dg = _ip_deg(g)
+    dg = _poly_deg(g)
     lg = g[dg]
     while r:
-        dr = _ip_deg(r)
+        dr = _poly_deg(r)
         q, rem = divmod(r[dr], lg)
         if rem:
             raise ValueError("inexact division")
@@ -600,7 +583,7 @@ def _row_content(row):
     pg = None
     for poly in row.values():
         pg = _ip_primitive(poly) if pg is None else _ip_gcd(pg, poly)
-        if _ip_deg(pg) == 0:
+        if _poly_deg(pg) == 0:
             pg = None
             break
     return (ig or 1), pg
@@ -612,7 +595,7 @@ def _sym_strip(row):
     ig, pg = _row_content(row)
     if ig > 1:
         row = {k: {d: v // ig for d, v in poly.items()} for k, poly in row.items()}
-    if pg is not None and _ip_deg(pg) > 0:
+    if pg is not None and _poly_deg(pg) > 0:
         row = {k: _ip_div_exact(poly, pg) for k, poly in row.items()}
     return row
 
@@ -631,9 +614,9 @@ def _sym_reduce(basis, row):
         b = row[lead]
         new = {}
         for k, poly in row.items():
-            new[k] = _ip_mul(poly, a)
+            new[k] = _poly_mul(poly, a)
         for k, poly in piv.items():
-            sub = _ip_mul(poly, b)
+            sub = _poly_mul(poly, b)
             cur = new.get(k)
             if cur is None:
                 new[k] = {d: -v for d, v in sub.items()}
@@ -663,75 +646,72 @@ def _sym_reduces_to_zero(basis, row):
     return not _sym_reduce(basis, row)
 
 
-_ECHELON_CACHE = {}
+# integer evaluation points of p per span without ``symbolic``
+_POINTS = 3
 
 
-def _cached_echelons(gens, degree_bound, seed, points, symbolic):
-    key = (tuple(gens), degree_bound, seed, points, symbolic)
-    hit = _ECHELON_CACHE.get(key)
-    if hit is not None:
-        return hit
-    alphabet = gens[0].alphabet
-    ranks = _word_ranks(alphabet, degree_bound)
-    shifts = shift_family(list(gens), degree_bound)
+def _echelon(rows, insert):
     # inserting rows with small leading words first keeps later reductions
     # from cascading through unfinished rows (large constant-factor win)
-    eval_bases = []
-    for pval in _evaluation_points(seed, points):
-        basis = {}
-        rows = _int_rows(shifts, ranks, pval)
-        rows.sort(key=lambda r: max(r) if r else -1)
-        for row in rows:
-            _int_insert(basis, row)
-        eval_bases.append((pval, basis))
-    sym_basis = None
-    if symbolic:
-        sym_basis = {}
-        rows = _sym_rows(shifts, ranks)
-        rows.sort(key=lambda r: max(r) if r else -1)
-        for row in rows:
-            _sym_insert(sym_basis, row)
-    out = (ranks, eval_bases, sym_basis, len(shifts))
-    _ECHELON_CACHE[key] = out
-    return out
+    basis = {}
+    for row in sorted(rows, key=lambda r: max(r) if r else -1):
+        insert(basis, row)
+    return basis
+
+
+@lru_cache(maxsize=None)
+def _sym_echelon(gens, degree_bound):
+    """(word ranks, Z[p] echelon basis, shift count) of the shifts of gens."""
+    ranks = _word_ranks(gens[0].alphabet, degree_bound)
+    shifts = shift_family(list(gens), degree_bound)
+    return ranks, _echelon(_sym_rows(shifts, ranks), _sym_insert), len(shifts)
+
+
+@lru_cache(maxsize=None)
+def _int_echelons(gens, degree_bound, seed):
+    """(word ranks, [(p value, integer echelon basis)], shift count) at the
+    seeded evaluation points."""
+    ranks = _word_ranks(gens[0].alphabet, degree_bound)
+    shifts = shift_family(list(gens), degree_bound)
+    bases = [(pval, _echelon(_int_rows(shifts, ranks, pval), _int_insert))
+             for pval in _evaluation_points(seed, _POINTS)]
+    return ranks, bases, len(shifts)
 
 
 def span_contains(gens, targets, degree_bound: int, seed: int = 0,
-                  points: int = 3, symbolic: bool = True):
+                  symbolic: bool = True):
     """Is every target in the Scalar-linear span of degree-bounded shifts of gens?
 
-    Seeded integer evaluations of p run first (fast negative witnesses), then
-    one fully symbolic pass over Q[p] confirms membership exactly.  Returns
-    (ok, detail).
+    With ``symbolic`` the rows are reduced by a fraction-free echelon over
+    Z[p], which decides membership over Q(p) exactly.  Without it they are
+    compared at three seeded integer values of p, which is exact only when
+    gens and targets are free of p.  Returns (ok, detail).
     """
     targets = [t for t in targets if not t.is_zero]
-    gens = [g for g in gens if not g.is_zero]
+    gens = tuple(g for g in gens if not g.is_zero)
     if not targets:
         return True, "no targets"
     if not gens:
         return False, "empty generating family"
-    ranks, eval_bases, sym_basis, nshifts = _cached_echelons(
-        tuple(gens), degree_bound, seed, points, symbolic)
-    for pval, basis in eval_bases:
+    if symbolic:
+        ranks, basis, nshifts = _sym_echelon(gens, degree_bound)
         for i, t in enumerate(targets):
-            row = _int_rows([t], ranks, pval)[0]
-            if not _int_reduces_to_zero(basis, row):
-                return False, f"target #{i} escapes the span at p={pval}"
-    if sym_basis is not None:
-        for i, t in enumerate(targets):
-            row = _sym_rows([t], ranks)[0]
-            if not _sym_reduces_to_zero(sym_basis, row):
+            if not _sym_reduces_to_zero(basis, _sym_rows([t], ranks)[0]):
                 return False, f"target #{i} escapes the span symbolically"
+    else:
+        ranks, bases, nshifts = _int_echelons(gens, degree_bound, seed)
+        for pval, basis in bases:
+            for i, t in enumerate(targets):
+                if not _int_reduces_to_zero(basis, _int_rows([t], ranks, pval)[0]):
+                    return False, f"target #{i} escapes the span at p={pval}"
     return True, f"{len(targets)} targets inside span of {nshifts} shifts"
 
 
 def span_equal(set1, set2, degree_bound: int, seed: int = 0,
-               points: int = 3, symbolic: bool = True) -> bool:
+               symbolic: bool = True) -> bool:
     """Mutual degree-sliced span containment of two relation families."""
-    ok1, _ = span_contains(set2, set1, degree_bound, seed=seed,
-                           points=points, symbolic=symbolic)
+    ok1, _ = span_contains(set2, set1, degree_bound, seed=seed, symbolic=symbolic)
     if not ok1:
         return False
-    ok2, _ = span_contains(set1, set2, degree_bound, seed=seed,
-                           points=points, symbolic=symbolic)
+    ok2, _ = span_contains(set1, set2, degree_bound, seed=seed, symbolic=symbolic)
     return ok2

@@ -50,14 +50,17 @@ def test_x_slice_operations_reject_v_and_h_terms():
     for f in (BorelSeries.v(12), BorelSeries.h(12),
               BorelSeries.one(12) + BorelSeries.h(12).scale(P),
               one_plus_px(12) + BorelSeries.v(12)):
-        for op in (f.inverse, f.sqrt, f.derivative):
+        for op in (f.inverse, f.sqrt, f.x_derivative):
             with pytest.raises(ValueError):
                 op()
 
 
 def test_derivative():
     f = one_plus_px(12) * one_plus_px(12)
-    assert f.derivative() == BorelSeries.in_x(12, {0: rat(2) * P, 1: rat(2) * P * P})
+    assert f.x_derivative() == BorelSeries.in_x(12, {1: rat(2) * P, 2: rat(2) * P * P})
+    # n c_n on X^n up to the full bound, with no term beyond it
+    g = BorelSeries.in_x(12, {n: P ** n for n in range(7)})
+    assert g.x_derivative().terms() == [((0, 0, n), rat(n) * P ** n) for n in range(1, 7)]
 
 
 def test_borel_defining_relations_hold():

@@ -73,7 +73,8 @@ def test_inverse_is_two_sided(f):
 @PROPERTY
 @given(x_series(coeffs), x_series(coeffs))
 def test_derivative_leibniz_rule(f, g):
-    # d/dX of a series known to X^n is known only to X^(n-1), so both sides
-    # agree up to weight W - 2
-    lhs = restrict((f * g).derivative(), W - 2)
-    assert lhs == f.derivative() * g + f * g.derivative()
+    # X d/dX keeps every coefficient up to the bound, so both sides agree at W
+    lhs = (f * g).x_derivative()
+    rhs = f.x_derivative() * g + f * g.x_derivative()
+    assert lhs.weight_bound == rhs.weight_bound == W
+    assert lhs == rhs

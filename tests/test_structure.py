@@ -4,11 +4,18 @@ Every sparse container sums its terms through ``ospq.scalars._accumulate``.
 A hand-written copy of that loop elsewhere is what the kernel replaced, and
 its tell-tale line is the conditional ``cur + c if cur is not None else c``.
 Scalar's own loops over (Fraction, Fraction) pairs stay in ``scalars.py``.
+
+Span calls are exact over Q(p) unless made with ``symbolic=False``, which
+compares at seeded integer values of p.  That is exact only for p-free
+inputs, so it is kept to the three classical-limit checks, which are also
+the only checks that read the seed.
 """
 
+import inspect
 from pathlib import Path
 
 import ospq
+from ospq.checks import CHECKS
 
 LOOP_IDIOM = "if cur is not None else"
 
@@ -22,3 +29,17 @@ def test_sum_loop_lives_only_in_the_scalar_kernel():
               for n, line in enumerate(path.read_text().splitlines(), 1)
               if LOOP_IDIOM in line]
     assert not copies, f"sum loop copied outside the kernel: {copies}"
+
+
+def test_only_classical_limit_checks_evaluate_p_or_read_the_seed():
+    expected = {"check_rtt_classical_limit", "check_hopf_classical_limit",
+                "check_borel_rll_classical"}
+    checks = {fn.__name__: inspect.getsource(fn)
+              for group in CHECKS.values() for _, fn in group}
+    assert expected <= set(checks)
+    assert {n for n, src in checks.items() if "config.seed" in src} == expected
+    assert {n for n, src in checks.items() if "symbolic=False" in src} == expected
+    package = Path(ospq.__file__).parent
+    elsewhere = [path.name for path in package.glob("*.py")
+                 if path.name != "checks.py" and "symbolic=False" in path.read_text()]
+    assert not elsewhere
