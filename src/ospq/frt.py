@@ -17,7 +17,7 @@ from functools import lru_cache
 from .scalars import Scalar, rat, P, HALF, _accumulate
 from .freealg import GradedAlphabet, SuperPoly, TensorElement, sum_polys
 from .rewrite import (RewriteSystem, complete, primitive_part, RatP, _RATP_ONE,
-                      _scalar_from_ppoly, _poly_mul, _poly_divmod, _poly_gcd)
+                      _poly_mul, _poly_divmod, _poly_gcd)
 from .supermatrix import (SuperMatrix, embed_left, embed_right, exp_nilpotent,
                           graded_embed, partial_transpose_first, supertranspose3)
 from . import classical
@@ -158,7 +158,7 @@ def _nullspace_ratp(rows, ncols):
             den_lcm = _poly_mul(_poly_divmod(den_lcm, g)[0], v.den)
         for col, v in entries.items():
             num = _poly_mul(v.num, _poly_divmod(den_lcm, v.den)[0])
-            vec[col] = _scalar_from_ppoly(num)
+            vec[col] = Scalar.in_p(num)
         basis.append(vec)
     return basis
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .scalars import Scalar, rat, P, _accumulate
+from .scalars import Scalar, _accumulate
 from .freealg import SuperPoly
 
 
@@ -43,7 +43,7 @@ def primitive_part(poly):
         content = dict(cp.num) if content is None else _poly_gcd(content, cp.num)
         if _poly_deg(content) == 0:
             return poly
-    g = _scalar_from_ppoly(content)
+    g = Scalar.in_p(content)
     return poly.map_scalars(lambda c: c.divide_exact(g))
 
 
@@ -327,12 +327,7 @@ class RatP:
 
     @classmethod
     def from_scalar(cls, s: Scalar) -> "RatP":
-        num = {}
-        for exp, coeff in s._terms.items():
-            if any(exp[1:]) or coeff[1] != 0:
-                raise ValueError("span coefficients must be rational polynomials in p")
-            num[exp[0]] = coeff[0]
-        return cls(num)
+        return cls(s.p_coefficients())
 
     def __bool__(self):
         return bool(self.num)
@@ -363,14 +358,6 @@ class RatP:
 
 
 _RATP_ONE = RatP({0: Fraction(1)})
-
-
-def _scalar_from_ppoly(poly):
-    """The Scalar of a polynomial in p given as {degree: Fraction}."""
-    out = Scalar.zero()
-    for deg, coeff in poly.items():
-        out = out + rat(coeff) * (P ** deg)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -557,10 +544,7 @@ def _sym_rows(polys, ranks):
         row = {}
         denom = 1
         for w, c in f._terms.items():
-            for exp, coeff in c._terms.items():
-                if any(exp[1:]) or coeff[1] != 0:
-                    raise ValueError("span coefficients must be rational in p")
-            poly = {exp[0]: coeff[0] for exp, coeff in c._terms.items()}
+            poly = c.p_coefficients()
             if poly:
                 row[ranks[w]] = poly
                 for v in poly.values():

@@ -2,9 +2,10 @@
 
 A :class:`Scalar` is an element of Q(sqrt2)[p, x, y, z, t]: a polynomial with
 rational coefficients in the deformation parameter ``p``, the symbolic family
-parameters ``x, y, z, t``, and the adjoined square root ``s`` of 2 (so s*s
-reduces to 2 definitionally).  Internally a term maps an exponent tuple over
-(p, x, y, z, t) to a coefficient a + b*sqrt2 stored as a pair of Fractions.
+parameters ``x, y, z, t``, and the square root ``s`` of 2.  That ring is
+Q[p, x, y, z, t, s]/(s^2 - 2), so a term maps an exponent tuple over
+(p, x, y, z, t, s), with the s exponent 0 or 1, to one Fraction; a product
+whose s exponent reaches 2 drops it to 0 and doubles the coefficient.
 
 All arithmetic is exact; there is no floating point anywhere in this package.
 """
@@ -13,23 +14,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from operator import add
 
 VARS = ("p", "x", "y", "z", "t")
 _NVARS = len(VARS)
-_ZEXP = (0,) * _NVARS
-
-_Q2_ZERO = (Fraction(0), Fraction(0))
-_Q2_ONE = (Fraction(1), Fraction(0))
+_ZMONO = (0,) * _NVARS
+_ZEXP = _ZMONO + (0,)
+_SEXP = _ZMONO + (1,)
 
 
 def _accumulate(pairs, out=None):
     """Sum ``(key, coeff)`` pairs into ``out`` (a new dict by default).
 
     A key whose sum becomes zero is deleted; the zero test is truthiness, so
-    any coefficient type with ``__bool__`` works (Scalar, RatP, int).  A key
-    that cancels and comes back is re-added at the end of the dict.  The
-    sparse containers built on Scalar sum their terms through this loop.
-    Returns ``out``.
+    any coefficient type with ``__bool__`` works (Fraction, Scalar, RatP,
+    int).  A key that cancels and comes back is re-added at the end of the
+    dict.  Scalar and every sparse container built on it sum their terms
+    through this loop.  Returns ``out``.
     """
     if out is None:
         out = {}
@@ -43,20 +44,15 @@ def _accumulate(pairs, out=None):
     return out
 
 
-def _q2_add(u, v):
-    return (u[0] + v[0], u[1] + v[1])
-
-
-def _q2_sub(u, v):
-    return (u[0] - v[0], u[1] - v[1])
-
-
-def _q2_mul(u, v):
-    return (u[0] * v[0] + 2 * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
-
-
-def _q2_neg(u):
-    return (-u[0], -u[1])
+def _products(terms1, terms2):
+    """Term products of two Scalars, with s*s reduced to 2."""
+    for e1, c1 in terms1.items():
+        for e2, c2 in terms2.items():
+            e = tuple(map(add, e1, e2))
+            if e[_NVARS] == 2:
+                yield e[:_NVARS] + (0,), 2 * c1 * c2
+            else:
+                yield e, c1 * c2
 
 
 def _q2_inv(u):
@@ -78,8 +74,6 @@ def _fraction_sqrt(q: Fraction):
 def _q2_sqrt(u):
     """Square root in Q(sqrt2), or None.  Covers a + b*sqrt2 generally."""
     a, b = u
-    if a == 0 and b == 0:
-        return _Q2_ZERO
     if b == 0:
         r = _fraction_sqrt(a)
         if r is not None:
@@ -106,16 +100,10 @@ class Scalar:
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms=None, _internal=False):
-        if terms is None:
-            terms = {}
-        if not _internal:
-            terms = {
-                tuple(e): (Fraction(c[0]), Fraction(c[1]))
-                for e, c in terms.items()
-                if c[0] != 0 or c[1] != 0
-            }
-        self._terms = terms
+    def __init__(self, terms=None):
+        """``terms`` maps (p, x, y, z, t, s) exponents, s in {0, 1}, to
+        nonzero Fractions; it is stored as given."""
+        self._terms = {} if terms is None else terms
         self._hash = None
 
     # -- constructors -------------------------------------------------
@@ -125,7 +113,7 @@ class Scalar:
         value = Fraction(value)
         if value == 0:
             return _ZERO
-        return cls({_ZEXP: (value, Fraction(0))}, _internal=True)
+        return cls({_ZEXP: value})
 
     @classmethod
     def sqrt2(cls) -> "Scalar":
@@ -134,8 +122,18 @@ class Scalar:
     @classmethod
     def var(cls, name: str) -> "Scalar":
         i = VARS.index(name)
-        exp = tuple(1 if j == i else 0 for j in range(_NVARS))
-        return cls({exp: _Q2_ONE}, _internal=True)
+        exp = tuple(1 if j == i else 0 for j in range(_NVARS)) + (0,)
+        return cls({exp: Fraction(1)})
+
+    @classmethod
+    def in_p(cls, coeffs) -> "Scalar":
+        """The polynomial in p with coefficients ``{degree: Fraction}``."""
+        return cls({(d,) + _ZEXP[1:]: Fraction(c) for d, c in coeffs.items() if c})
+
+    @classmethod
+    def _monomial(cls, mono, pair) -> "Scalar":
+        """(a + b*s) * mono for a (p..t) exponent tuple and a pair (a, b)."""
+        return cls({mono + (k,): c for k, c in enumerate(pair) if c})
 
     @classmethod
     def zero(cls) -> "Scalar":
@@ -156,18 +154,39 @@ class Scalar:
 
     @property
     def is_constant(self) -> bool:
-        return all(e == _ZEXP for e in self._terms)
+        return all(e in (_ZEXP, _SEXP) for e in self._terms)
 
     @property
     def is_rational(self) -> bool:
-        return all(e == _ZEXP and c[1] == 0 for e, c in self._terms.items())
+        return all(e == _ZEXP for e in self._terms)
 
     def as_rational(self) -> Fraction:
         if not self._terms:
             return Fraction(0)
         if not self.is_rational:
             raise ValueError(f"not a rational constant: {self}")
-        return self._terms[_ZEXP][0]
+        return self._terms[_ZEXP]
+
+    # -- coefficient views ----------------------------------------------
+
+    def grouped(self):
+        """``{(p..t) exponents: (a, b)}``: the coefficient a + b*sqrt2 of
+        each monomial."""
+        out = {}
+        for e, c in self._terms.items():
+            pair = out.setdefault(e[:_NVARS], [Fraction(0), Fraction(0)])
+            pair[e[_NVARS]] = c
+        return {mono: tuple(pair) for mono, pair in out.items()}
+
+    def p_coefficients(self):
+        """``{degree: Fraction}`` of a rational polynomial in p alone;
+        raises ValueError on sqrt2, x, y, z or t."""
+        out = {}
+        for e, c in self._terms.items():
+            if any(e[1:]):
+                raise ValueError("not a rational polynomial in p")
+            out[e[0]] = c
+        return out
 
     # -- arithmetic ---------------------------------------------------
 
@@ -183,20 +202,12 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            cur = out.get(e)
-            s = _q2_add(cur, c) if cur is not None else c
-            if s[0] or s[1]:
-                out[e] = s
-            elif cur is not None:
-                del out[e]
-        return Scalar(out, _internal=True)
+        return Scalar(_accumulate(other._terms.items(), dict(self._terms)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar({e: _q2_neg(c) for e, c in self._terms.items()}, _internal=True)
+        return Scalar({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -214,36 +225,20 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self._terms or not other._terms:
-            return _ZERO
-        out = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = _q2_mul(c1, c2)
-                cur = out.get(e)
-                s = _q2_add(cur, c) if cur is not None else c
-                if s[0] or s[1]:
-                    out[e] = s
-                elif cur is not None:
-                    del out[e]
-        return Scalar(out, _internal=True)
+        return Scalar(_accumulate(_products(self._terms, other._terms)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        """Division by a nonzero rational (or rational Scalar constant) only."""
-        if isinstance(other, Scalar):
-            if not other.is_constant:
-                raise ValueError("division by non-constant scalars is not provided")
-            inv = _q2_inv(other._terms.get(_ZEXP, _Q2_ZERO))
-            return self * Scalar({_ZEXP: inv}, _internal=True)
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * Scalar.rational(Fraction(1) / q)
-        return NotImplemented
+        """Division by a nonzero constant of Q(sqrt2) only."""
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("division by zero")
+        if not other.is_constant:
+            raise ValueError("division by non-constant scalars is not provided")
+        return self * other.unit_inverse()
 
     def __pow__(self, n: int):
         if n < 0:
@@ -272,80 +267,63 @@ class Scalar:
 
     def substitute(self, **values) -> "Scalar":
         """Ring homomorphism substituting rational values for variables."""
-        subs = {}
-        for name, val in values.items():
-            subs[VARS.index(name)] = Fraction(val)
-        out = {}
-        for e, c in self._terms.items():
-            factor = Fraction(1)
-            new_e = list(e)
-            for i, q in subs.items():
-                factor *= q ** e[i]
-                new_e[i] = 0
-            key = tuple(new_e)
-            c2 = (c[0] * factor, c[1] * factor)
-            cur = out.get(key)
-            s = _q2_add(cur, c2) if cur is not None else c2
-            if s[0] or s[1]:
-                out[key] = s
-            elif cur is not None:
-                del out[key]
-        return Scalar(out, _internal=True)
+        subs = {VARS.index(name): Fraction(val) for name, val in values.items()}
+
+        def terms():
+            for e, c in self._terms.items():
+                new_e = list(e)
+                for i, q in subs.items():
+                    c *= q ** e[i]
+                    new_e[i] = 0
+                yield tuple(new_e), c
+        return Scalar(_accumulate(terms()))
 
     def unit_inverse(self) -> "Scalar":
         """Inverse of an invertible constant (nonzero element of Q(sqrt2))."""
         if not self.is_constant or self.is_zero:
             raise ValueError(f"not a unit: {self}")
-        return Scalar({_ZEXP: _q2_inv(self._terms[_ZEXP])}, _internal=True)
+        return Scalar._monomial(_ZMONO, _q2_inv(self.grouped()[_ZMONO]))
+
+    def _lead(self):
+        """Largest (p..t) monomial and its Q(sqrt2) coefficient (a, b)."""
+        mono = max(self._terms)[:_NVARS]
+        return mono, self.grouped()[mono]
 
     def divide_exact(self, divisor: "Scalar") -> "Scalar":
         """Exact polynomial division; raises ValueError if not divisible."""
         if divisor.is_zero:
             raise ZeroDivisionError("division by zero")
-        rem = dict(self._terms)
-        dlead = max(divisor._terms)
-        dlc = divisor._terms[dlead]
-        dlc_inv = _q2_inv(dlc)
-        quo = {}
+        dlead, dlc = divisor._lead()
+        dlc_inv = Scalar._monomial(_ZMONO, _q2_inv(dlc))
+        quo, rem = _ZERO, self
         while rem:
-            rlead = max(rem)
+            rlead, rlc = rem._lead()
             qexp = tuple(a - b for a, b in zip(rlead, dlead))
             if any(k < 0 for k in qexp):
                 raise ValueError("not exactly divisible")
-            qc = _q2_mul(rem[rlead], dlc_inv)
-            quo[qexp] = qc
-            for e, c in divisor._terms.items():
-                key = tuple(a + b for a, b in zip(qexp, e))
-                cur = rem.get(key, _Q2_ZERO)
-                s = _q2_sub(cur, _q2_mul(qc, c))
-                if s[0] or s[1]:
-                    rem[key] = s
-                elif key in rem:
-                    del rem[key]
-        return Scalar(quo, _internal=True)
+            q = Scalar._monomial(qexp, rlc) * dlc_inv
+            quo, rem = quo + q, rem - q * divisor
+        return quo
 
     def sqrt(self) -> "Scalar":
         """Square root of a perfect-square polynomial; raises ValueError."""
         if self.is_zero:
             return _ZERO
-        lead = max(self._terms)
+        lead, lc = self._lead()
         if any(k % 2 for k in lead):
             raise ValueError(f"no polynomial square root: {self}")
-        glc = _q2_sqrt(self._terms[lead])
+        glc = _q2_sqrt(lc)
         if glc is None:
             raise ValueError(f"no square root in Q(sqrt2) for leading coefficient of {self}")
-        g = Scalar({tuple(k // 2 for k in lead): glc}, _internal=True)
-        two_g_lead = Scalar({tuple(k // 2 for k in lead): _q2_mul((Fraction(2), Fraction(0)), glc)},
-                            _internal=True)
+        g = Scalar._monomial(tuple(k // 2 for k in lead), glc)
+        two_g_lead = g + g
         rem = self - g * g
         guard = 0
         while rem:
             guard += 1
             if guard > 4096:
                 raise ValueError(f"no polynomial square root: {self}")
-            rlead = max(rem._terms)
-            t = Scalar({rlead: rem._terms[rlead]}, _internal=True).divide_exact(two_g_lead)
-            g = g + t
+            g = g + Scalar._monomial(*rem._lead()).divide_exact(two_g_lead)
             rem = self - g * g
         return g
 
@@ -358,8 +336,10 @@ class Scalar:
         return format_scalar(self)
 
     def sorted_terms(self):
-        """Terms sorted descending by (total degree, exponent tuple)."""
-        return sorted(self._terms.items(), key=lambda ec: (sum(ec[0]), ec[0]), reverse=True)
+        """Grouped terms ``((p..t) exponents, (a, b))`` sorted descending by
+        (total degree, exponent tuple)."""
+        return sorted(self.grouped().items(), key=lambda ec: (sum(ec[0]), ec[0]),
+                      reverse=True)
 
 
 def format_scalar(value: Scalar) -> str:
@@ -400,9 +380,9 @@ def format_scalar(value: Scalar) -> str:
     return out
 
 
-_ZERO = Scalar({}, _internal=True)
-_ONE = Scalar({_ZEXP: _Q2_ONE}, _internal=True)
-_SQRT2 = Scalar({_ZEXP: (Fraction(0), Fraction(1))}, _internal=True)
+_ZERO = Scalar({})
+_ONE = Scalar({_ZEXP: Fraction(1)})
+_SQRT2 = Scalar({_SEXP: Fraction(1)})
 
 ZERO = _ZERO
 ONE = _ONE

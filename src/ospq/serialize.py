@@ -23,7 +23,7 @@ def _format_coeff(c: Scalar):
     if text == "-1":
         return None, True
     neg = False
-    if len(c._terms) == 1:
+    if len(c.grouped()) == 1:
         if text.startswith("-"):
             neg = True
             text = text[1:]

@@ -155,8 +155,8 @@ def test_deformed_relation_is_member_but_unit_variant_is_not():
     residuals = rtt + orth
     good = frt.defining_relations()[10]
     perturbed = (w("c", "al") - w("al", "c") - w("c", "de"))
-    ok, _ = span_contains(residuals, [good], 4, symbolic=False)
-    bad, _ = span_contains(residuals, [perturbed], 4, symbolic=False)
+    ok, _ = span_contains(residuals, [good], 4)
+    bad, _ = span_contains(residuals, [perturbed], 4)
     assert ok and not bad
 
 

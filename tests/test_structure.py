@@ -1,9 +1,9 @@
 """Source-structure guards.
 
-Every sparse container sums its terms through ``ospq.scalars._accumulate``.
-A hand-written copy of that loop elsewhere is what the kernel replaced, and
-its tell-tale line is the conditional ``cur + c if cur is not None else c``.
-Scalar's own loops over (Fraction, Fraction) pairs stay in ``scalars.py``.
+Scalar and every sparse container sum their terms through
+``ospq.scalars._accumulate``.  A hand-written copy of that loop is what the
+kernel replaced, and its tell-tale line is the conditional
+``cur + c if cur is not None else c``.
 
 Span calls are exact over Q(p) unless made with ``symbolic=False``, which
 compares at seeded integer values of p.  That is exact only for p-free
@@ -16,6 +16,7 @@ from pathlib import Path
 
 import ospq
 from ospq.checks import CHECKS
+from ospq.scalars import _accumulate
 
 LOOP_IDIOM = "if cur is not None else"
 
@@ -25,10 +26,11 @@ def test_sum_loop_lives_only_in_the_scalar_kernel():
     modules = sorted(package.glob("*.py"))
     assert len(modules) > 5
     copies = [f"{path.name}:{n}"
-              for path in modules if path.name != "scalars.py"
+              for path in modules
               for n, line in enumerate(path.read_text().splitlines(), 1)
               if LOOP_IDIOM in line]
-    assert not copies, f"sum loop copied outside the kernel: {copies}"
+    assert len(copies) == 1, f"sum loop copied outside the kernel: {copies}"
+    assert LOOP_IDIOM in inspect.getsource(_accumulate)
 
 
 def test_only_classical_limit_checks_evaluate_p_or_read_the_seed():
