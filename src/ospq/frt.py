@@ -11,13 +11,11 @@ algebra modulo the compiled rewrite system.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .scalars import Scalar, rat, P, HALF, _accumulate
 from .freealg import GradedAlphabet, SuperPoly, TensorElement, sum_polys
-from .rewrite import (RewriteSystem, complete, primitive_part, RatP, _RATP_ONE,
-                      _poly_mul, _poly_divmod, _poly_gcd)
+from .rewrite import RewriteSystem, complete, nullspace, primitive_part
 from .supermatrix import (SuperMatrix, embed_left, embed_right, exp_nilpotent,
                           graded_embed, partial_transpose_first, supertranspose3)
 from . import classical
@@ -73,27 +71,20 @@ def _scalar_entry(m: SuperMatrix, i: int, j: int) -> Scalar:
     return m.entries[i][j].coefficient(())
 
 
-def derive_metric_solutions(r: SuperMatrix = None):
-    """Solve R (C ox 1) R^{t1} = C ox 1 for C; returns the solution basis.
-
-    The first-leg transpose is the graded variant validated by this very
-    equation having a one-dimensional solution space (the ungraded transpose
-    admits no solution at all).  Solutions are 3x3 Scalar matrices.
-    """
-    if r is None:
-        r = quantum_r_matrix()
-    rt1 = partial_transpose_first(r, graded=True)
+def metric_rows(left: SuperMatrix, right: SuperMatrix):
+    """Linear rows {entry index: Scalar} in the nine entries of C for the
+    equation left (C ox 1) right = C ox 1, zero rows dropped."""
     rows = []
     for rr in range(9):
         for ss in range(9):
             pairs = []
             for u in range(9):
-                a = _scalar_entry(r, rr, u)
+                a = _scalar_entry(left, rr, u)
                 if a.is_zero:
                     continue
                 i, m = divmod(u, 3)
                 for v in range(9):
-                    b = _scalar_entry(rt1, v, ss)
+                    b = _scalar_entry(right, v, ss)
                     if b.is_zero:
                         continue
                     j, n_ = divmod(v, 3)
@@ -106,61 +97,21 @@ def derive_metric_solutions(r: SuperMatrix = None):
             coeffs = _accumulate(pairs)
             if coeffs:
                 rows.append(coeffs)
-    basis = _nullspace_ratp(rows, 9)
-    out = []
-    for vec in basis:
-        mat = [[vec[3 * i + j] for j in range(3)] for i in range(3)]
-        out.append(mat)
-    return out
+    return rows
 
 
-def _nullspace_ratp(rows, ncols):
-    mat = []
-    for row in rows:
-        mat.append({k: RatP.from_scalar(v) for k, v in row.items()})
-    pivots = []
-    reduced = []
-    for row in mat:
-        row = dict(row)
-        for pcol, prow in zip(pivots, reduced):
-            c = row.get(pcol)
-            if c is None or not c:
-                continue
-            _accumulate(((k, -(c * v)) for k, v in prow.items()), row)
-        row = {k: v for k, v in row.items() if v}
-        if not row:
-            continue
-        pcol = min(row)
-        lc = row[pcol]
-        row = {k: v / lc for k, v in row.items()}
-        # back-substitute into existing rows
-        for idx, prow in enumerate(reduced):
-            c = prow.get(pcol)
-            if c is None or not c:
-                continue
-            _accumulate(((k, -(c * v)) for k, v in row.items()), prow)
-        pivots.append(pcol)
-        reduced.append(row)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Scalar.zero()] * ncols
-        # set the free column to 1 and read off pivot values; entries of the
-        # reduced rows are rational functions, cleared to polynomials below
-        entries = {fc: _RATP_ONE}
-        for pcol, prow in zip(pivots, reduced):
-            c = prow.get(fc)
-            if c is not None and c:
-                entries[pcol] = -c
-        den_lcm = {0: Fraction(1)}
-        for v in entries.values():
-            g = _poly_gcd(den_lcm, v.den)
-            den_lcm = _poly_mul(_poly_divmod(den_lcm, g)[0], v.den)
-        for col, v in entries.items():
-            num = _poly_mul(v.num, _poly_divmod(den_lcm, v.den)[0])
-            vec[col] = Scalar.in_p(num)
-        basis.append(vec)
-    return basis
+def derive_metric_solutions(r: SuperMatrix = None):
+    """Solve R (C ox 1) R^{t1} = C ox 1 for C; returns the solution basis.
+
+    The first-leg transpose is the graded variant validated by this very
+    equation having a one-dimensional solution space (the ungraded transpose
+    admits no solution at all).  Solutions are 3x3 Scalar matrices.
+    """
+    if r is None:
+        r = quantum_r_matrix()
+    rt1 = partial_transpose_first(r, graded=True)
+    return [[vec[3 * i:3 * i + 3] for i in range(3)]
+            for vec in nullspace(metric_rows(r, rt1), 9)]
 
 
 @lru_cache(maxsize=None)
@@ -413,10 +364,7 @@ def coproduct(poly) -> TensorElement:
         return _coproduct_letter(poly)
     out = TensorElement.zero(ALPHABET, 2)
     for w, c in poly._terms.items():
-        acc = TensorElement.one(ALPHABET, 2)
-        for x in w:
-            acc = acc * _coproduct_letter(x)
-        out = out + acc.scale(c)
+        out = out + _coproduct_word_cached(w).scale(c)
     return out
 
 

@@ -8,6 +8,10 @@ compare Scalar-linear spans of shifted relation families inside a degree
 slice by one fraction-free echelon over Z[p], which decides membership over
 Q(p) exactly.  An echelon at seeded integer values of p is kept for spans
 whose coefficients are free of p, where evaluation changes nothing.
+
+Z[p] is the one polynomial ring of this module: besides the span echelons,
+``primitive_part`` takes its content with the Z[p] gcd and ``nullspace``
+solves linear systems over Q(p) on the same echelon.
 """
 
 from __future__ import annotations
@@ -29,21 +33,20 @@ def primitive_part(poly):
 
     Derived relations can arrive as p-multiples of a primitive relation; over
     the polynomial coefficient ring those are weaker, so span certification is
-    run against the primitive form.  Coefficients involving symbols other than
-    p are left untouched.
+    run against the primitive form.  The content is made monic before the
+    division.  A polynomial with a coefficient involving sqrt2 or a symbol
+    other than p, or with constant content, is returned unchanged.
     """
-    if poly.is_zero:
+    try:
+        row = _sym_row(enumerate(poly._terms.values()))
+    except ValueError:
         return poly
-    content = None
-    for _, c in poly._terms.items():
-        try:
-            cp = RatP.from_scalar(c)
-        except ValueError:
-            return poly
-        content = dict(cp.num) if content is None else _poly_gcd(content, cp.num)
-        if _poly_deg(content) == 0:
-            return poly
-    g = Scalar.in_p(content)
+    content = _row_content(row)[1]
+    if content is None:
+        return poly
+    # monic, so by Gauss's lemma the gcd of the coefficients over Q[p]
+    lc = content[_poly_deg(content)]
+    g = Scalar.in_p({d: Fraction(v, lc) for d, v in content.items()})
     return poly.map_scalars(lambda c: c.divide_exact(g))
 
 
@@ -241,126 +244,6 @@ def complete(alphabet, relations, max_degree: int, max_rounds: int = 30) -> Rewr
 
 
 # ----------------------------------------------------------------------
-# Polynomials in p as {degree: coefficient} over Q or Z, and rational
-# functions in p over Q (internal helpers for the symbolic pass).
-# ----------------------------------------------------------------------
-
-def _poly_norm(d):
-    return {k: v for k, v in d.items() if v}
-
-
-def _poly_mul(a, b):
-    out = {}
-    for i, u in a.items():
-        for j, v in b.items():
-            out[i + j] = out.get(i + j, 0) + u * v
-    return _poly_norm(out)
-
-
-def _poly_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, Fraction(0)) + v
-    return _poly_norm(out)
-
-
-def _poly_sub(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, Fraction(0)) - v
-    return _poly_norm(out)
-
-
-def _poly_deg(a):
-    return max(a) if a else -1
-
-
-def _poly_divmod(a, b):
-    q = {}
-    r = dict(a)
-    db = _poly_deg(b)
-    lb = b[db]
-    while r and _poly_deg(r) >= db:
-        dr = _poly_deg(r)
-        c = r[dr] / lb
-        q[dr - db] = q.get(dr - db, Fraction(0)) + c
-        for k, v in b.items():
-            kk = k + dr - db
-            r[kk] = r.get(kk, Fraction(0)) - c * v
-            if r[kk] == 0:
-                del r[kk]
-    return q, r
-
-
-def _poly_gcd(a, b):
-    a, b = _poly_norm(a), _poly_norm(b)
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    if a:
-        lc = a[_poly_deg(a)]
-        a = {k: v / lc for k, v in a.items()}
-    return a
-
-
-class RatP:
-    """Rational function in p over Q, gcd-reduced, denominator monic."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if den is None:
-            den = {0: Fraction(1)}
-        num = _poly_norm(num)
-        if not num:
-            den = {0: Fraction(1)}
-        else:
-            g = _poly_gcd(num, den)
-            if _poly_deg(g) > 0:
-                num = _poly_divmod(num, g)[0]
-                den = _poly_divmod(den, g)[0]
-            lc = den[_poly_deg(den)]
-            if lc != 1:
-                num = {k: v / lc for k, v in num.items()}
-                den = {k: v / lc for k, v in den.items()}
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_scalar(cls, s: Scalar) -> "RatP":
-        return cls(s.p_coefficients())
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __add__(self, other):
-        return RatP(_poly_add(_poly_mul(self.num, other.den),
-                              _poly_mul(other.num, self.den)),
-                    _poly_mul(self.den, other.den))
-
-    def __sub__(self, other):
-        return RatP(_poly_sub(_poly_mul(self.num, other.den),
-                              _poly_mul(other.num, self.den)),
-                    _poly_mul(self.den, other.den))
-
-    def __mul__(self, other):
-        return RatP(_poly_mul(self.num, other.num), _poly_mul(self.den, other.den))
-
-    def __truediv__(self, other):
-        if not other.num:
-            raise ZeroDivisionError
-        return RatP(_poly_mul(self.num, other.den), _poly_mul(self.den, other.num))
-
-    def __neg__(self):
-        return RatP({k: -v for k, v in self.num.items()}, dict(self.den))
-
-    def __eq__(self, other):
-        return self.num == other.num and self.den == other.den
-
-
-_RATP_ONE = RatP({0: Fraction(1)})
-
-
-# ----------------------------------------------------------------------
 # Degree-sliced span comparison.
 # ----------------------------------------------------------------------
 
@@ -473,7 +356,26 @@ def _int_reduces_to_zero(basis, row):
     return not _int_reduce(basis, row)
 
 
-# -- integer-coefficient univariate polynomials (for the symbolic pass) ----
+# ----------------------------------------------------------------------
+# Polynomials in p as {degree: int}: the one ring Z[p] behind the span
+# echelons, primitive_part and nullspace.
+# ----------------------------------------------------------------------
+
+def _poly_norm(d):
+    return {k: v for k, v in d.items() if v}
+
+
+def _poly_mul(a, b):
+    out = {}
+    for i, u in a.items():
+        for j, v in b.items():
+            out[i + j] = out.get(i + j, 0) + u * v
+    return _poly_norm(out)
+
+
+def _poly_deg(a):
+    return max(a) if a else -1
+
 
 def _ip_primitive(a):
     g = _gcd_all(a.values())
@@ -537,23 +439,18 @@ def _ip_div_exact(a, g):
     return out
 
 
-def _sym_rows(polys, ranks):
-    """Rows as {rank: int-poly in p}; no sqrt2 or extra symbols allowed."""
-    rows = []
-    for f in polys:
-        row = {}
-        denom = 1
-        for w, c in f._terms.items():
-            poly = c.p_coefficients()
-            if poly:
-                row[ranks[w]] = poly
-                for v in poly.values():
-                    denom = denom * v.denominator // gcd(denom, v.denominator)
-        irow = {}
-        for k, poly in row.items():
-            irow[k] = {d: int(v * denom) for d, v in poly.items()}
-        rows.append(irow)
-    return rows
+def _sym_row(pairs):
+    """The row {column: int-poly in p} of ``(column, Scalar)`` pairs, its
+    denominators cleared; ValueError on sqrt2, x, y, z or t."""
+    row = {}
+    denom = 1
+    for k, c in pairs:
+        poly = c.p_coefficients()
+        if poly:
+            row[k] = poly
+            for v in poly.values():
+                denom = denom * v.denominator // gcd(denom, v.denominator)
+    return {k: {d: int(v * denom) for d, v in poly.items()} for k, poly in row.items()}
 
 
 def _row_content(row):
@@ -579,7 +476,7 @@ def _sym_strip(row):
     ig, pg = _row_content(row)
     if ig > 1:
         row = {k: {d: v // ig for d, v in poly.items()} for k, poly in row.items()}
-    if pg is not None and _poly_deg(pg) > 0:
+    if pg is not None:
         row = {k: _ip_div_exact(poly, pg) for k, poly in row.items()}
     return row
 
@@ -643,12 +540,39 @@ def _echelon(rows, insert):
     return basis
 
 
+def nullspace(rows, ncols: int):
+    """Basis of the solutions x over Q(p) of sum_k row[k] x[k] = 0, one
+    equation per row {column: Scalar} with p-only coefficients.
+
+    Each vector is a list of ``ncols`` Scalars, primitive over Z[p]: the free
+    column is set to 1 and the pivots back-substituted fraction-free.
+    """
+    basis = _echelon([_sym_row(r.items()) for r in rows], _sym_insert)
+    out = []
+    for fc in range(ncols):
+        if fc in basis:
+            continue
+        x = {fc: {0: 1}}
+        for lead in sorted(basis):
+            row = basis[lead]
+            # row[lead] x[lead] = -s, so scale x by row[lead] and set -s
+            s = _accumulate((i + j, u * v) for k, poly in row.items() if k in x
+                            for i, u in poly.items() for j, v in x[k].items())
+            x = {k: _poly_mul(poly, row[lead]) for k, poly in x.items()}
+            if s:
+                x[lead] = {d: -v for d, v in s.items()}
+        x = _sym_strip(x)
+        out.append([Scalar.in_p(x.get(k, {})) for k in range(ncols)])
+    return out
+
+
 @lru_cache(maxsize=None)
 def _sym_echelon(gens, degree_bound):
     """(word ranks, Z[p] echelon basis, shift count) of the shifts of gens."""
     ranks = _word_ranks(gens[0].alphabet, degree_bound)
     shifts = shift_family(list(gens), degree_bound)
-    return ranks, _echelon(_sym_rows(shifts, ranks), _sym_insert), len(shifts)
+    rows = [_sym_row((ranks[w], c) for w, c in f._terms.items()) for f in shifts]
+    return ranks, _echelon(rows, _sym_insert), len(shifts)
 
 
 @lru_cache(maxsize=None)
@@ -680,7 +604,8 @@ def span_contains(gens, targets, degree_bound: int, seed: int = 0,
     if symbolic:
         ranks, basis, nshifts = _sym_echelon(gens, degree_bound)
         for i, t in enumerate(targets):
-            if not _sym_reduces_to_zero(basis, _sym_rows([t], ranks)[0]):
+            row = _sym_row((ranks[w], c) for w, c in t._terms.items())
+            if not _sym_reduces_to_zero(basis, row):
                 return False, f"target #{i} escapes the span symbolically"
     else:
         ranks, bases, nshifts = _int_echelons(gens, degree_bound, seed)

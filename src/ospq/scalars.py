@@ -27,10 +27,10 @@ def _accumulate(pairs, out=None):
     """Sum ``(key, coeff)`` pairs into ``out`` (a new dict by default).
 
     A key whose sum becomes zero is deleted; the zero test is truthiness, so
-    any coefficient type with ``__bool__`` works (Fraction, Scalar, RatP,
-    int).  A key that cancels and comes back is re-added at the end of the
-    dict.  Scalar and every sparse container built on it sum their terms
-    through this loop.  Returns ``out``.
+    any coefficient type with ``__bool__`` works (Fraction, Scalar, int).  A
+    key that cancels and comes back is re-added at the end of the dict.
+    Scalar and every sparse container built on it sum their terms through
+    this loop.  Returns ``out``.
     """
     if out is None:
         out = {}
@@ -284,9 +284,17 @@ class Scalar:
             raise ValueError(f"not a unit: {self}")
         return Scalar._monomial(_ZMONO, _q2_inv(self.grouped()[_ZMONO]))
 
-    def _lead(self):
-        """Largest (p..t) monomial and its Q(sqrt2) coefficient (a, b)."""
+    def _lead(self, below=None):
+        """Largest (p..t) monomial and its Q(sqrt2) coefficient (a, b).
+
+        With ``below``, raises ArithmeticError unless the monomial is lex
+        smaller.  Lex order on exponent tuples is a well-order, so a remainder
+        loop whose leads pass this check terminates; a lead that fails to
+        cancel is an arithmetic defect, not a slow input.
+        """
         mono = max(self._terms)[:_NVARS]
+        if below is not None and mono >= below:
+            raise ArithmeticError(f"remainder lead {mono} is not below {below}")
         return mono, self.grouped()[mono]
 
     def divide_exact(self, divisor: "Scalar") -> "Scalar":
@@ -295,9 +303,9 @@ class Scalar:
             raise ZeroDivisionError("division by zero")
         dlead, dlc = divisor._lead()
         dlc_inv = Scalar._monomial(_ZMONO, _q2_inv(dlc))
-        quo, rem = _ZERO, self
+        quo, rem, rlead = _ZERO, self, None
         while rem:
-            rlead, rlc = rem._lead()
+            rlead, rlc = rem._lead(rlead)
             qexp = tuple(a - b for a, b in zip(rlead, dlead))
             if any(k < 0 for k in qexp):
                 raise ValueError("not exactly divisible")
@@ -318,12 +326,9 @@ class Scalar:
         g = Scalar._monomial(tuple(k // 2 for k in lead), glc)
         two_g_lead = g + g
         rem = self - g * g
-        guard = 0
         while rem:
-            guard += 1
-            if guard > 4096:
-                raise ValueError(f"no polynomial square root: {self}")
-            g = g + Scalar._monomial(*rem._lead()).divide_exact(two_g_lead)
+            lead, lc = rem._lead(lead)
+            g = g + Scalar._monomial(lead, lc).divide_exact(two_g_lead)
             rem = self - g * g
         return g
 

@@ -27,41 +27,11 @@ def test_metric_is_unique_and_derived():
     assert frt.metric_matrix() == derived_metric_expected()
 
 
-def _metric_rows(left, right):
-    """Linear rows in the nine entries of C for left (C ox 1) right = C ox 1."""
-    rows = []
-    for rr in range(9):
-        for ss in range(9):
-            coeffs = {}
-            for u in range(9):
-                a = left.entries[rr][u].coefficient(())
-                if a.is_zero:
-                    continue
-                i, m = divmod(u, 3)
-                for v in range(9):
-                    b = right.entries[v][ss].coefficient(())
-                    if b.is_zero:
-                        continue
-                    j, n_ = divmod(v, 3)
-                    if m == n_:
-                        k = 3 * i + j
-                        coeffs[k] = coeffs.get(k, Scalar.zero()) + a * b
-            i, m = divmod(rr, 3)
-            j, n_ = divmod(ss, 3)
-            if m == n_:
-                k = 3 * i + j
-                coeffs[k] = coeffs.get(k, Scalar.zero()) - Scalar.one()
-            coeffs = {k: v for k, v in coeffs.items() if not v.is_zero}
-            if coeffs:
-                rows.append(coeffs)
-    return rows
-
-
 def test_metric_ungraded_transpose_has_no_solution():
     r = frt.quantum_r_matrix()
     # re-run the solver with the ungraded transpose
     rt_plain = partial_transpose_first(r, graded=False)
-    assert frt._nullspace_ratp(_metric_rows(r, rt_plain), 9) == []
+    assert frt.nullspace(frt.metric_rows(r, rt_plain), 9) == []
 
 
 def _transpose_first_leg(m, sign_exponent):
@@ -102,7 +72,7 @@ def test_metric_corner_is_half_p_under_every_transpose_convention():
         rt1 = _transpose_first_leg(r, rule)
         for order, (left, right) in (("R C1 R^t1", (r, rt1)),
                                      ("R^t1 C1 R", (rt1, r))):
-            basis = frt._nullspace_ratp(_metric_rows(left, right), 9)
+            basis = frt.nullspace(frt.metric_rows(left, right), 9)
             assert len(basis) <= 1, (rule_name, order, len(basis))
             if not basis:
                 continue

@@ -4,13 +4,12 @@ from math import gcd
 
 import pytest
 
-from ospq.scalars import rat, P, HALF
+from ospq.scalars import Scalar, rat, P, HALF, SQRT2
 from ospq.freealg import GradedAlphabet, SuperPoly
-from ospq.rewrite import (RewriteSystem, orient, span_equal,
-                          span_contains, primitive_part, OrientationError)
-from ospq.rewrite import (RatP, _evaluation_points, _int_insert,
-                          _int_reduces_to_zero, _poly_mul, _sym_insert,
-                          _sym_reduces_to_zero)
+from ospq.rewrite import (RewriteSystem, orient, span_equal, span_contains,
+                          primitive_part, nullspace, OrientationError)
+from ospq.rewrite import (_evaluation_points, _int_insert, _int_reduces_to_zero,
+                          _poly_mul, _sym_insert, _sym_reduces_to_zero)
 from ospq import frt
 
 
@@ -81,6 +80,17 @@ def test_primitive_part():
     assert lead_coeff.is_constant
     monic = g.scale(lead_coeff.unit_inverse())
     assert monic == w("b", "a") - w("a", "b")
+    # denominators and the shared factor p + 1: the content over Q[p] is p + 1
+    shared = P + rat(1)
+    two_thirds_p = rat(Fraction(2, 3)) * P
+    f = w("a", "b").scale(HALF * shared) + w("b", "a").scale(two_thirds_p * shared)
+    assert primitive_part(f) == w("a", "b").scale(HALF) + w("b", "a").scale(two_thirds_p)
+    # constant content, and coefficients the Z[p] gcd cannot read: unchanged
+    x = Scalar.var("x")
+    for f in (w("a", "b").scale(rat(2) * P) + w("b", "a").scale(rat(6)),
+              w("a", "b").scale(SQRT2 * P) + w("b", "a").scale(P),
+              w("a", "b").scale(x * P) + w("b", "a").scale(P)):
+        assert primitive_part(f) == f
 
 
 def test_commutative_triangle_is_confluent():
@@ -247,6 +257,17 @@ def test_integer_echelon_insert_and_probe_agree_with_rank():
         _check_echelon(rows, _int_insert, _int_reduces_to_zero, in_span, {99: 1, 0: 2})
 
 
+def _rank_over_qp(rows):
+    """Rank over Q(p) of rows {column: {degree: coefficient}}: the largest
+    Fraction rank at ncols * maxdeg + 1 integer values of p, since a nonzero
+    minor has degree at most ncols * maxdeg and so few roots."""
+    ncols = len({k for row in rows for k in row})
+    maxdeg = max((d for row in rows for poly in row.values() for d in poly), default=0)
+    return max(_rank(rows, Fraction(0),
+                     lambda poly: Fraction(sum(v * pv ** d for d, v in poly.items())))
+               for pv in range(ncols * maxdeg + 1))
+
+
 def test_symbolic_echelon_insert_and_probe_agree_with_rank():
     def entry(rng):
         return {d: rng.choice([-2, -1, 1, 2]) for d in range(rng.randint(1, 2))}
@@ -260,18 +281,27 @@ def test_symbolic_echelon_insert_and_probe_agree_with_rank():
     def combine(ca, x, cb, y):
         return add_poly(_poly_mul(ca, x or {}), _poly_mul(cb, y or {}))
 
-    def ratp(poly):
-        return RatP({d: Fraction(v) for d, v in poly.items()})
-
     def in_span(rows, row):
-        zero = RatP({})
-        return _rank(rows + [row], zero, ratp) == _rank(rows, zero, ratp)
+        return _rank_over_qp(rows + [row]) == _rank_over_qp(rows)
 
+    ncols = 7
     rng = random.Random(8)
     for _ in range(6):
-        rows = [r for r in _echelon_stream(rng, entry, combine, nrows=24) if r]
+        rows = [r for r in _echelon_stream(rng, entry, combine, ncols, nrows=24) if r]
         _check_echelon(rows, _sym_insert, _sym_reduces_to_zero, in_span,
                        {99: {1: 1}, 0: {0: 2}})
+        # every prefix as a system of equations: the nullspace vectors
+        # annihilate every row, are independent, and count ncols minus the rank
+        for n in range(1, len(rows) + 1):
+            vecs = nullspace([{k: Scalar.in_p(poly) for k, poly in row.items()}
+                              for row in rows[:n]], ncols)
+            assert len(vecs) == ncols - _rank_over_qp(rows[:n])
+            for vec in vecs:
+                for row in rows[:n]:
+                    assert sum((Scalar.in_p(poly) * vec[k] for k, poly in row.items()),
+                               Scalar.zero()).is_zero
+            assert _rank_over_qp([{k: c.p_coefficients() for k, c in enumerate(vec) if c}
+                                  for vec in vecs]) == len(vecs)
 
 
 def test_symbolic_span_of_a_monomial_with_non_primitive_coefficient():

@@ -9,8 +9,12 @@ Span calls are exact over Q(p) unless made with ``symbolic=False``, which
 compares at seeded integer values of p.  That is exact only for p-free
 inputs, so it is kept to the three classical-limit checks, which are also
 the only checks that read the seed.
+
+Only ``rewrite.py`` knows the Z[p] row layout of its echelons, so no other
+module imports an underscore name from it.
 """
 
+import ast
 import inspect
 from pathlib import Path
 
@@ -45,3 +49,15 @@ def test_only_classical_limit_checks_evaluate_p_or_read_the_seed():
     elsewhere = [path.name for path in package.glob("*.py")
                  if path.name != "checks.py" and "symbolic=False" in path.read_text()]
     assert not elsewhere
+
+
+def test_no_module_imports_private_rewrite_helpers():
+    package = Path(ospq.__file__).parent
+    private = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom)
+                    and node.module in ("rewrite", "ospq.rewrite")):
+                private += [f"{path.name}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert not private, f"private rewrite helpers imported: {private}"
