@@ -8,8 +8,7 @@ there is no floating point anywhere.
 from .scalars import Scalar, rat, P, HALF, SQRT2
 from .freealg import GradedAlphabet, SuperPoly, TensorElement
 from .rewrite import RewriteSystem, complete, orient, span_equal, span_contains
-from .supermatrix import (SuperMatrix, MatrixTensor, graded_embed, embed_left,
-                          embed_right, exp_nilpotent, invert_unipotent,
+from .supermatrix import (SuperMatrix, kron, exp_nilpotent, invert_unipotent,
                           partial_transpose_first, supertranspose3, desuperize,
                           ybe_check)
 from .borel import BorelSeries, BorelTensor, AnsatzFunctions, DEFAULT_TRUNCATION
@@ -20,8 +19,7 @@ __all__ = [
     "Scalar", "rat", "P", "HALF", "SQRT2",
     "GradedAlphabet", "SuperPoly", "TensorElement",
     "RewriteSystem", "complete", "orient", "span_equal", "span_contains",
-    "SuperMatrix", "MatrixTensor", "graded_embed", "embed_left", "embed_right",
-    "exp_nilpotent", "invert_unipotent", "partial_transpose_first",
-    "supertranspose3", "desuperize", "ybe_check",
+    "SuperMatrix", "kron", "exp_nilpotent", "invert_unipotent",
+    "partial_transpose_first", "supertranspose3", "desuperize", "ybe_check",
     "BorelSeries", "BorelTensor", "AnsatzFunctions", "DEFAULT_TRUNCATION",
 ]

@@ -18,7 +18,7 @@ from math import comb
 
 from .scalars import Scalar, rat, P, HALF, SQRT2, _accumulate
 from .freealg import GradedAlphabet, SuperPoly
-from .supermatrix import SuperMatrix, embed_left, embed_right
+from .supermatrix import SuperMatrix, kron
 from .rewrite import span_equal
 
 DEFAULT_TRUNCATION = 16  # filtration weight; X-degree up to 8
@@ -454,14 +454,6 @@ def delta_monomial(key, w: int) -> BorelTensor:
     return out
 
 
-def coproduct_series(f: BorelSeries) -> BorelTensor:
-    w = f.weight_bound
-    out = BorelTensor.zero(2, w)
-    for key, c in f._terms.items():
-        out = out + delta_monomial(key, w).scale(c)
-    return out
-
-
 def coassociativity_defect(which: str, w: int) -> BorelTensor:
     """(Delta ox id)Delta(g) - (id ox Delta)Delta(g) for g in {e^sigma, V, H}."""
     d = {"exp_sigma": delta_exp_sigma, "V": delta_v, "H": delta_h}[which](w)
@@ -677,8 +669,9 @@ def rll_residuals():
     from .frt import quantum_r_matrix
     l_mat = dual_generator_matrix()
     r = quantum_r_matrix().promote(RLL_ALPHABET)
-    l1 = embed_left(l_mat)
-    l2 = embed_right(l_mat)
+    l_mat.check_grading()
+    one = SuperMatrix.identity(RLL_ALPHABET, 3)
+    l1, l2 = kron(l_mat, one), kron(one, l_mat)
     diff = (r @ l2 @ l1) - (l1 @ l2 @ r)
     return [diff.entries[i][j] for i in range(9) for j in range(9)
             if not diff.entries[i][j].is_zero]

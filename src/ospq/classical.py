@@ -5,18 +5,21 @@ ad-invariance certificates.
 Basis {H, Xp, Xm, Vp, Vm} with grades 0,0,0,1,1.  Brackets are graded: a
 commutator unless both arguments are odd, then an anticommutator.  The
 Schouten bracket [[r,r]] = [r12,r13] + [r12,r23] + [r13,r23] is evaluated in
-the 27-dimensional image of the representation through the graded embedding,
-which is multiplicative, so graded commutators become matrix commutators.
+the 27-dimensional image of the representation: r is a 9x9 sum of graded
+Kronecker products, its legs are kron(r, 1), kron(1, r) and kron(r, 1) with
+legs 2 and 3 flipped, and kron is multiplicative, so graded commutators
+become matrix commutators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 from .scalars import Scalar, rat
 from .freealg import SuperPoly, SCALAR_ALPHABET
-from .supermatrix import (SuperMatrix, MatrixTensor, graded_embed, INDEX_GRADE)
+from .supermatrix import SuperMatrix, entry_grade, graded_swap, kron
 
 BASIS = ("H", "Xp", "Xm", "Vp", "Vm")
 GRADE = {"H": 0, "Xp": 0, "Xm": 0, "Vp": 1, "Vm": 1}
@@ -153,7 +156,7 @@ def derive_lowering_matrices(grid=None):
         out = []
         for i in range(1, 4):
             for j in range(1, 4):
-                if (INDEX_GRADE[i - 1] + INDEX_GRADE[j - 1]) % 2 != parity:
+                if entry_grade(3, i, j) != parity:
                     continue
                 if hdiag[i - 1] - hdiag[j - 1] == weight:
                     out.append((i, j))
@@ -205,13 +208,13 @@ class RMatrixExpr:
             raise ValueError("graded-mixed r-matrix expression")
         return parities.pop() if parities else 0
 
-    def expand(self) -> MatrixTensor:
-        out = MatrixTensor(2)
+    def expand(self) -> SuperMatrix:
+        """The 9x9 image: sum of c (kron(x, y) - (-1)^{|x||y|} kron(y, x))."""
+        out = SuperMatrix.zero(SCALAR_ALPHABET, 9)
         for c, x, y in self.terms:
-            xy = MatrixTensor.from_matrix_legs(REP[x], REP[y]).scale(c)
             sign = rat(-((-1) ** (GRADE[x] * GRADE[y])))
-            yx = MatrixTensor.from_matrix_legs(REP[y], REP[x]).scale(c * sign)
-            out = out + xy + yx
+            out = (out + kron(REP[x], REP[y]).scale(c)
+                   + kron(REP[y], REP[x]).scale(c * sign))
         return out
 
     def scale(self, coeff) -> "RMatrixExpr":
@@ -255,7 +258,7 @@ def family_two(x=None, y=None, z=None) -> RMatrixExpr:
     ])
 
 
-def ad_invariant_element(t=None) -> MatrixTensor:
+def ad_invariant_element(t=None) -> SuperMatrix:
     """The symmetric invariant 2H ox H + Xp ox Xm + Xm ox Xp + 2(Vp ox Vm - Vm ox Vp)."""
     if t is None:
         t = Scalar.var("t")
@@ -263,60 +266,49 @@ def ad_invariant_element(t=None) -> MatrixTensor:
         (rat(2), "H", "H"), (Scalar.one(), "Xp", "Xm"), (Scalar.one(), "Xm", "Xp"),
         (rat(2), "Vp", "Vm"), (rat(-2), "Vm", "Vp"),
     ]
-    out = MatrixTensor(2)
+    out = SuperMatrix.zero(SCALAR_ALPHABET, 9)
     for c, x, y in pieces:
-        out = out + MatrixTensor.from_matrix_legs(REP[x], REP[y]).scale(c * t)
+        out = out + kron(REP[x], REP[y]).scale(c * t)
     return out
 
 
-def _legs_of_pair(tensor: MatrixTensor):
-    """r12, r13, r23 of an arity-2 abstract tensor, as arity-3 tensors."""
-    r12 = tensor.leg_identity_inserted(2)
-    r13 = tensor.leg_identity_inserted(1)
-    r23 = tensor.leg_identity_inserted(0)
-    return r12, r13, r23
+_ONE = SuperMatrix.identity(SCALAR_ALPHABET, 3)
 
 
 def schouten(expr: RMatrixExpr) -> SuperMatrix:
     """[[r,r]] evaluated in the representation as an exact 27x27 matrix."""
     parity = expr.parity()
-    tensor = expr.expand()
-    legs = [graded_embed(t) for t in _legs_of_pair(tensor)]
+    r = expr.expand()
+    flip23 = kron(_ONE, graded_swap())
+    r12 = kron(r, _ONE)
+    r13 = flip23 @ r12 @ flip23
+    r23 = kron(_ONE, r)
     sign = rat((-1) ** parity)
 
     def gcomm(a, b):
         return (a @ b) - (b @ a).scale(sign)
 
-    r12, r13, r23 = legs
     return gcomm(r12, r13) + gcomm(r12, r23) + gcomm(r13, r23)
 
 
 def coproduct_embedding(name: str, arity: int) -> SuperMatrix:
-    """sum_k 1 ox .. ox x ox .. ox 1 (x at slot k), graded-embedded."""
+    """sum_k 1 ox .. ox x ox .. ox 1 (x at slot k) as a 3**arity matrix."""
     total = SuperMatrix.zero(SCALAR_ALPHABET, 3 ** arity)
-    base = MatrixTensor.from_matrix_legs(REP[name])
     for pos in range(arity):
-        t = base
-        for _ in range(pos):
-            t = t.leg_identity_inserted(0)
-        while t.arity < arity:
-            t = t.leg_identity_inserted(t.arity)
-        total = total + graded_embed(t)
+        legs = [_ONE] * arity
+        legs[pos] = REP[name]
+        total = total + reduce(kron, legs)
     return total
 
 
-def ad_invariance_check(omega, arity: int = None) -> bool:
+def ad_invariance_check(omega: SuperMatrix) -> bool:
     """Does the graded adjoint action of every basis element kill omega?
 
-    ``omega`` may be a MatrixTensor (it is embedded first) or an already
-    embedded SuperMatrix of dimension 9 or 27.  Since omega is even here, the
-    action is the plain matrix commutator with the embedded coproduct.
+    ``omega`` is a 9x9 or 27x27 matrix; its size gives the number of legs.
+    Since omega is even here, the action is the plain matrix commutator with
+    the embedded coproduct.
     """
-    if isinstance(omega, MatrixTensor):
-        arity = omega.arity
-        omega = graded_embed(omega)
-    elif arity is None:
-        arity = 2 if omega.n == 9 else 3
+    arity = {9: 2, 27: 3}[omega.n]
     for name in BASIS:
         dx = coproduct_embedding(name, arity)
         comm = (dx @ omega) - (omega @ dx)
@@ -327,4 +319,4 @@ def ad_invariance_check(omega, arity: int = None) -> bool:
 
 def family_coboundary_check(expr: RMatrixExpr) -> bool:
     """Is [[r,r]] ad-invariant (with fully symbolic coefficients)?"""
-    return ad_invariance_check(schouten(expr), 3)
+    return ad_invariance_check(schouten(expr))

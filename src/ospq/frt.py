@@ -16,8 +16,8 @@ from functools import lru_cache
 from .scalars import Scalar, rat, P, HALF, _accumulate
 from .freealg import GradedAlphabet, SuperPoly, TensorElement, sum_polys
 from .rewrite import RewriteSystem, complete, nullspace, primitive_part
-from .supermatrix import (SuperMatrix, embed_left, embed_right, exp_nilpotent,
-                          graded_embed, partial_transpose_first, supertranspose3)
+from .supermatrix import (SuperMatrix, exp_nilpotent, kron, partial_transpose_first,
+                          supertranspose3)
 from . import classical
 
 # 6-letter alphabet; the weights make every defining relation orientable with
@@ -45,9 +45,8 @@ def defining_matrix() -> SuperMatrix:
 
 @lru_cache(maxsize=None)
 def quantum_r_matrix() -> SuperMatrix:
-    """R = exp(2p r2) through the graded embedding; upper unitriangular."""
-    r2m = graded_embed(classical.r2().expand())
-    return exp_nilpotent(r2m, rat(2) * P)
+    """R = exp(2p r2) of the 9x9 image of r2; upper unitriangular."""
+    return exp_nilpotent(classical.r2().expand(), rat(2) * P)
 
 
 def rtt_residuals(r: SuperMatrix = None, t: SuperMatrix = None):
@@ -57,8 +56,9 @@ def rtt_residuals(r: SuperMatrix = None, t: SuperMatrix = None):
     if t is None:
         t = defining_matrix()
     r9 = r.promote(t.alphabet)
-    t1 = embed_left(t)
-    t2 = embed_right(t)
+    t.check_grading()
+    one = SuperMatrix.identity(t.alphabet, 3)
+    t1, t2 = kron(t, one), kron(one, t)
     diff = (r9 @ t1 @ t2) - (t2 @ t1 @ r9)
     return [diff.entries[i][j] for i in range(9) for j in range(9)]
 

@@ -1,14 +1,16 @@
-"""Matrices over graded free algebras, the graded tensor-to-matrix embedding,
-nilpotent exponentials, partial transposes, and Yang-Baxter checks.
+"""Matrices over graded free algebras, the graded Kronecker product, nilpotent
+exponentials, partial transposes, and Yang-Baxter checks.
 
-The 3x3 entry grading is g(j,k) = [j == 2] + [k == 2] (1-based indices); the
-9x9 and 27x27 gradings are induced through the embedding
+A 3x3 index has grade g = (0, 1, 0) on 1, 2, 3, a composite index of a 3**k
+dimensional matrix the sum of its digits' grades, and a slot (row, col) the
+sum of both.  The graded Kronecker product, the one place that applies the
+Koszul sign of a tensor leg,
 
-    e_{i1 j1} ox ... ox e_{in jn}
-        -> (-1)^{sum_{k<l} (g(i_k)+g(j_k)) g(i_l)} E_{(i1..in),(j1..jn)},
+    kron(A, B)_{(i,k),(j,l)} = (-1)^{(g(i)+g(j)) g(k)} A_ij B_kl,
 
-which turns the graded tensor product of operators into plain matrix
-multiplication.
+is associative and turns the graded tensor product of operators into plain
+matrix multiplication: kron(A, B) kron(C, D) = (-1)^{|B||C|} kron(AC, BD)
+for homogeneous B and C.
 """
 
 from __future__ import annotations
@@ -16,28 +18,25 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .scalars import Scalar, _accumulate
+from .scalars import Scalar
 from .freealg import SuperPoly, SCALAR_ALPHABET
 
 INDEX_GRADE = (0, 1, 0)  # grade of 3x3 index 1,2,3
 
 
-def index_grade(i: int) -> int:
-    """Grade of a 1-based composite index in dimension 3**n."""
-    return INDEX_GRADE[i - 1]
+def index_grade(n: int, i: int) -> int:
+    """Grade of the 0-based composite index ``i`` in dimension n = 3**k."""
+    g = 0
+    while n > 1:
+        n //= 3
+        g += INDEX_GRADE[i // n]
+        i %= n
+    return g % 2
 
 
 def entry_grade(n: int, row: int, col: int) -> int:
     """Grade of the (row, col) slot (1-based) of a 3**k dimensional matrix."""
-    g = 0
-    r, c = row - 1, col - 1
-    while n > 1:
-        n //= 3
-        g += INDEX_GRADE[r // n] + INDEX_GRADE[c // n]
-        r %= n
-        c %= n
-    g += INDEX_GRADE[r] + INDEX_GRADE[c]
-    return g % 2
+    return (index_grade(n, row - 1) + index_grade(n, col - 1)) % 2
 
 
 class SuperMatrix:
@@ -118,11 +117,15 @@ class SuperMatrix:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
+        if self.n != other.n:
+            raise ValueError("dimension mismatch")
         return SuperMatrix(self.alphabet,
                            [[a + b for a, b in zip(r1, r2)]
                             for r1, r2 in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
+        if self.n != other.n:
+            raise ValueError("dimension mismatch")
         return SuperMatrix(self.alphabet,
                            [[a - b for a, b in zip(r1, r2)]
                             for r1, r2 in zip(self.entries, other.entries)])
@@ -170,115 +173,38 @@ class SuperMatrix:
         return format_matrix(self)
 
 
-# ----------------------------------------------------------------------
-# Graded embedding of abstract tensors of 3x3 elementary matrices.
-# ----------------------------------------------------------------------
+def kron(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
+    """The graded Kronecker product A ox B of two matrices over one alphabet.
 
-class MatrixTensor:
-    """Scalar combination of e_{i1 j1} ox ... ox e_{in jn} (1-based indices)."""
-
-    __slots__ = ("arity", "terms")
-
-    def __init__(self, arity, terms=None):
-        self.arity = arity
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                if not c.is_zero:
-                    self.terms[k] = c
-
-    @classmethod
-    def from_matrix_legs(cls, *mats):
-        """Tensor of SuperMatrix(3) factors with Scalar entries."""
-        arity = len(mats)
-        out = cls(arity)
-        def rec(i, key, coeff):
-            if i == arity:
-                yield key, coeff
-                return
-            m = mats[i]
-            for r in range(1, 4):
-                for c in range(1, 4):
-                    e = m[r, c]
-                    if e.is_zero:
-                        continue
-                    ce = e.coefficient(())
-                    yield from rec(i + 1, key + ((r, c),), coeff * ce)
-        _accumulate(rec(0, (), Scalar.one()), out.terms)
-        return out
-
-    def __add__(self, other):
-        if self.arity != other.arity:
-            raise ValueError("mixing arities")
-        out = MatrixTensor(self.arity, self.terms)
-        _accumulate(other.terms.items(), out.terms)
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(Scalar.rational(-1))
-
-    def scale(self, coeff):
-        return MatrixTensor(self.arity,
-                            {k: c * coeff for k, c in self.terms.items()})
-
-    def leg_identity_inserted(self, position: int) -> "MatrixTensor":
-        """Insert an identity leg at ``position`` (0-based), raising arity by 1."""
-        out = MatrixTensor(self.arity + 1)
-        _accumulate(((k[:position] + ((d, d),) + k[position:], c)
-                     for k, c in self.terms.items() for d in range(1, 4)), out.terms)
-        return out
-
-
-def graded_embed(tensor: MatrixTensor, alphabet=SCALAR_ALPHABET) -> SuperMatrix:
-    """Embed an abstract tensor into a 3**arity matrix with Koszul signs."""
-    n = 3 ** tensor.arity
-    acc = [[Scalar.zero()] * n for _ in range(n)]
-    for key, coeff in tensor.terms.items():
-        sign = 0
-        for k in range(tensor.arity):
-            gk = INDEX_GRADE[key[k][0] - 1] + INDEX_GRADE[key[k][1] - 1]
-            if gk % 2:
-                sign += sum(INDEX_GRADE[key[l][0] - 1] for l in range(k + 1, tensor.arity))
-        row = 0
-        col = 0
-        for (i, j) in key:
-            row = 3 * row + (i - 1)
-            col = 3 * col + (j - 1)
-        acc[row][col] = acc[row][col] + (-coeff if sign % 2 else coeff)
-    zero = SuperPoly.zero(alphabet)
-    entries = [[SuperPoly.constant(alphabet, c) if not c.is_zero else zero
-                for c in row] for row in acc]
-    return SuperMatrix(alphabet, entries)
-
-
-def embed_left(t: SuperMatrix) -> SuperMatrix:
-    """T ox 1 as a 9x9 matrix, with the graded signs on odd entries."""
-    if t.n != 3:
-        raise ValueError("embed_left needs a 3x3 matrix")
-    t.check_grading()
-    out = SuperMatrix.zero(t.alphabet, 9)
-    for i in range(3):
-        for j in range(3):
-            e = t.entries[i][j]
-            if e.is_zero:
+    Signs follow the slot grades, not the entry grades, so odd scalar
+    operators (grade-0 constants in odd slots) embed correctly too.
+    """
+    m = b.n
+    ga = [index_grade(a.n, i) for i in range(a.n)]
+    gb = [index_grade(m, k) for k in range(m)]
+    zero = SuperPoly.zero(a.alphabet)
+    out = [[zero] * (a.n * m) for _ in range(a.n * m)]
+    for i, arow in enumerate(a.entries):
+        for j, x in enumerate(arow):
+            if x.is_zero:
                 continue
-            gij = INDEX_GRADE[i] + INDEX_GRADE[j]
-            for k in range(3):
-                sign = -1 if (gij * INDEX_GRADE[k]) % 2 else 1
-                out.entries[3 * i + k][3 * j + k] = e if sign == 1 else -e
-    return out
+            odd = ga[i] != ga[j]
+            for k, brow in enumerate(b.entries):
+                orow = out[i * m + k]
+                for l, y in enumerate(brow):
+                    if not y.is_zero:
+                        orow[j * m + l] = -(x * y) if odd and gb[k] else x * y
+    return SuperMatrix(a.alphabet, out)
 
 
-def embed_right(t: SuperMatrix) -> SuperMatrix:
-    """1 ox T as a 9x9 block-diagonal matrix (sign-free)."""
-    if t.n != 3:
-        raise ValueError("embed_right needs a 3x3 matrix")
-    t.check_grading()
-    out = SuperMatrix.zero(t.alphabet, 9)
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                out.entries[3 * k + i][3 * k + j] = t.entries[i][j]
+def graded_swap() -> SuperMatrix:
+    """The 9x9 graded flip u ox v -> (-1)^{|u||v|} v ox u."""
+    out = SuperMatrix.zero(SCALAR_ALPHABET, 9)
+    one = SuperPoly.one(SCALAR_ALPHABET)
+    for i in range(3):
+        for k in range(3):
+            out.entries[3 * k + i][3 * i + k] = \
+                -one if INDEX_GRADE[i] and INDEX_GRADE[k] else one
     return out
 
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from ospq.scalars import Scalar, rat, P
-from ospq.supermatrix import graded_embed
+from ospq.freealg import SCALAR_ALPHABET
+from ospq.supermatrix import SuperMatrix, kron
 from ospq import classical
 from ospq.checks import _r2_target_matrix
 
@@ -38,7 +39,7 @@ def test_lowering_matrices_derived_uniquely():
 
 
 def test_r2_embedding_matches_reference_matrix():
-    assert graded_embed(classical.r2().expand()) == _r2_target_matrix()
+    assert classical.r2().expand() == _r2_target_matrix()
 
 
 def test_schouten_triangular():
@@ -49,7 +50,7 @@ def test_schouten_triangular():
 def test_schouten_r3_nonzero_but_invariant():
     s3 = classical.schouten(classical.r3(Scalar.one()))
     assert not s3.is_zero()
-    assert classical.ad_invariance_check(s3, 3)
+    assert classical.ad_invariance_check(s3)
 
 
 def test_schouten_scales_quadratically():
@@ -60,8 +61,8 @@ def test_schouten_scales_quadratically():
 
 def test_parameter_absorbed_by_linearity():
     t = Scalar.var("t")
-    lhs = graded_embed(classical.r3(t).expand()).scale(rat(2) * P)
-    rhs = graded_embed(classical.r3(Scalar.one()).expand()).scale(rat(2) * P * t)
+    lhs = classical.r3(t).expand().scale(rat(2) * P)
+    rhs = classical.r3(Scalar.one()).expand().scale(rat(2) * P * t)
     assert lhs == rhs
 
 
@@ -70,13 +71,13 @@ def test_invariant_element():
 
 
 def test_h_tensor_h_not_invariant():
-    omega = classical.MatrixTensor.from_matrix_legs(
-        classical.REP["H"], classical.REP["H"])
+    omega = kron(classical.REP["H"], classical.REP["H"])
     assert not classical.ad_invariance_check(omega)
 
 
 def test_zero_is_invariant():
-    assert classical.ad_invariance_check(classical.MatrixTensor(2))
+    assert classical.ad_invariance_check(SuperMatrix.zero(SCALAR_ALPHABET, 9))
+    assert classical.ad_invariance_check(SuperMatrix.zero(SCALAR_ALPHABET, 27))
 
 
 def test_families_fully_symbolic():
@@ -86,7 +87,7 @@ def test_families_fully_symbolic():
 
 def test_family_two_specializes_to_r2():
     special = classical.family_two(Scalar.one(), Scalar.zero(), Scalar.zero())
-    assert graded_embed(special.expand()) == graded_embed(classical.r2().expand())
+    assert special.expand() == classical.r2().expand()
 
 
 def test_odd_probe_not_coboundary_compatible():
@@ -101,3 +102,12 @@ def test_mixed_parity_wedge_rejected():
                                   (Scalar.one(), "H", "Vp")])
     with pytest.raises(ValueError):
         expr.parity()
+
+
+def test_coproduct_embedding_is_a_sum_of_one_leg_images():
+    one = SuperMatrix.identity(SCALAR_ALPHABET, 3)
+    vp = classical.REP["Vp"]
+    assert classical.coproduct_embedding("Vp", 2) == kron(vp, one) + kron(one, vp)
+    three = classical.coproduct_embedding("Vp", 3)
+    assert three == (kron(kron(vp, one), one) + kron(one, kron(vp, one))
+                     + kron(one, kron(one, vp)))

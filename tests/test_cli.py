@@ -46,6 +46,13 @@ def test_bad_truncation_is_usage_error(capsys):
     assert main(["ybe", "--truncation", "7"]) == 2
 
 
+def test_truncation_ceiling_is_40(capsys):
+    # the ybe group does not read the truncation, so 40 costs nothing here
+    assert main(["ybe", "--truncation", "42"]) == 2
+    assert "from 4 to 40" in capsys.readouterr().err
+    assert main(["ybe", "--truncation", "40"]) == 0
+
+
 def test_seed_does_not_change_statuses():
     # the classical-limit checks are the only ones that read the seed
     # (tests/test_structure.py keeps it so); borel-rll runs one of them

@@ -5,7 +5,6 @@ import pytest
 
 from ospq.scalars import Scalar, rat, P, HALF, SQRT2, format_scalar, _accumulate
 from ospq.freealg import GradedAlphabet, SuperPoly, TensorElement
-from ospq.supermatrix import MatrixTensor
 from ospq.borel import BorelSeries, BorelTensor
 
 
@@ -172,16 +171,11 @@ def _container_makers():
     def mono(rng):
         return (rng.randint(0, 1), rng.randint(0, 2), rng.randint(0, 2))
 
-    def slot(rng):
-        return (rng.randint(1, 3), rng.randint(1, 3))
-
     return [
         ("SuperPoly", lambda rng: rng.choice(words),
          lambda t: SuperPoly(alphabet, t)),
         ("TensorElement", lambda rng: (rng.choice(words), rng.choice(words)),
          lambda t: TensorElement(alphabet, 2, t)),
-        ("MatrixTensor", lambda rng: (slot(rng), slot(rng)),
-         lambda t: MatrixTensor(2, t)),
         ("BorelSeries", mono, lambda t: BorelSeries(8, t)),
         ("BorelTensor", lambda rng: (mono(rng), mono(rng)),
          lambda t: BorelTensor(2, 8, t)),

@@ -12,6 +12,10 @@ the only checks that read the seed.
 
 Only ``rewrite.py`` knows the Z[p] row layout of its echelons, so no other
 module imports an underscore name from it.
+
+Only ``supermatrix.py`` reads the 3x3 index grades: other modules ask for a
+slot grade through ``entry_grade`` and build tensor legs with ``kron``, the
+one place that applies their Koszul sign.
 """
 
 import ast
@@ -61,3 +65,11 @@ def test_no_module_imports_private_rewrite_helpers():
                 private += [f"{path.name}: {alias.name}" for alias in node.names
                             if alias.name.startswith("_")]
     assert not private, f"private rewrite helpers imported: {private}"
+
+
+def test_only_supermatrix_reads_the_index_grades():
+    package = Path(ospq.__file__).parent
+    readers = [path.name for path in sorted(package.glob("*.py"))
+               if path.name != "supermatrix.py"
+               and "INDEX_GRADE" in path.read_text()]
+    assert not readers, f"index grades read outside supermatrix.py: {readers}"

@@ -4,26 +4,39 @@ import pytest
 
 from ospq.scalars import Scalar, rat, P, HALF
 from ospq.freealg import SuperPoly, SCALAR_ALPHABET
-from ospq.supermatrix import (SuperMatrix, MatrixTensor, graded_embed, embed_left,
-                              embed_right, exp_nilpotent, invert_unipotent,
-                              partial_transpose_first, desuperize, ybe_check,
-                              entry_grade)
+from ospq.supermatrix import (SuperMatrix, kron, graded_swap, exp_nilpotent,
+                              invert_unipotent, partial_transpose_first, desuperize,
+                              ybe_check, entry_grade, index_grade)
 from ospq import frt
 
 
+def unit(i, j):
+    m = SuperMatrix.zero(SCALAR_ALPHABET, 3)
+    m.entries[i - 1][j - 1] = SuperPoly.one(SCALAR_ALPHABET)
+    return m
+
+
 def unit_tensor(i, j, k, l):
-    return MatrixTensor(2, {((i, j), (k, l)): Scalar.one()})
+    return kron(unit(i, j), unit(k, l))
+
+
+def left(t):
+    return kron(t, SuperMatrix.identity(t.alphabet, 3))
+
+
+def right(t):
+    return kron(SuperMatrix.identity(t.alphabet, 3), t)
 
 
 def test_embed_elementary_all_even():
-    m = graded_embed(unit_tensor(1, 1, 1, 1))
+    m = unit_tensor(1, 1, 1, 1)
     assert m[1, 1] == SuperPoly.one(SCALAR_ALPHABET)
     assert sum(1 for r in m.entries for e in r if not e.is_zero) == 1
 
 
 def test_embed_elementary_odd_sign():
     # odd first leg against an odd row index picks up the Koszul sign
-    m = graded_embed(unit_tensor(1, 2, 2, 2))
+    m = unit_tensor(1, 2, 2, 2)
     assert m[2, 5] == -SuperPoly.one(SCALAR_ALPHABET)
 
 
@@ -31,13 +44,12 @@ def test_embed_is_linear_and_injective():
     rng = random.Random(1)
     basis = [(i, j, k, l) for i in (1, 2, 3) for j in (1, 2, 3)
              for k in (1, 2, 3) for l in (1, 2, 3)]
-    t = MatrixTensor(2)
+    m = SuperMatrix.zero(SCALAR_ALPHABET, 9)
     coeffs = {}
     for idx in rng.sample(basis, 10):
         c = rat(rng.randint(1, 5))
         coeffs[idx] = c
-        t = t + unit_tensor(*idx).scale(c)
-    m = graded_embed(t)
+        m = m + unit_tensor(*idx).scale(c)
     nonzero = sum(1 for r in m.entries for e in r if not e.is_zero)
     assert nonzero == len(coeffs)
 
@@ -49,17 +61,17 @@ def test_embed_multiplicative_on_graded_product():
         i, j, k, l = (rng.randint(1, 3) for _ in range(4))
         m, n = rng.randint(1, 3), rng.randint(1, 3)
         o, q = rng.randint(1, 3), rng.randint(1, 3)
-        a = graded_embed(unit_tensor(i, j, k, l))
-        b = graded_embed(unit_tensor(j, m, l, n))
+        a = unit_tensor(i, j, k, l)
+        b = unit_tensor(j, m, l, n)
         g = [0, 1, 0]
         sign = (-1) ** ((g[k - 1] + g[l - 1]) * (g[j - 1] + g[m - 1]))
-        prod = graded_embed(unit_tensor(i, m, k, n).scale(rat(sign)))
+        prod = unit_tensor(i, m, k, n).scale(rat(sign))
         assert a @ b == prod
 
 
 def test_embed_left_sign_pattern():
     t = frt.defining_matrix()
-    t1 = embed_left(t)
+    t1 = left(t)
     al = SuperPoly.letter(frt.ALPHABET9, "al")
     de = SuperPoly.letter(frt.ALPHABET9, "de")
     assert t1[2, 5] == -al
@@ -69,7 +81,7 @@ def test_embed_left_sign_pattern():
 
 def test_embed_right_is_block_diagonal():
     t = frt.defining_matrix()
-    t2 = embed_right(t)
+    t2 = right(t)
     for k in range(3):
         for i in range(3):
             for j in range(3):
@@ -79,8 +91,8 @@ def test_embed_right_is_block_diagonal():
 
 def test_identity_embeds_to_identity():
     one = SuperMatrix.identity(frt.ALPHABET9, 3)
-    assert embed_left(one) == SuperMatrix.identity(frt.ALPHABET9, 9)
-    assert embed_right(one) == SuperMatrix.identity(frt.ALPHABET9, 9)
+    assert left(one) == SuperMatrix.identity(frt.ALPHABET9, 9)
+    assert right(one) == SuperMatrix.identity(frt.ALPHABET9, 9)
 
 
 def test_embed_respects_products_of_scalar_matrices():
@@ -88,8 +100,8 @@ def test_embed_respects_products_of_scalar_matrices():
     for _ in range(5):
         a = _random_even_scalar_matrix(rng)
         b = _random_even_scalar_matrix(rng)
-        assert embed_left(a) @ embed_left(b) == embed_left(a @ b)
-        assert embed_right(a) @ embed_right(b) == embed_right(a @ b)
+        assert left(a) @ left(b) == left(a @ b)
+        assert right(a) @ right(b) == right(a @ b)
 
 
 def _random_even_scalar_matrix(rng):
@@ -103,7 +115,7 @@ def _random_even_scalar_matrix(rng):
 
 def test_dual_matrix_embedding_signs():
     from ospq.borel import RLL_ALPHABET, dual_generator_matrix
-    l1 = embed_left(dual_generator_matrix())
+    l1 = left(dual_generator_matrix())
     b = SuperPoly.letter(RLL_ALPHABET, "B")
     e = SuperPoly.letter(RLL_ALPHABET, "E")
     assert l1[2, 5] == -b
@@ -166,11 +178,8 @@ def test_ybe_fails_for_perturbed_r():
 
 
 def test_partial_transpose_moves_first_leg():
-    t = MatrixTensor(2, {((1, 3), (1, 1)): Scalar.one()})
-    m = graded_embed(t)
-    mt = partial_transpose_first(m)
-    expected = graded_embed(MatrixTensor(2, {((3, 1), (1, 1)): Scalar.one()}))
-    assert mt == expected
+    mt = partial_transpose_first(unit_tensor(1, 3, 1, 1))
+    assert mt == unit_tensor(3, 1, 1, 1)
 
 
 def test_invert_unipotent():
@@ -194,3 +203,47 @@ def test_grading_validation():
 def test_setting_p_zero_gives_identity():
     r = frt.quantum_r_matrix()
     assert r.substitute_parameter(p=0) == SuperMatrix.identity(r.alphabet, 9)
+
+
+def test_index_grade_counts_odd_digits():
+    assert [index_grade(3, i) for i in range(3)] == [0, 1, 0]
+    assert [index_grade(9, i) for i in (0, 1, 3, 4, 5)] == [0, 1, 1, 0, 1]
+    assert index_grade(27, 13) == 1  # digits (1, 1, 1)
+    assert entry_grade(9, 2, 5) == 1 and entry_grade(9, 5, 5) == 0
+
+
+def test_kron_takes_odd_scalar_operators():
+    from ospq.classical import REP
+    vp = REP["Vp"]
+    with pytest.raises(ValueError):
+        vp.check_grading()  # grade-0 constants in odd slots
+    one = SuperMatrix.identity(SCALAR_ALPHABET, 3)
+    # Vp ox 1 picks up the sign on the odd second-leg index, 1 ox Vp does not
+    assert kron(vp, one)[2, 5] == -vp[1, 2]
+    assert kron(vp, one)[1, 4] == vp[1, 2]
+    assert kron(one, vp)[4, 5] == vp[1, 2]
+
+
+def test_kron_rejects_mixed_alphabets():
+    with pytest.raises(ValueError):
+        kron(frt.defining_matrix(), SuperMatrix.identity(SCALAR_ALPHABET, 3))
+
+
+def test_graded_swap_is_an_involution_that_flips_legs():
+    from ospq.classical import REP
+    s = graded_swap()
+    assert s @ s == SuperMatrix.identity(SCALAR_ALPHABET, 9)
+    assert s[5, 5] == -SuperPoly.one(SCALAR_ALPHABET)
+    for x, y in (("H", "Xp"), ("Vp", "Xm"), ("Vp", "Vm")):
+        a, b = REP[x], REP[y]
+        sign = -1 if x.startswith("V") and y.startswith("V") else 1
+        assert s @ kron(a, b) @ s == kron(b, a).scale(rat(sign))
+
+
+def test_sum_and_difference_reject_unequal_sizes():
+    small = SuperMatrix.zero(SCALAR_ALPHABET, 9)
+    big = SuperMatrix.zero(SCALAR_ALPHABET, 27)
+    with pytest.raises(ValueError):
+        small + big
+    with pytest.raises(ValueError):
+        big - small
