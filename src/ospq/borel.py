@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .scalars import Scalar, rat, P, HALF, SQRT2, _accumulate
@@ -441,17 +442,26 @@ def delta_exp_sigma(w: int) -> BorelTensor:
     return BorelTensor.of(es, es)
 
 
+@lru_cache(maxsize=None)
 def delta_monomial(key, w: int) -> BorelTensor:
-    """Delta on a normal-ordered monomial V^eps H^m X^n, multiplicatively."""
+    """Delta on a normal-ordered monomial V^eps H^m X^n, multiplicatively.
+
+    Built once per (key, w) as Delta of the key without its last letter
+    times Delta of that letter: Delta(V)^eps Delta(H)^m Delta(X)^n, left to
+    right.  The cached tensor is shared; no BorelTensor method mutates it.
+    """
     eps, m, n = key
-    out = BorelTensor.one(2, w)
-    for _ in range(eps):
-        out = out * delta_v(w)
-    for _ in range(m):
-        out = out * delta_h(w)
-    for _ in range(n):
-        out = out * delta_x(w)
-    return out
+    if n:
+        prefix, last = (eps, m, n - 1), delta_x
+    elif m:
+        prefix, last = (eps, m - 1, 0), delta_h
+    elif eps:
+        prefix, last = (0, 0, 0), delta_v
+    else:
+        return BorelTensor.one(2, w)
+    if prefix == (0, 0, 0):
+        return last(w)
+    return delta_monomial(prefix, w) * last(w)
 
 
 def coassociativity_defect(which: str, w: int) -> BorelTensor:
@@ -533,13 +543,22 @@ def antipode_axiom_defects(w: int):
     s_x = BorelSeries(w, {k: c.divide_exact(P)
                           for k, c in exp_minus_two_sigma(w)._terms.items() if k[2]})
 
+    images = {(0, 0, 0): BorelSeries.one(w)}
+
     def s_of_monomial(key):
-        eps, m, n = key
-        out = BorelSeries.one(w)
-        # anti-homomorphism with Koszul sign: only one odd factor can occur
-        factors = [cand["V"]] * eps + [cand["H"]] * m + [s_x] * n
-        for f in reversed(factors):
-            out = out * f
+        # anti-homomorphism with Koszul sign: only one odd factor can occur,
+        # so S(V^eps H^m X^n) = S(X)^n S(H)^m S(V)^eps, built once per key
+        # as S of the key without its first letter times S of that letter
+        out = images.get(key)
+        if out is None:
+            eps, m, n = key
+            if eps:
+                prefix, first = (0, m, n), cand["V"]
+            elif m:
+                prefix, first = (0, m - 1, n), cand["H"]
+            else:
+                prefix, first = (0, 0, n - 1), s_x
+            out = images[key] = s_of_monomial(prefix) * first
         return out
 
     defects = {}

@@ -179,3 +179,56 @@ def test_truncation_order_prefix_consistency():
 
 def test_dual_relations_count():
     assert len(borel.dual_relations()) == 13
+
+
+def test_delta_monomial_equals_explicit_product():
+    w = 8
+    dv, dh, dx = borel.delta_v(w), borel.delta_h(w), borel.delta_x(w)
+    for eps in (0, 1):
+        for m in range(4):
+            for n in range((w - eps) // 2 + 1):
+                expected = BorelTensor.one(2, w)
+                for factor in [dv] * eps + [dh] * m + [dx] * n:
+                    expected = expected * factor
+                assert borel.delta_monomial((eps, m, n), w) == expected
+    # a cached tensor changed by its first use would show on the second
+    for _ in range(2):
+        for g in ("exp_sigma", "V", "H"):
+            assert borel.coassociativity_defect(g, w).is_zero
+
+
+def _leg_keys(tensor):
+    return {k for key in tensor._terms for k in key}
+
+
+def _count_calls(monkeypatch, cls, name):
+    calls = [0]
+    original = getattr(cls, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_coassociativity_builds_each_leg_coproduct_once(monkeypatch):
+    w = 16
+    keys = _leg_keys(borel.delta_h(w)) - {(0, 0, 0)}
+    borel.delta_monomial.cache_clear()
+    calls = _count_calls(monkeypatch, BorelTensor, "__mul__")
+    assert borel.coassociativity_defect("H", w).is_zero
+    assert calls[0] <= len(keys)
+
+
+def test_antipode_builds_each_leg_image_once(monkeypatch):
+    w = 16
+    gens = (borel.delta_exp_sigma(w), borel.delta_v(w), borel.delta_h(w))
+    terms = sum(len(d._terms) for d in gens)
+    keys = set().union(*map(_leg_keys, gens)) - {(0, 0, 0)}
+    calls = _count_calls(monkeypatch, BorelSeries, "__mul__")
+    defects = borel.antipode_axiom_defects(w)
+    assert all(left.is_zero and right.is_zero for left, right in defects.values())
+    # one product per leg key for its image, two per term for the axiom
+    # sides, and two each in antipode_candidate and delta_h
+    assert calls[0] <= len(keys) + 2 * terms + 4
