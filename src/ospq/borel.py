@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import comb
 
 from .scalars import Scalar, rat, P, HALF, SQRT2, _accumulate
-from .freealg import GradedAlphabet, SuperPoly
+from .freealg import GradedAlphabet, GradedTensor, SuperPoly, _scaled
 from .supermatrix import SuperMatrix, kron
 from .rewrite import span_equal
 
@@ -54,25 +54,20 @@ def _h_shift_poly(m1: int, s1: Fraction, m2: int, s2: Fraction):
     return poly
 
 
-def _mono_mul(k1, c1, k2, c2, weight_bound):
-    """Product of normal-ordered monomials as {key: Scalar}, truncated."""
+def _mono_mul(k1, k2):
+    """Product of normal-ordered monomials as (key, Fraction) pairs.
+
+    Normal ordering preserves weight: every key has weight
+    _weight(k1) + _weight(k2), so callers truncate before multiplying.
+    """
     (e1, m1, n1), (e2, m2, n2) = k1, k2
-    eps = (e1 + e2) % 2
     doubled = e1 == 1 and e2 == 1
     n = n1 + n2 + (1 if doubled else 0)
-    if eps + 2 * n > weight_bound:
-        return {}
     shift = Fraction(-1) if doubled else Fraction(0)
     hpoly = _h_shift_poly(m1, Fraction(e2, 2) + shift, m2, Fraction(-n1) + shift)
-    coeff = c1 * c2
     quarter = Fraction(1, 4) if doubled else 1
-    out = {}
-    for j, q in hpoly.items():
-        q *= quarter
-        c = coeff if q == 1 else coeff * rat(q)
-        if not c.is_zero:
-            out[(eps, j, n)] = c
-    return out
+    eps = (e1 + e2) % 2
+    return [((eps, j, n), q * quarter) for j, q in hpoly.items()]
 
 
 class BorelSeries:
@@ -153,7 +148,8 @@ class BorelSeries:
         w = self._bound_with(other)
         out = _accumulate(kc for k1, c1 in self._terms.items()
                           for k2, c2 in other._terms.items()
-                          for kc in _mono_mul(k1, c1, k2, c2, w).items())
+                          if _weight(k1) + _weight(k2) <= w
+                          for kc in _scaled(_mono_mul(k1, k2), c1 * c2))
         return BorelSeries(w, out, _internal=True)
 
     __rmul__ = __mul__
@@ -267,20 +263,18 @@ def exp_minus_two_sigma(w: int) -> BorelSeries:
 # Graded tensor powers with total-weight truncation.
 # ----------------------------------------------------------------------
 
-class BorelTensor:
-    """Tensor power of the Borel algebra, truncated in total weight."""
+class BorelTensor(GradedTensor):
+    """Tensor power of the Borel algebra, truncated in total weight.
 
-    __slots__ = ("arity", "weight_bound", "_terms")
+    Leg keys are the monomials (eps, m, n) of V^eps H^m X^n: grade eps,
+    weight eps + 2n, product ``_mono_mul``.
+    """
+
+    __slots__ = ("weight_bound",)
 
     def __init__(self, arity, weight_bound, terms=None, _internal=False):
-        self.arity = arity
         self.weight_bound = weight_bound
-        if terms is None:
-            terms = {}
-        if not _internal:
-            terms = {k: c for k, c in terms.items()
-                     if not c.is_zero and sum(_weight(x) for x in k) <= weight_bound}
-        self._terms = terms
+        super().__init__(arity, terms, _internal)
 
     @classmethod
     def zero(cls, arity, w):
@@ -293,118 +287,26 @@ class BorelTensor:
     @classmethod
     def of(cls, *legs):
         w = min(leg.weight_bound for leg in legs)
-        def rec(i, key, coeff, weight):
-            if weight > w:
-                return
-            if i == len(legs):
-                yield key, coeff
-                return
-            for k, c in legs[i]._terms.items():
-                yield from rec(i + 1, key + (k,), coeff * c, weight + _weight(k))
-        return cls(len(legs), w, _accumulate(rec(0, (), Scalar.one(), 0)), _internal=True)
+        return cls.zero(len(legs), w)._tensor_of(legs)
 
-    def __bool__(self):
-        return bool(self._terms)
+    _key_weight = staticmethod(_weight)
+    _key_product = staticmethod(_mono_mul)
 
-    @property
-    def is_zero(self):
-        return not self._terms
+    @staticmethod
+    def _key_grade(key):
+        return key[0]
 
-    def _bound_with(self, other):
+    def _like(self, terms, arity=None):
+        return BorelTensor(self.arity if arity is None else arity, self.weight_bound,
+                           terms, _internal=True)
+
+    def _leg_element(self, terms):
+        return BorelSeries(self.weight_bound, terms, _internal=True)
+
+    def _join(self, other):
         if self.arity != other.arity:
             raise ValueError("mixing tensor arities")
-        return min(self.weight_bound, other.weight_bound)
-
-    def __add__(self, other):
-        w = self._bound_with(other)
-        out = {k: c for k, c in self._terms.items()
-               if sum(_weight(x) for x in k) <= w}
-        _accumulate(((k, c) for k, c in other._terms.items()
-                     if sum(_weight(x) for x in k) <= w), out)
-        return BorelTensor(self.arity, w, out, _internal=True)
-
-    def __neg__(self):
-        return BorelTensor(self.arity, self.weight_bound,
-                           {k: -c for k, c in self._terms.items()}, _internal=True)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff) -> "BorelTensor":
-        coeff = coeff if isinstance(coeff, Scalar) else rat(coeff)
-        if coeff.is_zero:
-            return BorelTensor.zero(self.arity, self.weight_bound)
-        return BorelTensor(self.arity, self.weight_bound,
-                           {k: c * coeff for k, c in self._terms.items()},
-                           _internal=True)
-
-    __rmul__ = lambda self, other: self.scale(other)
-
-    def __mul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self.scale(other)
-        w = self._bound_with(other)
-        arity = self.arity
-        out = {}
-        for k1, c1 in self._terms.items():
-            par1 = [x[0] for x in k1]
-            w1 = sum(_weight(x) for x in k1)
-            for k2, c2 in other._terms.items():
-                # the normal-ordering rules preserve weight exactly, so the
-                # total weight of every product term is known up front
-                if w1 + sum(_weight(x) for x in k2) > w:
-                    continue
-                sign = 0
-                for i in range(arity):
-                    if k2[i][0]:
-                        sign += sum(par1[j] for j in range(i + 1, arity))
-                coeff = c1 * c2
-                if sign % 2:
-                    coeff = -coeff
-                partial = [((), coeff)]
-                for i in range(arity):
-                    nxt = []
-                    for key, c in partial:
-                        for k, v in _mono_mul(k1[i], c, k2[i], Scalar.one(), w).items():
-                            nxt.append((key + (k,), v))
-                    partial = nxt
-                _accumulate(partial, out)
-        return BorelTensor(self.arity, w, out, _internal=True)
-
-    def __eq__(self, other):
-        if not isinstance(other, BorelTensor):
-            return NotImplemented
-        w = self._bound_with(other)
-        keys = set(self._terms) | set(other._terms)
-        for k in keys:
-            if sum(_weight(x) for x in k) > w:
-                continue
-            if self._terms.get(k, Scalar.zero()) != other._terms.get(k, Scalar.zero()):
-                return False
-        return True
-
-    def expand_leg(self, leg: int, fn, new_arity: int) -> "BorelTensor":
-        """Splice fn(monomial) (a BorelTensor) in place of one leg."""
-        w = self.weight_bound
-
-        def spliced():
-            for k, c in self._terms.items():
-                for k2, c2 in fn(k[leg])._terms.items():
-                    key = k[:leg] + k2 + k[leg + 1:]
-                    if len(key) != new_arity:
-                        raise ValueError("arity mismatch")
-                    if sum(_weight(x) for x in key) <= w:
-                        yield key, c * c2
-        return BorelTensor(new_arity, w, _accumulate(spliced()), _internal=True)
-
-    def apply_counit_leg(self, leg: int):
-        """Project one leg with the counit; arity 2 collapses to a BorelSeries."""
-        out = _accumulate((k[:leg] + k[leg + 1:], c) for k, c in self._terms.items()
-                          if k[leg] == (0, 0, 0))
-        if self.arity == 2:
-            return BorelSeries(self.weight_bound, {k[0]: c for k, c in out.items()},
-                               _internal=True)
-        return BorelTensor(self.arity - 1, self.weight_bound, out, _internal=True)
+        return self if self.weight_bound <= other.weight_bound else other
 
 
 # ----------------------------------------------------------------------
@@ -481,7 +383,8 @@ def counit_defects(w: int):
         "H": (delta_h(w), BorelSeries.h(w)),
     }
     for name, (d, g) in gens.items():
-        out[name] = (d.apply_counit_leg(0) - g, d.apply_counit_leg(1) - g)
+        out[name] = (d.apply_counit_leg(0, BorelSeries.counit) - g,
+                     d.apply_counit_leg(1, BorelSeries.counit) - g)
     return out
 
 

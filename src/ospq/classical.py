@@ -139,16 +139,17 @@ def rep_is_faithful_presentation() -> bool:
     return all(d.is_zero() for _, d in rep_defects())
 
 
-def derive_lowering_matrices(grid=None):
+# coefficients tried for each slot of the lowering matrices
+LOWERING_GRID = sorted({Fraction(n, d) for n in (-2, -1, 0, 1, 2) for d in (1, 2, 4)})
+
+
+def derive_lowering_matrices():
     """Re-derive Xm and Vm by constrained search and return them.
 
     The slots are forced by the grading rule and the H-weight of each slot;
-    the coefficients are then searched over a small rational grid and the
-    full 15-relation system is checked.  Exactly one solution must survive.
+    the coefficients are then searched over LOWERING_GRID and the full
+    15-relation system is checked.  Exactly one solution must survive.
     """
-    if grid is None:
-        grid = [Fraction(n, d) for n in (-2, -1, 0, 1, 2) for d in (1, 2, 4)]
-        grid = sorted(set(grid))
     h = REP["H"]
     hdiag = [h[i, i].coefficient(()).as_rational() for i in (1, 2, 3)]
 
@@ -165,13 +166,13 @@ def derive_lowering_matrices(grid=None):
     xm_slots = slots(Fraction(-1), 0)
     vm_slots = slots(-_half, 1)
     solutions = []
-    for xm_coeffs in product(grid, repeat=len(xm_slots)):
+    for xm_coeffs in product(LOWERING_GRID, repeat=len(xm_slots)):
         if all(c == 0 for c in xm_coeffs):
             continue
         xm = SuperMatrix.zero(SCALAR_ALPHABET, 3)
         for (i, j), c in zip(xm_slots, xm_coeffs):
             xm.entries[i - 1][j - 1] = SuperPoly.constant(SCALAR_ALPHABET, rat(c))
-        for vm_coeffs in product(grid, repeat=len(vm_slots)):
+        for vm_coeffs in product(LOWERING_GRID, repeat=len(vm_slots)):
             if all(c == 0 for c in vm_coeffs):
                 continue
             vm = SuperMatrix.zero(SCALAR_ALPHABET, 3)

@@ -90,7 +90,7 @@ def export_artifacts(directory):
         body = " + ".join(f"({c})*{z}" for z, c in sorted(rhs.items())) or "0"
         table_lines.append(f"[{x},{y}] = {body}")
     write("structure_constants.txt", "\n".join(table_lines) + "\n")
-    defects = frt.antipode_axiom_defects(pres)
+    defects = frt.antipode_axiom_defects()
     lines = []
     for (i, j), left, right in defects:
         lines.append(f"entry ({i + 1},{j + 1}) left:  {format_poly(left)}")

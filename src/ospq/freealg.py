@@ -3,9 +3,11 @@ graded tensor powers with the Koszul sign rule.
 
 Words are tuples of letter names.  A :class:`SuperPoly` is a finite Scalar
 combination of words; multiplication is plain concatenation (no reordering
-happens here; normal forms live in :mod:`ospq.rewrite`).  A
-:class:`TensorElement` is a combination of word tuples (arity 2 or 3) whose
-product carries the sign (x ox y)(u ox v) = (-1)^{|y||u|} xu ox yv.
+happens here; normal forms live in :mod:`ospq.rewrite`).
+:class:`GradedTensor` holds what every graded tensor power shares: the
+linear structure, the Koszul-sign product, the leg maps and the counit
+contraction.  Its kinds are :class:`TensorElement` (word legs)
+and ``borel.BorelTensor`` (Borel monomial legs, truncated in total weight).
 """
 
 from __future__ import annotations
@@ -270,30 +272,174 @@ def sum_polys(polys, alphabet=None):
     return SuperPoly(alphabet, out, _internal=True)
 
 
-class TensorElement:
-    """Element of the graded tensor square/cube of a free graded algebra.
+def _scaled(pairs, coeff):
+    """(key, q * coeff) for (key, rational q) pairs, skipping the product at q = 1."""
+    return ((k, coeff if q == 1 else coeff * Scalar.rational(q)) for k, q in pairs)
 
-    Terms map tuples of words (one word per leg) to Scalars.  The product
-    applies the Koszul rule leg by leg: moving the second factor's leg i past
-    the first factor's legs j > i costs the product of their grades.
+
+class GradedTensor:
+    """Element of a graded tensor power: a map from tuples of leg keys, one
+    per leg, to Scalars, cut at a total weight when ``weight_bound`` is set.
+
+    A subclass says what a leg key is: its Z2 ``_key_grade``, its
+    ``_key_weight`` (bounded kinds only) and the ``_key_product`` of two keys
+    as (key, rational) pairs.  ``_like`` and ``_leg_element`` (one leg alone)
+    build results of its kind; ``_join`` picks the operand whose alphabet or
+    bound a binary result keeps.  The product applies the Koszul rule leg by
+    leg: (x ox y)(u ox v) = (-1)^{|y||u|} xu ox yv.
     """
 
-    __slots__ = ("alphabet", "arity", "_terms")
+    __slots__ = ("arity", "_terms")
+    weight_bound = None
 
-    def __init__(self, alphabet, arity, terms=None, _internal=False):
-        if arity not in (2, 3):
-            raise ValueError("arity must be 2 or 3")
-        self.alphabet = alphabet
+    def __init__(self, arity, terms=None, _internal=False):
         self.arity = arity
         if terms is None:
             terms = {}
         if not _internal:
-            terms = {tuple(tuple(w) for w in k): c
-                     for k, c in terms.items() if not c.is_zero}
-            for k in terms:
-                if len(k) != arity:
-                    raise ValueError("wrong arity in term")
+            if any(len(k) != arity for k in terms):
+                raise ValueError("wrong arity in term")
+            terms = {k: c for k, c in terms.items()
+                     if not c.is_zero and self._fits(k)}
         self._terms = terms
+
+    @staticmethod
+    def _key_weight(key):
+        return 0
+
+    def _fits(self, key) -> bool:
+        bound = self.weight_bound
+        return bound is None or sum(map(self._key_weight, key)) <= bound
+
+    def _within(self, like):
+        """The term dict cut to the bound of ``like``."""
+        if self.weight_bound == like.weight_bound:
+            return self._terms
+        return {k: c for k, c in self._terms.items() if like._fits(k)}
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    @property
+    def is_zero(self):
+        return not self._terms
+
+    def terms(self):
+        return self._terms.items()
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        like = self._join(other)
+        return like._like(_accumulate(other._within(like).items(),
+                                      dict(self._within(like))))
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, coeff):
+        coeff = _coerce_scalar(coeff)
+        if coeff.is_zero:
+            return self._like({})
+        return self._like({k: c * coeff for k, c in self._terms.items()})
+
+    def __mul__(self, other):
+        scal = _coerce_scalar(other)
+        if scal is not None:
+            return self.scale(scal)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        like = self._join(other)
+        bound, grade, weight = like.weight_bound, self._key_grade, self._key_weight
+        key_product = self._key_product
+        right = [(k2, c2, [i for i, x in enumerate(k2) if grade(x)],
+                  sum(map(weight, k2)))
+                 for k2, c2 in other._terms.items()]
+
+        def products():
+            for k1, c1 in self._terms.items():
+                g1 = [grade(x) for x in k1]
+                after = [sum(g1[i + 1:]) for i in range(len(g1))]
+                w1 = sum(map(weight, k1))
+                for k2, c2, odd2, w2 in right:
+                    # a key product keeps the summed weight: cut before it
+                    if bound is not None and w1 + w2 > bound:
+                        continue
+                    c = c1 * c2
+                    if sum(after[i] for i in odd2) % 2:
+                        c = -c
+                    legs = [((), 1)]
+                    for x, y in zip(k1, k2):
+                        legs = [(key + (z,), q * r) for key, q in legs
+                                for z, r in key_product(x, y)]
+                    yield from _scaled(legs, c)
+        return like._like(_accumulate(products()))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        like = self._join(other)
+        return self._within(like) == other._within(like)
+
+    def map_leg(self, leg: int, fn):
+        """Apply a linear map to one leg; fn sends a key to a one-leg element."""
+        return self.expand_leg(leg, lambda x: self._like(
+            {(k,): c for k, c in fn(x)._terms.items()}, 1), self.arity)
+
+    def expand_leg(self, leg: int, fn, new_arity: int):
+        """Splice the tensor fn(key) in place of one leg, as (Delta ox id) does."""
+        fits = self._fits
+
+        def spliced():
+            for k, c in self._terms.items():
+                for k2, c2 in fn(k[leg])._terms.items():
+                    key = k[:leg] + k2 + k[leg + 1:]
+                    if len(key) != new_arity:
+                        raise ValueError("arity mismatch in expand_leg")
+                    if fits(key):
+                        yield key, c * c2
+        return self._like(_accumulate(spliced()), new_arity)
+
+    def apply_counit_leg(self, leg: int, counit):
+        """Contract one leg with ``counit``, a Scalar-valued linear map on
+        one-leg elements; an arity-2 tensor collapses to a one-leg element."""
+        out = _accumulate((k[:leg] + k[leg + 1:], c * e) for k, c in self._terms.items()
+                          for e in [counit(self._leg_element({k[leg]: S_ONE}))] if e)
+        if self.arity == 2:
+            return self._leg_element({k: c for (k,), c in out.items()})
+        return self._like(out, self.arity - 1)
+
+    def _tensor_of(self, legs):
+        """x ox y (ox z) of one-leg elements in this kind and bound: no sign,
+        this is not a product."""
+        bound, weight = self.weight_bound, self._key_weight
+        terms = [((), S_ONE, 0)]
+        for leg in legs:
+            terms = [(key + (k,), coeff * c, w + weight(k))
+                     for key, coeff, w in terms for k, c in leg._terms.items()
+                     if bound is None or w + weight(k) <= bound]
+        return self._like(_accumulate((key, c) for key, c, _ in terms), len(legs))
+
+
+class TensorElement(GradedTensor):
+    """Element of a graded tensor power of a free graded algebra.
+
+    Leg keys are words; their product is concatenation, and the tensor is not
+    truncated.
+    """
+
+    __slots__ = ("alphabet",)
+
+    def __init__(self, alphabet, arity, terms=None, _internal=False):
+        self.alphabet = alphabet
+        if terms and not _internal:
+            terms = {tuple(tuple(w) for w in k): c for k, c in terms.items()}
+        super().__init__(arity, terms, _internal)
 
     @classmethod
     def zero(cls, alphabet, arity):
@@ -306,112 +452,26 @@ class TensorElement:
     @classmethod
     def of(cls, *legs):
         """Tensor product of SuperPoly legs (no signs; this is x ox y, not a product)."""
-        alphabet = legs[0].alphabet
-        arity = len(legs)
-        def rec(i, key, coeff):
-            if i == arity:
-                yield key, coeff
-                return
-            for w, c in legs[i]._terms.items():
-                yield from rec(i + 1, key + (w,), coeff * c)
-        return cls(alphabet, arity, _accumulate(rec(0, (), S_ONE)), _internal=True)
+        return cls.zero(legs[0].alphabet, len(legs))._tensor_of(legs)
 
-    def __bool__(self):
-        return bool(self._terms)
+    def _key_grade(self, word):
+        return self.alphabet.grade(word)
 
-    @property
-    def is_zero(self):
-        return not self._terms
+    @staticmethod
+    def _key_product(w1, w2):
+        return ((w1 + w2, 1),)
 
-    def terms(self):
-        return self._terms.items()
+    def _like(self, terms, arity=None):
+        return TensorElement(self.alphabet, self.arity if arity is None else arity,
+                             terms, _internal=True)
 
-    def _check(self, other):
+    def _leg_element(self, terms):
+        return SuperPoly(self.alphabet, terms, _internal=True)
+
+    def _join(self, other):
         if self.alphabet is not other.alphabet or self.arity != other.arity:
             raise ValueError("mixing tensor arities or alphabets")
-
-    def __add__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        self._check(other)
-        return TensorElement(self.alphabet, self.arity,
-                             _accumulate(other._terms.items(), dict(self._terms)),
-                             _internal=True)
-
-    def __neg__(self):
-        return TensorElement(self.alphabet, self.arity,
-                             {k: -c for k, c in self._terms.items()}, _internal=True)
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, coeff):
-        coeff = _coerce_scalar(coeff)
-        if coeff.is_zero:
-            return TensorElement.zero(self.alphabet, self.arity)
-        return TensorElement(self.alphabet, self.arity,
-                             {k: c * coeff for k, c in self._terms.items()},
-                             _internal=True)
-
-    def __rmul__(self, other):
-        scal = _coerce_scalar(other)
-        if scal is not None:
-            return self.scale(scal)
-        return NotImplemented
-
-    def __mul__(self, other):
-        scal = _coerce_scalar(other)
-        if scal is not None:
-            return self.scale(scal)
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        self._check(other)
-        grade = self.alphabet.grade
-
-        def products():
-            for k1, c1 in self._terms.items():
-                g1 = tuple(grade(w) for w in k1)
-                for k2, c2 in other._terms.items():
-                    sign = 0
-                    for i in range(self.arity):
-                        gi = grade(k2[i])
-                        if gi:
-                            sign += sum(g1[j] for j in range(i + 1, self.arity))
-                    c = c1 * c2
-                    yield tuple(a + b for a, b in zip(k1, k2)), (-c if sign % 2 else c)
-        return TensorElement(self.alphabet, self.arity, _accumulate(products()),
-                             _internal=True)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (self.alphabet is other.alphabet and self.arity == other.arity
-                and self._terms == other._terms)
-
-    def map_leg(self, leg: int, fn) -> "TensorElement":
-        """Apply a linear word -> SuperPoly map to one leg."""
-        out = _accumulate((k[:leg] + (w2,) + k[leg + 1:], c * c2)
-                          for k, c in self._terms.items()
-                          for w2, c2 in fn(k[leg])._terms.items())
-        return TensorElement(self.alphabet, self.arity, out, _internal=True)
-
-    def expand_leg(self, leg: int, fn, new_arity: int) -> "TensorElement":
-        """Replace one leg word by an arity-(new_arity - arity + 1) tensor image.
-
-        Used for (Delta ox id) style maps: ``fn`` sends a word to a
-        TensorElement whose legs are spliced in place of the original leg.
-        """
-        def spliced():
-            for k, c in self._terms.items():
-                for k2, c2 in fn(k[leg])._terms.items():
-                    key = k[:leg] + k2 + k[leg + 1:]
-                    if len(key) != new_arity:
-                        raise ValueError("arity mismatch in expand_leg")
-                    yield key, c * c2
-        return TensorElement(self.alphabet, new_arity, _accumulate(spliced()),
-                             _internal=True)
+        return self
 
     def __repr__(self):
         from .serialize import format_tensor

@@ -49,13 +49,10 @@ def quantum_r_matrix() -> SuperMatrix:
     return exp_nilpotent(classical.r2().expand(), rat(2) * P)
 
 
-def rtt_residuals(r: SuperMatrix = None, t: SuperMatrix = None):
+def rtt_residuals():
     """The 81 entries of R T1 T2 - T2 T1 R over the 9-letter algebra."""
-    if r is None:
-        r = quantum_r_matrix()
-    if t is None:
-        t = defining_matrix()
-    r9 = r.promote(t.alphabet)
+    t = defining_matrix()
+    r9 = quantum_r_matrix().promote(t.alphabet)
     t.check_grading()
     one = SuperMatrix.identity(t.alphabet, 3)
     t1, t2 = kron(t, one), kron(one, t)
@@ -149,12 +146,10 @@ def metric_inverse(c: SuperMatrix) -> SuperMatrix:
     return SuperMatrix.from_scalars([[dinv * x for x in row] for row in adj])
 
 
-def orthogonality_residuals(t: SuperMatrix = None, c: SuperMatrix = None):
+def orthogonality_residuals():
     """Entries of T C T^t C^-1 - 1 and C T^t C^-1 T - 1 (supertranspose)."""
-    if t is None:
-        t = defining_matrix()
-    if c is None:
-        c = metric_matrix()
+    t = defining_matrix()
+    c = metric_matrix()
     cm = c.promote(t.alphabet)
     ci = metric_inverse(c).promote(t.alphabet)
     tt = supertranspose3(t)
@@ -275,17 +270,20 @@ class Presentation:
         return self.relations + self.derived
 
 
+COMPLETION_DEGREE = 6
+
+
 @lru_cache(maxsize=None)
-def presentation(completion_degree: int = 6) -> Presentation:
+def presentation() -> Presentation:
     """Build the compiled system: defining relations + derived unimodularity.
 
     The orthogonality residuals that do not already reduce modulo the
     exchange relations are adjoined (this is where the deformed
     unimodularity enters) and the union is completed so that overlap
-    ambiguities up to the completion degree all resolve.
+    ambiguities up to COMPLETION_DEGREE all resolve.
     """
     relations = defining_relations()
-    system = complete(ALPHABET, relations, max_degree=min(completion_degree, 4))
+    system = complete(ALPHABET, relations, max_degree=4)
     elim = EliminationMap()
     eliminated = [elim.substitute(res) for res in orthogonality_residuals()]
     derived = []
@@ -308,7 +306,7 @@ def presentation(completion_degree: int = 6) -> Presentation:
         orientable.sort(key=lambda f: (f.degree(), ALPHABET.word_key(f.leading_word())))
         derived.append(orientable[0])
         system = complete(ALPHABET, relations + derived,
-                          max_degree=completion_degree)
+                          max_degree=COMPLETION_DEGREE)
     else:
         raise RuntimeError("orthogonality residuals keep producing relations")
     return Presentation(system, relations, derived)
@@ -341,20 +339,14 @@ def unimodularity_relation() -> SuperPoly:
 @lru_cache(maxsize=None)
 def _coproduct_letter(name: str) -> TensorElement:
     """Delta(t_ij) = sum_k t_ik ox t_kj with dependent letters eliminated."""
-    elim = EliminationMap()
-    pos = None
-    for i in range(3):
-        for j in range(3):
-            if T_ENTRIES[i][j] == name:
-                pos = (i, j)
-    if pos is None:
+    pos = [(i, j) for i in range(3) for j in range(3) if T_ENTRIES[i][j] == name]
+    if not pos:
         raise ValueError(f"unknown generator {name!r}")
-    i, j = pos
+    (i, j), = pos
+    t = eliminated_matrix().entries
     out = TensorElement.zero(ALPHABET, 2)
     for k in range(3):
-        left = elim.substitute(SuperPoly.letter(ALPHABET9, T_ENTRIES[i][k]))
-        right = elim.substitute(SuperPoly.letter(ALPHABET9, T_ENTRIES[k][j]))
-        out = out + TensorElement.of(left, right)
+        out = out + TensorElement.of(t[i][k], t[k][j])
     return out
 
 
@@ -428,10 +420,9 @@ def eliminated_matrix() -> SuperMatrix:
                                    for x in row] for row in T_ENTRIES])
 
 
-def antipode_axiom_defects(pres: Presentation = None):
+def antipode_axiom_defects():
     """Normal forms of sum_k S(t_ik) t_kj - delta_ij and the mirror identity."""
-    if pres is None:
-        pres = presentation()
+    pres = presentation()
     t = eliminated_matrix()
     defects = []
     for i in range(3):
@@ -446,25 +437,23 @@ def antipode_axiom_defects(pres: Presentation = None):
     return defects
 
 
-def coproduct_reduced(tensor: TensorElement, pres: Presentation = None) -> TensorElement:
-    if pres is None:
-        pres = presentation()
-    return tensor.map_leg(0, pres.system.nf_word).map_leg(1, pres.system.nf_word)
+def coproduct_reduced(tensor: TensorElement) -> TensorElement:
+    """The tensor with every leg in normal form."""
+    nf_word = presentation().system.nf_word
+    for leg in range(tensor.arity):
+        tensor = tensor.map_leg(leg, nf_word)
+    return tensor
 
 
-def coproduct_respects_relations(pres: Presentation = None) -> bool:
-    if pres is None:
-        pres = presentation()
-    for rel in pres.all_relations():
-        if coproduct_reduced(coproduct(rel), pres):
+def coproduct_respects_relations() -> bool:
+    for rel in presentation().all_relations():
+        if coproduct_reduced(coproduct(rel)):
             return False
     return True
 
 
-def counit_annihilates_relations(pres: Presentation = None) -> bool:
-    if pres is None:
-        pres = presentation()
-    return all(counit(rel).is_zero for rel in pres.all_relations())
+def counit_annihilates_relations() -> bool:
+    return all(counit(rel).is_zero for rel in presentation().all_relations())
 
 
 @lru_cache(maxsize=None)
@@ -475,21 +464,15 @@ def _coproduct_word_cached(word) -> TensorElement:
     return acc
 
 
-def coassociativity_defect(name: str, pres: Presentation = None) -> TensorElement:
+def coassociativity_defect(name: str) -> TensorElement:
     """(Delta ox id)Delta(x) - (id ox Delta)Delta(x), legs reduced."""
-    if pres is None:
-        pres = presentation()
-    d = coproduct_reduced(coproduct(name), pres)
+    d = coproduct_reduced(coproduct(name))
     left = d.expand_leg(0, _coproduct_word_cached, 3)
     right = d.expand_leg(1, _coproduct_word_cached, 3)
-    diff = left - right
-    for leg in range(3):
-        diff = diff.map_leg(leg, pres.system.nf_word)
-    return diff
+    return coproduct_reduced(left - right)
 
 
-def s_squared_images(pres: Presentation = None):
-    if pres is None:
-        pres = presentation()
+def s_squared_images():
+    pres = presentation()
     return {x: pres.normal_form(antipode(antipode(SuperPoly.letter(ALPHABET, x))))
             for x in ALPHABET.letters}

@@ -222,7 +222,10 @@ def interreduce(alphabet, rules):
     raise RuntimeError("interreduction did not stabilize")
 
 
-def complete(alphabet, relations, max_degree: int, max_rounds: int = 30) -> RewriteSystem:
+COMPLETION_ROUNDS = 30
+
+
+def complete(alphabet, relations, max_degree: int) -> RewriteSystem:
     """Degree-bounded Buchberger-style completion of a relation list.
 
     Overlap differences (and interreduction remainders) are normalized to
@@ -233,14 +236,14 @@ def complete(alphabet, relations, max_degree: int, max_rounds: int = 30) -> Rewr
     nothing in the audited degrees.
     """
     rules = interreduce(alphabet, orient([primitive_part(f) for f in relations]))
-    for _ in range(max_rounds):
+    for _ in range(COMPLETION_ROUNDS):
         system = RewriteSystem(alphabet, rules)
         bad = system.overlap_check(max_degree)
         if not bad:
             return system
         polys = system.rule_polys() + [primitive_part(d) for _, d in bad]
         rules = interreduce(alphabet, orient(polys))
-    raise RuntimeError(f"completion did not converge in {max_rounds} rounds")
+    raise RuntimeError(f"completion did not converge in {COMPLETION_ROUNDS} rounds")
 
 
 # ----------------------------------------------------------------------

@@ -174,7 +174,11 @@ def _parse_factor(alphabet, toks):
             raise ValueError("unbalanced parenthesis")
         base = inner
     elif tok[0].isdigit():
-        base = SuperPoly.constant(alphabet, Scalar.rational(Fraction(tok)))
+        try:
+            value = Fraction(tok)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {tok!r}") from None
+        base = SuperPoly.constant(alphabet, Scalar.rational(value))
     elif tok == "s":
         base = SuperPoly.constant(alphabet, Scalar.sqrt2())
     elif tok in VARS:
@@ -195,7 +199,9 @@ def _parse_factor(alphabet, toks):
 
 def parse_matrix(alphabet: GradedAlphabet, text: str) -> SuperMatrix:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    n = int(lines[0])
+    n = int(lines[0]) if lines else 0
+    if n < 1:
+        raise ValueError("matrix dimension must be a positive integer")
     if len(lines) != 1 + n * n:
         raise ValueError(f"expected {n * n} entries, found {len(lines) - 1}")
     entries = []

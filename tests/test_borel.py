@@ -5,6 +5,7 @@ import pytest
 
 from ospq.scalars import Scalar, rat, P, HALF, SQRT2
 from ospq import borel
+from ospq.freealg import TensorElement
 from ospq.borel import (BorelSeries, BorelTensor, exp_sigma, exp_minus_sigma,
                         one_plus_px)
 
@@ -141,6 +142,13 @@ def test_grouplike_inverse():
     es = exp_sigma(W)
     esi = exp_minus_sigma(W)
     assert BorelTensor.of(es, es) * BorelTensor.of(esi, esi) == BorelTensor.one(2, W)
+
+
+def test_tensor_constructors_reject_terms_of_the_wrong_arity():
+    with pytest.raises(ValueError, match="arity"):
+        BorelTensor(2, W, {((0, 0, 0),): Scalar.one()})
+    with pytest.raises(ValueError, match="arity"):
+        TensorElement(borel.RLL_ALPHABET, 2, {(("A",),): Scalar.one()})
 
 
 def test_coproduct_homomorphism():

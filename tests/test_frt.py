@@ -163,8 +163,8 @@ def test_coproduct_of_a(pres):
     assert d == expected
 
 
-def test_coproduct_homomorphism(pres):
-    assert frt.coproduct_respects_relations(pres)
+def test_coproduct_homomorphism():
+    assert frt.coproduct_respects_relations()
 
 
 def test_counit():
@@ -176,7 +176,7 @@ def test_counit():
 
 def test_counit_axiom_on_generators(pres):
     for x in frt.ALPHABET.letters:
-        d = frt.coproduct_reduced(frt.coproduct(x), pres)
+        d = frt.coproduct_reduced(frt.coproduct(x))
         collapsed = SuperPoly.zero(frt.ALPHABET)
         for (w1, w2), c in d.terms():
             collapsed = collapsed + SuperPoly.word(
@@ -191,8 +191,8 @@ def test_antipode_images():
     assert s["d"] == w("a") + w("c").scale(HALF * P)
 
 
-def test_antipode_axioms(pres):
-    for _, left, right in frt.antipode_axiom_defects(pres):
+def test_antipode_axioms():
+    for _, left, right in frt.antipode_axiom_defects():
         assert left.is_zero and right.is_zero
 
 
@@ -208,14 +208,14 @@ def test_antipode_classical_inverse(pres):
             assert defect.is_zero
 
 
-def test_s_squared_has_trivial_classical_limit(pres):
-    for x, image in frt.s_squared_images(pres).items():
+def test_s_squared_has_trivial_classical_limit():
+    for x, image in frt.s_squared_images().items():
         assert image.substitute_parameter(p=0) == SuperPoly.letter(frt.ALPHABET, x)
 
 
-def test_coassociativity(pres):
+def test_coassociativity():
     for x in frt.ALPHABET.letters:
-        assert frt.coassociativity_defect(x, pres).is_zero
+        assert frt.coassociativity_defect(x).is_zero
 
 
 def test_relations_at_p_zero_are_graded_commutators():

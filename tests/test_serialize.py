@@ -66,6 +66,11 @@ def test_parse_rejects_unknown_symbols():
         parse_poly(frt.ALPHABET, "a*q")
     with pytest.raises(ValueError):
         parse_poly(frt.ALPHABET, "a +")
+    with pytest.raises(ValueError):
+        parse_poly(frt.ALPHABET, "1/0")
+    for text in ("", "0\n", "-1\n"):
+        with pytest.raises(ValueError, match="dimension"):
+            parse_matrix(frt.ALPHABET, text)
 
 
 def test_matrix_roundtrip():

@@ -16,14 +16,21 @@ module imports an underscore name from it.
 Only ``supermatrix.py`` reads the 3x3 index grades: other modules ask for a
 slot grade through ``entry_grade`` and build tensor legs with ``kron``, the
 one place that applies their Koszul sign.
+
+The element tensors ``TensorElement`` and ``BorelTensor`` take their linear
+structure, Koszul-sign product and leg maps from ``freealg.GradedTensor``, so
+that loop is written once; each class body says only what its leg keys are.
 """
 
 import ast
 import inspect
+import textwrap
 from pathlib import Path
 
 import ospq
+from ospq.borel import BorelTensor
 from ospq.checks import CHECKS
+from ospq.freealg import TensorElement
 from ospq.scalars import _accumulate
 
 LOOP_IDIOM = "if cur is not None else"
@@ -73,3 +80,17 @@ def test_only_supermatrix_reads_the_index_grades():
                if path.name != "supermatrix.py"
                and "INDEX_GRADE" in path.read_text()]
     assert not readers, f"index grades read outside supermatrix.py: {readers}"
+
+
+SHARED_TENSOR_API = {"__mul__", "__add__", "__neg__", "__sub__", "scale", "__eq__",
+                     "map_leg", "expand_leg", "apply_counit_leg"}
+
+
+def test_tensor_types_inherit_one_product_and_leg_maps():
+    for cls in (TensorElement, BorelTensor):
+        body = ast.parse(textwrap.dedent(inspect.getsource(cls))).body[0].body
+        names = {node.name for node in body if isinstance(node, ast.FunctionDef)}
+        names |= {target.id for node in body if isinstance(node, ast.Assign)
+                  for target in node.targets if isinstance(target, ast.Name)}
+        own = sorted(names & SHARED_TENSOR_API)
+        assert not own, f"{cls.__name__} defines its own {own}"

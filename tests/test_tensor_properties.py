@@ -2,7 +2,10 @@
 
 SuperPoly is a ring; TensorElement, BorelTensor (at weight <= 8) and the
 graded Kronecker product ``kron`` are associative and obey the Koszul rule
-(x ox y)(u ox v) = (-1)^{|y||u|} xu ox yv on homogeneous factors.
+(x ox y)(u ox v) = (-1)^{|y||u|} xu ox yv on homogeneous factors.  Both
+element tensors run the one product of ``freealg.GradedTensor``, each with
+its own leg keys, so these properties test that product on words and on
+truncated Borel monomials.
 """
 
 import pytest
