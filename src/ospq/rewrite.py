@@ -6,7 +6,8 @@ monomial strictly below the left side in the alphabet's monomial order, so
 rewriting terminates and normal forms certify ideal membership.  Span tools
 compare Scalar-linear spans of shifted relation families inside a degree
 slice by one fraction-free echelon over Z[p], which decides membership over
-Q(p) exactly.  An echelon at seeded integer values of p is kept for spans
+Q(p) exactly; the generators are interreduced first and only the independent
+ones are shifted.  An echelon at seeded integer values of p is kept for spans
 whose coefficients are free of p, where evaluation changes nothing.
 
 Z[p] is the one polynomial ring of this module: besides the span echelons,
@@ -41,7 +42,7 @@ def primitive_part(poly):
         row = _sym_row(enumerate(poly._terms.values()))
     except ValueError:
         return poly
-    content = _row_content(row)[1]
+    content = _poly_content(row)
     if content is None:
         return poly
     # monic, so by Gauss's lemma the gcd of the coefficients over Q[p]
@@ -369,6 +370,10 @@ def _poly_norm(d):
 
 
 def _poly_mul(a, b):
+    if len(b) == 1:
+        # a monomial factor over Z: no products cancel or collide
+        (j, v), = b.items()
+        return {i + j: u * v for i, u in a.items()}
     out = {}
     for i, u in a.items():
         for j, v in b.items():
@@ -456,29 +461,27 @@ def _sym_row(pairs):
     return {k: {d: int(v * denom) for d, v in poly.items()} for k, poly in row.items()}
 
 
-def _row_content(row):
-    """(integer content, polynomial content) of a symbolic row."""
-    ig = 0
-    for poly in row.values():
-        for v in poly.values():
-            ig = gcd(ig, v)
-            if ig == 1:
-                break
+def _poly_content(row):
+    """The primitive gcd of a symbolic row's entries; None when constant."""
     pg = None
     for poly in row.values():
         pg = _ip_primitive(poly) if pg is None else _ip_gcd(pg, poly)
         if _poly_deg(pg) == 0:
-            pg = None
-            break
-    return (ig or 1), pg
+            return None
+    return pg
+
+
+def _int_strip(row):
+    """A symbolic row divided by the integer content of its coefficients."""
+    g = _gcd_all(v for poly in row.values() for v in poly.values())
+    if g > 1:
+        row = {k: {d: v // g for d, v in poly.items()} for k, poly in row.items()}
+    return row
 
 
 def _sym_strip(row):
-    if not row:
-        return row
-    ig, pg = _row_content(row)
-    if ig > 1:
-        row = {k: {d: v // ig for d, v in poly.items()} for k, poly in row.items()}
+    row = _int_strip(row)
+    pg = _poly_content(row)
     if pg is not None:
         row = {k: _ip_div_exact(poly, pg) for k, poly in row.items()}
     return row
@@ -487,18 +490,18 @@ def _sym_strip(row):
 def _sym_reduce(basis, row):
     """Fraction-free remainder of a row over Z[p] modulo an echelon basis;
     the remainder is stripped of its content, and empty when the row is in
-    the span."""
-    row = _sym_strip(row)
+    the span.  Only the integer content is stripped between steps."""
+    row = _int_strip(row)
     while row:
         lead = max(row)
         piv = basis.get(lead)
         if piv is None:
-            return row
-        a = piv[lead]
-        b = row[lead]
-        new = {}
-        for k, poly in row.items():
-            new[k] = _poly_mul(poly, a)
+            return _sym_strip(row)
+        a, b = piv[lead], row[lead]
+        if a == {0: 1} or a == {0: -1}:  # a unit: row - a b piv, row unscaled
+            b, new = _poly_mul(b, a), {k: dict(poly) for k, poly in row.items()}
+        else:
+            new = {k: _poly_mul(poly, a) for k, poly in row.items()}
         for k, poly in piv.items():
             sub = _poly_mul(poly, b)
             cur = new.get(k)
@@ -513,7 +516,7 @@ def _sym_reduce(basis, row):
                         del cur[d]
                 if not cur:
                     del new[k]
-        row = _sym_strip({k: v for k, v in new.items() if v})
+        row = _int_strip({k: v for k, v in new.items() if v})
     return row
 
 
@@ -571,11 +574,21 @@ def nullspace(rows, ncols: int):
 
 @lru_cache(maxsize=None)
 def _sym_echelon(gens, degree_bound):
-    """(word ranks, Z[p] echelon basis, shift count) of the shifts of gens."""
+    """(word ranks, Z[p] echelon basis, shift count, kept generator count).
+
+    Only the gens that do not reduce to zero in one echelon, inserted shortest
+    first, are shifted: a dropped one is a Q(p)-combination of kept ones of no
+    larger length, so its shifts within the bound are too.  The word ranks put
+    alphabet weight before length, so they cannot set this order alone.
+    """
     ranks = _word_ranks(gens[0].alphabet, degree_bound)
-    shifts = shift_family(list(gens), degree_bound)
+    rows = [_sym_row((ranks[w], c) for w, c in f._terms.items()) for f in gens]
+    order = sorted(range(len(gens)), key=lambda i: (gens[i].degree(), max(rows[i])))
+    independent = {}
+    kept = [gens[i] for i in order if _sym_insert(independent, rows[i])]
+    shifts = shift_family(kept, degree_bound)
     rows = [_sym_row((ranks[w], c) for w, c in f._terms.items()) for f in shifts]
-    return ranks, _echelon(rows, _sym_insert), len(shifts)
+    return ranks, _echelon(rows, _sym_insert), len(shifts), len(kept)
 
 
 @lru_cache(maxsize=None)
@@ -605,17 +618,18 @@ def span_contains(gens, targets, degree_bound: int, seed: int = 0,
     if not gens:
         return False, "empty generating family"
     if symbolic:
-        ranks, basis, nshifts = _sym_echelon(gens, degree_bound)
+        ranks, basis, nshifts, nkept = _sym_echelon(gens, degree_bound)
         for i, t in enumerate(targets):
             row = _sym_row((ranks[w], c) for w, c in t._terms.items())
             if not _sym_reduces_to_zero(basis, row):
                 return False, f"target #{i} escapes the span symbolically"
-    else:
-        ranks, bases, nshifts = _int_echelons(gens, degree_bound, seed)
-        for pval, basis in bases:
-            for i, t in enumerate(targets):
-                if not _int_reduces_to_zero(basis, _int_rows([t], ranks, pval)[0]):
-                    return False, f"target #{i} escapes the span at p={pval}"
+        return True, (f"{len(targets)} targets inside span of {nshifts} shifts "
+                      f"of {nkept} of {len(gens)} generators")
+    ranks, bases, nshifts = _int_echelons(gens, degree_bound, seed)
+    for pval, basis in bases:
+        for i, t in enumerate(targets):
+            if not _int_reduces_to_zero(basis, _int_rows([t], ranks, pval)[0]):
+                return False, f"target #{i} escapes the span at p={pval}"
     return True, f"{len(targets)} targets inside span of {nshifts} shifts"
 
 

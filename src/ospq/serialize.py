@@ -14,6 +14,8 @@ from .scalars import Scalar, format_scalar, VARS
 from .freealg import SuperPoly, TensorElement, GradedAlphabet
 from .supermatrix import SuperMatrix
 
+MAX_EXPONENT = 64  # after ``^``, built by repeated products; --export writes <= 9
+
 
 def _format_coeff(c: Scalar):
     """Coefficient prefix for a word, or None when it is an implicit 1."""
@@ -190,6 +192,8 @@ def _parse_factor(alphabet, toks):
     if toks.peek() == "^":
         toks.take()
         exp = int(toks.take())
+        if exp > MAX_EXPONENT:
+            raise ValueError(f"exponent {exp} exceeds {MAX_EXPONENT}")
         out = SuperPoly.one(alphabet)
         for _ in range(exp):
             out = out * base

@@ -3,7 +3,7 @@ import pytest
 from ospq.scalars import Scalar, rat, P, HALF
 from ospq.freealg import SuperPoly, TensorElement, sum_polys
 from ospq.supermatrix import SuperMatrix, INDEX_GRADE, partial_transpose_first
-from ospq.rewrite import span_contains
+from ospq.rewrite import _sym_echelon, span_contains
 from ospq import frt
 from ospq.checks import quantum_r_target_matrix, derived_metric_expected
 
@@ -128,6 +128,17 @@ def test_deformed_relation_is_member_but_unit_variant_is_not():
     ok, _ = span_contains(residuals, [good], 4)
     bad, _ = span_contains(residuals, [perturbed], 4)
     assert ok and not bad
+
+
+def test_residual_span_shifts_only_independent_generators():
+    # 47 of the 98 residuals are independent; the other 51 and their shifts
+    # are never built, and the span keeps its rank of 1,366
+    rtt, orth = frt.eliminated_residuals()
+    residuals = rtt + orth
+    ok, detail = span_contains(residuals, [frt.defining_relations()[10]], 4)
+    assert ok and detail == "1 targets inside span of 2087 shifts of 47 of 98 generators"
+    _, basis, _, _ = _sym_echelon(tuple(residuals), 4)
+    assert len(basis) == 1366
 
 
 def test_elimination_consistency(pres):

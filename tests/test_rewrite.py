@@ -8,8 +8,10 @@ from ospq.scalars import Scalar, rat, P, HALF, SQRT2
 from ospq.freealg import GradedAlphabet, SuperPoly
 from ospq.rewrite import (RewriteSystem, orient, span_equal, span_contains,
                           primitive_part, nullspace, OrientationError)
-from ospq.rewrite import (_evaluation_points, _int_insert, _int_reduces_to_zero,
-                          _poly_mul, _sym_insert, _sym_reduces_to_zero)
+from ospq.rewrite import (_echelon, _evaluation_points, _int_insert,
+                          _int_reduces_to_zero, _poly_mul, _sym_echelon,
+                          _sym_insert, _sym_reduces_to_zero, _sym_row,
+                          _word_ranks, shift_family)
 from ospq import frt
 
 
@@ -314,3 +316,95 @@ def test_symbolic_span_of_a_monomial_with_non_primitive_coefficient():
         scaled = m.scale(coeff)
         assert span_contains([m], [scaled], 2)[0]
         assert span_contains([scaled], [m], 2)[0]
+
+
+def test_monomial_fast_path_equals_the_general_product():
+    rng = random.Random(11)
+    for _ in range(200):
+        a = {d: rng.choice([-5, -1, 1, 3, 2 ** 70]) for d in rng.sample(range(6), rng.randint(1, 4))}
+        (j, v), = {rng.randint(0, 4): rng.choice([-7, -1, 1, 2, -(2 ** 65)])}.items()
+        expected = (Scalar.in_p(a) * Scalar.in_p({j: v})).p_coefficients()
+        assert _poly_mul(a, {j: v}) == expected
+        # the general loop, reached with the monomial as the left factor
+        assert _poly_mul({j: v}, a) == expected
+
+
+# -- interreduced span generators ------------------------------------------
+
+def _row(f, ranks):
+    return _sym_row((ranks[word], c) for word, c in f._terms.items())
+
+
+def test_span_generators_are_interreduced_shortest_first():
+    # ab + a and ab give back a only as ab + a - ab, in degree 2; the shifts
+    # a*c*c of the shorter a itself must survive the interreduction
+    gens = [w("a", "b") + w("a"), w("a", "b"), w("a")]
+    target = w("a", "c", "c")
+    ok, detail = span_contains(gens, [target], 3)
+    assert ok and detail.endswith("of 2 of 3 generators")
+    assert not span_contains(gens[:2], [target], 3)[0]
+    # with c of weight 1 and b of weight 3 the leading rank puts c*c before
+    # b: inserted in that order, b would be the dropped generator and b*a*a
+    # would escape, so the order must be by length first
+    gens = [w("c", "c") + w("b"), w("c", "c"), w("b")]
+    ranks = _word_ranks(frt.ALPHABET, 3)
+    by_rank = sorted(gens, key=lambda f: ranks[f.leading_word()])
+    basis = {}
+    assert [_sym_insert(basis, _row(f, ranks)) for f in by_rank] == [True, True, False]
+    assert by_rank[2] == w("b")
+    assert not span_contains(by_rank[:2], [w("b", "a", "a")], 3)[0]
+    ok, detail = span_contains(gens, [w("b", "a", "a")], 3)
+    assert ok and detail.endswith("of 2 of 3 generators")
+
+
+XYZ = GradedAlphabet(("x", "y", "z"), {"x": 0, "y": 1, "z": 0},
+                     weights={"x": 1, "y": 6, "z": 1})
+
+
+def _random_xyz(rng, degree, letters="xyz"):
+    """A random p-polynomial of the given degree in the given letters."""
+    out = SuperPoly.zero(XYZ)
+    while out.is_zero or out.degree() != degree:
+        word = tuple(rng.choice(letters) for _ in range(rng.randint(0, degree)))
+        coeff = rat(rng.randint(-2, 2)) + rat(rng.randint(-1, 1)) * P
+        out = out + SuperPoly.word(XYZ, word, coeff)
+    return out
+
+
+def test_interreduced_span_equals_the_span_of_all_shifts():
+    # random p-families padded with redundant generators, each a sum of a
+    # shorter and a longer one: the echelon of the kept generators' shifts
+    # has the rank of the plain echelon over the shifts of all of them, and
+    # decides membership of random targets the same way.  The quadratic
+    # generators lead with the heavy y and the cubic ones avoid it, so a sum
+    # shares the leading word of its shorter summand, and an order by leading
+    # rank alone could keep the sum and drop the summand.
+    rng = random.Random(3)
+    bound = 4
+    ranks = _word_ranks(XYZ, bound)
+    dropped = verdicts = 0
+    for _ in range(10):
+        gens = ([_random_xyz(rng, 2) + SuperPoly.word(XYZ, ("y", "x"))
+                 for _ in range(rng.randint(1, 2))]
+                + [_random_xyz(rng, 3, "xz") for _ in range(rng.randint(1, 2))])
+        for _ in range(3):
+            f, g = rng.sample(gens, 2)
+            if f.degree() != g.degree():
+                gens.append(f.scale(rat(rng.randint(1, 2)) + P) + g.scale(rat(rng.randint(-2, 2))))
+        rng.shuffle(gens)
+        gens = tuple(f for f in gens if not f.is_zero)
+        shifts = shift_family(gens, bound)
+        _, basis, _, nkept = _sym_echelon(gens, bound)
+        plain = _echelon([_row(f, ranks) for f in shifts], _sym_insert)
+        assert len(basis) == len(plain)
+        dropped += len(gens) - nkept
+        for _ in range(8):
+            if rng.random() < 0.5:
+                t = _random_xyz(rng, rng.randint(1, bound))
+            else:
+                t = rng.choice(shifts).scale(P - rat(2)) + rng.choice(shifts)
+            expected = _sym_reduces_to_zero(plain, _row(t, ranks))
+            assert span_contains(gens, [t], bound)[0] is expected
+            verdicts += expected
+    # both verdicts occurred, and generators were dropped
+    assert dropped > 0 and 0 < verdicts < 80

@@ -68,6 +68,9 @@ def test_parse_rejects_unknown_symbols():
         parse_poly(frt.ALPHABET, "a +")
     with pytest.raises(ValueError):
         parse_poly(frt.ALPHABET, "1/0")
+    for text in ("a^65", "a^1000000", "p^65*a"):
+        with pytest.raises(ValueError, match="exponent"):
+            parse_poly(frt.ALPHABET, text)
     for text in ("", "0\n", "-1\n"):
         with pytest.raises(ValueError, match="dimension"):
             parse_matrix(frt.ALPHABET, text)
@@ -93,3 +96,10 @@ def test_series_format():
     text = format_series(s)
     assert text.splitlines()[0] == "0 0 0 : 1"
     assert "0 0 1 : 1/2*p" in text
+
+
+def test_parse_accepts_every_exponent_the_export_writes():
+    # --export writes exponents up to 9; the bound of 64 is itself accepted
+    assert parse_poly(frt.ALPHABET, "a^9") == SuperPoly.word(frt.ALPHABET, ("a",) * 9)
+    assert parse_poly(frt.ALPHABET, "p^9*c") == w("c").scale(P ** 9)
+    assert parse_poly(frt.ALPHABET, "c^64").degree() == 64
