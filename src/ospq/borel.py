@@ -391,9 +391,8 @@ def counit_defects(w: int):
 BOREL_RELATIONS = ("HX", "HV", "VV", "XV")
 
 
-def borel_relation_defect(which: str, w: int) -> BorelSeries:
-    """Defining Borel relations evaluated in the algebra itself (sanity zero)."""
-    h, v, x = BorelSeries.h(w), BorelSeries.v(w), BorelSeries.x(w)
+def _relation_defect(which: str, h, v, x):
+    """Defining Borel relation ``which`` evaluated on images of H, V, X."""
     if which == "HX":
         return h * x - x * h - x
     if which == "HV":
@@ -405,18 +404,15 @@ def borel_relation_defect(which: str, w: int) -> BorelSeries:
     raise ValueError(which)
 
 
+def borel_relation_defect(which: str, w: int) -> BorelSeries:
+    """Defining Borel relations evaluated in the algebra itself (sanity zero)."""
+    return _relation_defect(which, BorelSeries.h(w), BorelSeries.v(w),
+                            BorelSeries.x(w))
+
+
 def coproduct_relation_defect(which: str, w: int) -> BorelTensor:
     """Delta applied to a defining Borel relation (homomorphism certificate)."""
-    dh, dv, dx = delta_h(w), delta_v(w), delta_x(w)
-    if which == "HX":
-        return dh * dx - dx * dh - dx
-    if which == "HV":
-        return dh * dv - dv * dh - dv.scale(HALF)
-    if which == "VV":
-        return dv * dv - dx.scale(rat(Fraction(1, 4)))
-    if which == "XV":
-        return dx * dv - dv * dx
-    raise ValueError(which)
+    return _relation_defect(which, delta_h(w), delta_v(w), delta_x(w))
 
 
 def antipode_candidate(w: int):

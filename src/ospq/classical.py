@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import product
 
 from .scalars import Scalar, rat
-from .freealg import SuperPoly, SCALAR_ALPHABET
-from .supermatrix import SuperMatrix, entry_grade, graded_swap, kron
+from .freealg import SCALAR_ALPHABET
+from .rewrite import nullspace
+from .supermatrix import SuperMatrix, graded_swap, kron
 
 BASIS = ("H", "Xp", "Xm", "Vp", "Vm")
 GRADE = {"H": 0, "Xp": 0, "Xm": 0, "Vp": 1, "Vm": 1}
@@ -100,7 +100,7 @@ REP = {
     "H": _mat([[_half, 0, 0], [0, 0, 0], [0, 0, -_half]]),
     "Xp": _mat([[0, 0, 1], [0, 0, 0], [0, 0, 0]]),
     "Vp": _mat([[0, _half, 0], [0, 0, _half], [0, 0, 0]]),
-    # derived below; frozen values, re-derived by derive_lowering_matrices()
+    # frozen values, solved for from H, Xp and Vp by derive_lowering_matrices()
     "Xm": _mat([[0, 0, 0], [0, 0, 0], [1, 0, 0]]),
     "Vm": _mat([[0, 0, 0], [-_half, 0, 0], [0, _half, 0]]),
 }
@@ -139,53 +139,54 @@ def rep_is_faithful_presentation() -> bool:
     return all(d.is_zero() for _, d in rep_defects())
 
 
-# coefficients tried for each slot of the lowering matrices
-LOWERING_GRID = sorted({Fraction(n, d) for n in (-2, -1, 0, 1, 2) for d in (1, 2, 4)})
+def _lowering(values) -> dict:
+    """Xm and Vm filled row by row from 18 Scalars."""
+    return {name: SuperMatrix.from_scalars(
+                [values[c:c + 3] for c in range(9 * k, 9 * k + 9, 3)])
+            for k, name in enumerate(("Xm", "Vm"))}
+
+
+def lowering_equations() -> dict:
+    """The relations with at most one of Xm, Vm as an argument, as linear
+    equations in the 18 entries of Xm then Vm (columns 0-17, row by row).
+
+    Returns ``{relation pair: [row, ...]}``, one row ``{column: Scalar}`` per
+    nonzero defect entry, column 18 holding the constant term.  These
+    relations are affine in the entries, so their defects at the zero vector
+    and at the 18 unit vectors give the rows exactly.
+    """
+    zero = [Scalar.zero()] * 18
+    base, *units = [
+        {pair: d for pair, d in rep_defects({**REP, **_lowering(values)})
+         if sum(name in ("Xm", "Vm") for name in pair) < 2}
+        for values in [zero] + [zero[:k] + [Scalar.one()] + zero[k + 1:]
+                                for k in range(18)]]
+    out = {}
+    for pair, b in base.items():
+        cols = [u[pair] - b for u in units] + [b]
+        rows = [{k: m[i, j].coefficient(()) for k, m in enumerate(cols)
+                 if not m[i, j].is_zero} for i in (1, 2, 3) for j in (1, 2, 3)]
+        out[pair] = [row for row in rows if row]
+    return out
 
 
 def derive_lowering_matrices():
-    """Re-derive Xm and Vm by constrained search and return them.
+    """Solve for Xm and Vm from H, Xp and Vp and return them.
 
-    The slots are forced by the grading rule and the H-weight of each slot;
-    the coefficients are then searched over LOWERING_GRID and the full
-    15-relation system is checked.  Exactly one solution must survive.
+    All 18 entries are unknowns, so no grade or H-weight is assumed.
+    Raises ValueError unless ``lowering_equations`` have a single solution
+    over Q(p) and all 15 relations, the quadratic ones included, hold on it.
     """
-    h = REP["H"]
-    hdiag = [h[i, i].coefficient(()).as_rational() for i in (1, 2, 3)]
-
-    def slots(weight, parity):
-        out = []
-        for i in range(1, 4):
-            for j in range(1, 4):
-                if entry_grade(3, i, j) != parity:
-                    continue
-                if hdiag[i - 1] - hdiag[j - 1] == weight:
-                    out.append((i, j))
-        return out
-
-    xm_slots = slots(Fraction(-1), 0)
-    vm_slots = slots(-_half, 1)
-    solutions = []
-    for xm_coeffs in product(LOWERING_GRID, repeat=len(xm_slots)):
-        if all(c == 0 for c in xm_coeffs):
-            continue
-        xm = SuperMatrix.zero(SCALAR_ALPHABET, 3)
-        for (i, j), c in zip(xm_slots, xm_coeffs):
-            xm.entries[i - 1][j - 1] = SuperPoly.constant(SCALAR_ALPHABET, rat(c))
-        for vm_coeffs in product(LOWERING_GRID, repeat=len(vm_slots)):
-            if all(c == 0 for c in vm_coeffs):
-                continue
-            vm = SuperMatrix.zero(SCALAR_ALPHABET, 3)
-            for (i, j), c in zip(vm_slots, vm_coeffs):
-                vm.entries[i - 1][j - 1] = SuperPoly.constant(SCALAR_ALPHABET, rat(c))
-            cand = dict(REP)
-            cand["Xm"] = xm
-            cand["Vm"] = vm
-            if all(d.is_zero() for _, d in rep_defects(cand)):
-                solutions.append((xm, vm))
-    if len(solutions) != 1:
-        raise ValueError(f"expected a unique solution, found {len(solutions)}")
-    return solutions[0]
+    rows = [row for rows in lowering_equations().values() for row in rows]
+    sols = nullspace(rows, 19)
+    if len(sols) != 1 or sols[0][18].is_zero:
+        raise ValueError(f"{len(rows)} equations do not fix Xm and Vm: "
+                         f"{len(sols)}-dimensional nullspace")
+    found = _lowering([c.divide_exact(sols[0][18]) for c in sols[0][:18]])
+    bad = [pair for pair, d in rep_defects({**REP, **found}) if not d.is_zero()]
+    if bad:
+        raise ValueError(f"the solved Xm and Vm break {bad}")
+    return found["Xm"], found["Vm"]
 
 
 # ----------------------------------------------------------------------

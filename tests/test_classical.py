@@ -38,6 +38,45 @@ def test_lowering_matrices_derived_uniquely():
     assert vm == classical.REP["Vm"]
 
 
+def test_lowering_equations_come_from_the_six_affine_relations():
+    eqs = classical.lowering_equations()
+    fixing = sorted(pair for pair, rows in eqs.items() if rows)
+    assert fixing == sorted([("H", "Xm"), ("H", "Vm"), ("Xp", "Xm"), ("Xp", "Vm"),
+                             ("Xm", "Vp"), ("Vp", "Vm")])
+    assert sum(map(len, eqs.values())) == 42
+    assert ("Xm", "Vm") not in eqs and ("Vm", "Vm") not in eqs
+
+
+def test_lowering_solve_ignores_the_frozen_values(monkeypatch):
+    frozen = classical.REP["Xm"], classical.REP["Vm"]
+    zero = SuperMatrix.zero(SCALAR_ALPHABET, 3)
+    monkeypatch.setitem(classical.REP, "Xm", zero)
+    monkeypatch.setitem(classical.REP, "Vm", zero)
+    assert classical.derive_lowering_matrices() == frozen
+
+
+def test_lowering_solve_follows_a_rescaling_automorphism(monkeypatch):
+    # Xp -> 9 Xp, Vp -> 3 Vp fixes every bracket once Xm -> Xm/9, Vm -> Vm/3
+    xm, vm = classical.REP["Xm"], classical.REP["Vm"]
+    monkeypatch.setitem(classical.REP, "Xp", classical.REP["Xp"].scale(rat(9)))
+    monkeypatch.setitem(classical.REP, "Vp", classical.REP["Vp"].scale(rat(3)))
+    assert classical.derive_lowering_matrices() == (
+        xm.scale(rat(Fraction(1, 9))), vm.scale(rat(Fraction(1, 3))))
+
+
+def test_lowering_solve_follows_the_odd_sign_flip(monkeypatch):
+    xm, vm = classical.REP["Xm"], classical.REP["Vm"]
+    monkeypatch.setitem(classical.REP, "Vp", classical.REP["Vp"].scale(rat(-1)))
+    assert classical.derive_lowering_matrices() == (xm, vm.scale(rat(-1)))
+
+
+def test_lowering_solve_rejects_an_inconsistent_raising_part(monkeypatch):
+    # [Xp, Xm] = 2H wants Xm/2 while {Vp, Vp} = Xp/2 already fails
+    monkeypatch.setitem(classical.REP, "Xp", classical.REP["Xp"].scale(rat(2)))
+    with pytest.raises(ValueError, match="do not fix Xm and Vm"):
+        classical.derive_lowering_matrices()
+
+
 def test_r2_embedding_matches_reference_matrix():
     assert classical.r2().expand() == _r2_target_matrix()
 

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from ospq.scalars import Scalar, VARS, rat, SQRT2, format_scalar
 from ospq.freealg import SuperPoly
-from ospq.serialize import format_poly, parse_poly
+from ospq.serialize import format_matrix, format_poly, parse_matrix, parse_poly
+from ospq.supermatrix import SuperMatrix
 from ospq import frt
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -94,6 +95,13 @@ polys = st.dictionaries(words, scalars, max_size=4).map(
 @given(polys)
 def test_parse_inverts_format(f):
     assert parse_poly(frt.ALPHABET, format_poly(f)) == f
+
+
+@PROPERTY
+@given(st.lists(polys, min_size=9, max_size=9))
+def test_parse_matrix_inverts_format_matrix(entries):
+    m = SuperMatrix(frt.ALPHABET, [entries[i:i + 3] for i in (0, 3, 6)])
+    assert parse_matrix(frt.ALPHABET, format_matrix(m)) == m
 
 
 @PROPERTY

@@ -20,9 +20,14 @@ one place that applies their Koszul sign.
 The element tensors ``TensorElement`` and ``BorelTensor`` take their linear
 structure, Koszul-sign product and leg maps from ``freealg.GradedTensor``, so
 that loop is written once; each class body says only what its leg keys are.
+
+The per-layer timings of ``perfbench/run.py`` sum traced spans by qualified
+name, so a renamed function would read as 0 s; every name it quotes still
+resolves in ``ospq``.
 """
 
 import ast
+import importlib
 import inspect
 import textwrap
 from pathlib import Path
@@ -94,3 +99,31 @@ def test_tensor_types_inherit_one_product_and_leg_maps():
                   for target in node.targets if isinstance(target, ast.Name)}
         own = sorted(names & SHARED_TENSOR_API)
         assert not own, f"{cls.__name__} defines its own {own}"
+
+
+def _perfbench_span_names():
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "run.py").read_text())
+    names = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "total"):
+            names += [arg.value for arg in node.args if isinstance(arg, ast.Constant)]
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "reduce_names" for t in node.targets)):
+            names += [elt.value for elt in node.value.elts]
+    return [name for name in names if not name.startswith("stage.")]
+
+
+def test_perfbench_span_names_resolve():
+    names = _perfbench_span_names()
+    assert {"classical.derive_lowering_matrices", "borel.coassociativity_defect",
+            "rewrite.RewriteSystem.nf_word"} <= set(names)
+    missing = []
+    for name in names:
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"ospq.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(name)
+    assert not missing, f"perfbench times spans that no longer exist: {missing}"
