@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import comb
 
 from .scalars import Scalar, rat, P, HALF, SQRT2, _accumulate
-from .freealg import GradedAlphabet, GradedTensor, SuperPoly, _scaled
+from .freealg import GradedAlphabet, GradedTensor, SuperPoly, _scaled, extend
 from .supermatrix import SuperMatrix, kron
 from .rewrite import span_equal
 
@@ -344,26 +344,23 @@ def delta_exp_sigma(w: int) -> BorelTensor:
     return BorelTensor.of(es, es)
 
 
-@lru_cache(maxsize=None)
-def delta_monomial(key, w: int) -> BorelTensor:
-    """Delta on a normal-ordered monomial V^eps H^m X^n, multiplicatively.
-
-    Built once per (key, w) as Delta of the key without its last letter
-    times Delta of that letter: Delta(V)^eps Delta(H)^m Delta(X)^n, left to
-    right.  The cached tensor is shared; no BorelTensor method mutates it.
-    """
+def _word(key):
+    """The normal-ordered monomial V^eps H^m X^n as a word in V, H, X."""
     eps, m, n = key
-    if n:
-        prefix, last = (eps, m, n - 1), delta_x
-    elif m:
-        prefix, last = (eps, m - 1, 0), delta_h
-    elif eps:
-        prefix, last = (0, 0, 0), delta_v
-    else:
-        return BorelTensor.one(2, w)
-    if prefix == (0, 0, 0):
-        return last(w)
-    return delta_monomial(prefix, w) * last(w)
+    return ("V",) * eps + ("H",) * m + ("X",) * n
+
+
+@lru_cache(maxsize=None)
+def _coproducts(w: int):
+    """Delta extended multiplicatively over words in V, H, X at weight w."""
+    return extend({"V": delta_v(w), "H": delta_h(w), "X": delta_x(w)}.__getitem__,
+                  BorelTensor.one(2, w))
+
+
+def delta_monomial(key, w: int) -> BorelTensor:
+    """Delta(V)^eps Delta(H)^m Delta(X)^n, built once per (key, w) and shared:
+    no BorelTensor method mutates it."""
+    return _coproducts(w).word(_word(key))
 
 
 def coassociativity_defect(which: str, w: int) -> BorelTensor:
@@ -442,23 +439,8 @@ def antipode_axiom_defects(w: int):
     s_x = BorelSeries(w, {k: c.divide_exact(P)
                           for k, c in exp_minus_two_sigma(w)._terms.items() if k[2]})
 
-    images = {(0, 0, 0): BorelSeries.one(w)}
-
-    def s_of_monomial(key):
-        # anti-homomorphism with Koszul sign: only one odd factor can occur,
-        # so S(V^eps H^m X^n) = S(X)^n S(H)^m S(V)^eps, built once per key
-        # as S of the key without its first letter times S of that letter
-        out = images.get(key)
-        if out is None:
-            eps, m, n = key
-            if eps:
-                prefix, first = (0, m, n), cand["V"]
-            elif m:
-                prefix, first = (0, m - 1, n), cand["H"]
-            else:
-                prefix, first = (0, 0, n - 1), s_x
-            out = images[key] = s_of_monomial(prefix) * first
-        return out
+    antipode = extend({"V": cand["V"], "H": cand["H"], "X": s_x}.__getitem__,
+                      BorelSeries.one(w), {"V": 1, "H": 0, "X": 0}).word
 
     defects = {}
     for name, (d, eps_val) in gens.items():
@@ -466,8 +448,8 @@ def antipode_axiom_defects(w: int):
         left = BorelSeries.zero(w)
         right = BorelSeries.zero(w)
         for (k1, k2), c in d._terms.items():
-            left = left + (s_of_monomial(k1) * BorelSeries(w, {k2: Scalar.one()})).scale(c)
-            right = right + (BorelSeries(w, {k1: Scalar.one()}) * s_of_monomial(k2)).scale(c)
+            left = left + (antipode(_word(k1)) * BorelSeries(w, {k2: Scalar.one()})).scale(c)
+            right = right + (BorelSeries(w, {k1: Scalar.one()}) * antipode(_word(k2))).scale(c)
         defects[name] = (left - unit, right - unit)
     return defects
 
@@ -609,13 +591,5 @@ def verify_rll_solution(f: AnsatzFunctions, w: int = DEFAULT_TRUNCATION) -> bool
         "E": BorelSeries.v(w) * f.N,
         "C_L": BorelSeries.h(w) * f.P,
     }
-    for rel in dual_relations():
-        acc = BorelSeries.zero(w)
-        for word, c in rel._terms.items():
-            term = BorelSeries.one(w)
-            for letter in word:
-                term = term * values[letter]
-            acc = acc + term.scale(c)
-        if not acc.is_zero:
-            return False
-    return True
+    substitute = extend(values.__getitem__, BorelSeries.one(w))
+    return all(substitute(rel).is_zero for rel in dual_relations())

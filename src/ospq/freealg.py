@@ -1,9 +1,13 @@
-"""Free graded algebras: Z2-graded alphabets, noncommutative polynomials, and
-graded tensor powers with the Koszul sign rule.
+"""Free graded algebras: Z2-graded alphabets, noncommutative polynomials, maps
+extended from letters, and graded tensor powers with the Koszul sign rule.
 
 Words are tuples of letter names.  A :class:`SuperPoly` is a finite Scalar
 combination of words; multiplication is plain concatenation (no reordering
 happens here; normal forms live in :mod:`ospq.rewrite`).
+:func:`extend` extends a map given on letters over words, as an algebra map
+or as a graded anti-homomorphism with its Koszul sign, and linearly over
+elements: the Hopf maps of both sides and every letter substitution are
+such extensions.
 :class:`GradedTensor` holds what every graded tensor power shares: the
 linear structure, the Koszul-sign product, the leg maps and the counit
 contraction.  Its kinds are :class:`TensorElement` (word legs)
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Scalar, ONE as S_ONE, _accumulate
+from .scalars import Scalar, ONE as S_ONE, ZERO as S_ZERO, _accumulate
 
 
 class GradedAlphabet:
@@ -221,26 +225,9 @@ class SuperPoly:
         Letters missing from ``images`` map to themselves in the target
         alphabet (which is taken from any image, else stays the same).
         """
-        target = None
-        for img in images.values():
-            target = img.alphabet
-            break
-        if target is None:
-            target = self.alphabet
-        out = SuperPoly.zero(target)
-        cache = {}
-        for w, c in self._terms.items():
-            acc = SuperPoly.constant(target, c)
-            for x in w:
-                img = images.get(x)
-                if img is None:
-                    img = cache.get(x)
-                    if img is None:
-                        img = SuperPoly.letter(target, x)
-                        cache[x] = img
-                acc = acc * img
-            out = out + acc
-        return out
+        target = next((img.alphabet for img in images.values()), self.alphabet)
+        return extend(lambda x: images[x] if x in images else SuperPoly.letter(target, x),
+                      SuperPoly.one(target))(self)
 
     def map_scalars(self, fn) -> "SuperPoly":
         out = {}
@@ -270,6 +257,40 @@ def sum_polys(polys, alphabet=None):
         raise ValueError("mixed alphabets")
     out = _accumulate((w, c) for f in polys for w, c in f._terms.items())
     return SuperPoly(alphabet, out, _internal=True)
+
+
+def extend(image, one, grade=None):
+    """Extend ``image``, a map on letters, over words and linearly over elements.
+
+    Words go to products in order or, when ``grade`` maps letters to Z2, by
+    the graded anti-homomorphism S(ux) = (-1)^{|u||x|} S(x) S(u); ``one`` is
+    the image of the empty word.  The returned map's ``word`` attribute maps
+    one word, built once from its prefix with one product and memoized: the
+    image is shared and must not be mutated.
+    """
+    memo = {(): one}
+
+    def word(w):
+        out = memo.get(w)
+        if out is None:
+            prefix, x = w[:-1], w[-1]
+            if grade is None:
+                out = word(prefix) * image(x)
+            else:
+                out = image(x) * word(prefix)
+                if grade[x] and sum(grade[y] for y in prefix) % 2:
+                    out = -out
+            memo[w] = out
+        return out
+
+    def extended(element):
+        total = one * S_ZERO
+        for w, c in element._terms.items():
+            total = total + word(w) * c
+        return total
+
+    extended.word = word
+    return extended
 
 
 def _scaled(pairs, coeff):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .scalars import Scalar, rat, P, HALF, _accumulate
-from .freealg import GradedAlphabet, SuperPoly, TensorElement, sum_polys
+from .freealg import GradedAlphabet, SuperPoly, TensorElement, extend, sum_polys
 from .rewrite import RewriteSystem, complete, nullspace, primitive_part
 from .supermatrix import (SuperMatrix, exp_nilpotent, kron, partial_transpose_first,
                           supertranspose3)
@@ -336,7 +336,6 @@ def unimodularity_relation() -> SuperPoly:
 # Hopf structure.
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _coproduct_letter(name: str) -> TensorElement:
     """Delta(t_ij) = sum_k t_ik ox t_kj with dependent letters eliminated."""
     pos = [(i, j) for i in range(3) for j in range(3) if T_ENTRIES[i][j] == name]
@@ -350,31 +349,20 @@ def _coproduct_letter(name: str) -> TensorElement:
     return out
 
 
+_coproducts = extend(_coproduct_letter, TensorElement.one(ALPHABET, 2))
+
+
 def coproduct(poly) -> TensorElement:
-    """Multiplicative extension of the matrix coproduct to polynomials."""
-    if isinstance(poly, str):
-        return _coproduct_letter(poly)
-    out = TensorElement.zero(ALPHABET, 2)
-    for w, c in poly._terms.items():
-        out = out + _coproduct_word_cached(w).scale(c)
-    return out
+    """Delta extended multiplicatively to polynomials; a str names a generator."""
+    return _coproducts.word((poly,)) if isinstance(poly, str) else _coproducts(poly)
 
 
 COUNIT_VALUES = {"a": Scalar.one(), "d": Scalar.one(),
                  "b": Scalar.zero(), "c": Scalar.zero(),
                  "al": Scalar.zero(), "de": Scalar.zero()}
 
-
-def counit(poly: SuperPoly) -> Scalar:
-    total = Scalar.zero()
-    for w, c in poly._terms.items():
-        val = c
-        for x in w:
-            val = val * COUNIT_VALUES[x]
-            if val.is_zero:
-                break
-        total = total + val
-    return total
+# eps(T) = 1 on the generators, extended multiplicatively
+counit = extend(COUNIT_VALUES.__getitem__, Scalar.one())
 
 
 @lru_cache(maxsize=None)
@@ -394,23 +382,9 @@ def antipode_images():
     return images
 
 
-def antipode(poly: SuperPoly) -> SuperPoly:
-    """Graded anti-homomorphism extension: S(xy) = (-1)^{|x||y|} S(y) S(x)."""
-    images = antipode_images()
-    grades = ALPHABET.grades
-    out = SuperPoly.zero(ALPHABET)
-    for w, c in poly._terms.items():
-        sign = 0
-        for i in range(len(w)):
-            for j in range(i + 1, len(w)):
-                sign += grades[w[i]] * grades[w[j]]
-        acc = SuperPoly.one(ALPHABET)
-        for x in reversed(w):
-            acc = acc * images[x]
-        if sign % 2:
-            acc = -acc
-        out = out + acc.scale(c)
-    return out
+# graded anti-homomorphism extension: S(xy) = (-1)^{|x||y|} S(y) S(x)
+antipode = extend(lambda x: antipode_images()[x], SuperPoly.one(ALPHABET),
+                  ALPHABET.grades)
 
 
 def eliminated_matrix() -> SuperMatrix:
@@ -456,19 +430,11 @@ def counit_annihilates_relations() -> bool:
     return all(counit(rel).is_zero for rel in presentation().all_relations())
 
 
-@lru_cache(maxsize=None)
-def _coproduct_word_cached(word) -> TensorElement:
-    acc = TensorElement.one(ALPHABET, 2)
-    for x in word:
-        acc = acc * _coproduct_letter(x)
-    return acc
-
-
 def coassociativity_defect(name: str) -> TensorElement:
     """(Delta ox id)Delta(x) - (id ox Delta)Delta(x), legs reduced."""
     d = coproduct_reduced(coproduct(name))
-    left = d.expand_leg(0, _coproduct_word_cached, 3)
-    right = d.expand_leg(1, _coproduct_word_cached, 3)
+    left = d.expand_leg(0, _coproducts.word, 3)
+    right = d.expand_leg(1, _coproducts.word, 3)
     return coproduct_reduced(left - right)
 
 

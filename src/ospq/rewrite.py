@@ -609,10 +609,14 @@ def span_contains(gens, targets, degree_bound: int, seed: int = 0,
     With ``symbolic`` the rows are reduced by a fraction-free echelon over
     Z[p], which decides membership over Q(p) exactly.  Without it they are
     compared at three seeded integer values of p, which is exact only when
-    gens and targets are free of p.  Returns (ok, detail).
+    gens and targets are free of p.  Returns (ok, detail).  A generator or
+    target longer than ``degree_bound`` raises ``ValueError``.
     """
     targets = [t for t in targets if not t.is_zero]
     gens = tuple(g for g in gens if not g.is_zero)
+    for family, name in ((gens, "generator"), (targets, "target")):
+        if any(f.degree() > degree_bound for f in family):
+            raise ValueError(f"{name} exceeds the degree bound")
     if not targets:
         return True, "no targets"
     if not gens:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ospq.scalars import Scalar, rat, P
-from ospq.freealg import SuperPoly, TensorElement
+from ospq.freealg import GradedAlphabet, SuperPoly, TensorElement, extend
 from ospq.frt import ALPHABET
 
 
@@ -102,6 +102,55 @@ def test_substitute_letters_is_algebra_map():
     lhs = (f * g).substitute_letters(images)
     rhs = f.substitute_letters(images) * g.substitute_letters(images)
     assert lhs == rhs
+
+
+# one even and two odd letters, so words with two odd letters occur
+UVW = GradedAlphabet(("u", "v", "w"), {"u": 0, "v": 1, "w": 1})
+
+
+def _uvw(*terms):
+    return SuperPoly(UVW, {tuple(word): rat(c) + rat(d) * P for word, c, d in terms})
+
+
+UVW_IMAGES = {"u": _uvw(("uu", 1, 0), ("vw", 0, 1)),
+              "v": _uvw(("w", 1, 0), ("uv", 2, 0)),
+              "w": _uvw(("v", -1, 0), ("wu", 0, 1))}
+
+
+def _product(factors):
+    out = SuperPoly.one(UVW)
+    for f in factors:
+        out = out * f
+    return out
+
+
+@pytest.mark.parametrize("graded", [False, True])
+def test_extend_is_the_ordered_or_reversed_signed_product(graded):
+    calls = []
+
+    def image(x):
+        calls.append(x)
+        return UVW_IMAGES[x]
+    ext = extend(image, SuperPoly.one(UVW), UVW.grades if graded else None)
+    words = UVW.words_up_to(4)  # vw, wv, vwu, vuw, vvww, ... included
+    for word in words:
+        factors = [UVW_IMAGES[x] for x in word]
+        if not graded:
+            assert ext.word(word) == _product(factors)
+            continue
+        sign = sum(UVW.grades[word[i]] * UVW.grades[word[j]]
+                   for i in range(len(word)) for j in range(i + 1, len(word)))
+        expected = _product(reversed(factors))
+        assert ext.word(word) == (-expected if sign % 2 else expected)
+    # each nonempty word is built once, with one image and one product
+    assert len(calls) == len(words) - 1
+    # two odd letters: S(vw) = -S(w) S(v)
+    if graded:
+        assert ext.word(("v", "w")) == -(UVW_IMAGES["w"] * UVW_IMAGES["v"])
+    # linear over elements
+    f = _uvw(("vw", 2, 1), ("u", -1, 0), ("", 3, 0))
+    assert ext(f) == (ext.word(("v", "w")).scale(rat(2) + P) - ext.word(("u",))
+                      + SuperPoly.one(UVW).scale(rat(3)))
 
 
 def test_word_key_orders_by_weight_then_length():

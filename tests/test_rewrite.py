@@ -163,6 +163,18 @@ def test_span_contains_simple_symbolic():
     assert not ok2
 
 
+@pytest.mark.parametrize("symbolic", [True, False])
+def test_span_contains_rejects_a_target_beyond_the_degree_bound(symbolic):
+    with pytest.raises(ValueError, match="target exceeds the degree bound"):
+        span_contains([w("a", "b")], [w("a", "b", "c", "c")], 3, symbolic=symbolic)
+    # also when an earlier target already escapes the span
+    with pytest.raises(ValueError, match="target exceeds the degree bound"):
+        span_contains([w("a", "b")], [w("c"), w("a", "b", "c", "c")], 3,
+                      symbolic=symbolic)
+    with pytest.raises(ValueError, match="generator exceeds the degree bound"):
+        span_contains([w("a", "b", "c", "c")], [w("a", "b")], 3, symbolic=symbolic)
+
+
 def test_seed_does_not_change_outcomes():
     rels = frt.defining_relations()[:4]
     for seed in (1, 2, 99):

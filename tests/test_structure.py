@@ -23,7 +23,14 @@ that loop is written once; each class body says only what its leg keys are.
 
 The per-layer timings of ``perfbench/run.py`` sum traced spans by qualified
 name, so a renamed function would read as 0 s; every name it quotes still
-resolves in ``ospq``.
+resolves in ``ospq``.  ``perfbench/traced_child.py`` counts the calls of the
+functions in its ``COUNTED`` and builds stages by calling ``frt`` and
+``rewrite`` functions; each of those is a module-level function of its
+module, or a traced run would fail.
+
+The Hopf maps and letter substitutions extend a map on letters over words
+through ``freealg.extend``, so the Koszul sign of an anti-homomorphism is
+written in ``freealg.py`` alone.
 """
 
 import ast
@@ -33,9 +40,10 @@ import textwrap
 from pathlib import Path
 
 import ospq
+from ospq import borel, freealg, frt
 from ospq.borel import BorelTensor
 from ospq.checks import CHECKS
-from ospq.freealg import TensorElement
+from ospq.freealg import SuperPoly, TensorElement, extend
 from ospq.scalars import _accumulate
 
 LOOP_IDIOM = "if cur is not None else"
@@ -127,3 +135,121 @@ def test_perfbench_span_names_resolve():
         if obj is None:
             missing.append(name)
     assert not missing, f"perfbench times spans that no longer exist: {missing}"
+
+
+def _traced_child_names():
+    """(COUNTED names, frt.* and rewrite.* functions called or passed to a
+    call) of ``perfbench/traced_child.py``."""
+    path = Path(__file__).parents[1] / "perfbench" / "traced_child.py"
+    counted, called = [], []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "COUNTED" for t in node.targets)):
+            counted += [elt.value for elt in node.value.elts]
+        if isinstance(node, ast.Call):
+            called += [f"{expr.value.id}.{expr.attr}" for expr in (node.func, *node.args)
+                       if isinstance(expr, ast.Attribute)
+                       and isinstance(expr.value, ast.Name)
+                       and expr.value.id in ("frt", "rewrite")]
+    return counted, called
+
+
+def test_traced_child_names_are_module_level_functions():
+    counted, called = _traced_child_names()
+    assert "borel.delta_monomial" in counted
+    assert {"frt.quantum_r_matrix", "frt.metric_matrix", "frt.presentation",
+            "frt.eliminated_residuals", "rewrite.span_contains"} <= set(called)
+    wrong = []
+    for name in counted + called:
+        module, attr = name.split(".")
+        obj = getattr(importlib.import_module(f"ospq.{module}"), attr, None)
+        if not ((inspect.isfunction(obj) or hasattr(obj, "cache_info"))
+                and obj.__module__ == f"ospq.{module}"):
+            wrong.append(name)
+    assert not wrong, f"traced_child.py names no module-level function: {wrong}"
+
+
+# every map that ``extend`` returns runs this one code object
+EXTENDED = extend(None, None).__code__
+
+
+def _spied(ext, used):
+    """The extension ``ext``, logging each element or word it maps."""
+    def counted(element):
+        used.append(element)
+        return ext(element)
+
+    def word(w):
+        used.append(w)
+        return ext.word(w)
+    counted.word = word
+    return counted
+
+
+def _spy_extend(monkeypatch, module):
+    """Make ``module.extend`` log the uses of the maps it builds."""
+    used = []
+    monkeypatch.setattr(module, "extend", lambda *args: _spied(extend(*args), used))
+    return used
+
+
+def test_word_extensions_go_through_extend(monkeypatch):
+    assert not hasattr(frt, "_coproduct_word_cached")
+    for ext in (frt.counit, frt.antipode, frt._coproducts):
+        assert ext.__code__ is EXTENDED
+    used = []
+    monkeypatch.setattr(frt, "_coproducts", _spied(frt._coproducts, used))
+    frt.coproduct("a")
+    frt.coproduct(SuperPoly.word(frt.ALPHABET, ("a", "de")))
+    assert len(used) == 2
+    used = _spy_extend(monkeypatch, freealg)
+    SuperPoly.word(frt.ALPHABET, ("a", "b")).substitute_letters(
+        {"a": SuperPoly.letter(frt.ALPHABET, "c")})
+    assert len(used) == 1
+    used = _spy_extend(monkeypatch, borel)
+    borel._coproducts.cache_clear()
+    try:
+        borel.delta_monomial((1, 1, 1), 8)
+        assert used == [("V", "H", "X")]
+        assert borel.verify_rll_solution(borel.particular_solution(8), 8)
+        assert len(used) == 1 + len(borel.dual_relations())
+        borel.antipode_axiom_defects(8)
+        assert len(used) > 1 + len(borel.dual_relations())
+    finally:
+        borel._coproducts.cache_clear()
+
+
+def _pairwise_grade_loops(source):
+    """Functions that read a grade and loop over a ``range`` or slice bounded
+    by another loop's variable (``range(i + 1, len(w))``, ``w[:i]``): the
+    shape of a sign (-1)^{sum_{i<j} |x_i||x_j|} over the letters of a word."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef) or "grade" not in ast.unparse(fn):
+            continue
+        loops = [n for n in ast.walk(fn) if isinstance(n, (ast.For, ast.comprehension))]
+        bound = {n.id for loop in loops for n in ast.walk(loop.target)
+                 if isinstance(n, ast.Name)}
+        offsets = [part for loop in loops for part in ast.walk(loop.iter)
+                   if isinstance(part, ast.Slice)
+                   or (isinstance(part, ast.Call) and getattr(part.func, "id", "") == "range")]
+        if any(isinstance(n, ast.Name) and n.id in bound
+               for part in offsets for n in ast.walk(part)):
+            found.append(fn.name)
+    return found
+
+
+def test_only_freealg_computes_a_sign_over_the_letters_of_a_word():
+    package = Path(ospq.__file__).parent
+    signs = {path.name: _pairwise_grade_loops(path.read_text())
+             for path in sorted(package.glob("*.py")) if path.name != "freealg.py"}
+    assert not any(signs.values()), f"word signs outside freealg.py: {signs}"
+    # the shape the check looks for: the antipode loop it replaced
+    assert _pairwise_grade_loops(textwrap.dedent("""
+        def antipode(w, grades):
+            sign = 0
+            for i in range(len(w)):
+                for j in range(i + 1, len(w)):
+                    sign += grades[w[i]] * grades[w[j]]
+            return sign
+    """)) == ["antipode"]
