@@ -5,12 +5,28 @@ Rules are stored as ``lhs word -> rhs SuperPoly`` with every right-hand
 monomial strictly below the left side in the alphabet's monomial order, so
 rewriting terminates and normal forms certify ideal membership.  Span tools
 compare Scalar-linear spans of shifted relation families inside a degree
-slice by one fraction-free echelon over Z[p], which decides membership over
-Q(p) exactly; the generators are interreduced first and only the independent
-ones are shifted.  An echelon at seeded integer values of p is kept for spans
-whose coefficients are free of p, where evaluation changes nothing.
+slice and decide membership over Q(p) exactly; the generators are
+interreduced first and only the independent ones are shifted.
 
-Z[p] is the one polynomial ring of this module: besides the span echelons,
+Graded families are decided at p = 1.  Suppose letter weights and a nonzero
+weight of p make every generator homogeneous, a term u*p^d weighing
+wt(u) + d*wt(p) (``_p_grading`` solves for them).  The shifts are then
+homogeneous too, and in a homogeneous element the weight of a word fixes
+its power of p.  So the span matrix is M = D_r*C*D_c, with C the
+integer matrix M at p = 1 and D_r, D_c diagonal powers of p (fractional
+powers at worst, which change no rank).  M and C have the same rank, and a
+homogeneous target lies in the span over Q(p) exactly when its row at p = 1
+lies in the row space of C over Q.  The span is stable under the torus
+action u -> λ^wt(u) u, p -> λ^wt(p) p, so a target lies in it exactly when
+each of its weight components does.  One integer echelon at p = 1 therefore
+decides such a span.  Every family the checks compare is graded by the
+torus weight, with p of weight 2.  A family with no such grading, such as a
+generator (p - 85)*ac whose word carries two powers of p, is decided by a
+fraction-free echelon over Z[p] instead.  An echelon at seeded integer
+values of p is kept for spans whose coefficients are free of p, where
+evaluation changes nothing.
+
+Z[p] is the one polynomial ring of this module: besides that span echelon,
 ``primitive_part`` takes its content with the Z[p] gcd and ``nullspace``
 solves linear systems over Q(p) on the same echelon.
 """
@@ -19,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .scalars import Scalar, _accumulate
 from .freealg import SuperPoly
@@ -251,8 +267,25 @@ def complete(alphabet, relations, max_degree: int) -> RewriteSystem:
 # Degree-sliced span comparison.
 # ----------------------------------------------------------------------
 
+def _shift_pairs(words, length, degree_bound):
+    """The (u, v) with len(u) + length + len(v) <= degree_bound, u outer:
+    every shift u*f*v of one generator of that length.  ``words`` are listed
+    shortest first."""
+    for u in words:
+        room = degree_bound - length - len(u)
+        if room < 0:
+            return
+        for v in words:
+            if len(v) > room:
+                break
+            yield u, v
+
+
 def shift_family(gens, degree_bound: int):
-    """All u*f*v with f in gens and total degree <= degree_bound."""
+    """All u*f*v with f in gens and total degree <= degree_bound.
+
+    The word product is concatenation with no sign, so each shift relabels
+    the words of f."""
     gens = [f for f in gens if not f.is_zero]
     if not gens:
         return []
@@ -263,14 +296,9 @@ def shift_family(gens, degree_bound: int):
         d = f.degree()
         if d > degree_bound:
             raise ValueError("generator exceeds the degree bound")
-        for u in words:
-            lu = len(u)
-            if lu + d > degree_bound:
-                continue
-            uf = SuperPoly.word(alphabet, u) * f if u else f
-            for v in words:
-                if lu + d + len(v) <= degree_bound:
-                    out.append(uf * SuperPoly.word(alphabet, v) if v else uf)
+        out.extend(SuperPoly(alphabet, {u + w + v: c for w, c in f._terms.items()},
+                             _internal=True)
+                   for u, v in _shift_pairs(words, d, degree_bound))
     return out
 
 
@@ -301,25 +329,22 @@ def _gcd_all(values):
     return g or 1
 
 
+def _int_row(pairs):
+    """The integer row of nonzero ``(column, Fraction)`` pairs: denominators
+    cleared, content stripped."""
+    row = dict(pairs)
+    denom = lcm(*(q.denominator for q in row.values()))
+    row = {k: int(q * denom) for k, q in row.items()}
+    g = _gcd_all(row.values())
+    return {k: v // g for k, v in row.items()} if g > 1 else row
+
+
 def _int_rows(polys, ranks, pval):
     """Rows as {rank: int}: coefficients evaluated at integer p, denominators
     cleared row-wise, content stripped."""
-    rows = []
-    for f in polys:
-        row = {}
-        denom = 1
-        for w, c in f._terms.items():
-            q = c.substitute(p=pval).as_rational()
-            if q:
-                row[ranks[w]] = q
-                denom = denom * q.denominator // gcd(denom, q.denominator)
-        if not row:
-            rows.append({})
-            continue
-        irow = {k: int(v * denom) for k, v in row.items()}
-        g = _gcd_all(irow.values())
-        rows.append({k: v // g for k, v in irow.items()})
-    return rows
+    return [_int_row((ranks[w], q) for w, c in f._terms.items()
+                     if (q := c.substitute(p=pval).as_rational()))
+            for f in polys]
 
 
 def _int_reduce(basis, row):
@@ -572,23 +597,102 @@ def nullspace(rows, ncols: int):
     return out
 
 
-@lru_cache(maxsize=None)
-def _sym_echelon(gens, degree_bound):
-    """(word ranks, Z[p] echelon basis, shift count, kept generator count).
+def _independent(gens, rows, insert):
+    """Indices of the gens whose rows do not reduce to zero in one echelon,
+    inserted shortest first.
 
-    Only the gens that do not reduce to zero in one echelon, inserted shortest
-    first, are shifted: a dropped one is a Q(p)-combination of kept ones of no
+    Only these are shifted: a dropped one is a combination of kept ones of no
     larger length, so its shifts within the bound are too.  The word ranks put
     alphabet weight before length, so they cannot set this order alone.
     """
+    order = sorted(range(len(gens)), key=lambda i: (gens[i].degree(), max(rows[i])))
+    basis = {}
+    return [i for i in order if insert(basis, rows[i])]
+
+
+@lru_cache(maxsize=None)
+def _sym_echelon(gens, degree_bound):
+    """(word ranks, Z[p] echelon basis, shift count, kept generator count)."""
     ranks = _word_ranks(gens[0].alphabet, degree_bound)
     rows = [_sym_row((ranks[w], c) for w, c in f._terms.items()) for f in gens]
-    order = sorted(range(len(gens)), key=lambda i: (gens[i].degree(), max(rows[i])))
-    independent = {}
-    kept = [gens[i] for i in order if _sym_insert(independent, rows[i])]
-    shifts = shift_family(kept, degree_bound)
+    kept = _independent(gens, rows, _sym_insert)
+    shifts = shift_family([gens[i] for i in kept], degree_bound)
     rows = [_sym_row((ranks[w], c) for w, c in f._terms.items()) for f in shifts]
     return ranks, _echelon(rows, _sym_insert), len(shifts), len(kept)
+
+
+def _p_grading(gens):
+    """Integer letter weights and a positive weight of p under which every
+    generator is homogeneous, as ``({letter: weight}, weight of p)``, or None.
+
+    A term u*p^d has weight wt(u) + d*wt(p), so the exponent differences of
+    the terms of one generator are linear equations on the weights, solved by
+    ``nullspace``; any solution that gives p a nonzero weight will do.  None
+    also when a coefficient is not a rational polynomial in p.
+    """
+    letters = gens[0].alphabet.letters
+    column = {x: i for i, x in enumerate(letters)}
+    n = len(letters)
+    equations = set()
+    for f in gens:
+        first = None
+        for w, c in f._terms.items():
+            try:
+                degrees = c.p_coefficients()
+            except ValueError:
+                return None
+            for d in degrees:
+                exponents = [0] * n + [d]
+                for x in w:
+                    exponents[column[x]] += 1
+                if first is None:
+                    first = exponents
+                elif exponents != first:
+                    equations.add(tuple(a - b for a, b in zip(exponents, first)))
+    rows = [{k: Scalar.rational(a) for k, a in enumerate(e) if a} for e in equations]
+    for vector in nullspace(rows, n + 1):
+        values = [v.as_rational() for v in vector]
+        if values[n]:
+            scale = lcm(*(q.denominator for q in values)) * (1 if values[n] > 0 else -1)
+            weights = [int(q * scale) for q in values]
+            return dict(zip(letters, weights)), weights[n]
+    return None
+
+
+def _weight_components(f, weights, p_weight):
+    """``{weight: {word: Fraction}}``: f at p = 1, split by the weight
+    wt(u) + d*wt(p) of each term u*p^d.  A word has one p-degree in each."""
+    out = {}
+    for w, c in f._terms.items():
+        base = sum(weights[x] for x in w)
+        for d, q in c.p_coefficients().items():
+            out.setdefault(base + d * p_weight, {})[w] = q
+    return out
+
+
+@lru_cache(maxsize=None)
+def _graded_echelon(gens, degree_bound):
+    """(word ranks, grading, integer echelon basis at p = 1, shift count,
+    kept generator count) of gens homogeneous under ``_p_grading``, or None.
+
+    Each generator is one weight component, so one integer row at p = 1.
+    The kept rows are shifted by relabelling their words.
+    """
+    grading = _p_grading(gens)
+    if grading is None:
+        return None
+    alphabet = gens[0].alphabet
+    ranks = _word_ranks(alphabet, degree_bound)
+    rows = []
+    for f in gens:
+        (part,) = _weight_components(f, *grading).values()
+        rows.append(_int_row(part.items()))
+    kept = _independent(gens, [{ranks[w]: a for w, a in row.items()} for row in rows],
+                        _int_insert)
+    words = alphabet.words_up_to(degree_bound)
+    shifts = [{ranks[u + w + v]: a for w, a in rows[i].items()}
+              for i in kept for u, v in _shift_pairs(words, gens[i].degree(), degree_bound)]
+    return ranks, grading, _echelon(shifts, _int_insert), len(shifts), len(kept)
 
 
 @lru_cache(maxsize=None)
@@ -606,11 +710,17 @@ def span_contains(gens, targets, degree_bound: int, seed: int = 0,
                   symbolic: bool = True):
     """Is every target in the Scalar-linear span of degree-bounded shifts of gens?
 
-    With ``symbolic`` the rows are reduced by a fraction-free echelon over
-    Z[p], which decides membership over Q(p) exactly.  Without it they are
-    compared at three seeded integer values of p, which is exact only when
-    gens and targets are free of p.  Returns (ok, detail).  A generator or
-    target longer than ``degree_bound`` raises ``ValueError``.
+    With ``symbolic`` membership is decided over Q(p) exactly.  When letter
+    weights and a nonzero weight of p make every generator homogeneous, the
+    span matrix is M = D_r*C*D_c with C its value at p = 1 and D_r, D_c
+    diagonal powers of p.  Each target is then split into its weight
+    components, and each component's row at p = 1 is reduced by the integer
+    echelon of C; the target is inside exactly when every component is.
+    Otherwise the rows are reduced by a fraction-free echelon over Z[p].
+    Without ``symbolic`` they are compared at three seeded integer values of
+    p, which is exact only when gens and targets are free of p.  Returns
+    (ok, detail).  A generator or target longer than ``degree_bound`` raises
+    ``ValueError``.
     """
     targets = [t for t in targets if not t.is_zero]
     gens = tuple(g for g in gens if not g.is_zero)
@@ -622,10 +732,22 @@ def span_contains(gens, targets, degree_bound: int, seed: int = 0,
     if not gens:
         return False, "empty generating family"
     if symbolic:
-        ranks, basis, nshifts, nkept = _sym_echelon(gens, degree_bound)
+        graded = _graded_echelon(gens, degree_bound)
+        if graded is None:
+            ranks, basis, nshifts, nkept = _sym_echelon(gens, degree_bound)
+
+            def inside(t):
+                row = _sym_row((ranks[w], c) for w, c in t._terms.items())
+                return _sym_reduces_to_zero(basis, row)
+        else:
+            ranks, grading, basis, nshifts, nkept = graded
+
+            def inside(t):
+                return all(_int_reduces_to_zero(
+                               basis, _int_row((ranks[w], q) for w, q in part.items()))
+                           for part in _weight_components(t, *grading).values())
         for i, t in enumerate(targets):
-            row = _sym_row((ranks[w], c) for w, c in t._terms.items())
-            if not _sym_reduces_to_zero(basis, row):
+            if not inside(t):
                 return False, f"target #{i} escapes the span symbolically"
         return True, (f"{len(targets)} targets inside span of {nshifts} shifts "
                       f"of {nkept} of {len(gens)} generators")

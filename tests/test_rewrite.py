@@ -8,11 +8,12 @@ from ospq.scalars import Scalar, rat, P, HALF, SQRT2
 from ospq.freealg import GradedAlphabet, SuperPoly
 from ospq.rewrite import (RewriteSystem, orient, span_equal, span_contains,
                           primitive_part, nullspace, OrientationError)
-from ospq.rewrite import (_echelon, _evaluation_points, _int_insert,
-                          _int_reduces_to_zero, _poly_mul, _sym_echelon,
-                          _sym_insert, _sym_reduces_to_zero, _sym_row,
+from ospq.rewrite import (_echelon, _evaluation_points, _graded_echelon,
+                          _int_insert, _int_reduces_to_zero, _p_grading,
+                          _poly_mul, _sym_echelon, _sym_insert,
+                          _sym_reduces_to_zero, _sym_row, _weight_components,
                           _word_ranks, shift_family)
-from ospq import frt
+from ospq import borel, checks, frt, rewrite
 
 
 def w(*letters):
@@ -420,3 +421,163 @@ def test_interreduced_span_equals_the_span_of_all_shifts():
             verdicts += expected
     # both verdicts occurred, and generators were dropped
     assert dropped > 0 and 0 < verdicts < 80
+
+
+# -- spans decided at p = 1 under a torus-weight grading ---------------------
+
+# the weights of the paper's triangular deformation: p has weight 2
+TORUS = {"a": 0, "d": 0, "al": 1, "de": -1, "b": 2, "c": -2}
+
+
+def test_p_grading_finds_the_torus_weights_of_the_defining_relations():
+    weights, p_weight = _p_grading(tuple(frt.defining_relations()))
+    assert p_weight > 0
+    assert {x: 2 * v for x, v in weights.items()} == {x: p_weight * v for x, v in TORUS.items()}
+
+
+def test_p_grading_needs_p_of_nonzero_weight():
+    # the two p-degrees of one word force p to weight 0
+    assert _p_grading((w("a", "c").scale(P - rat(85)),)) is None
+    assert _p_grading((w("a", "c").scale(SQRT2),)) is None
+    # such a span is still decided, by the Z[p] echelon
+    assert span_contains([w("a", "c").scale(P - rat(85))], [w("c", "a", "c")], 3) == (
+        True, "1 targets inside span of 13 shifts of 1 of 1 generators")
+
+
+def test_p_grading_grades_a_p_free_family():
+    gens = tuple(f.substitute_parameter(p=0) for f in frt.defining_relations())
+    weights, p_weight = _p_grading(gens)
+    assert p_weight > 0
+    for f in gens:
+        assert len(_weight_components(f, weights, p_weight)) == 1
+
+
+XZY = GradedAlphabet(("x", "z", "y"), {"x": 0, "z": 0, "y": 1})
+# x, y, z of weights 1, -1, 2 and p of weight 2: the weight of a word fixes
+# the parity of the power of p beside it
+XZY_WEIGHTS = {"x": 1, "y": -1, "z": 2}
+
+
+def _word_weight(word):
+    return sum(XZY_WEIGHTS[x] for x in word)
+
+
+def _xzy_weight(f):
+    word, c = next(iter(f._terms.items()))
+    return _word_weight(word) + 2 * max(c.p_coefficients())
+
+
+def _random_homogeneous(rng, degree):
+    """A random homogeneous element of the given length, p of degree <= 2."""
+    while True:
+        first = tuple(rng.choice("xyz") for _ in range(degree))
+        weight = _word_weight(first) + 2 * rng.randint(0, 1)
+        terms = {}
+        for word in [first] + [tuple(rng.choice("xyz") for _ in range(rng.randint(0, degree)))
+                               for _ in range(6)]:
+            d, odd = divmod(weight - _word_weight(word), 2)
+            if not odd and 0 <= d <= 2:
+                terms[word] = rat(rng.choice([-3, -2, -1, 1, 2, 5])) * P ** d
+        if len(terms) > 1:
+            return SuperPoly(XZY, terms)
+
+
+def _p_power(f, k):
+    return f.scale(P ** k)
+
+
+def _inside_component(rng, shifts):
+    """A homogeneous combination of two shifts of the same weight parity."""
+    s1 = rng.choice(shifts)
+    s2 = rng.choice([s for s in shifts if (_xzy_weight(s) - _xzy_weight(s1)) % 2 == 0])
+    weight = max(_xzy_weight(s1), _xzy_weight(s2)) + 2 * rng.randint(0, 1)
+    return (_p_power(s1, (weight - _xzy_weight(s1)) // 2).scale(rat(rng.randint(1, 3)))
+            + _p_power(s2, (weight - _xzy_weight(s2)) // 2).scale(rat(rng.randint(-3, -1))))
+
+
+def test_graded_span_decides_like_the_zp_echelon_of_all_shifts():
+    # random homogeneous families padded with redundant generators (p-multiples,
+    # same-weight sums of a shorter and a longer one, p-shifted sums across
+    # weights, and shifts); targets of 2-3 weight components, each either a
+    # combination of shifts or random.  The integer echelon at p = 1 has the
+    # rank and keeps the generators of the Z[p] echelon, and decides every
+    # target as the Z[p] echelon over the shifts of all generators does.
+    rng = random.Random(14)
+    bound = 4
+    ranks = _word_ranks(XZY, bound)
+    dropped = verdicts = escapes = 0
+    for _ in range(8):
+        gens = [_random_homogeneous(rng, rng.choice([2, 2, 3]))
+                for _ in range(rng.randint(2, 3))]
+        f = rng.choice(gens)
+        gens.append(_p_power(f, 1))
+        gens.append(SuperPoly.letter(XZY, "x") * f)
+        pairs = [(f, g) for f in gens for g in gens if f.degree() < g.degree()
+                 and (_xzy_weight(g) - _xzy_weight(f)) % 2 == 0]
+        for f, g in rng.sample(pairs, min(2, len(pairs))):
+            k = (_xzy_weight(g) - _xzy_weight(f)) // 2
+            f = f.scale(rat(rng.randint(1, 2)))
+            gens.append(_p_power(f, k) + g if k >= 0 else f + _p_power(g, -k))
+        rng.shuffle(gens)
+        gens = tuple(f for f in gens if not f.is_zero)
+        graded = _graded_echelon(gens, bound)
+        assert graded is not None
+        _, _, basis, nshifts, nkept = graded
+        shifts = shift_family(gens, bound)
+        plain = _echelon([_row(f, ranks) for f in shifts], _sym_insert)
+        assert len(basis) == len(plain)
+        _, sym_basis, sym_nshifts, sym_nkept = _sym_echelon(gens, bound)
+        assert (len(sym_basis), sym_nshifts, sym_nkept) == (len(basis), nshifts, nkept)
+        dropped += len(gens) - nkept
+        for _ in range(8):
+            parts = []
+            for _ in range(rng.randint(2, 3)):
+                if rng.random() < 0.7:
+                    parts.append(_inside_component(rng, shifts))
+                else:
+                    parts.append(_random_homogeneous(rng, rng.randint(2, bound)))
+            parts = [f for f in parts if not f.is_zero]
+            if len({_xzy_weight(f) for f in parts}) < 2:
+                continue
+            t = sum(parts[1:], parts[0])
+            # (p - 1) * t vanishes at p = 1 and is inside exactly when t is
+            for target in (t, t.scale(P - rat(1))):
+                expected = _sym_reduces_to_zero(plain, _row(target, ranks))
+                assert span_contains(gens, [target], bound)[0] is expected
+                verdicts += 1
+                escapes += not expected
+    # both verdicts occurred, and generators were dropped
+    assert dropped > 0 and 0 < escapes < verdicts
+
+
+def test_every_checked_span_is_decided_at_p_equal_one(monkeypatch):
+    # the span checks of ``ospq-verify all`` reduce nothing over Z[p]: their
+    # families are graded, so only the weight solve of ``nullspace`` reaches
+    # ``_sym_reduce``.  The presentation and its metric are built first.
+    frt.presentation()
+    frt.eliminated_residuals()
+    _graded_echelon.cache_clear()
+    outside = []
+    depth = [0]
+    reduce, solve = rewrite._sym_reduce, rewrite.nullspace
+
+    def spy_reduce(basis, row):
+        if not depth[0]:
+            outside.append(row)
+        return reduce(basis, row)
+
+    def spy_solve(rows, ncols):
+        depth[0] += 1
+        try:
+            return solve(rows, ncols)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(rewrite, "_sym_reduce", spy_reduce)
+    monkeypatch.setattr(rewrite, "nullspace", spy_solve)
+    config = checks.CheckConfig()
+    for check in (checks.check_rtt_span, checks.check_relation_membership,
+                  checks.check_span_negative):
+        assert check(config)[0]
+    assert borel.rll_span_matches_relations()
+    assert outside == []
