@@ -26,6 +26,18 @@ fraction-free echelon over Z[p] instead.  An echelon at seeded integer
 values of p is kept for spans whose coefficients are free of p, where
 evaluation changes nothing.
 
+Completion runs at p = 2 on relations graded in this way, as every family
+the checks complete is.  Overlap reducts, normal forms and interreduction
+remainders stay homogeneous, so setting p = 2 loses nothing and commutes
+with rewriting: the same words cancel, in the same order.  Over Q[p] each
+new relation is divided by its content, a power of p, and its leading
+coefficient is then a unit exactly when no word outweighs the leading word;
+``orient`` tests that at p = 2, and its division by the leading coefficient
+takes the power out.  Lifting a final rule lhs -> rhs turns a term v*u into
+(v / 2^k) p^k u with k*wt(p) = wt(lhs) - wt(u).  Why 2 and not 1: the
+presentation's relations carry p/2, and at p = 2 every coefficient of its
+completion, in rules and normal forms alike, is an integer.
+
 Z[p] is the one polynomial ring of this module: besides that span echelon,
 ``primitive_part`` takes its content with the Z[p] gcd and ``nullspace``
 solves linear systems over Q(p) on the same echelon.
@@ -37,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .scalars import Scalar, _accumulate
+from .scalars import Scalar, ONE as S_ONE, _accumulate
 from .freealg import SuperPoly
 
 
@@ -67,33 +79,46 @@ def primitive_part(poly):
     return poly.map_scalars(lambda c: c.divide_exact(g))
 
 
-def orient(polys):
-    """Turn relation polynomials into oriented rules {lhs: rhs}.
+def _whole(q):
+    """An integral Fraction as an int, whose arithmetic is cheaper; any other
+    coefficient unchanged."""
+    return q.numerator if isinstance(q, Fraction) and q.denominator == 1 else q
+
+
+def orient(polys, weight=None):
+    """Turn relation polynomials into oriented rules {lhs: rhs}, one per
+    leading word.
 
     Each polynomial is scaled so its leading monomial has coefficient 1 and
     rewritten as lhs -> lhs - poly.  Raises OrientationError if a leading
-    coefficient is not an invertible constant.
+    coefficient is not an invertible constant.  With ``weight`` (word ->
+    weight under ``_p_grading``) the coefficients are values at p = 2, and a
+    leading word lighter than another word carries a power of p.
     """
     rules = {}
     for f in polys:
         if f.is_zero:
             continue
         lead = f.leading_word()
-        lc = f.coefficient(lead)
-        if not lc.is_constant:
-            raise OrientationError(
-                f"leading coefficient {lc} of {f!r} is not a unit")
-        rhs = (SuperPoly.word(f.alphabet, lead, lc) - f).scale(lc.unit_inverse())
-        rules[lead] = rhs
+        lc = f._terms[lead]
+        if weight is None and not lc.is_constant:
+            raise OrientationError(f"leading coefficient {lc} of {f!r} is not a unit")
+        if weight is not None and weight(lead) < max(map(weight, f.words())):
+            raise OrientationError(f"leading word {lead} carries a power of p")
+        inv = lc.unit_inverse() if weight is None else Fraction(1, lc)
+        rules[lead] = SuperPoly(f.alphabet, {w: _whole(-c * inv) for w, c in f._terms.items()
+                                             if w != lead}, _internal=True)
     return rules
 
 
 class RewriteSystem:
     """Oriented, terminating rewrite system over a graded alphabet."""
 
-    def __init__(self, alphabet, rules):
+    def __init__(self, alphabet, rules, one=S_ONE):
+        # ``one`` is the coefficient of an irreducible word: 1 at p = 2
         self.alphabet = alphabet
         self.rules = dict(rules)
+        self.one = one
         self._cache = {}
         key = alphabet.word_key
         by_first = {}
@@ -115,7 +140,7 @@ class RewriteSystem:
 
     def rule_polys(self):
         """The rules as relation polynomials lhs - rhs."""
-        return [SuperPoly.word(self.alphabet, lhs) - rhs
+        return [SuperPoly(self.alphabet, {lhs: self.one}, _internal=True) - rhs
                 for lhs, rhs in self.rules.items()]
 
     def _first_match(self, word):
@@ -144,7 +169,7 @@ class RewriteSystem:
                 continue
             m = self._first_match(w)
             if m is None:
-                cache[w] = SuperPoly.word(self.alphabet, w)
+                cache[w] = SuperPoly(self.alphabet, {w: self.one}, _internal=True)
                 stack.pop()
                 continue
             i, lhs = m
@@ -216,21 +241,20 @@ class RewriteSystem:
         return bad
 
 
-def interreduce(alphabet, rules):
-    """Reduce every rule by the others until stable; drops redundant rules."""
+def interreduce(alphabet, rules, weight):
+    """Reduce every rule by the others until stable; drops redundant rules.
+    The rules hold numbers at p = 2, oriented by ``weight``."""
     rules = dict(rules)
     for _ in range(200):
         changed = False
         for lhs in sorted(rules, key=alphabet.word_key):
             rhs = rules.pop(lhs)
-            others = RewriteSystem(alphabet, rules)
-            f = others.normal_form(SuperPoly.word(alphabet, lhs)) - others.normal_form(rhs)
-            f = primitive_part(f)
+            others = RewriteSystem(alphabet, rules, one=1)
+            f = others.nf_word(lhs) - others.normal_form(rhs)
             if f.is_zero:
                 changed = True
                 continue
-            new = orient([f])
-            (new_lhs, new_rhs), = new.items()
+            (new_lhs, new_rhs), = orient([f], weight).items()
             if new_lhs != lhs or new_rhs != rhs:
                 changed = True
             rules[new_lhs] = new_rhs
@@ -245,21 +269,43 @@ COMPLETION_ROUNDS = 30
 def complete(alphabet, relations, max_degree: int) -> RewriteSystem:
     """Degree-bounded Buchberger-style completion of a relation list.
 
-    Overlap differences (and interreduction remainders) are normalized to
-    their primitive parts before orientation: a difference can emerge as a
-    p-multiple of the rule it forces, and the compiled system presents the
-    ideal saturated with respect to p.  Flatness of the quotient (normal-word
-    counts matching the classical algebra) certifies that the saturation adds
-    nothing in the audited degrees.
+    It runs at p = 2 (module docstring) and returns Scalar rules; relations
+    that ``_p_grading`` cannot grade raise ValueError.  Every new relation
+    is divided by its content, a power of p, so the compiled system presents
+    the ideal saturated with respect to p.  Flatness of the quotient
+    (normal-word counts matching the classical algebra) certifies that the
+    saturation adds nothing in the audited degrees.
     """
-    rules = interreduce(alphabet, orient([primitive_part(f) for f in relations]))
+    grading = _p_grading(relations) if relations else None
+    if grading is None:
+        raise ValueError("completion needs relations homogeneous in a grading of p")
+    weights, p_weight = grading
+
+    def weight(word):
+        return sum(weights[x] for x in word)
+
+    def lift(lhs, rhs):
+        terms = {}
+        for u, v in rhs._terms.items():
+            k, r = divmod(weight(lhs) - weight(u), p_weight)
+            if r or k < 0:
+                raise ArithmeticError(f"term {u} of rule {lhs} has no power of p")
+            terms[u] = Scalar.in_p({k: Fraction(v, 2 ** k)})
+        return SuperPoly(alphabet, terms, _internal=True)
+
+    relations = [SuperPoly(alphabet, {w: _whole(c.substitute(p=2).as_rational())
+                                      for w, c in f._terms.items()}, _internal=True)
+                 for f in relations]
+    rules = interreduce(alphabet, orient(relations, weight), weight)
     for _ in range(COMPLETION_ROUNDS):
-        system = RewriteSystem(alphabet, rules)
-        bad = system.overlap_check(max_degree)
+        system = RewriteSystem(alphabet, rules, one=1)
+        # a relation that shared its leading word with another comes back
+        # once the overlaps resolve
+        bad = ([d for _, d in system.overlap_check(max_degree)]
+               or [d for f in relations if (d := system.normal_form(f))])
         if not bad:
-            return system
-        polys = system.rule_polys() + [primitive_part(d) for _, d in bad]
-        rules = interreduce(alphabet, orient(polys))
+            return RewriteSystem(alphabet, {lhs: lift(lhs, rhs) for lhs, rhs in rules.items()})
+        rules = interreduce(alphabet, orient(system.rule_polys() + bad, weight), weight)
     raise RuntimeError(f"completion did not converge in {COMPLETION_ROUNDS} rounds")
 
 
@@ -698,11 +744,15 @@ def _graded_echelon(gens, degree_bound):
 @lru_cache(maxsize=None)
 def _int_echelons(gens, degree_bound, seed):
     """(word ranks, [(p value, integer echelon basis)], shift count) at the
-    seeded evaluation points."""
+    seeded evaluation points.  Gens free of p have the same rows at every
+    point, so one basis serves them all."""
     ranks = _word_ranks(gens[0].alphabet, degree_bound)
     shifts = shift_family(list(gens), degree_bound)
-    bases = [(pval, _echelon(_int_rows(shifts, ranks, pval), _int_insert))
-             for pval in _evaluation_points(seed, _POINTS)]
+    p_free = all(c.p_coefficients().keys() <= {0} for f in gens for c in f._terms.values())
+    bases = []
+    for pval in _evaluation_points(seed, _POINTS):
+        bases.append((pval, bases[0][1] if p_free and bases
+                      else _echelon(_int_rows(shifts, ranks, pval), _int_insert)))
     return ranks, bases, len(shifts)
 
 

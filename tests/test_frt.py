@@ -99,6 +99,16 @@ def test_presentation_compiles(pres):
     assert pres.system.overlap_check(4) == []
 
 
+def test_presentation_completed_at_p_2_is_confluent_over_qp(pres):
+    # the rules were completed at p = 2 and lifted: audited again with
+    # Scalar coefficients, to the completion degree, they resolve every
+    # overlap, and every defining and derived relation reduces to zero
+    assert len(pres.system) == 35
+    assert pres.system.overlap_check(frt.COMPLETION_DEGREE) == []
+    for rel in pres.all_relations():
+        assert pres.reduces_to_zero(rel)
+
+
 def test_unimodularity_form(pres):
     expected = (w("al", "de") - w("b", "c") + w("a", "d")
                 - w("a", "c").scale(HALF * P) - SuperPoly.one(frt.ALPHABET))

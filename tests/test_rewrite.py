@@ -6,14 +6,14 @@ import pytest
 
 from ospq.scalars import Scalar, rat, P, HALF, SQRT2
 from ospq.freealg import GradedAlphabet, SuperPoly
-from ospq.rewrite import (RewriteSystem, orient, span_equal, span_contains,
+from ospq.rewrite import (RewriteSystem, complete, orient, span_equal, span_contains,
                           primitive_part, nullspace, OrientationError)
 from ospq.rewrite import (_echelon, _evaluation_points, _graded_echelon,
-                          _int_insert, _int_reduces_to_zero, _p_grading,
+                          _int_echelons, _int_insert, _int_reduces_to_zero, _p_grading,
                           _poly_mul, _sym_echelon, _sym_insert,
                           _sym_reduces_to_zero, _sym_row, _weight_components,
                           _word_ranks, shift_family)
-from ospq import borel, checks, frt, rewrite
+from ospq import borel, checks, frt, rewrite, scalars
 
 
 def w(*letters):
@@ -581,3 +581,137 @@ def test_every_checked_span_is_decided_at_p_equal_one(monkeypatch):
         assert check(config)[0]
     assert borel.rll_span_matches_relations()
     assert outside == []
+
+
+def test_p_free_gens_share_one_integer_echelon():
+    # the rows of a family free of p are the same at every evaluation point
+    free = tuple(f.substitute_parameter(p=0) for f in frt.defining_relations()[:4])
+    _, bases, _ = _int_echelons(free, 3, 0)
+    assert [pval for pval, _ in bases] == _evaluation_points(0, 3)
+    assert len({id(basis) for _, basis in bases}) == 1
+    _, bases, _ = _int_echelons(tuple(frt.defining_relations()[:4]), 3, 0)
+    assert len({id(basis) for _, basis in bases}) == 3
+
+
+# -- completion at p = 2 ------------------------------------------------------
+
+# the letters of XZY ordered by torus weight + 2, so that among words of one
+# length the heavier one leads
+XZY_BY_WEIGHT = GradedAlphabet(("x", "z", "y"), {"x": 0, "z": 0, "y": 1},
+                               weights={"x": 3, "z": 4, "y": 1})
+
+
+def _complete_over_qp(alphabet, relations, max_degree):
+    """The completion that ``complete`` evaluates at p = 2, run on Scalars:
+    every new relation divided by its content, oriented by ``orient``."""
+    def interreduce(rules):
+        for _ in range(200):
+            changed = False
+            for lhs in sorted(rules, key=alphabet.word_key):
+                rhs = rules.pop(lhs)
+                others = RewriteSystem(alphabet, rules)
+                f = primitive_part(others.nf_word(lhs) - others.normal_form(rhs))
+                if f.is_zero:
+                    changed = True
+                    continue
+                (new_lhs, new_rhs), = orient([f]).items()
+                changed = changed or (new_lhs, new_rhs) != (lhs, rhs)
+                rules[new_lhs] = new_rhs
+            if not changed:
+                return rules
+        raise RuntimeError("interreduction did not stabilize")
+
+    rules = interreduce(orient([primitive_part(f) for f in relations]))
+    for _ in range(rewrite.COMPLETION_ROUNDS):
+        system = RewriteSystem(alphabet, rules)
+        bad = ([d for _, d in system.overlap_check(max_degree)]
+               or [d for f in relations if (d := system.normal_form(f))])
+        if not bad:
+            return system
+        rules = interreduce(orient(system.rule_polys() + [primitive_part(d) for d in bad]))
+    raise RuntimeError("completion did not converge")
+
+
+def _completion(alphabet, relations, fn):
+    """The rules of ``fn(alphabet, relations, 4)`` with the term order of
+    each right side, or the type of the error it raised."""
+    try:
+        system = fn(alphabet, relations, 4)
+    except ValueError as error:
+        return type(error)
+    return [(lhs, list(rhs._terms.items())) for lhs, rhs in system.rules.items()]
+
+
+def test_completion_at_p_2_lifts_to_the_completion_over_qp():
+    # seeded homogeneous families (x, y, z of torus weights 1, -1, 2, p of
+    # weight 2) with a p-multiple and a shift of one generator: completing
+    # at p = 2 and lifting gives the rules of the Scalar completion, in the
+    # same order with the same terms, or the same OrientationError.  The
+    # lifted system is confluent over Q[p] to degree 4 and reduces every
+    # relation to zero.
+    rng = random.Random(15)
+    outcomes = {"rules": 0, "with p": 0, OrientationError: 0}
+    for alphabet in (XZY, XZY_BY_WEIGHT):
+        for _ in range(20):
+            gens = [_random_homogeneous(rng, rng.choice([2, 2, 3])) for _ in range(2)]
+            f = rng.choice(gens)
+            gens += [_p_power(f, 1), SuperPoly.letter(XZY, "x") * f]
+            gens = [SuperPoly(alphabet, dict(g._terms)) for g in gens]
+            lifted = _completion(alphabet, gens, complete)
+            assert lifted == _completion(alphabet, gens, _complete_over_qp)
+            if lifted is OrientationError:
+                outcomes[OrientationError] += 1
+                continue
+            system = complete(alphabet, gens, 4)
+            assert system.overlap_check(4) == []
+            assert all(system.reduces_to_zero(g) for g in gens)
+            outcomes["rules"] += len(system)
+            outcomes["with p"] += sum(any(c.p_coefficients().keys() - {0}
+                                          for c in rhs._terms.values())
+                                      for rhs in system.rules.values())
+    assert all(outcomes.values()), outcomes
+
+
+def test_completion_keeps_relations_that_share_a_leading_word():
+    # both relations lead with z*x; one rule per leading word must not lose
+    # the other relation
+    z_x = SuperPoly.word(XZY_BY_WEIGHT, ("z", "x"))
+    z_y = SuperPoly.word(XZY_BY_WEIGHT, ("z", "y"))
+    rels = [z_x + z_y.scale(rat(5) * P), (z_x.scale(rat(2)) - z_y.scale(rat(3) * P)).scale(P)]
+    system = complete(XZY_BY_WEIGHT, rels, 4)
+    assert all(system.reduces_to_zero(f) for f in rels)
+    zero = SuperPoly.zero(XZY_BY_WEIGHT)
+    assert system.rules == {("z", "x"): zero, ("z", "y"): zero}
+
+
+def test_completion_rejects_a_lead_that_carries_p():
+    # a*d with p beside it and b of the same torus weight 2: a*d leads in the
+    # order, so its coefficient p is not a unit of Q[p]
+    rel = w("a", "d").scale(P) - w("b")
+    with pytest.raises(OrientationError):
+        orient([primitive_part(rel)])
+    with pytest.raises(OrientationError):
+        complete(frt.ALPHABET, [rel], 4)
+
+
+def test_completion_rejects_an_ungraded_family():
+    # the word a*c carries p^0 and p^1, so p has no weight
+    with pytest.raises(ValueError, match="homogeneous") as error:
+        complete(frt.ALPHABET, [w("a", "c").scale(P - rat(85))], 4)
+    assert not isinstance(error.value, OrientationError)
+
+
+def test_completion_multiplies_no_scalars(monkeypatch):
+    relations = frt.defining_relations()
+    products = []
+    kernel = scalars._products
+
+    def spy(terms1, terms2):
+        products.append((terms1, terms2))
+        return kernel(terms1, terms2)
+
+    monkeypatch.setattr(scalars, "_products", spy)
+    system = complete(frt.ALPHABET, relations, 4)
+    assert products == []
+    # the lifted rules carry p again
+    assert system.rules[("b", "a")].coefficient(("a", "a")) == -P
