@@ -8,23 +8,24 @@ compare Scalar-linear spans of shifted relation families inside a degree
 slice and decide membership over Q(p) exactly; the generators are
 interreduced first and only the independent ones are shifted.
 
-Graded families are decided at p = 1.  Suppose letter weights and a nonzero
-weight of p make every generator homogeneous, a term u*p^d weighing
-wt(u) + d*wt(p) (``_p_grading`` solves for them).  The shifts are then
-homogeneous too, and in a homogeneous element the weight of a word fixes
-its power of p.  So the span matrix is M = D_r*C*D_c, with C the
-integer matrix M at p = 1 and D_r, D_c diagonal powers of p (fractional
-powers at worst, which change no rank).  M and C have the same rank, and a
-homogeneous target lies in the span over Q(p) exactly when its row at p = 1
-lies in the row space of C over Q.  The span is stable under the torus
-action u -> λ^wt(u) u, p -> λ^wt(p) p, so a target lies in it exactly when
-each of its weight components does.  One integer echelon at p = 1 therefore
-decides such a span.  Every family the checks compare is graded by the
-torus weight, with p of weight 2.  A family with no such grading, such as a
-generator (p - 85)*ac whose word carries two powers of p, is decided by a
-fraction-free echelon over Z[p] instead.  An echelon at seeded integer
-values of p is kept for spans whose coefficients are free of p, where
-evaluation changes nothing.
+Spans are decided at p = 1.  Suppose letter weights and a nonzero weight of
+p make every generator homogeneous, a term u*p^d weighing wt(u) + d*wt(p)
+(``_p_grading`` solves for them).  The shifts are then homogeneous too, and
+in a homogeneous element the weight of a word fixes its power of p.  So the
+span matrix is M = D_r*C*D_c, with C the integer matrix M at p = 1 and D_r,
+D_c diagonal powers of p (fractional powers at worst, which change no rank).
+M and C have the same rank, and a homogeneous target lies in the span over
+Q(p) exactly when its row at p = 1 lies in the row space of C over Q.  The
+span is stable under the torus action u -> λ^wt(u) u, p -> λ^wt(p) p, so a
+target lies in it exactly when each of its weight components does.  One
+integer echelon at p = 1 therefore decides such a span.  Every family the
+checks compare is graded by the torus weight, with p of weight 2; a family
+with no such grading, such as a generator (p - 85)*ac whose word carries two
+powers of p, raises ValueError.  ``nullspace`` solves systems of the same
+form M = D_r*C*D_c through C, so this integer echelon is the module's one
+exact linear-algebra kernel.  An echelon at seeded integer values of p is
+kept for spans whose coefficients are free of p, where evaluation changes
+nothing.
 
 Completion runs at p = 2 on relations graded in this way, as every family
 the checks complete is.  Overlap reducts, normal forms and interreduction
@@ -37,10 +38,6 @@ takes the power out.  Lifting a final rule lhs -> rhs turns a term v*u into
 (v / 2^k) p^k u with k*wt(p) = wt(lhs) - wt(u).  Why 2 and not 1: the
 presentation's relations carry p/2, and at p = 2 every coefficient of its
 completion, in rules and normal forms alike, is an integer.
-
-Z[p] is the one polynomial ring of this module: besides that span echelon,
-``primitive_part`` takes its content with the Z[p] gcd and ``nullspace``
-solves linear systems over Q(p) on the same echelon.
 """
 
 from __future__ import annotations
@@ -58,25 +55,23 @@ class OrientationError(ValueError):
 
 
 def primitive_part(poly):
-    """Divide out the polynomial content of the coefficients (p-only case).
+    """Divide out the largest power of p that divides every coefficient.
 
     Derived relations can arrive as p-multiples of a primitive relation; over
-    the polynomial coefficient ring those are weaker, so span certification is
-    run against the primitive form.  The content is made monic before the
-    division.  A polynomial with a coefficient involving sqrt2 or a symbol
-    other than p, or with constant content, is returned unchanged.
+    Q[p] those are weaker, so span certification is run against the
+    primitive form.  For a homogeneous polynomial, as every remainder
+    ``frt.presentation`` derives is, this power is its content over Q[p]
+    made monic.  A polynomial with a coefficient involving sqrt2 or a symbol
+    other than p is returned unchanged.
     """
     try:
-        row = _sym_row(enumerate(poly._terms.values()))
+        low = min(min(c.p_coefficients()) for c in poly._terms.values())
     except ValueError:
         return poly
-    content = _poly_content(row)
-    if content is None:
+    if not low:
         return poly
-    # monic, so by Gauss's lemma the gcd of the coefficients over Q[p]
-    lc = content[_poly_deg(content)]
-    g = Scalar.in_p({d: Fraction(v, lc) for d, v in content.items()})
-    return poly.map_scalars(lambda c: c.divide_exact(g))
+    return poly.map_scalars(
+        lambda c: Scalar.in_p({d - low: q for d, q in c.p_coefficients().items()}))
 
 
 def _whole(q):
@@ -431,219 +426,81 @@ def _int_reduces_to_zero(basis, row):
     return not _int_reduce(basis, row)
 
 
-# ----------------------------------------------------------------------
-# Polynomials in p as {degree: int}: the one ring Z[p] behind the span
-# echelons, primitive_part and nullspace.
-# ----------------------------------------------------------------------
-
-def _poly_norm(d):
-    return {k: v for k, v in d.items() if v}
-
-
-def _poly_mul(a, b):
-    if len(b) == 1:
-        # a monomial factor over Z: no products cancel or collide
-        (j, v), = b.items()
-        return {i + j: u * v for i, u in a.items()}
-    out = {}
-    for i, u in a.items():
-        for j, v in b.items():
-            out[i + j] = out.get(i + j, 0) + u * v
-    return _poly_norm(out)
-
-
-def _poly_deg(a):
-    return max(a) if a else -1
-
-
-def _ip_primitive(a):
-    g = _gcd_all(a.values())
-    return {k: v // g for k, v in a.items()} if g > 1 else a
-
-
-def _ip_pseudo_rem(a, b):
-    """Pseudo-remainder of primitive int polys (Euclid step)."""
-    db = _poly_deg(b)
-    lb = b[db]
-    r = dict(a)
-    while r and _poly_deg(r) >= db:
-        dr = _poly_deg(r)
-        lr = r[dr]
-        new = {}
-        for k, v in r.items():
-            new[k] = v * lb
-        for k, v in b.items():
-            kk = k + dr - db
-            new[kk] = new.get(kk, 0) - v * lr
-        r = _poly_norm(new)
-        if r:
-            r = _ip_primitive(r)
-    return r
-
-
-def _ip_gcd(a, b):
-    a, b = _poly_norm(a), _poly_norm(b)
-    if not a:
-        return _ip_primitive(b) if b else {}
-    if not b:
-        return _ip_primitive(a)
-    a, b = _ip_primitive(a), _ip_primitive(b)
-    while b:
-        a, b = b, _ip_pseudo_rem(a, b)
-    return a
-
-
-def _ip_div_exact(a, g):
-    """Exact division of an int poly by a primitive divisor."""
-    if _poly_deg(g) == 0:
-        c = g[0]
-        return {k: v // c for k, v in a.items()}
-    out = {}
-    r = dict(a)
-    dg = _poly_deg(g)
-    lg = g[dg]
-    while r:
-        dr = _poly_deg(r)
-        q, rem = divmod(r[dr], lg)
-        if rem:
-            raise ValueError("inexact division")
-        out[dr - dg] = q
-        for k, v in g.items():
-            kk = k + dr - dg
-            cur = r.get(kk, 0) - q * v
-            if cur:
-                r[kk] = cur
-            elif kk in r:
-                del r[kk]
-    return out
-
-
-def _sym_row(pairs):
-    """The row {column: int-poly in p} of ``(column, Scalar)`` pairs, its
-    denominators cleared; ValueError on sqrt2, x, y, z or t."""
-    row = {}
-    denom = 1
-    for k, c in pairs:
-        poly = c.p_coefficients()
-        if poly:
-            row[k] = poly
-            for v in poly.values():
-                denom = denom * v.denominator // gcd(denom, v.denominator)
-    return {k: {d: int(v * denom) for d, v in poly.items()} for k, poly in row.items()}
-
-
-def _poly_content(row):
-    """The primitive gcd of a symbolic row's entries; None when constant."""
-    pg = None
-    for poly in row.values():
-        pg = _ip_primitive(poly) if pg is None else _ip_gcd(pg, poly)
-        if _poly_deg(pg) == 0:
-            return None
-    return pg
-
-
-def _int_strip(row):
-    """A symbolic row divided by the integer content of its coefficients."""
-    g = _gcd_all(v for poly in row.values() for v in poly.values())
-    if g > 1:
-        row = {k: {d: v // g for d, v in poly.items()} for k, poly in row.items()}
-    return row
-
-
-def _sym_strip(row):
-    row = _int_strip(row)
-    pg = _poly_content(row)
-    if pg is not None:
-        row = {k: _ip_div_exact(poly, pg) for k, poly in row.items()}
-    return row
-
-
-def _sym_reduce(basis, row):
-    """Fraction-free remainder of a row over Z[p] modulo an echelon basis;
-    the remainder is stripped of its content, and empty when the row is in
-    the span.  Only the integer content is stripped between steps."""
-    row = _int_strip(row)
-    while row:
-        lead = max(row)
-        piv = basis.get(lead)
-        if piv is None:
-            return _sym_strip(row)
-        a, b = piv[lead], row[lead]
-        if a == {0: 1} or a == {0: -1}:  # a unit: row - a b piv, row unscaled
-            b, new = _poly_mul(b, a), {k: dict(poly) for k, poly in row.items()}
-        else:
-            new = {k: _poly_mul(poly, a) for k, poly in row.items()}
-        for k, poly in piv.items():
-            sub = _poly_mul(poly, b)
-            cur = new.get(k)
-            if cur is None:
-                new[k] = {d: -v for d, v in sub.items()}
-            else:
-                for d, v in sub.items():
-                    nv = cur.get(d, 0) - v
-                    if nv:
-                        cur[d] = nv
-                    elif d in cur:
-                        del cur[d]
-                if not cur:
-                    del new[k]
-        row = _int_strip({k: v for k, v in new.items() if v})
-    return row
-
-
-def _sym_insert(basis, row):
-    """Insertion into a symbolic echelon basis; False when the row is
-    already in the span."""
-    row = _sym_reduce(basis, row)
-    if row:
-        basis[max(row)] = row
-    return bool(row)
-
-
-def _sym_reduces_to_zero(basis, row):
-    return not _sym_reduce(basis, row)
-
-
 # integer evaluation points of p per span without ``symbolic``
 _POINTS = 3
 
 
-def _echelon(rows, insert):
+def _echelon(rows):
     # inserting rows with small leading words first keeps later reductions
     # from cascading through unfinished rows (large constant-factor win)
     basis = {}
     for row in sorted(rows, key=lambda r: max(r) if r else -1):
-        insert(basis, row)
+        _int_insert(basis, row)
     return basis
+
+
+def _graded_values(rows):
+    """The rows {column: Scalar} at p = 1 as {column: Fraction}, and column
+    exponents c with each entry q*p^m of row i at m = r_i + c_k, found by a
+    walk of the graph joining rows to their columns from c = 0 in each
+    connected part.  ValueError when no such monomial entries exist.
+    """
+    values, exps = [], []
+    for i, row in enumerate(rows):
+        value, exp = {}, {}
+        for k, c in row.items():
+            poly = c.p_coefficients()
+            if len(poly) > 1:
+                raise ValueError(f"entry {c} of row {i} is not a monomial in p")
+            if poly:
+                (exp[k], value[k]), = poly.items()
+        values.append(value)
+        exps.append(exp)
+    cols, todo = {}, [i for i, exp in enumerate(exps) if exp]
+    while todo:
+        # a row that meets a solved column fixes its r_i; when none does, a
+        # new connected part starts at c = 0
+        i = next((i for i in todo if not cols.keys().isdisjoint(exps[i])), todo[0])
+        todo.remove(i)
+        first = next((k for k in exps[i] if k in cols), next(iter(exps[i])))
+        r = exps[i][first] - cols.setdefault(first, 0)
+        for k, m in exps[i].items():
+            if cols.setdefault(k, m - r) != m - r:
+                raise ValueError(f"row {i} is not homogeneous in p")
+    return values, cols
 
 
 def nullspace(rows, ncols: int):
     """Basis of the solutions x over Q(p) of sum_k row[k] x[k] = 0, one
-    equation per row {column: Scalar} with p-only coefficients.
+    equation per row {column: Scalar}.
 
-    Each vector is a list of ``ncols`` Scalars, primitive over Z[p]: the free
-    column is set to 1 and the pivots back-substituted fraction-free.
+    Each entry must be one monomial q*p^(r_i + c_k) (``_graded_values``), so
+    the system is M = D_r*C*D_c and x solves it exactly when D_c*x solves C,
+    its value at p = 1.  Each free column of C's integer echelon is set to 1
+    and the pivots back-substituted over Q; the solution, cleared to
+    integers, is lifted to x_k = y_k*p^(-c_k) and shifted so that its lowest
+    power is p^0.  Each vector is a list of ``ncols`` Scalars.
     """
-    basis = _echelon([_sym_row(r.items()) for r in rows], _sym_insert)
+    values, cols = _graded_values(rows)
+    basis = _echelon([_int_row(v.items()) for v in values if v])
     out = []
     for fc in range(ncols):
         if fc in basis:
             continue
-        x = {fc: {0: 1}}
+        x = {fc: Fraction(1)}
         for lead in sorted(basis):
             row = basis[lead]
-            # row[lead] x[lead] = -s, so scale x by row[lead] and set -s
-            s = _accumulate((i + j, u * v) for k, poly in row.items() if k in x
-                            for i, u in poly.items() for j, v in x[k].items())
-            x = {k: _poly_mul(poly, row[lead]) for k, poly in x.items()}
+            s = sum(v * x[k] for k, v in row.items() if k in x)
             if s:
-                x[lead] = {d: -v for d, v in s.items()}
-        x = _sym_strip(x)
-        out.append([Scalar.in_p(x.get(k, {})) for k in range(ncols)])
+                x[lead] = -s / row[lead]
+        y = _int_row(x.items())
+        top = max(cols.get(k, 0) for k in y)
+        out.append([Scalar.in_p({top - cols.get(k, 0): y[k]} if k in y else {})
+                    for k in range(ncols)])
     return out
 
 
-def _independent(gens, rows, insert):
+def _independent(gens, rows):
     """Indices of the gens whose rows do not reduce to zero in one echelon,
     inserted shortest first.
 
@@ -653,18 +510,7 @@ def _independent(gens, rows, insert):
     """
     order = sorted(range(len(gens)), key=lambda i: (gens[i].degree(), max(rows[i])))
     basis = {}
-    return [i for i in order if insert(basis, rows[i])]
-
-
-@lru_cache(maxsize=None)
-def _sym_echelon(gens, degree_bound):
-    """(word ranks, Z[p] echelon basis, shift count, kept generator count)."""
-    ranks = _word_ranks(gens[0].alphabet, degree_bound)
-    rows = [_sym_row((ranks[w], c) for w, c in f._terms.items()) for f in gens]
-    kept = _independent(gens, rows, _sym_insert)
-    shifts = shift_family([gens[i] for i in kept], degree_bound)
-    rows = [_sym_row((ranks[w], c) for w, c in f._terms.items()) for f in shifts]
-    return ranks, _echelon(rows, _sym_insert), len(shifts), len(kept)
+    return [i for i in order if _int_insert(basis, rows[i])]
 
 
 def _p_grading(gens):
@@ -733,12 +579,11 @@ def _graded_echelon(gens, degree_bound):
     for f in gens:
         (part,) = _weight_components(f, *grading).values()
         rows.append(_int_row(part.items()))
-    kept = _independent(gens, [{ranks[w]: a for w, a in row.items()} for row in rows],
-                        _int_insert)
+    kept = _independent(gens, [{ranks[w]: a for w, a in row.items()} for row in rows])
     words = alphabet.words_up_to(degree_bound)
     shifts = [{ranks[u + w + v]: a for w, a in rows[i].items()}
               for i in kept for u, v in _shift_pairs(words, gens[i].degree(), degree_bound)]
-    return ranks, grading, _echelon(shifts, _int_insert), len(shifts), len(kept)
+    return ranks, grading, _echelon(shifts), len(shifts), len(kept)
 
 
 @lru_cache(maxsize=None)
@@ -752,7 +597,7 @@ def _int_echelons(gens, degree_bound, seed):
     bases = []
     for pval in _evaluation_points(seed, _POINTS):
         bases.append((pval, bases[0][1] if p_free and bases
-                      else _echelon(_int_rows(shifts, ranks, pval), _int_insert)))
+                      else _echelon(_int_rows(shifts, ranks, pval))))
     return ranks, bases, len(shifts)
 
 
@@ -760,17 +605,16 @@ def span_contains(gens, targets, degree_bound: int, seed: int = 0,
                   symbolic: bool = True):
     """Is every target in the Scalar-linear span of degree-bounded shifts of gens?
 
-    With ``symbolic`` membership is decided over Q(p) exactly.  When letter
-    weights and a nonzero weight of p make every generator homogeneous, the
-    span matrix is M = D_r*C*D_c with C its value at p = 1 and D_r, D_c
-    diagonal powers of p.  Each target is then split into its weight
+    With ``symbolic`` membership is decided over Q(p) exactly.  Letter
+    weights and a nonzero weight of p must make every generator homogeneous;
+    the span matrix is then M = D_r*C*D_c with C its value at p = 1 and D_r,
+    D_c diagonal powers of p.  Each target is split into its weight
     components, and each component's row at p = 1 is reduced by the integer
     echelon of C; the target is inside exactly when every component is.
-    Otherwise the rows are reduced by a fraction-free echelon over Z[p].
-    Without ``symbolic`` they are compared at three seeded integer values of
-    p, which is exact only when gens and targets are free of p.  Returns
-    (ok, detail).  A generator or target longer than ``degree_bound`` raises
-    ``ValueError``.
+    Without ``symbolic`` the rows are compared at three seeded integer values
+    of p, which is exact only when gens and targets are free of p.  Returns
+    (ok, detail).  Ungraded generators, or a generator or target longer than
+    ``degree_bound``, raise ``ValueError``.
     """
     targets = [t for t in targets if not t.is_zero]
     gens = tuple(g for g in gens if not g.is_zero)
@@ -784,18 +628,13 @@ def span_contains(gens, targets, degree_bound: int, seed: int = 0,
     if symbolic:
         graded = _graded_echelon(gens, degree_bound)
         if graded is None:
-            ranks, basis, nshifts, nkept = _sym_echelon(gens, degree_bound)
+            raise ValueError("span needs generators homogeneous in a grading of p")
+        ranks, grading, basis, nshifts, nkept = graded
 
-            def inside(t):
-                row = _sym_row((ranks[w], c) for w, c in t._terms.items())
-                return _sym_reduces_to_zero(basis, row)
-        else:
-            ranks, grading, basis, nshifts, nkept = graded
-
-            def inside(t):
-                return all(_int_reduces_to_zero(
-                               basis, _int_row((ranks[w], q) for w, q in part.items()))
-                           for part in _weight_components(t, *grading).values())
+        def inside(t):
+            return all(_int_reduces_to_zero(
+                           basis, _int_row((ranks[w], q) for w, q in part.items()))
+                       for part in _weight_components(t, *grading).values())
         for i, t in enumerate(targets):
             if not inside(t):
                 return False, f"target #{i} escapes the span symbolically"

@@ -3,7 +3,7 @@ import pytest
 from ospq.scalars import Scalar, rat, P, HALF
 from ospq.freealg import SuperPoly, TensorElement, sum_polys
 from ospq.supermatrix import SuperMatrix, INDEX_GRADE, partial_transpose_first
-from ospq.rewrite import _graded_echelon, _sym_echelon, span_contains
+from ospq.rewrite import _graded_echelon, span_contains
 from ospq import frt
 from ospq.checks import quantum_r_target_matrix, derived_metric_expected
 
@@ -147,14 +147,14 @@ def test_residual_span_shifts_only_independent_generators():
     residuals = rtt + orth
     ok, detail = span_contains(residuals, [frt.defining_relations()[10]], 4)
     assert ok and detail == "1 targets inside span of 2087 shifts of 47 of 98 generators"
-    _, basis, _, _ = _sym_echelon(tuple(residuals), 4)
+    _, _, basis, _, _ = _graded_echelon(tuple(residuals), 4)
     assert len(basis) == 1366
 
 
-def test_graded_span_echelons_have_the_zp_ranks(pres):
+def test_graded_span_echelons_have_the_pinned_ranks(pres):
     # the residuals and the presentation relations are homogeneous for the
     # torus weight with p of weight 2, so each span echelon runs at p = 1
-    # over Z and keeps the rank the Z[p] echelon has over Q(p)
+    # over Z; its rank is the rank over Q(p), as a Z[p] echelon found it
     torus = ({"a": 0, "al": 1, "b": 2, "c": -2, "de": -1, "d": 0}, 2)
     rtt, orth = frt.eliminated_residuals()
     for gens, sizes in (((rtt + orth), (1366, 2087, 47)),

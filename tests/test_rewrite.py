@@ -8,12 +8,10 @@ from ospq.scalars import Scalar, rat, P, HALF, SQRT2
 from ospq.freealg import GradedAlphabet, SuperPoly
 from ospq.rewrite import (RewriteSystem, complete, orient, span_equal, span_contains,
                           primitive_part, nullspace, OrientationError)
-from ospq.rewrite import (_echelon, _evaluation_points, _graded_echelon,
-                          _int_echelons, _int_insert, _int_reduces_to_zero, _p_grading,
-                          _poly_mul, _sym_echelon, _sym_insert,
-                          _sym_reduces_to_zero, _sym_row, _weight_components,
-                          _word_ranks, shift_family)
-from ospq import borel, checks, frt, rewrite, scalars
+from ospq.rewrite import (_evaluation_points, _graded_echelon, _int_echelons,
+                          _int_insert, _int_reduces_to_zero, _int_row, _p_grading,
+                          _weight_components, _word_ranks, shift_family)
+from ospq import frt, rewrite, scalars
 
 
 def w(*letters):
@@ -83,12 +81,11 @@ def test_primitive_part():
     assert lead_coeff.is_constant
     monic = g.scale(lead_coeff.unit_inverse())
     assert monic == w("b", "a") - w("a", "b")
-    # denominators and the shared factor p + 1: the content over Q[p] is p + 1
-    shared = P + rat(1)
-    two_thirds_p = rat(Fraction(2, 3)) * P
-    f = w("a", "b").scale(HALF * shared) + w("b", "a").scale(two_thirds_p * shared)
-    assert primitive_part(f) == w("a", "b").scale(HALF) + w("b", "a").scale(two_thirds_p)
-    # constant content, and coefficients the Z[p] gcd cannot read: unchanged
+    # denominators, and a content 3p^2 of which p^2 divides out
+    f = w("a", "b").scale(rat(3) * P ** 2) + w("b", "a").scale(rat(Fraction(9, 2)) * P ** 3)
+    assert primitive_part(f) == w("a", "b").scale(rat(3)) + w("b", "a").scale(
+        rat(Fraction(9, 2)) * P)
+    # no power of p in the content, and coefficients with sqrt2 or x: unchanged
     x = Scalar.var("x")
     for f in (w("a", "b").scale(rat(2) * P) + w("b", "a").scale(rat(6)),
               w("a", "b").scale(SQRT2 * P) + w("b", "a").scale(P),
@@ -195,25 +192,40 @@ def test_classical_limit_commutes_with_reduction(system):
         assert lhs == rhs
 
 
-# -- the fraction-free echelons -------------------------------------------
+# -- the integer echelon, nullspace and the exact reference -------------------
 
-def _rank(rows, zero, convert):
-    """Rank of sparse rows by plain Gaussian elimination over a field."""
+def _fraction_reduce(pivots, row):
+    """The remainder of a sparse row modulo Gaussian pivots over Q."""
+    row = {k: Fraction(v) for k, v in row.items() if v}
+    while row:
+        lead = max(row)
+        piv = pivots.get(lead)
+        if piv is None:
+            return row
+        f = row[lead] / piv[lead]
+        for k, v in piv.items():
+            row[k] = row.get(k, 0) - f * v
+        row = {k: v for k, v in row.items() if v}
+    return row
+
+
+def _fraction_pivots(rows):
+    """Pivots of sparse rows by plain Gaussian elimination over Q."""
     pivots = {}
     for row in rows:
-        row = {k: convert(v) for k, v in row.items()}
-        row = {k: v for k, v in row.items() if v != zero}
-        while row:
-            lead = max(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                pivots[lead] = row
-                break
-            f = row[lead] / piv[lead]
-            for k, v in piv.items():
-                row[k] = row.get(k, zero) - f * v
-            row = {k: v for k, v in row.items() if v != zero}
-    return len(pivots)
+        row = _fraction_reduce(pivots, row)
+        if row:
+            pivots[max(row)] = row
+    return pivots
+
+
+def _rank(rows):
+    return len(_fraction_pivots(rows))
+
+
+def _at_3(row):
+    """A row {column: Scalar} at p = 3, as {column: Fraction}."""
+    return {k: q for k, c in row.items() if (q := c.substitute(p=3).as_rational())}
 
 
 def _echelon_stream(rng, random_entry, combine, ncols=7, nrows=40):
@@ -252,6 +264,14 @@ def _check_echelon(rows, insert, reduces_to_zero, in_span, fresh_row):
     assert 0 < len(inserted) < len(rows)
 
 
+def _int_combine(ca, x, cb, y):
+    return ca * (x or 0) + cb * (y or 0)
+
+
+def _int_entry(rng):
+    return rng.choice([-3, -2, -1, 1, 2, 4])
+
+
 def test_integer_echelon_insert_and_probe_agree_with_rank():
     def primitive(row):
         g = 0
@@ -259,93 +279,96 @@ def test_integer_echelon_insert_and_probe_agree_with_rank():
             g = gcd(g, v)
         return {k: v // g for k, v in row.items()} if g > 1 else row
 
-    def combine(ca, x, cb, y):
-        return ca * (x or 0) + cb * (y or 0)
-
     def in_span(rows, row):
-        return _rank(rows + [row], Fraction(0), Fraction) == _rank(rows, Fraction(0), Fraction)
+        return _rank(rows + [row]) == _rank(rows)
 
     rng = random.Random(5)
     for _ in range(10):
-        rows = _echelon_stream(rng, lambda r: r.choice([-3, -2, -1, 1, 2, 4]), combine)
+        rows = _echelon_stream(rng, _int_entry, _int_combine)
         rows = [primitive(r) for r in rows if r]
         _check_echelon(rows, _int_insert, _int_reduces_to_zero, in_span, {99: 1, 0: 2})
 
 
-def _rank_over_qp(rows):
-    """Rank over Q(p) of rows {column: {degree: coefficient}}: the largest
-    Fraction rank at ncols * maxdeg + 1 integer values of p, since a nonzero
-    minor has degree at most ncols * maxdeg and so few roots."""
-    ncols = len({k for row in rows for k in row})
-    maxdeg = max((d for row in rows for poly in row.values() for d in poly), default=0)
-    return max(_rank(rows, Fraction(0),
-                     lambda poly: Fraction(sum(v * pv ** d for d, v in poly.items())))
-               for pv in range(ncols * maxdeg + 1))
+def _graded_system(rng, ncols=7, nrows=24, split=3):
+    """Random integer rows C and the graded rows {column: Scalar} with entries
+    C[i][k]*p^(r_i + c_k).  Columns below ``split`` and the others share no
+    row, so the system has at least two connected parts, and about half of
+    the rows of each part are combinations of earlier ones."""
+    values = (_echelon_stream(rng, _int_entry, _int_combine, split, nrows // 2)
+              + [{k + split: v for k, v in row.items()}
+                 for row in _echelon_stream(rng, _int_entry, _int_combine,
+                                            ncols - split, nrows - nrows // 2)])
+    rng.shuffle(values)
+    values = [_int_row(row.items()) for row in values if row]
+    col_exp = [rng.randint(0, 3) for _ in range(ncols)]
+    rows = []
+    for row in values:
+        r = rng.randint(0, 3)
+        rows.append({k: Scalar.in_p({r + col_exp[k]: v}) for k, v in row.items()})
+    return values, rows
 
 
 def test_symbolic_echelon_insert_and_probe_agree_with_rank():
-    def entry(rng):
-        return {d: rng.choice([-2, -1, 1, 2]) for d in range(rng.randint(1, 2))}
-
-    def add_poly(a, b):
-        out = dict(a)
-        for d, v in b.items():
-            out[d] = out.get(d, 0) + v
-        return {d: v for d, v in out.items() if v}
-
-    def combine(ca, x, cb, y):
-        return add_poly(_poly_mul(ca, x or {}), _poly_mul(cb, y or {}))
-
-    def in_span(rows, row):
-        return _rank_over_qp(rows + [row]) == _rank_over_qp(rows)
-
-    ncols = 7
+    # graded rows M = D_r*C*D_c: the integer echelon of their values C at
+    # p = 1 inserts and probes as the rank of M at p = 3 says, since
+    # rank M(p0) = rank C for every p0 != 0
     rng = random.Random(8)
     for _ in range(6):
-        rows = [r for r in _echelon_stream(rng, entry, combine, ncols, nrows=24) if r]
-        _check_echelon(rows, _sym_insert, _sym_reduces_to_zero, in_span,
-                       {99: {1: 1}, 0: {0: 2}})
-        # every prefix as a system of equations: the nullspace vectors
-        # annihilate every row, are independent, and count ncols minus the rank
+        values, rows = _graded_system(rng)
+        at_3 = {id(value): _at_3(row) for value, row in zip(values, rows)}
+
+        def in_span(inserted, row):
+            return (_rank([at_3[id(v)] for v in inserted + [row]])
+                    == _rank([at_3[id(v)] for v in inserted]))
+        _check_echelon(values, _int_insert, _int_reduces_to_zero, in_span, {99: 1, 0: 2})
+
+
+def test_nullspace_of_random_graded_systems():
+    # every prefix as a system of equations: the nullspace vectors annihilate
+    # every row, are independent, and count ncols minus the rank at p = 3
+    rng = random.Random(12)
+    ncols = 10
+    for _ in range(12):
+        _, rows = _graded_system(rng, ncols, nrows=rng.randint(4, 12), split=4)
         for n in range(1, len(rows) + 1):
-            vecs = nullspace([{k: Scalar.in_p(poly) for k, poly in row.items()}
-                              for row in rows[:n]], ncols)
-            assert len(vecs) == ncols - _rank_over_qp(rows[:n])
+            vecs = nullspace(rows[:n], ncols)
+            assert len(vecs) == ncols - _rank([_at_3(row) for row in rows[:n]])
             for vec in vecs:
                 for row in rows[:n]:
-                    assert sum((Scalar.in_p(poly) * vec[k] for k, poly in row.items()),
-                               Scalar.zero()).is_zero
-            assert _rank_over_qp([{k: c.p_coefficients() for k, c in enumerate(vec) if c}
-                                  for vec in vecs]) == len(vecs)
+                    assert sum((c * vec[k] for k, c in row.items()), Scalar.zero()).is_zero
+            assert _rank([_at_3(dict(enumerate(vec))) for vec in vecs]) == len(vecs)
+
+
+def test_nullspace_rejects_ungraded_systems():
+    with pytest.raises(ValueError, match="not a monomial"):
+        nullspace([{0: P + rat(1), 1: rat(1)}], 2)
+    # the determinant 1 - p is not zero, but at p = 1 both rows are (1, 1):
+    # no exponents r_i + c_k fit, so p = 1 would find a false solution
+    with pytest.raises(ValueError, match="not homogeneous"):
+        nullspace([{0: rat(1), 1: P}, {0: rat(1), 1: rat(1)}], 2)
 
 
 def test_symbolic_span_of_a_monomial_with_non_primitive_coefficient():
-    # one-entry rows whose coefficient has integer content and positive degree,
-    # or vanishes at the first evaluation point of the default seed: the span
-    # over Q(p) is the same, so neither may be decided at an integer value of p
+    # a coefficient with integer content and positive degree spans the same
+    # line over Q(p), so neither may be decided at an integer value of p
     m = w("a", "c")
+    scaled = m.scale(rat(2) * P ** 2)
+    assert span_contains([m], [scaled], 2)[0]
+    assert span_contains([scaled], [m], 2)[0]
+    # p - k vanishes at the first evaluation point of the default seed; as a
+    # target it splits into two weight components, each on the line, but as
+    # a generator it gives a*c two powers of p and so no grading
     k = _evaluation_points(0, 3)[0]
-    for coeff in (rat(2) * P + rat(2), P - rat(k)):
-        scaled = m.scale(coeff)
-        assert span_contains([m], [scaled], 2)[0]
-        assert span_contains([scaled], [m], 2)[0]
-
-
-def test_monomial_fast_path_equals_the_general_product():
-    rng = random.Random(11)
-    for _ in range(200):
-        a = {d: rng.choice([-5, -1, 1, 3, 2 ** 70]) for d in rng.sample(range(6), rng.randint(1, 4))}
-        (j, v), = {rng.randint(0, 4): rng.choice([-7, -1, 1, 2, -(2 ** 65)])}.items()
-        expected = (Scalar.in_p(a) * Scalar.in_p({j: v})).p_coefficients()
-        assert _poly_mul(a, {j: v}) == expected
-        # the general loop, reached with the monomial as the left factor
-        assert _poly_mul({j: v}, a) == expected
+    assert span_contains([m], [m.scale(P - rat(k))], 2)[0]
+    with pytest.raises(ValueError, match="homogeneous"):
+        span_contains([m.scale(P - rat(k))], [m], 2)
 
 
 # -- interreduced span generators ------------------------------------------
 
 def _row(f, ranks):
-    return _sym_row((ranks[word], c) for word, c in f._terms.items())
+    """The integer row of an element free of p, by word rank."""
+    return _int_row((ranks[word], c.as_rational()) for word, c in f._terms.items())
 
 
 def test_span_generators_are_interreduced_shortest_first():
@@ -363,7 +386,7 @@ def test_span_generators_are_interreduced_shortest_first():
     ranks = _word_ranks(frt.ALPHABET, 3)
     by_rank = sorted(gens, key=lambda f: ranks[f.leading_word()])
     basis = {}
-    assert [_sym_insert(basis, _row(f, ranks)) for f in by_rank] == [True, True, False]
+    assert [_int_insert(basis, _row(f, ranks)) for f in by_rank] == [True, True, False]
     assert by_rank[2] == w("b")
     assert not span_contains(by_rank[:2], [w("b", "a", "a")], 3)[0]
     ok, detail = span_contains(gens, [w("b", "a", "a")], 3)
@@ -374,49 +397,37 @@ XYZ = GradedAlphabet(("x", "y", "z"), {"x": 0, "y": 1, "z": 0},
                      weights={"x": 1, "y": 6, "z": 1})
 
 
-def _random_xyz(rng, degree, letters="xyz"):
-    """A random p-polynomial of the given degree in the given letters."""
-    out = SuperPoly.zero(XYZ)
-    while out.is_zero or out.degree() != degree:
-        word = tuple(rng.choice(letters) for _ in range(rng.randint(0, degree)))
-        coeff = rat(rng.randint(-2, 2)) + rat(rng.randint(-1, 1)) * P
-        out = out + SuperPoly.word(XYZ, word, coeff)
-    return out
-
-
 def test_interreduced_span_equals_the_span_of_all_shifts():
-    # random p-families padded with redundant generators, each a sum of a
+    # homogeneous families padded with redundant generators, each a sum of a
     # shorter and a longer one: the echelon of the kept generators' shifts
-    # has the rank of the plain echelon over the shifts of all of them, and
-    # decides membership of random targets the same way.  The quadratic
-    # generators lead with the heavy y and the cubic ones avoid it, so a sum
-    # shares the leading word of its shorter summand, and an order by leading
-    # rank alone could keep the sum and drop the summand.
+    # has the rank of all shifts, and decides random targets as Fraction
+    # elimination at p = 3 does.  The quadratic generators lead with the
+    # heavy y of XYZ and the cubic ones avoid it, so a sum shares the leading
+    # word of its shorter summand, and an order by leading rank alone could
+    # keep the sum and drop the summand.
     rng = random.Random(3)
     bound = 4
-    ranks = _word_ranks(XYZ, bound)
     dropped = verdicts = 0
     for _ in range(10):
-        gens = ([_random_xyz(rng, 2) + SuperPoly.word(XYZ, ("y", "x"))
+        gens = ([_random_homogeneous(rng, 2, first=("y", "x"))
                  for _ in range(rng.randint(1, 2))]
-                + [_random_xyz(rng, 3, "xz") for _ in range(rng.randint(1, 2))])
-        for _ in range(3):
-            f, g = rng.sample(gens, 2)
-            if f.degree() != g.degree():
-                gens.append(f.scale(rat(rng.randint(1, 2)) + P) + g.scale(rat(rng.randint(-2, 2))))
+                + [_random_homogeneous(rng, 3, "xz") for _ in range(rng.randint(1, 2))])
+        pairs = [(f, g) for f in gens for g in gens if f.degree() < g.degree()
+                 and (_xzy_weight(g) - _xzy_weight(f)) % 2 == 0]
+        gens += [_homogeneous_sum(rng, f, g) for f, g in rng.sample(pairs, min(3, len(pairs)))]
         rng.shuffle(gens)
-        gens = tuple(f for f in gens if not f.is_zero)
+        gens = tuple(SuperPoly(XYZ, dict(f._terms)) for f in gens if not f.is_zero)
         shifts = shift_family(gens, bound)
-        _, basis, _, nkept = _sym_echelon(gens, bound)
-        plain = _echelon([_row(f, ranks) for f in shifts], _sym_insert)
-        assert len(basis) == len(plain)
+        pivots = _shift_pivots(shifts)
+        _, _, basis, _, nkept = _graded_echelon(gens, bound)
+        assert len(basis) == len(pivots)
         dropped += len(gens) - nkept
         for _ in range(8):
             if rng.random() < 0.5:
-                t = _random_xyz(rng, rng.randint(1, bound))
+                t = SuperPoly(XYZ, dict(_random_homogeneous(rng, rng.randint(1, bound))._terms))
             else:
-                t = rng.choice(shifts).scale(P - rat(2)) + rng.choice(shifts)
-            expected = _sym_reduces_to_zero(plain, _row(t, ranks))
+                t = _inside_component(rng, shifts)
+            expected = _inside_at_3(pivots, t)
             assert span_contains(gens, [t], bound)[0] is expected
             verdicts += expected
     # both verdicts occurred, and generators were dropped
@@ -439,9 +450,9 @@ def test_p_grading_needs_p_of_nonzero_weight():
     # the two p-degrees of one word force p to weight 0
     assert _p_grading((w("a", "c").scale(P - rat(85)),)) is None
     assert _p_grading((w("a", "c").scale(SQRT2),)) is None
-    # such a span is still decided, by the Z[p] echelon
-    assert span_contains([w("a", "c").scale(P - rat(85))], [w("c", "a", "c")], 3) == (
-        True, "1 targets inside span of 13 shifts of 1 of 1 generators")
+    # so no echelon decides such a span
+    with pytest.raises(ValueError, match="homogeneous"):
+        span_contains([w("a", "c").scale(P - rat(85))], [w("c", "a", "c")], 3)
 
 
 def test_p_grading_grades_a_p_free_family():
@@ -467,13 +478,14 @@ def _xzy_weight(f):
     return _word_weight(word) + 2 * max(c.p_coefficients())
 
 
-def _random_homogeneous(rng, degree):
-    """A random homogeneous element of the given length, p of degree <= 2."""
+def _random_homogeneous(rng, degree, letters="xyz", first=None):
+    """A random homogeneous element of the given length in the given
+    letters, p of degree <= 2; its first word is ``first`` when given."""
     while True:
-        first = tuple(rng.choice("xyz") for _ in range(degree))
-        weight = _word_weight(first) + 2 * rng.randint(0, 1)
+        word0 = first or tuple(rng.choice(letters) for _ in range(degree))
+        weight = _word_weight(word0) + 2 * rng.randint(0, 1)
         terms = {}
-        for word in [first] + [tuple(rng.choice("xyz") for _ in range(rng.randint(0, degree)))
+        for word in [word0] + [tuple(rng.choice(letters) for _ in range(rng.randint(0, degree)))
                                for _ in range(6)]:
             d, odd = divmod(weight - _word_weight(word), 2)
             if not odd and 0 <= d <= 2:
@@ -486,6 +498,14 @@ def _p_power(f, k):
     return f.scale(P ** k)
 
 
+def _homogeneous_sum(rng, f, g):
+    """A multiple of f plus g, one of them times the power of p that gives
+    both one weight; their weights must have the same parity."""
+    k = (_xzy_weight(g) - _xzy_weight(f)) // 2
+    f = f.scale(rat(rng.randint(1, 2)))
+    return _p_power(f, k) + g if k >= 0 else f + _p_power(g, -k)
+
+
 def _inside_component(rng, shifts):
     """A homogeneous combination of two shifts of the same weight parity."""
     s1 = rng.choice(shifts)
@@ -495,16 +515,44 @@ def _inside_component(rng, shifts):
             + _p_power(s2, (weight - _xzy_weight(s2)) // 2).scale(rat(rng.randint(-3, -1))))
 
 
-def test_graded_span_decides_like_the_zp_echelon_of_all_shifts():
+def _components_at_3(f):
+    """``{weight: {word: Fraction}}``: f at p = 3, split by XZY_WEIGHTS with p
+    of weight 2.  A word has one power of p in each component."""
+    out = {}
+    for word, c in f._terms.items():
+        for d, q in c.p_coefficients().items():
+            out.setdefault(_word_weight(word) + 2 * d, {})[word] = q * 3 ** d
+    return out
+
+
+def _shift_pivots(shifts):
+    """Gaussian pivots at p = 3 of homogeneous shifts.
+
+    A word u in a shift of weight E carries p^((E - wt(u))/2), so the rows
+    have the form D_r*C*D_c and their rank at p = 3 is their rank over Q(p).
+    A homogeneous target keeps that form, so it lies in the span over Q(p)
+    exactly when its row at p = 3 lies in the span at p = 3.
+    """
+    rows = []
+    for s in shifts:
+        (row,) = _components_at_3(s).values()
+        rows.append(row)
+    return _fraction_pivots(rows)
+
+
+def _inside_at_3(pivots, t):
+    return not any(_fraction_reduce(pivots, part) for part in _components_at_3(t).values())
+
+
+def test_graded_span_decides_like_fraction_elimination_at_p_3():
     # random homogeneous families padded with redundant generators (p-multiples,
     # same-weight sums of a shorter and a longer one, p-shifted sums across
     # weights, and shifts); targets of 2-3 weight components, each either a
     # combination of shifts or random.  The integer echelon at p = 1 has the
-    # rank and keeps the generators of the Z[p] echelon, and decides every
-    # target as the Z[p] echelon over the shifts of all generators does.
+    # rank of all shifts, and decides every target as Fraction elimination
+    # at p = 3 over the shifts of all generators does.
     rng = random.Random(14)
     bound = 4
-    ranks = _word_ranks(XZY, bound)
     dropped = verdicts = escapes = 0
     for _ in range(8):
         gens = [_random_homogeneous(rng, rng.choice([2, 2, 3]))
@@ -514,20 +562,15 @@ def test_graded_span_decides_like_the_zp_echelon_of_all_shifts():
         gens.append(SuperPoly.letter(XZY, "x") * f)
         pairs = [(f, g) for f in gens for g in gens if f.degree() < g.degree()
                  and (_xzy_weight(g) - _xzy_weight(f)) % 2 == 0]
-        for f, g in rng.sample(pairs, min(2, len(pairs))):
-            k = (_xzy_weight(g) - _xzy_weight(f)) // 2
-            f = f.scale(rat(rng.randint(1, 2)))
-            gens.append(_p_power(f, k) + g if k >= 0 else f + _p_power(g, -k))
+        gens += [_homogeneous_sum(rng, f, g) for f, g in rng.sample(pairs, min(2, len(pairs)))]
         rng.shuffle(gens)
         gens = tuple(f for f in gens if not f.is_zero)
         graded = _graded_echelon(gens, bound)
         assert graded is not None
-        _, _, basis, nshifts, nkept = graded
+        _, _, basis, _, nkept = graded
         shifts = shift_family(gens, bound)
-        plain = _echelon([_row(f, ranks) for f in shifts], _sym_insert)
-        assert len(basis) == len(plain)
-        _, sym_basis, sym_nshifts, sym_nkept = _sym_echelon(gens, bound)
-        assert (len(sym_basis), sym_nshifts, sym_nkept) == (len(basis), nshifts, nkept)
+        pivots = _shift_pivots(shifts)
+        assert len(basis) == len(pivots)
         dropped += len(gens) - nkept
         for _ in range(8):
             parts = []
@@ -542,45 +585,12 @@ def test_graded_span_decides_like_the_zp_echelon_of_all_shifts():
             t = sum(parts[1:], parts[0])
             # (p - 1) * t vanishes at p = 1 and is inside exactly when t is
             for target in (t, t.scale(P - rat(1))):
-                expected = _sym_reduces_to_zero(plain, _row(target, ranks))
+                expected = _inside_at_3(pivots, target)
                 assert span_contains(gens, [target], bound)[0] is expected
                 verdicts += 1
                 escapes += not expected
     # both verdicts occurred, and generators were dropped
     assert dropped > 0 and 0 < escapes < verdicts
-
-
-def test_every_checked_span_is_decided_at_p_equal_one(monkeypatch):
-    # the span checks of ``ospq-verify all`` reduce nothing over Z[p]: their
-    # families are graded, so only the weight solve of ``nullspace`` reaches
-    # ``_sym_reduce``.  The presentation and its metric are built first.
-    frt.presentation()
-    frt.eliminated_residuals()
-    _graded_echelon.cache_clear()
-    outside = []
-    depth = [0]
-    reduce, solve = rewrite._sym_reduce, rewrite.nullspace
-
-    def spy_reduce(basis, row):
-        if not depth[0]:
-            outside.append(row)
-        return reduce(basis, row)
-
-    def spy_solve(rows, ncols):
-        depth[0] += 1
-        try:
-            return solve(rows, ncols)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(rewrite, "_sym_reduce", spy_reduce)
-    monkeypatch.setattr(rewrite, "nullspace", spy_solve)
-    config = checks.CheckConfig()
-    for check in (checks.check_rtt_span, checks.check_relation_membership,
-                  checks.check_span_negative):
-        assert check(config)[0]
-    assert borel.rll_span_matches_relations()
-    assert outside == []
 
 
 def test_p_free_gens_share_one_integer_echelon():

@@ -10,8 +10,11 @@ compares at seeded integer values of p.  That is exact only for p-free
 inputs, so it is kept to the three classical-limit checks, which are also
 the only checks that read the seed.
 
-Only ``rewrite.py`` knows the Z[p] row layout of its echelons, so no other
-module imports an underscore name from it.
+Only ``rewrite.py`` knows the integer row layout of its echelons, so no
+other module imports an underscore name from it.  Its one exact
+linear-algebra kernel is the integer echelon at p = 1: spans and
+``nullspace`` take graded inputs, so no polynomial ring in p (``_poly_*``,
+``_ip_*``, ``_sym_*``) sits beside it.
 
 Only ``supermatrix.py`` reads the 3x3 index grades: other modules ask for a
 slot grade through ``entry_grade`` and build tensor legs with ``kron``, the
@@ -40,7 +43,7 @@ import textwrap
 from pathlib import Path
 
 import ospq
-from ospq import borel, freealg, frt
+from ospq import borel, freealg, frt, rewrite
 from ospq.borel import BorelTensor
 from ospq.checks import CHECKS
 from ospq.freealg import SuperPoly, TensorElement, extend
@@ -85,6 +88,14 @@ def test_no_module_imports_private_rewrite_helpers():
                 private += [f"{path.name}: {alias.name}" for alias in node.names
                             if alias.name.startswith("_")]
     assert not private, f"private rewrite helpers imported: {private}"
+
+
+def test_rewrite_has_one_exact_kernel():
+    polynomial = [name for name in vars(rewrite)
+                  if name.startswith(("_poly_", "_ip_", "_sym_"))]
+    assert not polynomial, f"polynomial rows in p beside the integer echelon: {polynomial}"
+    assert not hasattr(rewrite, "_int_strip")
+    assert hasattr(rewrite, "_int_insert")
 
 
 def test_only_supermatrix_reads_the_index_grades():
