@@ -2,8 +2,11 @@
 extended from letters, and graded tensor powers with the Koszul sign rule.
 
 Words are tuples of letter names.  A :class:`SuperPoly` is a finite Scalar
-combination of words; multiplication is plain concatenation (no reordering
-happens here; normal forms live in :mod:`ospq.rewrite`).
+combination of words, or a number combination: its value at p = 2 (see
+:mod:`ospq.rewrite`).  Containers keep the type of their coefficients, a
+number stays a number and a Scalar a Scalar.  Multiplication is plain
+concatenation (no reordering happens here; normal forms live in
+:mod:`ospq.rewrite`).
 :func:`extend` extends a map given on letters over words, as an algebra map
 or as a graded anti-homomorphism with its Koszul sign, and linearly over
 elements: the Hopf maps of both sides and every letter substitution are
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Scalar, ONE as S_ONE, ZERO as S_ZERO, _accumulate
+from .scalars import Scalar, ONE as S_ONE, _accumulate
 
 
 class GradedAlphabet:
@@ -72,11 +75,9 @@ SCALAR_ALPHABET = GradedAlphabet((), {})
 
 
 def _coerce_scalar(value):
-    if isinstance(value, Scalar):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Scalar.rational(value)
-    return None
+    """A coefficient to scale by, kept as it is (a Scalar or a number), or
+    None."""
+    return value if isinstance(value, (Scalar, int, Fraction)) else None
 
 
 class SuperPoly:
@@ -89,7 +90,7 @@ class SuperPoly:
         if terms is None:
             terms = {}
         if not _internal:
-            terms = {tuple(w): c for w, c in terms.items() if not c.is_zero}
+            terms = {tuple(w): c for w, c in terms.items() if c}
             for w in terms:
                 for x in w:
                     if x not in alphabet:
@@ -117,7 +118,6 @@ class SuperPoly:
 
     @classmethod
     def constant(cls, alphabet, coeff):
-        coeff = _coerce_scalar(coeff)
         return cls(alphabet, {(): coeff})
 
     # -- inspection ----------------------------------------------------
@@ -200,8 +200,7 @@ class SuperPoly:
         return NotImplemented
 
     def scale(self, coeff) -> "SuperPoly":
-        coeff = _coerce_scalar(coeff)
-        if coeff.is_zero:
+        if not coeff:
             return SuperPoly.zero(self.alphabet)
         return SuperPoly(self.alphabet,
                          {w: c * coeff for w, c in self._terms.items()},
@@ -284,7 +283,7 @@ def extend(image, one, grade=None):
         return out
 
     def extended(element):
-        total = one * S_ZERO
+        total = one * 0
         for w, c in element._terms.items():
             total = total + word(w) * c
         return total
@@ -295,7 +294,7 @@ def extend(image, one, grade=None):
 
 def _scaled(pairs, coeff):
     """(key, q * coeff) for (key, rational q) pairs, skipping the product at q = 1."""
-    return ((k, coeff if q == 1 else coeff * Scalar.rational(q)) for k, q in pairs)
+    return ((k, coeff if q == 1 else coeff * q) for k, q in pairs)
 
 
 class GradedTensor:
@@ -320,8 +319,7 @@ class GradedTensor:
         if not _internal:
             if any(len(k) != arity for k in terms):
                 raise ValueError("wrong arity in term")
-            terms = {k: c for k, c in terms.items()
-                     if not c.is_zero and self._fits(k)}
+            terms = {k: c for k, c in terms.items() if c and self._fits(k)}
         self._terms = terms
 
     @staticmethod
@@ -362,8 +360,7 @@ class GradedTensor:
         return self + (-other)
 
     def scale(self, coeff):
-        coeff = _coerce_scalar(coeff)
-        if coeff.is_zero:
+        if not coeff:
             return self._like({})
         return self._like({k: c * coeff for k, c in self._terms.items()})
 
@@ -427,10 +424,10 @@ class GradedTensor:
         return self._like(_accumulate(spliced()), new_arity)
 
     def apply_counit_leg(self, leg: int, counit):
-        """Contract one leg with ``counit``, a Scalar-valued linear map on
+        """Contract one leg with ``counit``, a coefficient-valued linear map on
         one-leg elements; an arity-2 tensor collapses to a one-leg element."""
         out = _accumulate((k[:leg] + k[leg + 1:], c * e) for k, c in self._terms.items()
-                          for e in [counit(self._leg_element({k[leg]: S_ONE}))] if e)
+                          for e in [counit(self._leg_element({k[leg]: 1}))] if e)
         if self.arity == 2:
             return self._leg_element({k: c for (k,), c in out.items()})
         return self._like(out, self.arity - 1)
@@ -439,8 +436,9 @@ class GradedTensor:
         """x ox y (ox z) of one-leg elements in this kind and bound: no sign,
         this is not a product."""
         bound, weight = self.weight_bound, self._key_weight
-        terms = [((), S_ONE, 0)]
-        for leg in legs:
+        terms = [((k,), c, weight(k)) for k, c in legs[0]._terms.items()
+                 if bound is None or weight(k) <= bound]
+        for leg in legs[1:]:
             terms = [(key + (k,), coeff * c, w + weight(k))
                      for key, coeff, w in terms for k, c in leg._terms.items()
                      if bound is None or w + weight(k) <= bound]

@@ -11,11 +11,12 @@ algebra modulo the compiled rewrite system.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .scalars import Scalar, rat, P, HALF, _accumulate
 from .freealg import GradedAlphabet, SuperPoly, TensorElement, extend, sum_polys
-from .rewrite import RewriteSystem, complete, nullspace, primitive_part
+from .rewrite import (OrientationError, RewriteSystem, at_two, complete, lift, nullspace,
+                      orient)
 from .supermatrix import (SuperMatrix, exp_nilpotent, kron, partial_transpose_first,
                           supertranspose3)
 from . import classical
@@ -35,6 +36,11 @@ ALPHABET9 = GradedAlphabet(
 )
 
 T_ENTRIES = (("a", "al", "b"), ("ga", "e", "be"), ("c", "de", "d"))
+
+# the coefficients p/2, p^2/2 and p^2/4, multiplied out once
+HALF_P = HALF * P
+HALF_P2 = HALF_P * P
+QUARTER_P2 = HALF_P * HALF_P
 
 
 def defining_matrix() -> SuperMatrix:
@@ -172,16 +178,14 @@ class EliminationMap:
     """Substitutions expressing e, ga, be through the six surviving letters."""
 
     def __init__(self):
-        p = P
-        half_p = HALF * p
         self.images = {
             "e": sum_polys([SuperPoly.one(ALPHABET), _w(("al", "de")),
-                            _w(("a", "c"), half_p)]),
+                            _w(("a", "c"), HALF_P)]),
             "ga": sum_polys([_w(("al", "c")), _w(("de", "a"), rat(-1)),
-                             _w(("de", "c"), p)]),
+                             _w(("de", "c"), P)]),
             "be": sum_polys([_w(("al", "d")), _w(("de", "b"), rat(-1)),
-                             _w(("al", "c"), half_p), _w(("de", "a"), -half_p),
-                             _w(("de", "d"), p), _w(("de", "c"), HALF * p * p)]),
+                             _w(("al", "c"), HALF_P), _w(("de", "a"), -HALF_P),
+                             _w(("de", "d"), P), _w(("de", "c"), HALF_P2)]),
         }
 
     def substitute(self, poly: SuperPoly) -> SuperPoly:
@@ -192,21 +196,13 @@ class EliminationMap:
 
     def e_inverse(self, tail_order: int = 3) -> SuperPoly:
         """(1 - al.de - (p/2)ac) * sum_k ((p^2/4) c^2)^k up to the tail order."""
-        u = _w(("al", "de")) + _w(("a", "c"), HALF * P)
-        v = _w(("c", "c"), HALF * HALF * P * P)
-        series = SuperPoly.one(ALPHABET)
-        vk = SuperPoly.one(ALPHABET)
-        for _ in range(tail_order):
-            vk = vk * v
-            series = series + vk
+        u = _w(("al", "de")) + _w(("a", "c"), HALF_P)
+        series = sum_polys([self.geometric_tail(k - 1) for k in range(tail_order + 1)])
         return (SuperPoly.one(ALPHABET) - u) * series
 
     def geometric_tail(self, tail_order: int = 3) -> SuperPoly:
-        v = _w(("c", "c"), HALF * HALF * P * P)
-        out = SuperPoly.one(ALPHABET)
-        for _ in range(tail_order + 1):
-            out = out * v
-        return out
+        """((p^2/4) c^2)^(tail_order + 1)."""
+        return _w(("c",) * (2 * tail_order + 2), QUARTER_P2 ** (tail_order + 1))
 
 
 # ----------------------------------------------------------------------
@@ -222,7 +218,7 @@ def defining_relations():
     orthogonality residuals rather than written down here.
     """
     p = P
-    half_p = HALF * p
+    half_p = HALF_P
     one = SuperPoly.one(ALPHABET)
 
     def comm(x, y):
@@ -253,18 +249,26 @@ def defining_relations():
 
 
 class Presentation:
-    """Compiled rewrite presentation of the deformed function algebra."""
+    """Compiled rewrite presentation of the deformed function algebra: the
+    completed system ``at2`` at p = 2 decides every zero test (module
+    ``rewrite``), and ``system``, its lifted Scalar system, is built when
+    first read."""
 
-    def __init__(self, system: RewriteSystem, relations, derived):
-        self.system = system
+    def __init__(self, at2: RewriteSystem, relations, derived):
+        self.at2 = at2
         self.relations = list(relations)
         self.derived = list(derived)
 
+    @cached_property
+    def system(self) -> RewriteSystem:
+        return self.at2.lifted()
+
     def normal_form(self, poly: SuperPoly) -> SuperPoly:
-        return self.system.normal_form(poly)
+        top, value = at_two(poly, self.at2.grading)
+        return lift(self.at2.normal_form(value), top, self.at2.grading)
 
     def reduces_to_zero(self, poly: SuperPoly) -> bool:
-        return self.system.reduces_to_zero(poly)
+        return self.at2.normal_form(at_two(poly, self.at2.grading)[1]).is_zero
 
     def all_relations(self):
         return self.relations + self.derived
@@ -280,31 +284,33 @@ def presentation() -> Presentation:
     The orthogonality residuals that do not already reduce modulo the
     exchange relations are adjoined (this is where the deformed
     unimodularity enters) and the union is completed so that overlap
-    ambiguities up to COMPLETION_DEGREE all resolve.
+    ambiguities up to COMPLETION_DEGREE all resolve.  The residuals are
+    reduced at p = 2; ``orient`` divides a remainder's content, a power of
+    p, out of the relation it adjoins.
     """
     relations = defining_relations()
     system = complete(ALPHABET, relations, max_degree=4)
     elim = EliminationMap()
-    eliminated = [elim.substitute(res) for res in orthogonality_residuals()]
+    eliminated = [at_two(elim.substitute(res), system.grading)[1]
+                  for res in orthogonality_residuals()]
     derived = []
     for _ in range(8):
-        remainders = []
-        for res in eliminated:
-            rem = system.normal_form(res)
-            if not rem.is_zero:
-                rem = primitive_part(rem)
-                if rem not in remainders:
-                    remainders.append(rem)
+        remainders = [rem for res in eliminated if (rem := system.normal_form(res))]
         if not remainders:
             break
-        # adjoin only the lowest-degree new relation per round; the higher
-        # remainders are consequences once it is in the system
-        orientable = [f for f in remainders
-                      if f.coefficient(f.leading_word()).is_constant]
-        if not orientable:
+        # adjoin only the lowest-degree orientable relation per round; the
+        # higher remainders are consequences once it is in the system
+        for rem in sorted(remainders, key=lambda f: (f.degree(),
+                                                     ALPHABET.word_key(f.leading_word()))):
+            try:
+                (lhs, rhs), = orient([rem], system.weight).items()
+                break
+            except OrientationError:
+                continue
+        else:
             raise RuntimeError("derived relations cannot be oriented")
-        orientable.sort(key=lambda f: (f.degree(), ALPHABET.word_key(f.leading_word())))
-        derived.append(orientable[0])
+        derived.append(lift(SuperPoly(ALPHABET, {lhs: 1}, _internal=True) - rhs,
+                            system.weight(lhs), system.grading))
         system = complete(ALPHABET, relations + derived,
                           max_degree=COMPLETION_DEGREE)
     else:
@@ -336,13 +342,14 @@ def unimodularity_relation() -> SuperPoly:
 # Hopf structure.
 # ----------------------------------------------------------------------
 
-def _coproduct_letter(name: str) -> TensorElement:
-    """Delta(t_ij) = sum_k t_ik ox t_kj with dependent letters eliminated."""
+def _coproduct_letter(name: str, t=None) -> TensorElement:
+    """Delta(t_ij) = sum_k t_ik ox t_kj with dependent letters eliminated;
+    ``t`` holds the matrix entries, by default the Scalar ones."""
     pos = [(i, j) for i in range(3) for j in range(3) if T_ENTRIES[i][j] == name]
     if not pos:
         raise ValueError(f"unknown generator {name!r}")
     (i, j), = pos
-    t = eliminated_matrix().entries
+    t = eliminated_matrix().entries if t is None else t
     out = TensorElement.zero(ALPHABET, 2)
     for k in range(3):
         out = out + TensorElement.of(t[i][k], t[k][j])
@@ -357,27 +364,23 @@ def coproduct(poly) -> TensorElement:
     return _coproducts.word((poly,)) if isinstance(poly, str) else _coproducts(poly)
 
 
-COUNIT_VALUES = {"a": Scalar.one(), "d": Scalar.one(),
-                 "b": Scalar.zero(), "c": Scalar.zero(),
-                 "al": Scalar.zero(), "de": Scalar.zero()}
+COUNIT_VALUES = {"a": 1, "d": 1, "b": 0, "c": 0, "al": 0, "de": 0}
 
 # eps(T) = 1 on the generators, extended multiplicatively
-counit = extend(COUNIT_VALUES.__getitem__, Scalar.one())
+counit = extend(lambda x: Scalar.rational(COUNIT_VALUES[x]), Scalar.one())
 
 
 @lru_cache(maxsize=None)
 def antipode_images():
     """Antipode on the whole defining matrix, dependent letters eliminated."""
-    p = P
-    half_p = HALF * p
     images = {
-        "a": _w(("d",)) - _w(("c",), half_p),
-        "b": -_w(("b",)) + _w(("a",), half_p) - _w(("d",), half_p)
-             + _w(("c",), HALF * HALF * p * p),
+        "a": _w(("d",)) - _w(("c",), HALF_P),
+        "b": -_w(("b",)) + _w(("a",), HALF_P) - _w(("d",), HALF_P)
+             + _w(("c",), QUARTER_P2),
         "c": -_w(("c",)),
-        "d": _w(("a",)) + _w(("c",), half_p),
-        "al": -_w(("al", "d")) + _w(("de", "b")) - _w(("de", "d"), p),
-        "de": _w(("al", "c")) - _w(("de", "a")) + _w(("de", "c"), p),
+        "d": _w(("a",)) + _w(("c",), HALF_P),
+        "al": -_w(("al", "d")) + _w(("de", "b")) - _w(("de", "d"), P),
+        "de": _w(("al", "c")) - _w(("de", "a")) + _w(("de", "c"), P),
     }
     return images
 
@@ -389,56 +392,101 @@ antipode = extend(lambda x: antipode_images()[x], SuperPoly.one(ALPHABET),
 
 def eliminated_matrix() -> SuperMatrix:
     """The defining matrix with e, ga, be substituted (entries in 6 letters)."""
-    elim = EliminationMap()
-    return SuperMatrix(ALPHABET, [[elim.substitute(SuperPoly.letter(ALPHABET9, x))
+    images = EliminationMap().images
+    return SuperMatrix(ALPHABET, [[images.get(x) or SuperPoly.letter(ALPHABET, x)
                                    for x in row] for row in T_ENTRIES])
 
 
-def antipode_axiom_defects():
-    """Normal forms of sum_k S(t_ik) t_kj - delta_ij and the mirror identity."""
-    pres = presentation()
-    t = eliminated_matrix()
-    defects = []
-    for i in range(3):
-        for j in range(3):
-            want = SuperPoly.one(ALPHABET) if i == j else SuperPoly.zero(ALPHABET)
-            left = sum_polys([antipode(t.entries[i][k]) * t.entries[k][j]
-                              for k in range(3)])
-            right = sum_polys([t.entries[i][k] * antipode(t.entries[k][j])
-                               for k in range(3)])
-            defects.append(((i, j), pres.normal_form(left - want),
-                            pres.normal_form(right - want)))
-    return defects
+@lru_cache(maxsize=None)
+def _hopf_at_two():
+    """The eliminated defining matrix at p = 2 as (weight, entry) pairs, and
+    the antipode images at p = 2, for the Hopf checks, which decide their
+    zero tests there (module ``rewrite``).  ValueError unless t_ik ox t_kj
+    weighs as t_ij for every k, S(x) as x, and eps is nonzero only on letters
+    of weight 0: then Delta, S and the counit contraction keep the weight."""
+    at2 = presentation().at2
+    t = [[at_two(f, at2.grading) for f in row] for row in eliminated_matrix().entries]
+    s = {x: at_two(f, at2.grading) for x, f in antipode_images().items()}
+    if (any(t[i][k][0] + t[k][j][0] != t[i][j][0]
+            for i in range(3) for j in range(3) for k in range(3))
+            or any(top != at2.weight((x,)) for x, (top, _) in s.items())
+            or any(v and at2.weight((x,)) for x, v in COUNIT_VALUES.items())):
+        raise ValueError("a Hopf map does not keep the torus weight")
+    return t, {x: f for x, (_, f) in s.items()}
 
 
-def coproduct_reduced(tensor: TensorElement) -> TensorElement:
-    """The tensor with every leg in normal form."""
-    nf_word = presentation().system.nf_word
+_coproducts_at_two = extend(
+    lambda x: _coproduct_letter(x, [[f for _, f in row] for row in _hopf_at_two()[0]]),
+    TensorElement(ALPHABET, 2, {((), ()): 1}))
+_antipode_at_two = extend(lambda x: _hopf_at_two()[1][x], SuperPoly.constant(ALPHABET, 1),
+                          ALPHABET.grades)
+_counit_at_two = extend(COUNIT_VALUES.__getitem__, 1)
+
+
+def coproduct_reduced(tensor: TensorElement, system=None) -> TensorElement:
+    """The tensor with every leg in normal form under ``system``, by default
+    the lifted Scalar presentation."""
+    nf_word = (presentation().system if system is None else system).nf_word
     for leg in range(tensor.arity):
         tensor = tensor.map_leg(leg, nf_word)
     return tensor
 
 
 def coproduct_respects_relations() -> bool:
-    for rel in presentation().all_relations():
-        if coproduct_reduced(coproduct(rel)):
-            return False
-    return True
+    """Delta maps every relation into the ideal, decided at p = 2."""
+    pres = presentation()
+    return not any(coproduct_reduced(_coproducts_at_two(at_two(rel, pres.at2.grading)[1]),
+                                     pres.at2)
+                   for rel in pres.all_relations())
 
 
 def counit_annihilates_relations() -> bool:
     return all(counit(rel).is_zero for rel in presentation().all_relations())
 
 
+def counit_axiom_holds() -> bool:
+    """(eps ox id)Delta(x) = x = (id ox eps)Delta(x) for every generator x,
+    decided at p = 2."""
+    at2 = presentation().at2
+    for x in ALPHABET.letters:
+        d = coproduct_reduced(_coproducts_at_two.word((x,)), at2)
+        gen = SuperPoly.letter(ALPHABET, x, 1)
+        if any(at2.normal_form(d.apply_counit_leg(leg, _counit_at_two) - gen)
+               for leg in (0, 1)):
+            return False
+    return True
+
+
 def coassociativity_defect(name: str) -> TensorElement:
-    """(Delta ox id)Delta(x) - (id ox Delta)Delta(x), legs reduced."""
-    d = coproduct_reduced(coproduct(name))
-    left = d.expand_leg(0, _coproducts.word, 3)
-    right = d.expand_leg(1, _coproducts.word, 3)
-    return coproduct_reduced(left - right)
+    """(Delta ox id)Delta(x) - (id ox Delta)Delta(x), legs reduced, at p = 2:
+    zero exactly when the defect is, since Delta keeps the weight."""
+    at2 = presentation().at2
+    d = coproduct_reduced(_coproducts_at_two.word((name,)), at2)
+    left = d.expand_leg(0, _coproducts_at_two.word, 3)
+    right = d.expand_leg(1, _coproducts_at_two.word, 3)
+    return coproduct_reduced(left - right, at2)
+
+
+def antipode_axiom_defects():
+    """Normal forms of sum_k S(t_ik) t_kj - delta_ij and the mirror identity,
+    reduced at p = 2 and lifted at the weight of t_ij."""
+    at2 = presentation().at2
+    t = _hopf_at_two()[0]
+    s = _antipode_at_two
+    defects = []
+    for i in range(3):
+        for j in range(3):
+            want = SuperPoly.constant(ALPHABET, int(i == j))
+            left = sum_polys([s(t[i][k][1]) * t[k][j][1] for k in range(3)])
+            right = sum_polys([t[i][k][1] * s(t[k][j][1]) for k in range(3)])
+            defects.append(((i, j), *(lift(at2.normal_form(f - want), t[i][j][0], at2.grading)
+                                      for f in (left, right))))
+    return defects
 
 
 def s_squared_images():
-    pres = presentation()
-    return {x: pres.normal_form(antipode(antipode(SuperPoly.letter(ALPHABET, x))))
+    """S^2 of the generators, reduced at p = 2 and lifted: S keeps the weight."""
+    at2 = presentation().at2
+    return {x: lift(at2.normal_form(_antipode_at_two(_antipode_at_two.word((x,)))),
+                    at2.weight((x,)), at2.grading)
             for x in ALPHABET.letters}

@@ -27,17 +27,22 @@ exact linear-algebra kernel.  An echelon at seeded integer values of p is
 kept for spans whose coefficients are free of p, where evaluation changes
 nothing.
 
-Completion runs at p = 2 on relations graded in this way, as every family
-the checks complete is.  Overlap reducts, normal forms and interreduction
-remainders stay homogeneous, so setting p = 2 loses nothing and commutes
-with rewriting: the same words cancel, in the same order.  Over Q[p] each
-new relation is divided by its content, a power of p, and its leading
-coefficient is then a unit exactly when no word outweighs the leading word;
-``orient`` tests that at p = 2, and its division by the leading coefficient
-takes the power out.  Lifting a final rule lhs -> rhs turns a term v*u into
-(v / 2^k) p^k u with k*wt(p) = wt(lhs) - wt(u).  Why 2 and not 1: the
-presentation's relations carry p/2, and at p = 2 every coefficient of its
-completion, in rules and normal forms alike, is an integer.
+Completion and every zero test of the presentation run at p = 2.  In an
+element homogeneous of weight E in such a grading, as every relation,
+residual and Hopf image the checks reduce is, each word u carries the one
+power p^k with k*wt(p) = E - wt(u).  So the element is zero exactly when its
+value at p = 2 is, and ``lift`` recovers it from that value.  Homogeneous
+rules keep an element homogeneous of its weight, and evaluation at p = 2
+commutes with rewriting, so a normal form at p = 2, lifted, is the normal
+form over Q[p].  Over Q[p] each new relation of the completion is divided
+by its content, a power of p, and its leading coefficient is then a unit
+exactly when no word outweighs the leading word; ``orient`` tests that at
+p = 2, and its division by the leading coefficient takes the power out.
+Why 2 and not 1: the presentation's relations carry p/2, and at p = 2 every
+coefficient of its completion, in rules and normal forms alike, is an
+integer.  The argument needs homogeneity: ``at_two`` raises ValueError on
+any other element, such as a + p*a, and a number combination is the value
+of a homogeneous element whose weight its caller knows.
 """
 
 from __future__ import annotations
@@ -54,66 +59,85 @@ class OrientationError(ValueError):
     """A relation cannot be oriented with a unit leading coefficient."""
 
 
-def primitive_part(poly):
-    """Divide out the largest power of p that divides every coefficient.
-
-    Derived relations can arrive as p-multiples of a primitive relation; over
-    Q[p] those are weaker, so span certification is run against the
-    primitive form.  For a homogeneous polynomial, as every remainder
-    ``frt.presentation`` derives is, this power is its content over Q[p]
-    made monic.  A polynomial with a coefficient involving sqrt2 or a symbol
-    other than p is returned unchanged.
-    """
-    try:
-        low = min(min(c.p_coefficients()) for c in poly._terms.values())
-    except ValueError:
-        return poly
-    if not low:
-        return poly
-    return poly.map_scalars(
-        lambda c: Scalar.in_p({d - low: q for d, q in c.p_coefficients().items()}))
-
-
 def _whole(q):
     """An integral Fraction as an int, whose arithmetic is cheaper; any other
     coefficient unchanged."""
     return q.numerator if isinstance(q, Fraction) and q.denominator == 1 else q
 
 
-def orient(polys, weight=None):
-    """Turn relation polynomials into oriented rules {lhs: rhs}, one per
-    leading word.
+def orient(polys, weight):
+    """Turn relations at p = 2 into rules {lhs: rhs}, one per leading word,
+    losing none: a relation whose leading word an earlier rule holds is first
+    reduced by that rule until its leading word is free or it vanishes.
 
-    Each polynomial is scaled so its leading monomial has coefficient 1 and
-    rewritten as lhs -> lhs - poly.  Raises OrientationError if a leading
-    coefficient is not an invertible constant.  With ``weight`` (word ->
-    weight under ``_p_grading``) the coefficients are values at p = 2, and a
-    leading word lighter than another word carries a power of p.
+    Each is scaled so its leading coefficient is 1 and rewritten as lhs ->
+    lhs - poly.  ``weight`` maps a word to its weight under ``_p_grading``; a
+    leading word lighter than another word carries a power of p, no unit,
+    and raises OrientationError.
     """
     rules = {}
     for f in polys:
-        if f.is_zero:
+        terms = dict(f._terms)
+        while terms:
+            lead = max(terms, key=f.alphabet.word_key)
+            if lead not in rules:
+                break
+            c = terms.pop(lead)
+            _accumulate(((w, c * v) for w, v in rules[lead]._terms.items()), terms)
+        if not terms:
             continue
-        lead = f.leading_word()
-        lc = f._terms[lead]
-        if weight is None and not lc.is_constant:
-            raise OrientationError(f"leading coefficient {lc} of {f!r} is not a unit")
-        if weight is not None and weight(lead) < max(map(weight, f.words())):
+        if weight(lead) < max(map(weight, terms)):
             raise OrientationError(f"leading word {lead} carries a power of p")
-        inv = lc.unit_inverse() if weight is None else Fraction(1, lc)
-        rules[lead] = SuperPoly(f.alphabet, {w: _whole(-c * inv) for w, c in f._terms.items()
-                                             if w != lead}, _internal=True)
+        inv = Fraction(1, terms.pop(lead))
+        rules[lead] = SuperPoly(f.alphabet, {w: _whole(-c * inv) for w, c in terms.items()},
+                                _internal=True)
     return rules
+
+
+def at_two(poly, grading):
+    """(E, value at p = 2) of a Scalar SuperPoly homogeneous of weight E
+    under ``grading`` (``_p_grading``), E None for zero; ValueError when a
+    term weighs otherwise or a coefficient is not a polynomial in p."""
+    weights, p_weight = grading
+    top, terms = None, {}
+    for u, c in poly._terms.items():
+        base = sum(weights[x] for x in u)
+        for d, q in c.p_coefficients().items():
+            if top is None:
+                top = base + d * p_weight
+            elif base + d * p_weight != top:
+                raise ValueError(f"not homogeneous in a grading of p: {poly!r}")
+            terms[u] = _whole(q * 2 ** d)
+    return top, SuperPoly(poly.alphabet, terms, _internal=True)
+
+
+def lift(poly, top, grading):
+    """The Scalar SuperPoly homogeneous of weight ``top`` under ``grading``
+    whose value at p = 2 is ``poly``: a term v*u goes to (v / 2^k) p^k u with
+    k*wt(p) = top - wt(u).  Each word of a homogeneous element carries one
+    power of p, so this inverts ``at_two``, and such an element is zero
+    exactly when its value at p = 2 is; for an element that is not
+    homogeneous neither holds.  ArithmeticError when no such k >= 0 exists."""
+    weights, p_weight = grading
+    terms = {}
+    for u, v in poly._terms.items():
+        k, r = divmod(top - sum(weights[x] for x in u), p_weight)
+        if r or k < 0:
+            raise ArithmeticError(f"term {u} of weight {top} has no power of p")
+        terms[u] = Scalar.in_p({k: Fraction(v, 2 ** k)})
+    return SuperPoly(poly.alphabet, terms, _internal=True)
 
 
 class RewriteSystem:
     """Oriented, terminating rewrite system over a graded alphabet."""
 
-    def __init__(self, alphabet, rules, one=S_ONE):
-        # ``one`` is the coefficient of an irreducible word: 1 at p = 2
+    def __init__(self, alphabet, rules, one=S_ONE, grading=None):
+        # ``one`` is the coefficient of an irreducible word: 1 at p = 2, where
+        # ``grading`` (``_p_grading``) makes every rule homogeneous
         self.alphabet = alphabet
         self.rules = dict(rules)
         self.one = one
+        self.grading = grading
         self._cache = {}
         key = alphabet.word_key
         by_first = {}
@@ -132,6 +156,17 @@ class RewriteSystem:
 
     def __len__(self):
         return len(self.rules)
+
+    def weight(self, word):
+        """The weight of a word under ``grading``."""
+        weights = self.grading[0]
+        return sum(weights[x] for x in word)
+
+    def lifted(self):
+        """The Scalar system of the rules at p = 2, each lifted at the weight of
+        its left side (``lift``)."""
+        return RewriteSystem(self.alphabet, {lhs: lift(rhs, self.weight(lhs), self.grading)
+                                             for lhs, rhs in self.rules.items()})
 
     def rule_polys(self):
         """The rules as relation polynomials lhs - rhs."""
@@ -264,43 +299,30 @@ COMPLETION_ROUNDS = 30
 def complete(alphabet, relations, max_degree: int) -> RewriteSystem:
     """Degree-bounded Buchberger-style completion of a relation list.
 
-    It runs at p = 2 (module docstring) and returns Scalar rules; relations
-    that ``_p_grading`` cannot grade raise ValueError.  Every new relation
-    is divided by its content, a power of p, so the compiled system presents
-    the ideal saturated with respect to p.  Flatness of the quotient
-    (normal-word counts matching the classical algebra) certifies that the
-    saturation adds nothing in the audited degrees.
+    It runs at p = 2 (module docstring) and returns the system at p = 2,
+    with its grading and the normal forms of its last overlap audit;
+    ``lifted`` gives its Scalar rules.  Relations that ``_p_grading`` cannot
+    grade raise ValueError.  Every new relation is divided by its content, a
+    power of p, so the compiled system presents the ideal saturated with
+    respect to p.  Flatness of the quotient (normal-word counts matching the
+    classical algebra) certifies that the saturation adds nothing in the
+    audited degrees.
     """
     grading = _p_grading(relations) if relations else None
     if grading is None:
         raise ValueError("completion needs relations homogeneous in a grading of p")
-    weights, p_weight = grading
-
-    def weight(word):
-        return sum(weights[x] for x in word)
-
-    def lift(lhs, rhs):
-        terms = {}
-        for u, v in rhs._terms.items():
-            k, r = divmod(weight(lhs) - weight(u), p_weight)
-            if r or k < 0:
-                raise ArithmeticError(f"term {u} of rule {lhs} has no power of p")
-            terms[u] = Scalar.in_p({k: Fraction(v, 2 ** k)})
-        return SuperPoly(alphabet, terms, _internal=True)
-
-    relations = [SuperPoly(alphabet, {w: _whole(c.substitute(p=2).as_rational())
-                                      for w, c in f._terms.items()}, _internal=True)
-                 for f in relations]
-    rules = interreduce(alphabet, orient(relations, weight), weight)
+    system = RewriteSystem(alphabet, {}, one=1, grading=grading)
+    relations = bad = [at_two(f, grading)[1] for f in relations]
     for _ in range(COMPLETION_ROUNDS):
-        system = RewriteSystem(alphabet, rules, one=1)
-        # a relation that shared its leading word with another comes back
-        # once the overlaps resolve
+        rules = orient(system.rule_polys() + bad, system.weight)
+        system = RewriteSystem(alphabet, interreduce(alphabet, rules, system.weight), one=1,
+                               grading=grading)
+        # once the overlaps resolve, a relation that does not reduce to zero
+        # comes back
         bad = ([d for _, d in system.overlap_check(max_degree)]
                or [d for f in relations if (d := system.normal_form(f))])
         if not bad:
-            return RewriteSystem(alphabet, {lhs: lift(lhs, rhs) for lhs, rhs in rules.items()})
-        rules = interreduce(alphabet, orient(system.rule_polys() + bad, weight), weight)
+            return system
     raise RuntimeError(f"completion did not converge in {COMPLETION_ROUNDS} rounds")
 
 

@@ -1,10 +1,13 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from ospq.scalars import Scalar, rat, P, HALF
 from ospq.freealg import SuperPoly, TensorElement, sum_polys
 from ospq.supermatrix import SuperMatrix, INDEX_GRADE, partial_transpose_first
 from ospq.rewrite import _graded_echelon, span_contains
-from ospq import frt
+from ospq import checks, frt, scalars
 from ospq.checks import quantum_r_target_matrix, derived_metric_expected
 
 
@@ -107,6 +110,49 @@ def test_presentation_completed_at_p_2_is_confluent_over_qp(pres):
     assert pres.system.overlap_check(frt.COMPLETION_DEGREE) == []
     for rel in pres.all_relations():
         assert pres.reduces_to_zero(rel)
+
+
+def test_normal_form_at_p_2_lifts_to_the_scalar_normal_form(pres):
+    # seeded homogeneous elements of weight E up to degree 4: random products
+    # of the generators, each beside the power of p that brings it to weight
+    # E.  Reduced at p = 2 and lifted, each normal form is the lifted Scalar
+    # system's, term for term and in the same order
+    rng = random.Random(17)
+    weights, p_weight = pres.at2.grading
+    for top in (-2, 0, 1, 2):
+        for _ in range(8):
+            terms = {}
+            while len(terms) < 4:
+                word = tuple(rng.choice(frt.ALPHABET.letters) for _ in range(rng.randint(0, 4)))
+                k, r = divmod(top - sum(weights[x] for x in word), p_weight)
+                if not r and k >= 0:
+                    terms[word] = Scalar.in_p({k: rng.choice([-3, -1, 1, 2, Fraction(1, 2)])})
+            f = SuperPoly(frt.ALPHABET, terms)
+            expected = pres.system.normal_form(f)
+            assert list(pres.normal_form(f)._terms.items()) == list(expected._terms.items())
+            assert pres.reduces_to_zero(f) == expected.is_zero
+    # a word beside two powers of p has no weight
+    for decide in (pres.normal_form, pres.reduces_to_zero):
+        with pytest.raises(ValueError, match="homogeneous"):
+            decide(w("a") + w("a").scale(P))
+
+
+def test_hopf_checks_multiply_no_scalars(pres, monkeypatch):
+    # once the presentation is built, the coproduct, coassociativity,
+    # antipode and counit-axiom checks reduce numbers at p = 2
+    products = []
+    kernel = scalars._products
+
+    def spy(terms1, terms2):
+        products.append((terms1, terms2))
+        return kernel(terms1, terms2)
+
+    monkeypatch.setattr(scalars, "_products", spy)
+    config = checks.CheckConfig()
+    for check in (checks.check_coproduct_homomorphism, checks.check_coassociativity,
+                  checks.check_antipode, checks.check_counit_axiom):
+        assert check(config)[0]
+    assert products == []
 
 
 def test_unimodularity_form(pres):

@@ -6,8 +6,8 @@ import pytest
 
 from ospq.scalars import Scalar, rat, P, HALF, SQRT2
 from ospq.freealg import GradedAlphabet, SuperPoly
-from ospq.rewrite import (RewriteSystem, complete, orient, span_equal, span_contains,
-                          primitive_part, nullspace, OrientationError)
+from ospq.rewrite import (RewriteSystem, at_two, complete, orient, span_equal,
+                          span_contains, nullspace, OrientationError)
 from ospq.rewrite import (_evaluation_points, _graded_echelon, _int_echelons,
                           _int_insert, _int_reduces_to_zero, _int_row, _p_grading,
                           _weight_components, _word_ranks, shift_family)
@@ -70,27 +70,11 @@ def test_rules_are_order_decreasing(system):
 
 
 def test_orientation_rejects_nonunit_leads():
+    # a*d weighs 0 and b weighs 2 in the torus grading: p*a*d - b leads with
+    # a*d, beside p
+    at2 = frt.presentation().at2
     with pytest.raises(OrientationError):
-        orient([w("a", "c").scale(P) - w("c", "c")])
-
-
-def test_primitive_part():
-    f = (w("a", "b") - w("b", "a")).scale(HALF * P)
-    g = primitive_part(f)
-    lead_coeff = g.coefficient(g.leading_word())
-    assert lead_coeff.is_constant
-    monic = g.scale(lead_coeff.unit_inverse())
-    assert monic == w("b", "a") - w("a", "b")
-    # denominators, and a content 3p^2 of which p^2 divides out
-    f = w("a", "b").scale(rat(3) * P ** 2) + w("b", "a").scale(rat(Fraction(9, 2)) * P ** 3)
-    assert primitive_part(f) == w("a", "b").scale(rat(3)) + w("b", "a").scale(
-        rat(Fraction(9, 2)) * P)
-    # no power of p in the content, and coefficients with sqrt2 or x: unchanged
-    x = Scalar.var("x")
-    for f in (w("a", "b").scale(rat(2) * P) + w("b", "a").scale(rat(6)),
-              w("a", "b").scale(SQRT2 * P) + w("b", "a").scale(P),
-              w("a", "b").scale(x * P) + w("b", "a").scale(P)):
-        assert primitive_part(f) == f
+        orient([at_two(w("a", "d").scale(P) - w("b"), at2.grading)[1]], at2.weight)
 
 
 def test_commutative_triangle_is_confluent():
@@ -100,7 +84,7 @@ def test_commutative_triangle_is_confluent():
     rels = [ww("y", "x") - ww("x", "y"),
             ww("z", "y") - ww("y", "z"),
             ww("z", "x") - ww("x", "z")]
-    system = RewriteSystem(alphabet, orient(rels))
+    system = RewriteSystem(alphabet, _orient_over_qp(rels))
     assert system.overlap_check(4) == []
 
 
@@ -111,7 +95,7 @@ def test_broken_rule_set_has_overlaps():
     # the inclusion ambiguity yxy resolves to xyy one way and xxx the other
     rels = [ww("y", "x") - ww("x", "y"),
             ww("y", "x", "y") - ww("x", "x", "x")]
-    system = RewriteSystem(alphabet, orient(rels))
+    system = RewriteSystem(alphabet, _orient_over_qp(rels))
     assert system.overlap_check(4)
 
 
@@ -611,34 +595,65 @@ XZY_BY_WEIGHT = GradedAlphabet(("x", "z", "y"), {"x": 0, "z": 0, "y": 1},
                                weights={"x": 3, "z": 4, "y": 1})
 
 
+def _primitive_part(poly):
+    """Divide out the largest power of p that divides every coefficient (the
+    reference completion's content division over Q[p])."""
+    low = min(min(c.p_coefficients()) for c in poly._terms.values())
+    return poly.map_scalars(
+        lambda c: Scalar.in_p({d - low: q for d, q in c.p_coefficients().items()}))
+
+
+def _orient_over_qp(polys):
+    """``orient`` over Q[p]: a relation whose leading word an earlier rule
+    holds is reduced by that rule first, its content is divided out, and its
+    leading coefficient must then be a unit."""
+    rules = {}
+    for f in polys:
+        while f and f.leading_word() in rules:
+            lead = f.leading_word()
+            f = f + (rules[lead] - SuperPoly.word(f.alphabet, lead)).scale(f.coefficient(lead))
+        if f.is_zero:
+            continue
+        f = _primitive_part(f)
+        lead = f.leading_word()
+        lc = f.coefficient(lead)
+        if not lc.is_constant:
+            raise OrientationError(f"leading coefficient {lc} of {f!r} is not a unit")
+        inv = lc.unit_inverse()
+        rules[lead] = SuperPoly(f.alphabet, {u: -c * inv for u, c in f._terms.items()
+                                             if u != lead})
+    return rules
+
+
 def _complete_over_qp(alphabet, relations, max_degree):
     """The completion that ``complete`` evaluates at p = 2, run on Scalars:
-    every new relation divided by its content, oriented by ``orient``."""
+    every new relation oriented by ``_orient_over_qp``, which divides out its
+    content."""
     def interreduce(rules):
         for _ in range(200):
             changed = False
             for lhs in sorted(rules, key=alphabet.word_key):
                 rhs = rules.pop(lhs)
                 others = RewriteSystem(alphabet, rules)
-                f = primitive_part(others.nf_word(lhs) - others.normal_form(rhs))
+                f = others.nf_word(lhs) - others.normal_form(rhs)
                 if f.is_zero:
                     changed = True
                     continue
-                (new_lhs, new_rhs), = orient([f]).items()
+                (new_lhs, new_rhs), = _orient_over_qp([f]).items()
                 changed = changed or (new_lhs, new_rhs) != (lhs, rhs)
                 rules[new_lhs] = new_rhs
             if not changed:
                 return rules
         raise RuntimeError("interreduction did not stabilize")
 
-    rules = interreduce(orient([primitive_part(f) for f in relations]))
+    rules = interreduce(_orient_over_qp(relations))
     for _ in range(rewrite.COMPLETION_ROUNDS):
         system = RewriteSystem(alphabet, rules)
         bad = ([d for _, d in system.overlap_check(max_degree)]
                or [d for f in relations if (d := system.normal_form(f))])
         if not bad:
             return system
-        rules = interreduce(orient(system.rule_polys() + [primitive_part(d) for d in bad]))
+        rules = interreduce(_orient_over_qp(system.rule_polys() + bad))
     raise RuntimeError("completion did not converge")
 
 
@@ -667,12 +682,12 @@ def test_completion_at_p_2_lifts_to_the_completion_over_qp():
             f = rng.choice(gens)
             gens += [_p_power(f, 1), SuperPoly.letter(XZY, "x") * f]
             gens = [SuperPoly(alphabet, dict(g._terms)) for g in gens]
-            lifted = _completion(alphabet, gens, complete)
+            lifted = _completion(alphabet, gens, lambda *args: complete(*args).lifted())
             assert lifted == _completion(alphabet, gens, _complete_over_qp)
             if lifted is OrientationError:
                 outcomes[OrientationError] += 1
                 continue
-            system = complete(alphabet, gens, 4)
+            system = complete(alphabet, gens, 4).lifted()
             assert system.overlap_check(4) == []
             assert all(system.reduces_to_zero(g) for g in gens)
             outcomes["rules"] += len(system)
@@ -688,10 +703,24 @@ def test_completion_keeps_relations_that_share_a_leading_word():
     z_x = SuperPoly.word(XZY_BY_WEIGHT, ("z", "x"))
     z_y = SuperPoly.word(XZY_BY_WEIGHT, ("z", "y"))
     rels = [z_x + z_y.scale(rat(5) * P), (z_x.scale(rat(2)) - z_y.scale(rat(3) * P)).scale(P)]
-    system = complete(XZY_BY_WEIGHT, rels, 4)
+    system = complete(XZY_BY_WEIGHT, rels, 4).lifted()
     assert all(system.reduces_to_zero(f) for f in rels)
     zero = SuperPoly.zero(XZY_BY_WEIGHT)
     assert system.rules == {("z", "x"): zero, ("z", "y"): zero}
+
+
+def test_orient_keeps_relations_that_share_a_leading_word():
+    # both relations lead with z*x; the second is reduced by the first rule
+    # to a relation leading with z*y, so neither is lost
+    z_x = SuperPoly.word(XZY_BY_WEIGHT, ("z", "x"))
+    z_y = SuperPoly.word(XZY_BY_WEIGHT, ("z", "y"))
+    grading = (XZY_WEIGHTS, 2)
+    rels = [at_two(f, grading)[1] for f in (z_x + z_y.scale(rat(5) * P),
+                                            z_x.scale(rat(2)) - z_y.scale(rat(3) * P))]
+    rules = orient(rels, _word_weight)
+    assert list(rules) == [("z", "x"), ("z", "y")]
+    system = RewriteSystem(XZY_BY_WEIGHT, rules, one=1)
+    assert all(system.normal_form(f).is_zero for f in rels)
 
 
 def test_completion_rejects_a_lead_that_carries_p():
@@ -699,7 +728,7 @@ def test_completion_rejects_a_lead_that_carries_p():
     # order, so its coefficient p is not a unit of Q[p]
     rel = w("a", "d").scale(P) - w("b")
     with pytest.raises(OrientationError):
-        orient([primitive_part(rel)])
+        _orient_over_qp([rel])
     with pytest.raises(OrientationError):
         complete(frt.ALPHABET, [rel], 4)
 
@@ -724,4 +753,4 @@ def test_completion_multiplies_no_scalars(monkeypatch):
     system = complete(frt.ALPHABET, relations, 4)
     assert products == []
     # the lifted rules carry p again
-    assert system.rules[("b", "a")].coefficient(("a", "a")) == -P
+    assert system.lifted().rules[("b", "a")].coefficient(("a", "a")) == -P
