@@ -19,14 +19,19 @@ from math import comb
 
 from .scalars import Scalar, rat, P, HALF, SQRT2, _accumulate
 from .freealg import GradedAlphabet, GradedTensor, SuperPoly, _scaled, extend
-from .supermatrix import SuperMatrix, kron
+from .supermatrix import SuperMatrix, entry_weights, kron
 from .rewrite import span_equal
 
 DEFAULT_TRUNCATION = 16  # filtration weight; X-degree up to 8
 
+# the letters of the dual generator matrix L at their positions: its (2,2)
+# entry is 1 and its lower triangle 0
+L_ENTRIES = (("A", "B", "C_L"), (None, None, "E"), (None, None, "F"))
+
 RLL_ALPHABET = GradedAlphabet(
     ("A", "B", "C_L", "E", "F"),
     {"A": 0, "B": 1, "C_L": 0, "E": 1, "F": 0},
+    torus=entry_weights(L_ENTRIES),
 )
 
 
@@ -549,13 +554,10 @@ def dual_relations():
 
 
 def dual_generator_matrix() -> SuperMatrix:
-    z = SuperPoly.zero(RLL_ALPHABET)
     return SuperMatrix(RLL_ALPHABET, [
-        [SuperPoly.letter(RLL_ALPHABET, "A"), SuperPoly.letter(RLL_ALPHABET, "B"),
-         SuperPoly.letter(RLL_ALPHABET, "C_L")],
-        [z, SuperPoly.one(RLL_ALPHABET), SuperPoly.letter(RLL_ALPHABET, "E")],
-        [z, z, SuperPoly.letter(RLL_ALPHABET, "F")],
-    ])
+        [SuperPoly.letter(RLL_ALPHABET, x) if x
+         else SuperPoly.one(RLL_ALPHABET) if i == j else SuperPoly.zero(RLL_ALPHABET)
+         for j, x in enumerate(row)] for i, row in enumerate(L_ENTRIES)])
 
 
 def rll_residuals():

@@ -30,16 +30,20 @@ class GradedAlphabet:
     The monomial order used throughout is weighted-degree-lex: total weight,
     then word length, then left-to-right comparison of letter indices.  With
     all weights 1 this is the usual degree-lex order.
+
+    ``torus`` gives each letter its integer torus weight, the grading in which
+    p weighs 2 (:mod:`ospq.rewrite`); None declares no grading.
     """
 
-    __slots__ = ("letters", "grades", "weights", "index")
+    __slots__ = ("letters", "grades", "weights", "torus", "index")
 
-    def __init__(self, letters, grades, weights=None):
+    def __init__(self, letters, grades, weights=None, torus=None):
         self.letters = tuple(letters)
         self.grades = dict(grades)
         self.weights = {x: 1 for x in self.letters}
         if weights:
             self.weights.update(weights)
+        self.torus = None if torus is None else {x: torus[x] for x in self.letters}
         self.index = {x: i for i, x in enumerate(self.letters)}
         for x in self.letters:
             if self.grades.get(x) not in (0, 1):
@@ -51,6 +55,12 @@ class GradedAlphabet:
             len(word),
             tuple(self.index[x] for x in word),
         )
+
+    def torus_weight(self, word) -> int:
+        """The torus weight of a word; ValueError when none is declared."""
+        if self.torus is None:
+            raise ValueError(f"{self!r} declares no torus grading")
+        return sum(self.torus[x] for x in word)
 
     def grade(self, word) -> int:
         return sum(self.grades[x] for x in word) % 2

@@ -17,25 +17,28 @@ from .scalars import Scalar, rat, P, HALF, _accumulate
 from .freealg import GradedAlphabet, SuperPoly, TensorElement, extend, sum_polys
 from .rewrite import (OrientationError, RewriteSystem, at_two, complete, lift, nullspace,
                       orient)
-from .supermatrix import (SuperMatrix, exp_nilpotent, kron, partial_transpose_first,
-                          supertranspose3)
+from .supermatrix import (SuperMatrix, entry_weights, exp_nilpotent, kron,
+                          partial_transpose_first, supertranspose3)
 from . import classical
 
+T_ENTRIES = (("a", "al", "b"), ("ga", "e", "be"), ("c", "de", "d"))
+
 # 6-letter alphabet; the weights make every defining relation orientable with
-# a unit leading coefficient (plain degree-lex cannot orient them all)
+# a unit leading coefficient (plain degree-lex cannot orient them all), and
+# each letter t_ij has the torus weight of its matrix position
 ALPHABET = GradedAlphabet(
     ("a", "al", "b", "c", "de", "d"),
     {"a": 0, "al": 1, "b": 0, "c": 0, "de": 1, "d": 0},
     weights={"a": 2, "al": 3, "b": 3, "c": 1, "de": 2, "d": 2},
+    torus=entry_weights(T_ENTRIES),
 )
 
 # 9-letter alphabet for the defining matrix before elimination
 ALPHABET9 = GradedAlphabet(
     ("a", "al", "b", "ga", "e", "be", "c", "de", "d"),
     {"a": 0, "al": 1, "b": 0, "ga": 1, "e": 0, "be": 1, "c": 0, "de": 1, "d": 0},
+    torus=entry_weights(T_ENTRIES),
 )
-
-T_ENTRIES = (("a", "al", "b"), ("ga", "e", "be"), ("c", "de", "d"))
 
 # the coefficients p/2, p^2/2 and p^2/4, multiplied out once
 HALF_P = HALF * P
@@ -264,11 +267,11 @@ class Presentation:
         return self.at2.lifted()
 
     def normal_form(self, poly: SuperPoly) -> SuperPoly:
-        top, value = at_two(poly, self.at2.grading)
-        return lift(self.at2.normal_form(value), top, self.at2.grading)
+        top, value = at_two(poly)
+        return lift(self.at2.normal_form(value), top)
 
     def reduces_to_zero(self, poly: SuperPoly) -> bool:
-        return self.at2.normal_form(at_two(poly, self.at2.grading)[1]).is_zero
+        return self.at2.normal_form(at_two(poly)[1]).is_zero
 
     def all_relations(self):
         return self.relations + self.derived
@@ -290,9 +293,7 @@ def presentation() -> Presentation:
     """
     relations = defining_relations()
     system = complete(ALPHABET, relations, max_degree=4)
-    elim = EliminationMap()
-    eliminated = [at_two(elim.substitute(res), system.grading)[1]
-                  for res in orthogonality_residuals()]
+    eliminated = [at_two(res)[1] for res in _eliminated_orthogonality()]
     derived = []
     for _ in range(8):
         remainders = [rem for res in eliminated if (rem := system.normal_form(res))]
@@ -303,14 +304,14 @@ def presentation() -> Presentation:
         for rem in sorted(remainders, key=lambda f: (f.degree(),
                                                      ALPHABET.word_key(f.leading_word()))):
             try:
-                (lhs, rhs), = orient([rem], system.weight).items()
+                (lhs, rhs), = orient([rem]).items()
                 break
             except OrientationError:
                 continue
         else:
             raise RuntimeError("derived relations cannot be oriented")
         derived.append(lift(SuperPoly(ALPHABET, {lhs: 1}, _internal=True) - rhs,
-                            system.weight(lhs), system.grading))
+                            ALPHABET.torus_weight(lhs)))
         system = complete(ALPHABET, relations + derived,
                           max_degree=COMPLETION_DEGREE)
     else:
@@ -319,13 +320,18 @@ def presentation() -> Presentation:
 
 
 @lru_cache(maxsize=None)
+def _eliminated_orthogonality():
+    """The orthogonality residuals in the 6 letters, substituted once."""
+    return tuple(map(EliminationMap().substitute, orthogonality_residuals()))
+
+
+@lru_cache(maxsize=None)
 def eliminated_residuals():
     """All RTT and orthogonality residuals pushed down to the 6-letter algebra."""
     elim = EliminationMap()
     rtt = [elim.substitute(f) for f in rtt_residuals()]
-    orth = [elim.substitute(f) for f in orthogonality_residuals()]
     return ([f for f in rtt if not f.is_zero],
-            [f for f in orth if not f.is_zero])
+            [f for f in _eliminated_orthogonality() if not f.is_zero])
 
 
 def unimodularity_relation() -> SuperPoly:
@@ -404,13 +410,12 @@ def _hopf_at_two():
     zero tests there (module ``rewrite``).  ValueError unless t_ik ox t_kj
     weighs as t_ij for every k, S(x) as x, and eps is nonzero only on letters
     of weight 0: then Delta, S and the counit contraction keep the weight."""
-    at2 = presentation().at2
-    t = [[at_two(f, at2.grading) for f in row] for row in eliminated_matrix().entries]
-    s = {x: at_two(f, at2.grading) for x, f in antipode_images().items()}
+    t = [[at_two(f) for f in row] for row in eliminated_matrix().entries]
+    s = {x: at_two(f) for x, f in antipode_images().items()}
     if (any(t[i][k][0] + t[k][j][0] != t[i][j][0]
             for i in range(3) for j in range(3) for k in range(3))
-            or any(top != at2.weight((x,)) for x, (top, _) in s.items())
-            or any(v and at2.weight((x,)) for x, v in COUNIT_VALUES.items())):
+            or any(top != ALPHABET.torus[x] for x, (top, _) in s.items())
+            or any(v and ALPHABET.torus[x] for x, v in COUNIT_VALUES.items())):
         raise ValueError("a Hopf map does not keep the torus weight")
     return t, {x: f for x, (_, f) in s.items()}
 
@@ -435,7 +440,7 @@ def coproduct_reduced(tensor: TensorElement, system=None) -> TensorElement:
 def coproduct_respects_relations() -> bool:
     """Delta maps every relation into the ideal, decided at p = 2."""
     pres = presentation()
-    return not any(coproduct_reduced(_coproducts_at_two(at_two(rel, pres.at2.grading)[1]),
+    return not any(coproduct_reduced(_coproducts_at_two(at_two(rel)[1]),
                                      pres.at2)
                    for rel in pres.all_relations())
 
@@ -479,7 +484,7 @@ def antipode_axiom_defects():
             want = SuperPoly.constant(ALPHABET, int(i == j))
             left = sum_polys([s(t[i][k][1]) * t[k][j][1] for k in range(3)])
             right = sum_polys([t[i][k][1] * s(t[k][j][1]) for k in range(3)])
-            defects.append(((i, j), *(lift(at2.normal_form(f - want), t[i][j][0], at2.grading)
+            defects.append(((i, j), *(lift(at2.normal_form(f - want), t[i][j][0])
                                       for f in (left, right))))
     return defects
 
@@ -488,5 +493,5 @@ def s_squared_images():
     """S^2 of the generators, reduced at p = 2 and lifted: S keeps the weight."""
     at2 = presentation().at2
     return {x: lift(at2.normal_form(_antipode_at_two(_antipode_at_two.word((x,)))),
-                    at2.weight((x,)), at2.grading)
+                    ALPHABET.torus[x])
             for x in ALPHABET.letters}

@@ -8,30 +8,32 @@ compare Scalar-linear spans of shifted relation families inside a degree
 slice and decide membership over Q(p) exactly; the generators are
 interreduced first and only the independent ones are shifted.
 
-Spans are decided at p = 1.  Suppose letter weights and a nonzero weight of
-p make every generator homogeneous, a term u*p^d weighing wt(u) + d*wt(p)
-(``_p_grading`` solves for them).  The shifts are then homogeneous too, and
-in a homogeneous element the weight of a word fixes its power of p.  So the
-span matrix is M = D_r*C*D_c, with C the integer matrix M at p = 1 and D_r,
-D_c diagonal powers of p (fractional powers at worst, which change no rank).
-M and C have the same rank, and a homogeneous target lies in the span over
-Q(p) exactly when its row at p = 1 lies in the row space of C over Q.  The
-span is stable under the torus action u -> λ^wt(u) u, p -> λ^wt(p) p, so a
-target lies in it exactly when each of its weight components does.  One
-integer echelon at p = 1 therefore decides such a span.  Every family the
-checks compare is graded by the torus weight, with p of weight 2; a family
-with no such grading, such as a generator (p - 85)*ac whose word carries two
-powers of p, raises ValueError.  ``nullspace`` solves systems of the same
-form M = D_r*C*D_c through C, so this integer echelon is the module's one
-exact linear-algebra kernel.  An echelon at seeded integer values of p is
-kept for spans whose coefficients are free of p, where evaluation changes
-nothing.
+The grading is the torus weight that each alphabet declares
+(``GradedAlphabet.torus``, derived from the basis weights in
+``supermatrix``), with p of weight ``P_WEIGHT`` = 2: a term u*p^d weighs
+wt(u) + 2d.  Every relation, residual and Hopf image is homogeneous in it.
+
+Spans are decided at p = 1.  When every generator is homogeneous, so are
+its shifts, and in a homogeneous element the weight of a word fixes its
+power of p.  So the span matrix is M = D_r*C*D_c, with C the integer matrix
+M at p = 1 and D_r, D_c diagonal powers of p (fractional powers at worst,
+which change no rank).  M and C have the same rank, and a homogeneous
+target lies in the span over Q(p) exactly when its row at p = 1 lies in the
+row space of C over Q.  The span is stable under the torus action
+u -> λ^wt(u) u, p -> λ^2 p, so a target lies in it exactly when each of its
+weight components does.  One integer echelon at p = 1 therefore decides
+such a span.  A generator that is not homogeneous, such as (p - 85)*ac
+whose word carries two powers of p, raises ValueError, and so does an
+alphabet that declares no grading.  ``nullspace`` solves systems of the
+same form M = D_r*C*D_c through C, so this integer echelon is the module's
+one exact linear-algebra kernel.  An echelon at seeded integer values of p
+is kept for spans whose coefficients are free of p, where evaluation
+changes nothing.
 
 Completion and every zero test of the presentation run at p = 2.  In an
-element homogeneous of weight E in such a grading, as every relation,
-residual and Hopf image the checks reduce is, each word u carries the one
-power p^k with k*wt(p) = E - wt(u).  So the element is zero exactly when its
-value at p = 2 is, and ``lift`` recovers it from that value.  Homogeneous
+element homogeneous of weight E, each word u carries the one power p^k with
+2k = E - wt(u).  So the element is zero exactly when its value at p = 2 is,
+and ``lift`` recovers it from that value.  Homogeneous
 rules keep an element homogeneous of its weight, and evaluation at p = 2
 commutes with rewriting, so a normal form at p = 2, lifted, is the normal
 form over Q[p].  Over Q[p] each new relation of the completion is divided
@@ -59,21 +61,24 @@ class OrientationError(ValueError):
     """A relation cannot be oriented with a unit leading coefficient."""
 
 
+# the torus weight of p (module docstring)
+P_WEIGHT = 2
+
+
 def _whole(q):
     """An integral Fraction as an int, whose arithmetic is cheaper; any other
     coefficient unchanged."""
     return q.numerator if isinstance(q, Fraction) and q.denominator == 1 else q
 
 
-def orient(polys, weight):
+def orient(polys):
     """Turn relations at p = 2 into rules {lhs: rhs}, one per leading word,
     losing none: a relation whose leading word an earlier rule holds is first
     reduced by that rule until its leading word is free or it vanishes.
 
     Each is scaled so its leading coefficient is 1 and rewritten as lhs ->
-    lhs - poly.  ``weight`` maps a word to its weight under ``_p_grading``; a
-    leading word lighter than another word carries a power of p, no unit,
-    and raises OrientationError.
+    lhs - poly.  A leading word of less torus weight than another word
+    carries a power of p, no unit, and raises OrientationError.
     """
     rules = {}
     for f in polys:
@@ -86,6 +91,7 @@ def orient(polys, weight):
             _accumulate(((w, c * v) for w, v in rules[lead]._terms.items()), terms)
         if not terms:
             continue
+        weight = f.alphabet.torus_weight
         if weight(lead) < max(map(weight, terms)):
             raise OrientationError(f"leading word {lead} carries a power of p")
         inv = Fraction(1, terms.pop(lead))
@@ -94,34 +100,32 @@ def orient(polys, weight):
     return rules
 
 
-def at_two(poly, grading):
-    """(E, value at p = 2) of a Scalar SuperPoly homogeneous of weight E
-    under ``grading`` (``_p_grading``), E None for zero; ValueError when a
-    term weighs otherwise or a coefficient is not a polynomial in p."""
-    weights, p_weight = grading
+def at_two(poly):
+    """(E, value at p = 2) of a Scalar SuperPoly of torus weight E, E None
+    for zero; ValueError when a term weighs otherwise or a coefficient is not
+    a polynomial in p."""
     top, terms = None, {}
     for u, c in poly._terms.items():
-        base = sum(weights[x] for x in u)
+        base = poly.alphabet.torus_weight(u)
         for d, q in c.p_coefficients().items():
             if top is None:
-                top = base + d * p_weight
-            elif base + d * p_weight != top:
-                raise ValueError(f"not homogeneous in a grading of p: {poly!r}")
+                top = base + d * P_WEIGHT
+            elif base + d * P_WEIGHT != top:
+                raise ValueError(f"not homogeneous in the torus grading: {poly!r}")
             terms[u] = _whole(q * 2 ** d)
     return top, SuperPoly(poly.alphabet, terms, _internal=True)
 
 
-def lift(poly, top, grading):
-    """The Scalar SuperPoly homogeneous of weight ``top`` under ``grading``
-    whose value at p = 2 is ``poly``: a term v*u goes to (v / 2^k) p^k u with
-    k*wt(p) = top - wt(u).  Each word of a homogeneous element carries one
-    power of p, so this inverts ``at_two``, and such an element is zero
-    exactly when its value at p = 2 is; for an element that is not
-    homogeneous neither holds.  ArithmeticError when no such k >= 0 exists."""
-    weights, p_weight = grading
+def lift(poly, top):
+    """The Scalar SuperPoly of torus weight ``top`` whose value at p = 2 is
+    ``poly``: a term v*u goes to (v / 2^k) p^k u with 2k = top - wt(u).  Each
+    word of a homogeneous element carries one power of p, so this inverts
+    ``at_two``, and such an element is zero exactly when its value at p = 2
+    is; for an element that is not homogeneous neither holds.
+    ArithmeticError when no such k >= 0 exists."""
     terms = {}
     for u, v in poly._terms.items():
-        k, r = divmod(top - sum(weights[x] for x in u), p_weight)
+        k, r = divmod(top - poly.alphabet.torus_weight(u), P_WEIGHT)
         if r or k < 0:
             raise ArithmeticError(f"term {u} of weight {top} has no power of p")
         terms[u] = Scalar.in_p({k: Fraction(v, 2 ** k)})
@@ -131,16 +135,12 @@ def lift(poly, top, grading):
 class RewriteSystem:
     """Oriented, terminating rewrite system over a graded alphabet."""
 
-    def __init__(self, alphabet, rules, one=S_ONE, grading=None):
-        # ``one`` is the coefficient of an irreducible word: 1 at p = 2, where
-        # ``grading`` (``_p_grading``) makes every rule homogeneous
+    def __init__(self, alphabet, rules, one=S_ONE):
+        # ``one`` is the coefficient of an irreducible word: 1 at p = 2
         self.alphabet = alphabet
         self.rules = dict(rules)
         self.one = one
-        self.grading = grading
-        self._cache = {}
         key = alphabet.word_key
-        by_first = {}
         for lhs, rhs in self.rules.items():
             if not lhs:
                 raise ValueError("empty left side")
@@ -149,6 +149,14 @@ class RewriteSystem:
                 if key(w) >= lk:
                     raise OrientationError(
                         f"rule {lhs} is not order-decreasing (rhs word {w})")
+        self._index()
+
+    def _index(self):
+        """Index the rules by first letter and empty the normal-form cache;
+        called again after ``rules`` changes."""
+        self._cache = {}
+        by_first = {}
+        for lhs in self.rules:
             by_first.setdefault(lhs[0], []).append(lhs)
         # longer left sides first, so the most specific rule matches
         self._by_first = {x: sorted(ls, key=len, reverse=True)
@@ -157,15 +165,11 @@ class RewriteSystem:
     def __len__(self):
         return len(self.rules)
 
-    def weight(self, word):
-        """The weight of a word under ``grading``."""
-        weights = self.grading[0]
-        return sum(weights[x] for x in word)
-
     def lifted(self):
-        """The Scalar system of the rules at p = 2, each lifted at the weight of
-        its left side (``lift``)."""
-        return RewriteSystem(self.alphabet, {lhs: lift(rhs, self.weight(lhs), self.grading)
+        """The Scalar system of the rules at p = 2, each lifted at the torus
+        weight of its left side (``lift``)."""
+        weight = self.alphabet.torus_weight
+        return RewriteSystem(self.alphabet, {lhs: lift(rhs, weight(lhs))
                                              for lhs, rhs in self.rules.items()})
 
     def rule_polys(self):
@@ -271,20 +275,23 @@ class RewriteSystem:
         return bad
 
 
-def interreduce(alphabet, rules, weight):
+def interreduce(alphabet, rules):
     """Reduce every rule by the others until stable; drops redundant rules.
-    The rules hold numbers at p = 2, oriented by ``weight``."""
-    rules = dict(rules)
+    The rules hold numbers at p = 2.  One system, whose order is checked
+    once, holds the rules as they change: ``orient`` builds every new rule
+    order-decreasing."""
+    others = RewriteSystem(alphabet, rules, one=1)
+    rules = others.rules
     for _ in range(200):
         changed = False
         for lhs in sorted(rules, key=alphabet.word_key):
             rhs = rules.pop(lhs)
-            others = RewriteSystem(alphabet, rules, one=1)
+            others._index()
             f = others.nf_word(lhs) - others.normal_form(rhs)
             if f.is_zero:
                 changed = True
                 continue
-            (new_lhs, new_rhs), = orient([f], weight).items()
+            (new_lhs, new_rhs), = orient([f]).items()
             if new_lhs != lhs or new_rhs != rhs:
                 changed = True
             rules[new_lhs] = new_rhs
@@ -300,23 +307,19 @@ def complete(alphabet, relations, max_degree: int) -> RewriteSystem:
     """Degree-bounded Buchberger-style completion of a relation list.
 
     It runs at p = 2 (module docstring) and returns the system at p = 2,
-    with its grading and the normal forms of its last overlap audit;
-    ``lifted`` gives its Scalar rules.  Relations that ``_p_grading`` cannot
-    grade raise ValueError.  Every new relation is divided by its content, a
+    with the normal forms of its last overlap audit; ``lifted`` gives its
+    Scalar rules.  Relations that are not homogeneous in the alphabet's torus
+    grading raise ValueError.  Every new relation is divided by its content, a
     power of p, so the compiled system presents the ideal saturated with
     respect to p.  Flatness of the quotient (normal-word counts matching the
     classical algebra) certifies that the saturation adds nothing in the
     audited degrees.
     """
-    grading = _p_grading(relations) if relations else None
-    if grading is None:
-        raise ValueError("completion needs relations homogeneous in a grading of p")
-    system = RewriteSystem(alphabet, {}, one=1, grading=grading)
-    relations = bad = [at_two(f, grading)[1] for f in relations]
+    system = RewriteSystem(alphabet, {}, one=1)
+    relations = bad = [at_two(f)[1] for f in relations]
     for _ in range(COMPLETION_ROUNDS):
-        rules = orient(system.rule_polys() + bad, system.weight)
-        system = RewriteSystem(alphabet, interreduce(alphabet, rules, system.weight), one=1,
-                               grading=grading)
+        rules = orient(system.rule_polys() + bad)
+        system = RewriteSystem(alphabet, interreduce(alphabet, rules), one=1)
         # once the overlaps resolve, a relation that does not reduce to zero
         # comes back
         bad = ([d for _, d in system.overlap_check(max_degree)]
@@ -535,77 +538,41 @@ def _independent(gens, rows):
     return [i for i in order if _int_insert(basis, rows[i])]
 
 
-def _p_grading(gens):
-    """Integer letter weights and a positive weight of p under which every
-    generator is homogeneous, as ``({letter: weight}, weight of p)``, or None.
-
-    A term u*p^d has weight wt(u) + d*wt(p), so the exponent differences of
-    the terms of one generator are linear equations on the weights, solved by
-    ``nullspace``; any solution that gives p a nonzero weight will do.  None
-    also when a coefficient is not a rational polynomial in p.
-    """
-    letters = gens[0].alphabet.letters
-    column = {x: i for i, x in enumerate(letters)}
-    n = len(letters)
-    equations = set()
-    for f in gens:
-        first = None
-        for w, c in f._terms.items():
-            try:
-                degrees = c.p_coefficients()
-            except ValueError:
-                return None
-            for d in degrees:
-                exponents = [0] * n + [d]
-                for x in w:
-                    exponents[column[x]] += 1
-                if first is None:
-                    first = exponents
-                elif exponents != first:
-                    equations.add(tuple(a - b for a, b in zip(exponents, first)))
-    rows = [{k: Scalar.rational(a) for k, a in enumerate(e) if a} for e in equations]
-    for vector in nullspace(rows, n + 1):
-        values = [v.as_rational() for v in vector]
-        if values[n]:
-            scale = lcm(*(q.denominator for q in values)) * (1 if values[n] > 0 else -1)
-            weights = [int(q * scale) for q in values]
-            return dict(zip(letters, weights)), weights[n]
-    return None
-
-
-def _weight_components(f, weights, p_weight):
-    """``{weight: {word: Fraction}}``: f at p = 1, split by the weight
-    wt(u) + d*wt(p) of each term u*p^d.  A word has one p-degree in each."""
+def _weight_components(f):
+    """``{weight: {word: Fraction}}``: f at p = 1, split by the torus weight
+    wt(u) + 2d of each term u*p^d.  A word has one p-degree in each."""
+    weight = f.alphabet.torus_weight
     out = {}
     for w, c in f._terms.items():
-        base = sum(weights[x] for x in w)
+        base = weight(w)
         for d, q in c.p_coefficients().items():
-            out.setdefault(base + d * p_weight, {})[w] = q
+            out.setdefault(base + d * P_WEIGHT, {})[w] = q
     return out
 
 
 @lru_cache(maxsize=None)
 def _graded_echelon(gens, degree_bound):
-    """(word ranks, grading, integer echelon basis at p = 1, shift count,
-    kept generator count) of gens homogeneous under ``_p_grading``, or None.
+    """(word ranks, integer echelon basis at p = 1, shift count, kept
+    generator count) of gens homogeneous in the torus grading.
 
-    Each generator is one weight component, so one integer row at p = 1.
-    The kept rows are shifted by relabelling their words.
+    Each generator is one weight component, so one integer row at p = 1;
+    ValueError on a generator of more than one.  The kept rows are shifted
+    by relabelling their words.
     """
-    grading = _p_grading(gens)
-    if grading is None:
-        return None
     alphabet = gens[0].alphabet
     ranks = _word_ranks(alphabet, degree_bound)
     rows = []
-    for f in gens:
-        (part,) = _weight_components(f, *grading).values()
+    for i, f in enumerate(gens):
+        parts = _weight_components(f)
+        if len(parts) != 1:
+            raise ValueError(f"generator #{i} is not homogeneous in the torus grading")
+        (part,) = parts.values()
         rows.append(_int_row(part.items()))
     kept = _independent(gens, [{ranks[w]: a for w, a in row.items()} for row in rows])
     words = alphabet.words_up_to(degree_bound)
     shifts = [{ranks[u + w + v]: a for w, a in rows[i].items()}
               for i in kept for u, v in _shift_pairs(words, gens[i].degree(), degree_bound)]
-    return ranks, grading, _echelon(shifts), len(shifts), len(kept)
+    return ranks, _echelon(shifts), len(shifts), len(kept)
 
 
 @lru_cache(maxsize=None)
@@ -627,10 +594,10 @@ def span_contains(gens, targets, degree_bound: int, seed: int = 0,
                   symbolic: bool = True):
     """Is every target in the Scalar-linear span of degree-bounded shifts of gens?
 
-    With ``symbolic`` membership is decided over Q(p) exactly.  Letter
-    weights and a nonzero weight of p must make every generator homogeneous;
-    the span matrix is then M = D_r*C*D_c with C its value at p = 1 and D_r,
-    D_c diagonal powers of p.  Each target is split into its weight
+    With ``symbolic`` membership is decided over Q(p) exactly.  Every
+    generator must be homogeneous in the alphabet's torus grading; the span
+    matrix is then M = D_r*C*D_c with C its value at p = 1 and D_r, D_c
+    diagonal powers of p.  Each target is split into its weight
     components, and each component's row at p = 1 is reduced by the integer
     echelon of C; the target is inside exactly when every component is.
     Without ``symbolic`` the rows are compared at three seeded integer values
@@ -648,15 +615,12 @@ def span_contains(gens, targets, degree_bound: int, seed: int = 0,
     if not gens:
         return False, "empty generating family"
     if symbolic:
-        graded = _graded_echelon(gens, degree_bound)
-        if graded is None:
-            raise ValueError("span needs generators homogeneous in a grading of p")
-        ranks, grading, basis, nshifts, nkept = graded
+        ranks, basis, nshifts, nkept = _graded_echelon(gens, degree_bound)
 
         def inside(t):
             return all(_int_reduces_to_zero(
                            basis, _int_row((ranks[w], q) for w, q in part.items()))
-                       for part in _weight_components(t, *grading).values())
+                       for part in _weight_components(t).values())
         for i, t in enumerate(targets):
             if not inside(t):
                 return False, f"target #{i} escapes the span symbolically"

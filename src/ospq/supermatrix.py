@@ -11,6 +11,12 @@ Koszul sign of a tensor leg,
 is associative and turns the graded tensor product of operators into plain
 matrix multiplication: kron(A, B) kron(C, D) = (-1)^{|B||C|} kron(AC, BD)
 for homogeneous B and C.
+
+The basis vectors 1, 2, 3 also have torus weights w = (1, 0, -1), and the
+matrix entry (i, j) weighs w_i - w_j.  With p of weight 2, every entry
+c*p^m of R = exp(2p r) has w_i + w_k - w_j - w_l = 2m, and every metric
+entry w_i + w_j = 2m, so the relations of both dual sides are homogeneous
+(the Jordanian pattern: the torus weight of r is made up by p).
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .scalars import Scalar
 from .freealg import SuperPoly, SCALAR_ALPHABET
 
 INDEX_GRADE = (0, 1, 0)  # grade of 3x3 index 1,2,3
+INDEX_WEIGHT = (1, 0, -1)  # torus weight of 3x3 index 1,2,3
 
 
 def index_grade(n: int, i: int) -> int:
@@ -37,6 +44,13 @@ def index_grade(n: int, i: int) -> int:
 def entry_grade(n: int, row: int, col: int) -> int:
     """Grade of the (row, col) slot (1-based) of a 3**k dimensional matrix."""
     return (index_grade(n, row - 1) + index_grade(n, col - 1)) % 2
+
+
+def entry_weights(layout):
+    """{letter: w_i - w_j}: the torus weight of each letter of a 3x3 layout
+    at its position (i, j); None marks a slot without a letter."""
+    return {x: INDEX_WEIGHT[i] - INDEX_WEIGHT[j]
+            for i, row in enumerate(layout) for j, x in enumerate(row) if x}
 
 
 class SuperMatrix:

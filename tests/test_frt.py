@@ -5,9 +5,9 @@ import pytest
 
 from ospq.scalars import Scalar, rat, P, HALF
 from ospq.freealg import SuperPoly, TensorElement, sum_polys
-from ospq.supermatrix import SuperMatrix, INDEX_GRADE, partial_transpose_first
-from ospq.rewrite import _graded_echelon, span_contains
-from ospq import checks, frt, scalars
+from ospq.supermatrix import SuperMatrix, INDEX_GRADE, INDEX_WEIGHT, partial_transpose_first
+from ospq.rewrite import P_WEIGHT, _graded_echelon, span_contains
+from ospq import borel, checks, frt, scalars
 from ospq.checks import quantum_r_target_matrix, derived_metric_expected
 
 
@@ -118,7 +118,7 @@ def test_normal_form_at_p_2_lifts_to_the_scalar_normal_form(pres):
     # E.  Reduced at p = 2 and lifted, each normal form is the lifted Scalar
     # system's, term for term and in the same order
     rng = random.Random(17)
-    weights, p_weight = pres.at2.grading
+    weights, p_weight = frt.ALPHABET.torus, P_WEIGHT
     for top in (-2, 0, 1, 2):
         for _ in range(8):
             terms = {}
@@ -193,7 +193,7 @@ def test_residual_span_shifts_only_independent_generators():
     residuals = rtt + orth
     ok, detail = span_contains(residuals, [frt.defining_relations()[10]], 4)
     assert ok and detail == "1 targets inside span of 2087 shifts of 47 of 98 generators"
-    _, _, basis, _, _ = _graded_echelon(tuple(residuals), 4)
+    _, basis, _, _ = _graded_echelon(tuple(residuals), 4)
     assert len(basis) == 1366
 
 
@@ -201,13 +201,48 @@ def test_graded_span_echelons_have_the_pinned_ranks(pres):
     # the residuals and the presentation relations are homogeneous for the
     # torus weight with p of weight 2, so each span echelon runs at p = 1
     # over Z; its rank is the rank over Q(p), as a Z[p] echelon found it
-    torus = ({"a": 0, "al": 1, "b": 2, "c": -2, "de": -1, "d": 0}, 2)
     rtt, orth = frt.eliminated_residuals()
     for gens, sizes in (((rtt + orth), (1366, 2087, 47)),
                         (pres.all_relations(), (1426, 2178, 18))):
-        _, grading, basis, nshifts, nkept = _graded_echelon(tuple(gens), 4)
-        assert grading == torus
+        _, basis, nshifts, nkept = _graded_echelon(tuple(gens), 4)
         assert (len(basis), nshifts, nkept) == sizes
+
+
+def _monomial_degree(entry):
+    """m of a nonzero constant entry c*p^m, which must be one monomial."""
+    (m,) = entry.coefficient(()).p_coefficients()
+    return m
+
+
+def test_torus_grading_balances_r_and_the_metric():
+    # basis weights w = (1, 0, -1) and p of weight 2: every nonzero entry
+    # R[(i,k),(j,l)] = c*p^m has w_i + w_k - w_j - w_l = 2m, every nonzero
+    # metric entry w_i + w_j = 2m, and each declared letter weight is
+    # w_i - w_j at the letter's matrix position
+    assert INDEX_WEIGHT == (1, 0, -1) and P_WEIGHT == 2
+    wt = INDEX_WEIGHT
+    r = frt.quantum_r_matrix()
+    nonzero = 0
+    for row in range(9):
+        for col in range(9):
+            if r.entries[row][col]:
+                (i, k), (j, l) = divmod(row, 3), divmod(col, 3)
+                assert wt[i] + wt[k] - wt[j] - wt[l] == P_WEIGHT * _monomial_degree(
+                    r.entries[row][col])
+                nonzero += 1
+    assert nonzero == 18
+    c = frt.metric_matrix()
+    for i in range(3):
+        for j in range(3):
+            if c.entries[i][j]:
+                assert wt[i] + wt[j] == P_WEIGHT * _monomial_degree(c.entries[i][j])
+    for alphabet, matrix in ((frt.ALPHABET9, frt.defining_matrix()),
+                             (frt.ALPHABET, frt.defining_matrix()),
+                             (borel.RLL_ALPHABET, borel.dual_generator_matrix())):
+        at = {word[0]: (i, j) for i, row in enumerate(matrix.entries)
+              for j, f in enumerate(row) for word in f.words() if len(word) == 1}
+        assert alphabet.torus == {x: wt[i] - wt[j] for x, (i, j) in at.items()
+                                  if x in alphabet}
 
 
 def test_elimination_consistency(pres):

@@ -9,7 +9,7 @@ from ospq.freealg import GradedAlphabet, SuperPoly
 from ospq.rewrite import (RewriteSystem, at_two, complete, orient, span_equal,
                           span_contains, nullspace, OrientationError)
 from ospq.rewrite import (_evaluation_points, _graded_echelon, _int_echelons,
-                          _int_insert, _int_reduces_to_zero, _int_row, _p_grading,
+                          _int_insert, _int_reduces_to_zero, _int_row,
                           _weight_components, _word_ranks, shift_family)
 from ospq import frt, rewrite, scalars
 
@@ -72,9 +72,8 @@ def test_rules_are_order_decreasing(system):
 def test_orientation_rejects_nonunit_leads():
     # a*d weighs 0 and b weighs 2 in the torus grading: p*a*d - b leads with
     # a*d, beside p
-    at2 = frt.presentation().at2
     with pytest.raises(OrientationError):
-        orient([at_two(w("a", "d").scale(P) - w("b"), at2.grading)[1]], at2.weight)
+        orient([at_two(w("a", "d").scale(P) - w("b"))[1]])
 
 
 def test_commutative_triangle_is_confluent():
@@ -351,22 +350,24 @@ def test_symbolic_span_of_a_monomial_with_non_primitive_coefficient():
 # -- interreduced span generators ------------------------------------------
 
 def _row(f, ranks):
-    """The integer row of an element free of p, by word rank."""
-    return _int_row((ranks[word], c.as_rational()) for word, c in f._terms.items())
+    """The integer row of an element at p = 1, by word rank."""
+    return _int_row((ranks[word], c.substitute(p=1).as_rational())
+                    for word, c in f._terms.items())
 
 
 def test_span_generators_are_interreduced_shortest_first():
-    # ab + a and ab give back a only as ab + a - ab, in degree 2; the shifts
-    # a*c*c of the shorter a itself must survive the interreduction
-    gens = [w("a", "b") + w("a"), w("a", "b"), w("a")]
+    # ab + p*a and ab give back a only as ab + p*a - ab, in degree 2; the
+    # shifts a*c*c of the shorter a itself must survive the interreduction
+    gens = [w("a", "b") + w("a").scale(P), w("a", "b"), w("a")]
     target = w("a", "c", "c")
     ok, detail = span_contains(gens, [target], 3)
     assert ok and detail.endswith("of 2 of 3 generators")
     assert not span_contains(gens[:2], [target], 3)[0]
     # with c of weight 1 and b of weight 3 the leading rank puts c*c before
     # b: inserted in that order, b would be the dropped generator and b*a*a
-    # would escape, so the order must be by length first
-    gens = [w("c", "c") + w("b"), w("c", "c"), w("b")]
+    # would escape, so the order must be by length first (p^3*c*c has the
+    # torus weight 2 of b)
+    gens = [w("c", "c").scale(P ** 3) + w("b"), w("c", "c"), w("b")]
     ranks = _word_ranks(frt.ALPHABET, 3)
     by_rank = sorted(gens, key=lambda f: ranks[f.leading_word()])
     basis = {}
@@ -377,8 +378,11 @@ def test_span_generators_are_interreduced_shortest_first():
     assert ok and detail.endswith("of 2 of 3 generators")
 
 
+# x, y, z of torus weights 1, -1, 2 and p of weight 2: the weight of a word
+# fixes the parity of the power of p beside it
+XZY_WEIGHTS = {"x": 1, "y": -1, "z": 2}
 XYZ = GradedAlphabet(("x", "y", "z"), {"x": 0, "y": 1, "z": 0},
-                     weights={"x": 1, "y": 6, "z": 1})
+                     weights={"x": 1, "y": 6, "z": 1}, torus=XZY_WEIGHTS)
 
 
 def test_interreduced_span_equals_the_span_of_all_shifts():
@@ -403,7 +407,7 @@ def test_interreduced_span_equals_the_span_of_all_shifts():
         gens = tuple(SuperPoly(XYZ, dict(f._terms)) for f in gens if not f.is_zero)
         shifts = shift_family(gens, bound)
         pivots = _shift_pivots(shifts)
-        _, _, basis, _, nkept = _graded_echelon(gens, bound)
+        _, basis, _, nkept = _graded_echelon(gens, bound)
         assert len(basis) == len(pivots)
         dropped += len(gens) - nkept
         for _ in range(8):
@@ -418,43 +422,38 @@ def test_interreduced_span_equals_the_span_of_all_shifts():
     assert dropped > 0 and 0 < verdicts < 80
 
 
-# -- spans decided at p = 1 under a torus-weight grading ---------------------
+# -- spans decided at p = 1 under the torus grading --------------------------
 
-# the weights of the paper's triangular deformation: p has weight 2
-TORUS = {"a": 0, "d": 0, "al": 1, "de": -1, "b": 2, "c": -2}
-
-
-def test_p_grading_finds_the_torus_weights_of_the_defining_relations():
-    weights, p_weight = _p_grading(tuple(frt.defining_relations()))
-    assert p_weight > 0
-    assert {x: 2 * v for x, v in weights.items()} == {x: p_weight * v for x, v in TORUS.items()}
-
-
-def test_p_grading_needs_p_of_nonzero_weight():
-    # the two p-degrees of one word force p to weight 0
-    assert _p_grading((w("a", "c").scale(P - rat(85)),)) is None
-    assert _p_grading((w("a", "c").scale(SQRT2),)) is None
-    # so no echelon decides such a span
+def test_torus_grading_rejects_two_powers_of_p_on_one_word():
+    # (p - 85)*ac gives the word a*c two weights, so no echelon decides a
+    # span of it and it has no value at p = 2; nor has sqrt(2)*ac
+    ungraded = w("a", "c").scale(P - rat(85))
+    # (``test_completion_rejects_an_ungraded_family`` covers ``complete``)
     with pytest.raises(ValueError, match="homogeneous"):
-        span_contains([w("a", "c").scale(P - rat(85))], [w("c", "a", "c")], 3)
+        span_contains([ungraded], [w("c", "a", "c")], 3)
+    with pytest.raises(ValueError, match="homogeneous"):
+        at_two(ungraded)
+    with pytest.raises(ValueError, match="polynomial in p"):
+        at_two(w("a", "c").scale(SQRT2))
 
 
-def test_p_grading_grades_a_p_free_family():
-    gens = tuple(f.substitute_parameter(p=0) for f in frt.defining_relations())
-    weights, p_weight = _p_grading(gens)
-    assert p_weight > 0
-    for f in gens:
-        assert len(_weight_components(f, weights, p_weight)) == 1
+def test_torus_grading_grades_a_p_free_family():
+    for f in frt.defining_relations():
+        assert len(_weight_components(f.substitute_parameter(p=0))) == 1
 
 
-XZY = GradedAlphabet(("x", "z", "y"), {"x": 0, "z": 0, "y": 1})
-# x, y, z of weights 1, -1, 2 and p of weight 2: the weight of a word fixes
-# the parity of the power of p beside it
-XZY_WEIGHTS = {"x": 1, "y": -1, "z": 2}
+def test_graded_paths_need_a_declared_grading():
+    ungraded = GradedAlphabet(frt.ALPHABET.letters, frt.ALPHABET.grades, frt.ALPHABET.weights)
+    rel = SuperPoly.word(ungraded, ("b", "a")) - SuperPoly.word(ungraded, ("a", "b"))
+    for decide in (lambda: complete(ungraded, [rel], 4),
+                   lambda: span_contains([rel], [rel], 2),
+                   lambda: at_two(rel)):
+        with pytest.raises(ValueError, match="declares no torus grading"):
+            decide()
 
 
-def _word_weight(word):
-    return sum(XZY_WEIGHTS[x] for x in word)
+XZY = GradedAlphabet(("x", "z", "y"), {"x": 0, "z": 0, "y": 1}, torus=XZY_WEIGHTS)
+_word_weight = XZY.torus_weight
 
 
 def _xzy_weight(f):
@@ -549,9 +548,7 @@ def test_graded_span_decides_like_fraction_elimination_at_p_3():
         gens += [_homogeneous_sum(rng, f, g) for f, g in rng.sample(pairs, min(2, len(pairs)))]
         rng.shuffle(gens)
         gens = tuple(f for f in gens if not f.is_zero)
-        graded = _graded_echelon(gens, bound)
-        assert graded is not None
-        _, _, basis, _, nkept = graded
+        _, basis, _, nkept = _graded_echelon(gens, bound)
         shifts = shift_family(gens, bound)
         pivots = _shift_pivots(shifts)
         assert len(basis) == len(pivots)
@@ -592,7 +589,7 @@ def test_p_free_gens_share_one_integer_echelon():
 # the letters of XZY ordered by torus weight + 2, so that among words of one
 # length the heavier one leads
 XZY_BY_WEIGHT = GradedAlphabet(("x", "z", "y"), {"x": 0, "z": 0, "y": 1},
-                               weights={"x": 3, "z": 4, "y": 1})
+                               weights={"x": 3, "z": 4, "y": 1}, torus=XZY_WEIGHTS)
 
 
 def _primitive_part(poly):
@@ -714,10 +711,9 @@ def test_orient_keeps_relations_that_share_a_leading_word():
     # to a relation leading with z*y, so neither is lost
     z_x = SuperPoly.word(XZY_BY_WEIGHT, ("z", "x"))
     z_y = SuperPoly.word(XZY_BY_WEIGHT, ("z", "y"))
-    grading = (XZY_WEIGHTS, 2)
-    rels = [at_two(f, grading)[1] for f in (z_x + z_y.scale(rat(5) * P),
-                                            z_x.scale(rat(2)) - z_y.scale(rat(3) * P))]
-    rules = orient(rels, _word_weight)
+    rels = [at_two(f)[1] for f in (z_x + z_y.scale(rat(5) * P),
+                                   z_x.scale(rat(2)) - z_y.scale(rat(3) * P))]
+    rules = orient(rels)
     assert list(rules) == [("z", "x"), ("z", "y")]
     system = RewriteSystem(XZY_BY_WEIGHT, rules, one=1)
     assert all(system.normal_form(f).is_zero for f in rels)

@@ -20,6 +20,11 @@ Only ``supermatrix.py`` reads the 3x3 index grades: other modules ask for a
 slot grade through ``entry_grade`` and build tensor legs with ``kron``, the
 one place that applies their Koszul sign.
 
+The torus grading is declared once, on the alphabets: ``frt`` and ``borel``
+derive their letters' weights from the 3x3 basis weights through
+``supermatrix.entry_weights``, and ``rewrite`` reads them from the alphabet
+of each element, so none of its functions takes or solves for a grading.
+
 The element tensors ``TensorElement`` and ``BorelTensor`` take their linear
 structure, Koszul-sign product and leg maps from ``freealg.GradedTensor``, so
 that loop is written once; each class body says only what its leg keys are.
@@ -96,6 +101,30 @@ def test_rewrite_has_one_exact_kernel():
     assert not polynomial, f"polynomial rows in p beside the integer echelon: {polynomial}"
     assert not hasattr(rewrite, "_int_strip")
     assert hasattr(rewrite, "_int_insert")
+
+
+GRADING_PARAMETERS = {"grading", "weight", "weights", "p_weight"}
+
+
+def test_the_torus_grading_is_declared_once_on_the_alphabets():
+    assert not hasattr(rewrite, "_p_grading")
+    for fn in (rewrite.at_two, rewrite.lift, rewrite.orient, rewrite.interreduce,
+               rewrite.RewriteSystem):
+        params = set(inspect.signature(fn).parameters)
+        assert not params & GRADING_PARAMETERS, f"{fn.__name__} takes a grading"
+    package = Path(ospq.__file__).parent
+    declared, stored = [], []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.keyword) and node.arg == "torus":
+                # a table derived from the basis weights, not written out
+                assert not isinstance(node.value, (ast.Dict, ast.DictComp)), path.name
+                declared.append(path.name)
+            if (isinstance(node, ast.Attribute) and node.attr == "torus"
+                    and isinstance(node.ctx, ast.Store)):
+                stored.append(path.name)
+    assert sorted(declared) == ["borel.py", "frt.py", "frt.py"]
+    assert stored == ["freealg.py"]
 
 
 def test_only_supermatrix_reads_the_index_grades():
