@@ -189,7 +189,10 @@ class SuperPoly:
     def __sub__(self, other):
         if not isinstance(other, SuperPoly):
             return NotImplemented
-        return self + (-other)
+        self._check(other)
+        neg = ((w, -c) for w, c in other._terms.items())
+        return SuperPoly(self.alphabet, _accumulate(neg, dict(self._terms)),
+                         _internal=True)
 
     def __mul__(self, other):
         scal = _coerce_scalar(other)

@@ -414,28 +414,31 @@ def _int_rows(polys, ranks, pval):
 
 
 def _int_reduce(basis, row):
-    """Fraction-free remainder of a primitive integer row modulo an echelon
-    basis; the remainder is primitive, and empty when the row is in the span."""
+    """Fraction-free remainder of an integer row, primitive or not, modulo an
+    echelon basis: primitive, and empty when the row is in the span.  A row
+    whose lead has a pivot is copied and reduced in place: with a the pivot's
+    lead and b the row's, it is scaled by a // gcd(a, b) only when a does not
+    divide b, and the content is stripped once, at the end."""
+    row = dict(row) if row and max(row) in basis else row
     while row:
         lead = max(row)
         piv = basis.get(lead)
         if piv is None:
-            return row
-        a = piv[lead]
-        b = row[lead]
-        new = {k: a * v for k, v in row.items()}
+            break
+        a, b = piv[lead], row[lead]
+        g = gcd(a, b) if b % a else a
+        if g != a:
+            for k in row:
+                row[k] *= a // g
+        b //= g
         for k, v in piv.items():
-            cur = new.get(k, 0) - b * v
+            cur = row.get(k, 0) - b * v
             if cur:
-                new[k] = cur
-            elif k in new:
-                del new[k]
-        row = new
-        if row:
-            g = _gcd_all(row.values())
-            if g > 1:
-                row = {k: v // g for k, v in row.items()}
-    return row
+                row[k] = cur
+            else:
+                del row[k]
+    g = _gcd_all(row.values())
+    return {k: v // g for k, v in row.items()} if g > 1 else row
 
 
 def _int_insert(basis, row):

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .scalars import Scalar
+from .scalars import Scalar, _accumulate
 from .freealg import SuperPoly, SCALAR_ALPHABET
 
 INDEX_GRADE = (0, 1, 0)  # grade of 3x3 index 1,2,3
@@ -134,14 +134,16 @@ class SuperMatrix:
         if self.n != other.n:
             raise ValueError("dimension mismatch")
         return SuperMatrix(self.alphabet,
-                           [[a + b for a, b in zip(r1, r2)]
+                           [[a if not b._terms else b if not a._terms else a + b
+                             for a, b in zip(r1, r2)]
                             for r1, r2 in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
         if self.n != other.n:
             raise ValueError("dimension mismatch")
         return SuperMatrix(self.alphabet,
-                           [[a - b for a, b in zip(r1, r2)]
+                           [[a if not b._terms else -b if not a._terms else a - b
+                             for a, b in zip(r1, r2)]
                             for r1, r2 in zip(self.entries, other.entries)])
 
     def scale(self, coeff):
@@ -149,23 +151,25 @@ class SuperMatrix:
                            [[e.scale(coeff) for e in row] for row in self.entries])
 
     def __matmul__(self, other):
+        """Matrix product over nonzero entries only: the products for one
+        output entry go into one dict, and a nonzero sum makes one SuperPoly."""
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        n = self.n
+        if self.alphabet is not other.alphabet:
+            raise ValueError("mixed alphabets")
         zero = SuperPoly.zero(self.alphabet)
-        out = [[zero] * n for _ in range(n)]
-        for i in range(n):
-            row = self.entries[i]
-            for k in range(n):
-                a = row[k]
-                if a.is_zero:
-                    continue
-                brow = other.entries[k]
-                orow = out[i]
-                for j in range(n):
-                    b = brow[j]
-                    if not b.is_zero:
-                        orow[j] = orow[j] + a * b
+        nonzero = [[(j, b._terms.items()) for j, b in enumerate(row) if b._terms]
+                   for row in other.entries]
+        out = []
+        for row in self.entries:
+            sums = {}
+            for a, brow in zip(row, nonzero):
+                if a._terms:
+                    for j, bterms in brow:
+                        _accumulate(((w1 + w2, c1 * c2) for w1, c1 in a._terms.items()
+                                     for w2, c2 in bterms), sums.setdefault(j, {}))
+            out.append([SuperPoly(self.alphabet, sums[j], _internal=True)
+                        if sums.get(j) else zero for j in range(self.n)])
         return SuperMatrix(self.alphabet, out)
 
     def __mul__(self, other):

@@ -256,20 +256,41 @@ def _int_entry(rng):
 
 
 def test_integer_echelon_insert_and_probe_agree_with_rank():
-    def primitive(row):
+    # rows of content 2-6 and leads from ``_int_entry``, so that a pivot's
+    # lead often does not divide the row's and the row is scaled first
+    def content(row):
         g = 0
         for v in row.values():
             g = gcd(g, v)
-        return {k: v // g for k, v in row.items()} if g > 1 else row
+        return g
 
     def in_span(rows, row):
         return _rank(rows + [row]) == _rank(rows)
 
+    def insert(basis, row):
+        copy = dict(row)
+        new = _int_insert(basis, row)
+        assert row == copy
+        assert all(content(b) == 1 for b in basis.values())
+        return new
+
+    def reduces_to_zero(basis, row):
+        copy = dict(row)
+        zero = _int_reduces_to_zero(basis, row)
+        assert row == copy
+        return zero
+
     rng = random.Random(5)
     for _ in range(10):
         rows = _echelon_stream(rng, _int_entry, _int_combine)
-        rows = [primitive(r) for r in rows if r]
-        _check_echelon(rows, _int_insert, _int_reduces_to_zero, in_span, {99: 1, 0: 2})
+        rows = [{k: v * rng.randint(2, 6) for k, v in r.items()} for r in rows if r]
+        _check_echelon(rows, insert, reduces_to_zero, in_span, {99: 1, 0: 2})
+    # lead 2 does not divide 3: the row is doubled, then 3 pivots subtracted
+    basis = {2: {2: 2, 1: 1}}
+    assert insert(basis, {2: 3, 0: 1}) and basis[1] == {1: -3, 0: 2}
+    # 2 divides 4: 2 pivots subtracted, and the content 2 is stripped once
+    assert insert(basis, {2: 4, 1: 2, 0: 6}) and basis[0] == {0: 1}
+    assert reduces_to_zero(basis, {2: 6, 1: 3})
 
 
 def _graded_system(rng, ncols=7, nrows=24, split=3):

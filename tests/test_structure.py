@@ -39,6 +39,9 @@ module, or a traced run would fail.
 The Hopf maps and letter substitutions extend a map on letters over words
 through ``freealg.extend``, so the Koszul sign of an anti-homomorphism is
 written in ``freealg.py`` alone.
+
+A matrix product sums the products for each output entry into one dict, so
+it makes no ``SuperPoly`` partial sums.
 """
 
 import ast
@@ -48,11 +51,12 @@ import textwrap
 from pathlib import Path
 
 import ospq
-from ospq import borel, freealg, frt, rewrite
+from ospq import borel, classical, freealg, frt, rewrite
 from ospq.borel import BorelTensor
 from ospq.checks import CHECKS
 from ospq.freealg import SuperPoly, TensorElement, extend
 from ospq.scalars import _accumulate
+from ospq.supermatrix import SuperMatrix, graded_swap, kron
 
 LOOP_IDIOM = "if cur is not None else"
 
@@ -293,3 +297,22 @@ def test_only_freealg_computes_a_sign_over_the_letters_of_a_word():
                     sign += grades[w[i]] * grades[w[j]]
             return sign
     """)) == ["antipode"]
+
+
+def test_matrix_products_make_no_partial_sums(monkeypatch):
+    # the 27x27 operands r12 and r13 of ``classical.schouten`` for r3
+    r = classical.r3().expand()
+    one = SuperMatrix.identity(r.alphabet, 3)
+    flip23 = kron(one, graded_swap())
+    r12 = kron(r, one)
+    r13 = flip23 @ r12 @ flip23
+    added = []
+    add = SuperPoly.__add__
+
+    def spy(a, b):
+        added.append((a, b))
+        return add(a, b)
+
+    monkeypatch.setattr(SuperPoly, "__add__", spy)
+    assert not (r12 @ r13).is_zero()
+    assert added == []

@@ -247,3 +247,45 @@ def test_sum_and_difference_reject_unequal_sizes():
         small + big
     with pytest.raises(ValueError):
         big - small
+
+
+def _sparse(rng, n, pool, zero):
+    return SuperMatrix(zero.alphabet, [[rng.choice(pool) if rng.random() < 0.2 else zero
+                                        for _ in range(n)] for _ in range(n)])
+
+
+def test_sparse_products_and_sums_match_a_dense_reference():
+    # every entry comes with its negative, so many products cancel; the
+    # reference sums each entry over all slots with SuperPoly + and *
+    alphabet = frt.ALPHABET
+    zero = SuperPoly.zero(alphabet)
+    a, b = SuperPoly.letter(alphabet, "a"), SuperPoly.letter(alphabet, "b")
+    pool = [a, -a, b, -b, a * b, -(a * b), a.scale(P), SuperPoly.one(alphabet)]
+    rng = random.Random(19)
+    cancelled = {"@": 0, "+": 0, "-": 0}
+    for n in (9, 9, 27, 27):
+        x = _sparse(rng, n, pool, zero)
+        y = _sparse(rng, n, pool, zero)
+        for _ in range(n):
+            i, j = rng.randrange(n), rng.randrange(n)
+            y.entries[i][j] = x.entries[i][j].scale(rat(rng.choice((1, -1))))
+        for op, got in (("@", x @ y), ("+", x + y), ("-", x - y)):
+            for i in range(n):
+                for j in range(n):
+                    if op == "@":
+                        terms = [x.entries[i][k] * y.entries[k][j] for k in range(n)]
+                    else:
+                        terms = [x.entries[i][j],
+                                 y.entries[i][j] if op == "+" else -y.entries[i][j]]
+                    ref = zero
+                    for t in terms:
+                        ref = ref + t
+                    assert got.entries[i][j] == ref
+                    if not ref:
+                        assert got.entries[i][j].is_zero
+                        cancelled[op] += any(terms)
+    assert all(cancelled.values()), cancelled
+    with pytest.raises(ValueError):
+        SuperMatrix.zero(alphabet, 9) @ SuperMatrix.zero(alphabet, 27)
+    with pytest.raises(ValueError):
+        SuperMatrix.zero(alphabet, 3) @ SuperMatrix.zero(SCALAR_ALPHABET, 3)
