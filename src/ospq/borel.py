@@ -49,13 +49,8 @@ def _h_shift_poly(m1: int, s1: Fraction, m2: int, s2: Fraction):
     for m, s in ((m1, s1), (m2, s2)):
         if m == 0:
             continue
-        new = {}
-        for j0, c0 in poly.items():
-            for j in range(m + 1):
-                c = c0 * comb(m, j) * s ** (m - j)
-                if c:
-                    new[j0 + j] = new.get(j0 + j, Fraction(0)) + c
-        poly = {k: v for k, v in new.items() if v}
+        poly = _accumulate((j0 + j, c0 * comb(m, j) * s ** (m - j))
+                           for j0, c0 in poly.items() for j in range(m + 1))
     return poly
 
 

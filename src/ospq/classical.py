@@ -16,9 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 
-from .scalars import Scalar, rat
+from .scalars import Scalar, rat, _accumulate
 from .freealg import SCALAR_ALPHABET
-from .rewrite import nullspace
+from .rewrite import affine_rows, solve_affine
 from .supermatrix import SuperMatrix, graded_swap, kron
 
 BASIS = ("H", "Xp", "Xm", "Vp", "Vm")
@@ -58,12 +58,8 @@ def bracket(x: str, y: str) -> dict:
 
 def bracket_linear(u: dict, v: dict) -> dict:
     """Graded bracket extended bilinearly to {basis: Fraction} combinations."""
-    out = {}
-    for x, cx in u.items():
-        for y, cy in v.items():
-            for z, c in bracket(x, y).items():
-                out[z] = out.get(z, Fraction(0)) + cx * cy * c
-    return {z: c for z, c in out.items() if c}
+    return _accumulate((z, cx * cy * c) for x, cx in u.items() for y, cy in v.items()
+                       for z, c in bracket(x, y).items())
 
 
 def jacobi_defect(x: str, y: str, z: str) -> dict:
@@ -74,11 +70,8 @@ def jacobi_defect(x: str, y: str, z: str) -> dict:
         ((-1) ** (gy * gx), y, bracket(z, x)),
         ((-1) ** (gz * gy), z, bracket(x, y)),
     ]
-    out = {}
-    for sign, a, inner in terms:
-        for w, c in bracket_linear({a: Fraction(1)}, inner).items():
-            out[w] = out.get(w, Fraction(0)) + sign * c
-    return {w: c for w, c in out.items() if c}
+    return _accumulate((w, sign * c) for sign, a, inner in terms
+                       for w, c in bracket_linear({a: Fraction(1)}, inner).items())
 
 
 def jacobi_holds_everywhere() -> bool:
@@ -116,23 +109,25 @@ def graded_matrix_bracket(a: SuperMatrix, b: SuperMatrix, ga: int, gb: int) -> S
     return ab + ba if (ga and gb) else ab - ba
 
 
+def relation_defect(matrices, x: str, y: str) -> SuperMatrix:
+    """[x, y] - sum_z c z on the matrices: the defect of one defining relation."""
+    want = SuperMatrix.zero(SCALAR_ALPHABET, 3)
+    for z, c in bracket(x, y).items():
+        want = want + matrices[z].scale(rat(c))
+    return graded_matrix_bracket(matrices[x], matrices[y], GRADE[x], GRADE[y]) - want
+
+
+# the 15 defining relations, one per unordered pair of basis elements
+RELATIONS = [(x, y) for i, x in enumerate(BASIS) for y in BASIS[i:]]
+
+
 def rep_defects(matrices=REP):
     """All 15 defining relations evaluated on the representation matrices.
 
     Yields ``((x, y), defect matrix)`` lazily, so a caller can stop at the
     first nonzero defect.
     """
-    seen = set()
-    for x in BASIS:
-        for y in BASIS:
-            if (y, x) in seen:
-                continue
-            seen.add((x, y))
-            want = SuperMatrix.zero(SCALAR_ALPHABET, 3)
-            for z, c in bracket(x, y).items():
-                want = want + matrices[z].scale(rat(c))
-            got = graded_matrix_bracket(matrices[x], matrices[y], GRADE[x], GRADE[y])
-            yield (x, y), got - want
+    return (((x, y), relation_defect(matrices, x, y)) for x, y in RELATIONS)
 
 
 def rep_is_faithful_presentation() -> bool:
@@ -152,22 +147,12 @@ def lowering_equations() -> dict:
 
     Returns ``{relation pair: [row, ...]}``, one row ``{column: Scalar}`` per
     nonzero defect entry, column 18 holding the constant term.  These
-    relations are affine in the entries, so their defects at the zero vector
-    and at the 18 unit vectors give the rows exactly.
+    relations are affine in the entries, so ``affine_rows`` gives the rows
+    exactly.
     """
-    zero = [Scalar.zero()] * 18
-    base, *units = [
-        {pair: d for pair, d in rep_defects({**REP, **_lowering(values)})
-         if sum(name in ("Xm", "Vm") for name in pair) < 2}
-        for values in [zero] + [zero[:k] + [Scalar.one()] + zero[k + 1:]
-                                for k in range(18)]]
-    out = {}
-    for pair, b in base.items():
-        cols = [u[pair] - b for u in units] + [b]
-        rows = [{k: m[i, j].coefficient(()) for k, m in enumerate(cols)
-                 if not m[i, j].is_zero} for i in (1, 2, 3) for j in (1, 2, 3)]
-        out[pair] = [row for row in rows if row]
-    return out
+    return {pair: affine_rows(lambda values, pair=pair: [
+                relation_defect({**REP, **_lowering(values)}, *pair)], 18)
+            for pair in RELATIONS if sum(name in ("Xm", "Vm") for name in pair) < 2}
 
 
 def derive_lowering_matrices():
@@ -178,11 +163,10 @@ def derive_lowering_matrices():
     over Q(p) and all 15 relations, the quadratic ones included, hold on it.
     """
     rows = [row for rows in lowering_equations().values() for row in rows]
-    sols = nullspace(rows, 19)
-    if len(sols) != 1 or sols[0][18].is_zero:
-        raise ValueError(f"{len(rows)} equations do not fix Xm and Vm: "
-                         f"{len(sols)}-dimensional nullspace")
-    found = _lowering([c.divide_exact(sols[0][18]) for c in sols[0][:18]])
+    try:
+        found = _lowering(solve_affine(rows, 18))
+    except ValueError as err:
+        raise ValueError(f"{len(rows)} equations do not fix Xm and Vm: {err}") from None
     bad = [pair for pair, d in rep_defects({**REP, **found}) if not d.is_zero()]
     if bad:
         raise ValueError(f"the solved Xm and Vm break {bad}")
@@ -218,12 +202,6 @@ class RMatrixExpr:
             out = (out + kron(REP[x], REP[y]).scale(c)
                    + kron(REP[y], REP[x]).scale(c * sign))
         return out
-
-    def scale(self, coeff) -> "RMatrixExpr":
-        return RMatrixExpr([(c * coeff, x, y) for c, x, y in self.terms])
-
-    def __add__(self, other):
-        return RMatrixExpr(self.terms + other.terms)
 
 
 def r1() -> RMatrixExpr:

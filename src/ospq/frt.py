@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from .scalars import Scalar, rat, P, HALF, _accumulate
-from .freealg import GradedAlphabet, SuperPoly, TensorElement, extend, sum_polys
-from .rewrite import (OrientationError, RewriteSystem, at_two, complete, lift, nullspace,
-                      orient)
+from .scalars import Scalar, rat, P, HALF
+from .freealg import (GradedAlphabet, SuperPoly, TensorElement, SCALAR_ALPHABET, extend,
+                      sum_polys)
+from .rewrite import (OrientationError, RewriteSystem, affine_rows, at_two, complete, lift,
+                      nullspace, orient, solve_affine)
 from .supermatrix import (SuperMatrix, entry_weights, exp_nilpotent, kron,
                           partial_transpose_first, supertranspose3)
 from . import classical
@@ -73,37 +74,20 @@ def rtt_residuals():
 # The metric.
 # ----------------------------------------------------------------------
 
-def _scalar_entry(m: SuperMatrix, i: int, j: int) -> Scalar:
-    return m.entries[i][j].coefficient(())
+def metric_solutions(left: SuperMatrix, right: SuperMatrix):
+    """Basis of the solutions C of left (C ox 1) right = C ox 1, each a 3x3
+    list of Scalars.  C ox 1 is the plain, unsigned Kronecker product:
+    entry ((i, m), (j, n)) is C_ij when m = n."""
+    zero = Scalar.zero()
 
+    def defect(x):
+        c1 = SuperMatrix.from_scalars(
+            [[x[3 * (u // 3) + v // 3] if u % 3 == v % 3 else zero for v in range(9)]
+             for u in range(9)], left.alphabet)
+        return [left @ c1 @ right - c1]
 
-def metric_rows(left: SuperMatrix, right: SuperMatrix):
-    """Linear rows {entry index: Scalar} in the nine entries of C for the
-    equation left (C ox 1) right = C ox 1, zero rows dropped."""
-    rows = []
-    for rr in range(9):
-        for ss in range(9):
-            pairs = []
-            for u in range(9):
-                a = _scalar_entry(left, rr, u)
-                if a.is_zero:
-                    continue
-                i, m = divmod(u, 3)
-                for v in range(9):
-                    b = _scalar_entry(right, v, ss)
-                    if b.is_zero:
-                        continue
-                    j, n_ = divmod(v, 3)
-                    if m == n_:
-                        pairs.append((3 * i + j, a * b))
-            i, m = divmod(rr, 3)
-            j, n_ = divmod(ss, 3)
-            if m == n_:
-                pairs.append((3 * i + j, -Scalar.one()))
-            coeffs = _accumulate(pairs)
-            if coeffs:
-                rows.append(coeffs)
-    return rows
+    return [[vec[3 * i:3 * i + 3] for i in range(3)]
+            for vec in nullspace(affine_rows(defect, 9), 9)]
 
 
 def derive_metric_solutions(r: SuperMatrix = None):
@@ -115,9 +99,7 @@ def derive_metric_solutions(r: SuperMatrix = None):
     """
     if r is None:
         r = quantum_r_matrix()
-    rt1 = partial_transpose_first(r, graded=True)
-    return [[vec[3 * i:3 * i + 3] for i in range(3)]
-            for vec in nullspace(metric_rows(r, rt1), 9)]
+    return metric_solutions(r, partial_transpose_first(r, graded=True))
 
 
 @lru_cache(maxsize=None)
@@ -135,36 +117,35 @@ def metric_matrix() -> SuperMatrix:
     return SuperMatrix.from_scalars(scaled)
 
 
+def _square(values, alphabet=SCALAR_ALPHABET) -> SuperMatrix:
+    """The 3x3 matrix of nine Scalars, row by row."""
+    return SuperMatrix.from_scalars([values[k:k + 3] for k in (0, 3, 6)], alphabet)
+
+
 def metric_inverse(c: SuperMatrix) -> SuperMatrix:
-    """Exact inverse of a 3x3 matrix with Scalar entries and unit determinant."""
-    e = [[c.entries[i][j].coefficient(()) for j in range(3)] for i in range(3)]
-    det = (e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
-           - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
-           + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0]))
-    if not det.is_constant:
-        raise ValueError("determinant is not a unit")
-    dinv = det.unit_inverse()
-    adj = [
-        [e[1][1] * e[2][2] - e[1][2] * e[2][1], e[0][2] * e[2][1] - e[0][1] * e[2][2],
-         e[0][1] * e[1][2] - e[0][2] * e[1][1]],
-        [e[1][2] * e[2][0] - e[1][0] * e[2][2], e[0][0] * e[2][2] - e[0][2] * e[2][0],
-         e[0][2] * e[1][0] - e[0][0] * e[1][2]],
-        [e[1][0] * e[2][1] - e[1][1] * e[2][0], e[0][1] * e[2][0] - e[0][0] * e[2][1],
-         e[0][0] * e[1][1] - e[0][1] * e[1][0]],
-    ]
-    return SuperMatrix.from_scalars([[dinv * x for x in row] for row in adj])
+    """Exact inverse of a 3x3 matrix with Scalar entries: the one solution X
+    of C X = 1 over Q[p]; ValueError when there is none."""
+    one = SuperMatrix.identity(c.alphabet, 3)
+    return _square(solve_affine(
+        affine_rows(lambda x: [c @ _square(x, c.alphabet) - one], 9), 9))
+
+
+@lru_cache(maxsize=None)
+def antipode_matrix() -> SuperMatrix:
+    """S(T) = C T^st C^-1 over the nine letters: the inverse of T that
+    superorthogonality asserts."""
+    t = defining_matrix()
+    c = metric_matrix()
+    return c.promote(t.alphabet) @ supertranspose3(t) @ metric_inverse(c).promote(t.alphabet)
 
 
 def orthogonality_residuals():
-    """Entries of T C T^t C^-1 - 1 and C T^t C^-1 T - 1 (supertranspose)."""
+    """Entries of T S(T) - 1 and S(T) T - 1, with S(T) = C T^st C^-1."""
     t = defining_matrix()
-    c = metric_matrix()
-    cm = c.promote(t.alphabet)
-    ci = metric_inverse(c).promote(t.alphabet)
-    tt = supertranspose3(t)
+    s = antipode_matrix()
     one = SuperMatrix.identity(t.alphabet, 3)
-    m1 = (t @ cm @ tt @ ci) - one
-    m2 = (cm @ tt @ ci @ t) - one
+    m1 = (t @ s) - one
+    m2 = (s @ t) - one
     return ([m1.entries[i][j] for i in range(3) for j in range(3)]
             + [m2.entries[i][j] for i in range(3) for j in range(3)])
 
@@ -348,13 +329,18 @@ def unimodularity_relation() -> SuperPoly:
 # Hopf structure.
 # ----------------------------------------------------------------------
 
+def _position(name: str):
+    """The (row, column) of a generator letter in the defining matrix."""
+    for i, row in enumerate(T_ENTRIES):
+        if name in row:
+            return i, row.index(name)
+    raise ValueError(f"unknown generator {name!r}")
+
+
 def _coproduct_letter(name: str, t=None) -> TensorElement:
     """Delta(t_ij) = sum_k t_ik ox t_kj with dependent letters eliminated;
     ``t`` holds the matrix entries, by default the Scalar ones."""
-    pos = [(i, j) for i in range(3) for j in range(3) if T_ENTRIES[i][j] == name]
-    if not pos:
-        raise ValueError(f"unknown generator {name!r}")
-    (i, j), = pos
+    i, j = _position(name)
     t = eliminated_matrix().entries if t is None else t
     out = TensorElement.zero(ALPHABET, 2)
     for k in range(3):
@@ -370,25 +356,22 @@ def coproduct(poly) -> TensorElement:
     return _coproducts.word((poly,)) if isinstance(poly, str) else _coproducts(poly)
 
 
-COUNIT_VALUES = {"a": 1, "d": 1, "b": 0, "c": 0, "al": 0, "de": 0}
+def _counit_letter(name: str) -> int:
+    """eps(t_ij) = delta_ij."""
+    i, j = _position(name)
+    return int(i == j)
+
 
 # eps(T) = 1 on the generators, extended multiplicatively
-counit = extend(lambda x: Scalar.rational(COUNIT_VALUES[x]), Scalar.one())
+counit = extend(lambda x: Scalar.rational(_counit_letter(x)), Scalar.one())
 
 
 @lru_cache(maxsize=None)
 def antipode_images():
-    """Antipode on the whole defining matrix, dependent letters eliminated."""
-    images = {
-        "a": _w(("d",)) - _w(("c",), HALF_P),
-        "b": -_w(("b",)) + _w(("a",), HALF_P) - _w(("d",), HALF_P)
-             + _w(("c",), QUARTER_P2),
-        "c": -_w(("c",)),
-        "d": _w(("a",)) + _w(("c",), HALF_P),
-        "al": -_w(("al", "d")) + _w(("de", "b")) - _w(("de", "d"), P),
-        "de": _w(("al", "c")) - _w(("de", "a")) + _w(("de", "c"), P),
-    }
-    return images
+    """S(t_ij) for the six generators: the entries of S(T) = C T^st C^-1
+    with the dependent letters eliminated."""
+    s = antipode_matrix().map_entries(EliminationMap().substitute)
+    return {x: s.entries[i][j] for x in ALPHABET.letters for i, j in [_position(x)]}
 
 
 # graded anti-homomorphism extension: S(xy) = (-1)^{|x||y|} S(y) S(x)
@@ -408,14 +391,14 @@ def _hopf_at_two():
     """The eliminated defining matrix at p = 2 as (weight, entry) pairs, and
     the antipode images at p = 2, for the Hopf checks, which decide their
     zero tests there (module ``rewrite``).  ValueError unless t_ik ox t_kj
-    weighs as t_ij for every k, S(x) as x, and eps is nonzero only on letters
-    of weight 0: then Delta, S and the counit contraction keep the weight."""
+    weighs as t_ij for every k and S(x) as x: then Delta and S keep the
+    weight, and so does the counit contraction, since eps(t_ij) = delta_ij is
+    nonzero only on diagonal letters, of weight 0."""
     t = [[at_two(f) for f in row] for row in eliminated_matrix().entries]
     s = {x: at_two(f) for x, f in antipode_images().items()}
     if (any(t[i][k][0] + t[k][j][0] != t[i][j][0]
             for i in range(3) for j in range(3) for k in range(3))
-            or any(top != ALPHABET.torus[x] for x, (top, _) in s.items())
-            or any(v and ALPHABET.torus[x] for x, v in COUNIT_VALUES.items())):
+            or any(top != ALPHABET.torus[x] for x, (top, _) in s.items())):
         raise ValueError("a Hopf map does not keep the torus weight")
     return t, {x: f for x, (_, f) in s.items()}
 
@@ -425,7 +408,7 @@ _coproducts_at_two = extend(
     TensorElement(ALPHABET, 2, {((), ()): 1}))
 _antipode_at_two = extend(lambda x: _hopf_at_two()[1][x], SuperPoly.constant(ALPHABET, 1),
                           ALPHABET.grades)
-_counit_at_two = extend(COUNIT_VALUES.__getitem__, 1)
+_counit_at_two = extend(_counit_letter, 1)
 
 
 def coproduct_reduced(tensor: TensorElement, system=None) -> TensorElement:

@@ -26,9 +26,10 @@ such a span.  A generator that is not homogeneous, such as (p - 85)*ac
 whose word carries two powers of p, raises ValueError, and so does an
 alphabet that declares no grading.  ``nullspace`` solves systems of the
 same form M = D_r*C*D_c through C, so this integer echelon is the module's
-one exact linear-algebra kernel.  An echelon at seeded integer values of p
-is kept for spans whose coefficients are free of p, where evaluation
-changes nothing.
+one exact linear-algebra kernel; ``affine_rows`` and ``solve_affine`` bring
+every matrix identity with unknown entries to it.  An echelon at seeded
+integer values of p is kept for spans whose coefficients are free of p,
+where evaluation changes nothing.
 
 Completion and every zero test of the presentation run at p = 2.  In an
 element homogeneous of weight E, each word u carries the one power p^k with
@@ -526,6 +527,42 @@ def nullspace(rows, ncols: int):
         out.append([Scalar.in_p({top - cols.get(k, 0): y[k]} if k in y else {})
                     for k in range(ncols)])
     return out
+
+
+def affine_rows(defect, n: int):
+    """The rows {column: Scalar} of defect(x) = 0 in n unknowns, column n
+    holding the constant term, zero rows dropped.
+
+    ``defect`` maps a list of n Scalars to a list of matrices with constant
+    entries and is affine in them, so its value at 0 is the constant term
+    and its values at the n unit vectors, less that, are the columns.
+    """
+    zero = [Scalar.zero()] * n
+    base, *units = [defect(x) for x in [zero] + [zero[:k] + [S_ONE] + zero[k + 1:]
+                                                 for k in range(n)]]
+    rows = []
+    for m, b in enumerate(base):
+        for i, brow in enumerate(b.entries):
+            for j, e in enumerate(brow):
+                c0 = e.coefficient(())
+                row = {k: c for k, u in enumerate(units)
+                       if (c := u[m].entries[i][j].coefficient(()) - c0)}
+                if c0:
+                    row[n] = c0
+                if row:
+                    rows.append(row)
+    return rows
+
+
+def solve_affine(rows, n: int):
+    """The one solution over Q[p] of the affine rows of ``affine_rows``: the
+    nullspace vector divided by its constant coordinate.  ValueError unless
+    the nullspace is one-dimensional with a nonzero constant coordinate and
+    the quotients are polynomials."""
+    sols = nullspace(rows, n + 1)
+    if len(sols) != 1 or sols[0][n].is_zero:
+        raise ValueError(f"{len(sols)}-dimensional nullspace")
+    return [c.divide_exact(sols[0][n]) for c in sols[0][:n]]
 
 
 def _independent(gens, rows):

@@ -148,7 +148,8 @@ class SuperMatrix:
 
     def scale(self, coeff):
         return SuperMatrix(self.alphabet,
-                           [[e.scale(coeff) for e in row] for row in self.entries])
+                           [[e.scale(coeff) if e._terms else e for e in row]
+                            for row in self.entries])
 
     def __matmul__(self, other):
         """Matrix product over nonzero entries only: the products for one

@@ -34,7 +34,7 @@ def test_metric_ungraded_transpose_has_no_solution():
     r = frt.quantum_r_matrix()
     # re-run the solver with the ungraded transpose
     rt_plain = partial_transpose_first(r, graded=False)
-    assert frt.nullspace(frt.metric_rows(r, rt_plain), 9) == []
+    assert frt.metric_solutions(r, rt_plain) == []
 
 
 def _transpose_first_leg(m, sign_exponent):
@@ -75,11 +75,11 @@ def test_metric_corner_is_half_p_under_every_transpose_convention():
         rt1 = _transpose_first_leg(r, rule)
         for order, (left, right) in (("R C1 R^t1", (r, rt1)),
                                      ("R^t1 C1 R", (rt1, r))):
-            basis = frt.nullspace(frt.metric_rows(left, right), 9)
+            basis = frt.metric_solutions(left, right)
             assert len(basis) <= 1, (rule_name, order, len(basis))
             if not basis:
                 continue
-            c = [basis[0][3 * i:3 * i + 3] for i in range(3)]
+            c = basis[0]
             corners = [e for e in (c[0][0], c[2][2]) if not e.is_zero]
             assert len(corners) == 1, (rule_name, order)
             corner, unit = corners[0], c[2][0]
@@ -300,10 +300,21 @@ def test_counit_axiom_on_generators(pres):
 
 
 def test_antipode_images():
+    # the entries of C T^st C^-1, eliminated, against the images once typed in
     s = frt.antipode_images()
     assert s["a"] == w("d") - w("c").scale(HALF * P)
+    assert s["b"] == (-w("b") + w("a").scale(HALF * P) - w("d").scale(HALF * P)
+                      + w("c").scale(HALF * HALF * P * P))
     assert s["c"] == -w("c")
     assert s["d"] == w("a") + w("c").scale(HALF * P)
+    assert s["al"] == -w("al", "d") + w("de", "b") - w("de", "d").scale(P)
+    assert s["de"] == w("al", "c") - w("de", "a") + w("de", "c").scale(P)
+
+
+def test_counit_is_one_on_the_diagonal_letters():
+    values = {x: frt.counit(w(x)) for x in frt.ALPHABET.letters}
+    assert values == {"a": Scalar.one(), "d": Scalar.one(), "b": Scalar.zero(),
+                      "c": Scalar.zero(), "al": Scalar.zero(), "de": Scalar.zero()}
 
 
 def test_antipode_axioms():

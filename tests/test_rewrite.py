@@ -6,8 +6,10 @@ import pytest
 
 from ospq.scalars import Scalar, rat, P, HALF, SQRT2
 from ospq.freealg import GradedAlphabet, SuperPoly
-from ospq.rewrite import (RewriteSystem, at_two, complete, orient, span_equal,
-                          span_contains, nullspace, OrientationError)
+from ospq.supermatrix import SuperMatrix
+from ospq.rewrite import (RewriteSystem, affine_rows, at_two, complete, orient,
+                          solve_affine, span_equal, span_contains, nullspace,
+                          OrientationError)
 from ospq.rewrite import (_evaluation_points, _graded_echelon, _int_echelons,
                           _int_insert, _int_reduces_to_zero, _int_row,
                           _weight_components, _word_ranks, shift_family)
@@ -350,6 +352,53 @@ def test_nullspace_rejects_ungraded_systems():
     # no exponents r_i + c_k fit, so p = 1 would find a false solution
     with pytest.raises(ValueError, match="not homogeneous"):
         nullspace([{0: rat(1), 1: P}, {0: rat(1), 1: rat(1)}], 2)
+
+
+def _square(entries):
+    return SuperMatrix.from_scalars([[rat(c) if isinstance(c, int) else c for c in row]
+                                     for row in entries])
+
+
+def _inverse_rows(a):
+    """The affine rows of A X = 1 in the nine entries of X."""
+    one = SuperMatrix.identity(a.alphabet, 3)
+    return affine_rows(lambda x: [a @ _square([x[k:k + 3] for k in (0, 3, 6)]) - one], 9)
+
+
+def test_affine_rows_reads_off_coefficients_and_constant_term():
+    # x0 + 2 x1 - 3 = 0 and p x1 = 0; the zero entries give no row
+    rows = affine_rows(lambda x: [_square([[x[0] + rat(2) * x[1] - rat(3), P * x[1]],
+                                           [0, 0]])], 2)
+    assert rows == [{0: rat(1), 1: rat(2), 2: rat(-3)}, {1: P}]
+
+
+def test_solve_affine_inverts_graded_matrices():
+    # entries q*p^(r_i + c_j): a metric-shaped matrix, whose corner 2p comes
+    # back as -2p/(-3*4) in the inverse, and a unipotent one
+    for a, want in (
+            (_square([[rat(2) * P, 0, -3], [0, 5, 0], [4, 0, 0]]),
+             _square([[0, 0, rat(Fraction(1, 4))], [0, rat(Fraction(1, 5)), 0],
+                      [rat(Fraction(-1, 3)), 0, rat(Fraction(1, 6)) * P]])),
+            (_square([[1, 0, 0], [rat(2) * P, 1, 0], [rat(3) * P ** 2, P, 1]]),
+             _square([[1, 0, 0], [rat(-2) * P, 1, 0], [-(P ** 2), -P, 1]]))):
+        x = solve_affine(_inverse_rows(a), 9)
+        inv = _square([x[k:k + 3] for k in (0, 3, 6)])
+        one = SuperMatrix.identity(a.alphabet, 3)
+        assert inv == want
+        assert a @ inv == one and inv @ a == one
+
+
+def test_solve_affine_rejects_singular_and_underdetermined_systems():
+    singular = _square([[P, 0, 1], [0, 0, 0], [1, 0, 0]])
+    with pytest.raises(ValueError, match="nullspace"):
+        solve_affine(_inverse_rows(singular), 9)
+    # x0 + x1 = 1 leaves one unknown free
+    rows = affine_rows(lambda x: [_square([[x[0] + x[1] - rat(1)]])], 2)
+    with pytest.raises(ValueError, match="2-dimensional nullspace"):
+        solve_affine(rows, 2)
+    # the inverse of diag(p, 1, 1) is not over Q[p]
+    with pytest.raises(ValueError, match="divisible"):
+        solve_affine(_inverse_rows(_square([[P, 0, 0], [0, 1, 0], [0, 0, 1]])), 9)
 
 
 def test_symbolic_span_of_a_monomial_with_non_primitive_coefficient():

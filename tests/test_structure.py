@@ -41,7 +41,14 @@ through ``freealg.extend``, so the Koszul sign of an anti-homomorphism is
 written in ``freealg.py`` alone.
 
 A matrix product sums the products for each output entry into one dict, so
-it makes no ``SuperPoly`` partial sums.
+it makes no ``SuperPoly`` partial sums, and a scaled matrix keeps its zero
+entries.
+
+Matrix unknowns are solved one way: ``rewrite.affine_rows`` reads the
+linear rows of an affine matrix identity off its values at 0 and at the unit
+vectors, and ``rewrite.solve_affine`` takes its one solution.  The metric,
+its inverse and the lowering generators go through it, and the antipode and
+counit are read off the defining matrix, not typed in.
 """
 
 import ast
@@ -55,7 +62,7 @@ from ospq import borel, classical, freealg, frt, rewrite
 from ospq.borel import BorelTensor
 from ospq.checks import CHECKS
 from ospq.freealg import SuperPoly, TensorElement, extend
-from ospq.scalars import _accumulate
+from ospq.scalars import _accumulate, rat
 from ospq.supermatrix import SuperMatrix, graded_swap, kron
 
 LOOP_IDIOM = "if cur is not None else"
@@ -316,3 +323,26 @@ def test_matrix_products_make_no_partial_sums(monkeypatch):
     monkeypatch.setattr(SuperPoly, "__add__", spy)
     assert not (r12 @ r13).is_zero()
     assert added == []
+
+
+def test_scaled_matrices_keep_their_zero_entries(monkeypatch):
+    m = classical.REP["Vp"]
+    scaled = []
+    scale = SuperPoly.scale
+
+    def spy(poly, coeff):
+        scaled.append(poly)
+        return scale(poly, coeff)
+
+    monkeypatch.setattr(SuperPoly, "scale", spy)
+    out = m.scale(rat(3))
+    assert len(scaled) == 2
+    assert out.entries[0][0] is m.entries[0][0]
+
+
+def test_matrix_unknowns_are_solved_through_affine_rows():
+    for name in ("metric_rows", "_scalar_entry", "COUNIT_VALUES"):
+        assert not hasattr(frt, name), name
+    assert not {"scale", "__add__"} & set(vars(classical.RMatrixExpr))
+    for fn in (frt.metric_solutions, frt.metric_inverse, classical.lowering_equations):
+        assert "affine_rows(" in inspect.getsource(fn), fn.__name__
