@@ -341,23 +341,23 @@ def check_rtt_reduction(config):
 
 
 def check_overlaps(config):
-    pres = frt.presentation()
-    bad = pres.system.overlap_check(4)
-    return not bad, (f"diamond audit clean to degree 4 over {len(pres.system)} rules"
+    at2 = frt.presentation().at2
+    bad = at2.overlap_check(4)
+    return not bad, (f"diamond audit clean to degree 4 over {len(at2)} rules"
                      if not bad else f"{len(bad)} unresolved overlaps")
 
 
 def check_overlap_negative(config):
-    pres = frt.presentation()
-    rules = dict(pres.system.rules)
-    dropped = max(rules, key=lambda lhs: (len(lhs), pres.system.alphabet.word_key(lhs)))
+    at2 = frt.presentation().at2
+    rules = dict(at2.rules)
+    dropped = max(rules, key=lambda lhs: (len(lhs), at2.alphabet.word_key(lhs)))
     # drop a low-degree rule instead: removing a completion rule may stay confluent
-    for lhs in sorted(rules, key=pres.system.alphabet.word_key):
+    for lhs in sorted(rules, key=at2.alphabet.word_key):
         if len(lhs) == 2:
             dropped = lhs
             break
     del rules[dropped]
-    weakened = RewriteSystem(pres.system.alphabet, rules)
+    weakened = RewriteSystem(at2.alphabet, rules, one=1)
     bad = weakened.overlap_check(4)
     return bool(bad), (f"dropping one rule leaves {len(bad)} unresolved overlaps"
                        if bad else "dropping a rule unexpectedly stayed confluent")
@@ -376,7 +376,7 @@ def check_flatness(config):
     counts = []
     for degree in range(5):
         words = [w for w in frt.ALPHABET.words_up_to(degree) if len(w) == degree]
-        deformed = sum(1 for w in words if pres.system._first_match(w) is None)
+        deformed = sum(1 for w in words if pres.at2._first_match(w) is None)
         classical_count = sum(1 for w in words if classical_system._first_match(w) is None)
         counts.append((degree, deformed, classical_count))
     ok = all(d == c for _, d, c in counts)

@@ -478,10 +478,6 @@ class TensorElement(GradedTensor):
         return cls(alphabet, arity, {}, _internal=True)
 
     @classmethod
-    def one(cls, alphabet, arity):
-        return cls(alphabet, arity, {((),) * arity: S_ONE}, _internal=True)
-
-    @classmethod
     def of(cls, *legs):
         """Tensor product of SuperPoly legs (no signs; this is x ox y, not a product)."""
         return cls.zero(legs[0].alphabet, len(legs))._tensor_of(legs)

@@ -6,7 +6,10 @@ presentation, and the full Hopf structure (coproduct, counit, antipode).
 Two alphabets appear: the nine matrix entries a, al, b, ga, e, be, c, de, d
 of the defining matrix, and the six surviving generators after the dependent
 entries e, ga, be are eliminated.  All certification happens in the 6-letter
-algebra modulo the compiled rewrite system.
+algebra modulo the compiled rewrite system, at p = 2 (module ``rewrite``):
+the rule audits, the normal forms and the one set of Hopf maps, whose
+generator images are taken at p = 2.  The lifted Scalar rules are built
+only for the exported rule set.
 """
 
 from __future__ import annotations
@@ -234,9 +237,9 @@ def defining_relations():
 
 class Presentation:
     """Compiled rewrite presentation of the deformed function algebra: the
-    completed system ``at2`` at p = 2 decides every zero test (module
-    ``rewrite``), and ``system``, its lifted Scalar system, is built when
-    first read."""
+    completed system ``at2`` at p = 2 decides every zero test and runs every
+    rule audit (module ``rewrite``); ``system``, its lifted Scalar system, is
+    built when first read, which only the export does."""
 
     def __init__(self, at2: RewriteSystem, relations, derived):
         self.at2 = at2
@@ -316,13 +319,13 @@ def eliminated_residuals():
 
 
 def unimodularity_relation() -> SuperPoly:
-    """The derived scalar relation, normalized as a monic rule polynomial."""
-    pres = presentation()
+    """The derived scalar relation, normalized as a monic rule polynomial:
+    the rule for al.de at p = 2, lifted at that word's torus weight."""
     lead = ("al", "de")
-    rule = pres.system.rules.get(lead)
+    rule = presentation().at2.rules.get(lead)
     if rule is None:
         raise ValueError("presentation has no unimodularity rule")
-    return _w(lead) - rule
+    return _w(lead) - lift(rule, ALPHABET.torus_weight(lead))
 
 
 # ----------------------------------------------------------------------
@@ -337,23 +340,13 @@ def _position(name: str):
     raise ValueError(f"unknown generator {name!r}")
 
 
-def _coproduct_letter(name: str, t=None) -> TensorElement:
-    """Delta(t_ij) = sum_k t_ik ox t_kj with dependent letters eliminated;
-    ``t`` holds the matrix entries, by default the Scalar ones."""
+def _coproduct_letter(name: str, t) -> TensorElement:
+    """Delta(t_ij) = sum_k t_ik ox t_kj for the matrix entries ``t``."""
     i, j = _position(name)
-    t = eliminated_matrix().entries if t is None else t
     out = TensorElement.zero(ALPHABET, 2)
     for k in range(3):
         out = out + TensorElement.of(t[i][k], t[k][j])
     return out
-
-
-_coproducts = extend(_coproduct_letter, TensorElement.one(ALPHABET, 2))
-
-
-def coproduct(poly) -> TensorElement:
-    """Delta extended multiplicatively to polynomials; a str names a generator."""
-    return _coproducts.word((poly,)) if isinstance(poly, str) else _coproducts(poly)
 
 
 def _counit_letter(name: str) -> int:
@@ -362,21 +355,12 @@ def _counit_letter(name: str) -> int:
     return int(i == j)
 
 
-# eps(T) = 1 on the generators, extended multiplicatively
-counit = extend(lambda x: Scalar.rational(_counit_letter(x)), Scalar.one())
-
-
 @lru_cache(maxsize=None)
 def antipode_images():
     """S(t_ij) for the six generators: the entries of S(T) = C T^st C^-1
     with the dependent letters eliminated."""
     s = antipode_matrix().map_entries(EliminationMap().substitute)
     return {x: s.entries[i][j] for x in ALPHABET.letters for i, j in [_position(x)]}
-
-
-# graded anti-homomorphism extension: S(xy) = (-1)^{|x||y|} S(y) S(x)
-antipode = extend(lambda x: antipode_images()[x], SuperPoly.one(ALPHABET),
-                  ALPHABET.grades)
 
 
 def eliminated_matrix() -> SuperMatrix:
@@ -403,28 +387,31 @@ def _hopf_at_two():
     return t, {x: f for x, (_, f) in s.items()}
 
 
-_coproducts_at_two = extend(
+# The Hopf maps, given on the generators and extended by ``extend``: Delta as
+# an algebra map and S as a graded anti-homomorphism, S(xy) =
+# (-1)^{|x||y|} S(y) S(x), each with its generator images at p = 2; eps(T) = 1
+# holds at every p, so the one counit takes Scalar elements and values at
+# p = 2 alike.
+coproduct = extend(
     lambda x: _coproduct_letter(x, [[f for _, f in row] for row in _hopf_at_two()[0]]),
     TensorElement(ALPHABET, 2, {((), ()): 1}))
-_antipode_at_two = extend(lambda x: _hopf_at_two()[1][x], SuperPoly.constant(ALPHABET, 1),
-                          ALPHABET.grades)
-_counit_at_two = extend(_counit_letter, 1)
+counit = extend(_counit_letter, 1)
+antipode = extend(lambda x: _hopf_at_two()[1][x], SuperPoly.constant(ALPHABET, 1),
+                  ALPHABET.grades)
 
 
-def coproduct_reduced(tensor: TensorElement, system=None) -> TensorElement:
-    """The tensor with every leg in normal form under ``system``, by default
-    the lifted Scalar presentation."""
-    nf_word = (presentation().system if system is None else system).nf_word
+def coproduct_reduced(tensor: TensorElement, system: RewriteSystem) -> TensorElement:
+    """The tensor with every leg in normal form under ``system``, the
+    presentation's rules at p = 2 for a tensor of values at p = 2."""
     for leg in range(tensor.arity):
-        tensor = tensor.map_leg(leg, nf_word)
+        tensor = tensor.map_leg(leg, system.nf_word)
     return tensor
 
 
 def coproduct_respects_relations() -> bool:
     """Delta maps every relation into the ideal, decided at p = 2."""
     pres = presentation()
-    return not any(coproduct_reduced(_coproducts_at_two(at_two(rel)[1]),
-                                     pres.at2)
+    return not any(coproduct_reduced(coproduct(at_two(rel)[1]), pres.at2)
                    for rel in pres.all_relations())
 
 
@@ -437,9 +424,9 @@ def counit_axiom_holds() -> bool:
     decided at p = 2."""
     at2 = presentation().at2
     for x in ALPHABET.letters:
-        d = coproduct_reduced(_coproducts_at_two.word((x,)), at2)
+        d = coproduct_reduced(coproduct.word((x,)), at2)
         gen = SuperPoly.letter(ALPHABET, x, 1)
-        if any(at2.normal_form(d.apply_counit_leg(leg, _counit_at_two) - gen)
+        if any(at2.normal_form(d.apply_counit_leg(leg, counit) - gen)
                for leg in (0, 1)):
             return False
     return True
@@ -449,9 +436,9 @@ def coassociativity_defect(name: str) -> TensorElement:
     """(Delta ox id)Delta(x) - (id ox Delta)Delta(x), legs reduced, at p = 2:
     zero exactly when the defect is, since Delta keeps the weight."""
     at2 = presentation().at2
-    d = coproduct_reduced(_coproducts_at_two.word((name,)), at2)
-    left = d.expand_leg(0, _coproducts_at_two.word, 3)
-    right = d.expand_leg(1, _coproducts_at_two.word, 3)
+    d = coproduct_reduced(coproduct.word((name,)), at2)
+    left = d.expand_leg(0, coproduct.word, 3)
+    right = d.expand_leg(1, coproduct.word, 3)
     return coproduct_reduced(left - right, at2)
 
 
@@ -460,13 +447,12 @@ def antipode_axiom_defects():
     reduced at p = 2 and lifted at the weight of t_ij."""
     at2 = presentation().at2
     t = _hopf_at_two()[0]
-    s = _antipode_at_two
     defects = []
     for i in range(3):
         for j in range(3):
             want = SuperPoly.constant(ALPHABET, int(i == j))
-            left = sum_polys([s(t[i][k][1]) * t[k][j][1] for k in range(3)])
-            right = sum_polys([t[i][k][1] * s(t[k][j][1]) for k in range(3)])
+            left = sum_polys([antipode(t[i][k][1]) * t[k][j][1] for k in range(3)])
+            right = sum_polys([t[i][k][1] * antipode(t[k][j][1]) for k in range(3)])
             defects.append(((i, j), *(lift(at2.normal_form(f - want), t[i][j][0])
                                       for f in (left, right))))
     return defects
@@ -475,6 +461,6 @@ def antipode_axiom_defects():
 def s_squared_images():
     """S^2 of the generators, reduced at p = 2 and lifted: S keeps the weight."""
     at2 = presentation().at2
-    return {x: lift(at2.normal_form(_antipode_at_two(_antipode_at_two.word((x,)))),
+    return {x: lift(at2.normal_form(antipode(antipode.word((x,)))),
                     ALPHABET.torus[x])
             for x in ALPHABET.letters}

@@ -6,13 +6,18 @@ import pytest
 from ospq.scalars import Scalar, rat, P, HALF
 from ospq.freealg import SuperPoly, TensorElement, sum_polys
 from ospq.supermatrix import SuperMatrix, INDEX_GRADE, INDEX_WEIGHT, partial_transpose_first
-from ospq.rewrite import P_WEIGHT, _graded_echelon, span_contains
-from ospq import borel, checks, frt, scalars
+from ospq.rewrite import P_WEIGHT, RewriteSystem, _graded_echelon, span_contains
+from ospq import borel, checks, frt, rewrite, scalars
 from ospq.checks import quantum_r_target_matrix, derived_metric_expected
 
 
 def w(*letters):
     return SuperPoly.word(frt.ALPHABET, letters)
+
+
+def w2(*letters):
+    """The word with coefficient 1 at p = 2, where the Hopf maps take values."""
+    return SuperPoly.word(frt.ALPHABET, letters, 1)
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +117,28 @@ def test_presentation_completed_at_p_2_is_confluent_over_qp(pres):
         assert pres.reduces_to_zero(rel)
 
 
+def _without_first_quadratic_rule(system):
+    """The system with its first degree-2 rule in the word order dropped."""
+    rules = dict(system.rules)
+    del rules[next(lhs for lhs in sorted(rules, key=frt.ALPHABET.word_key) if len(lhs) == 2)]
+    return RewriteSystem(system.alphabet, rules, one=system.one)
+
+
+def test_overlap_audit_at_p_2_finds_the_scalar_overlaps(pres):
+    # the rules are homogeneous, so an overlap difference is zero exactly when
+    # its value at p = 2 is: audited at p = 2 and lifted, the compiled system
+    # and the one with a rule dropped leave the same overlap words, and each
+    # difference at p = 2 lifts, at its word's weight, to the Scalar one
+    for at2, lifted in ((pres.at2, pres.system),
+                        (_without_first_quadratic_rule(pres.at2),
+                         _without_first_quadratic_rule(pres.system))):
+        bad2, bad = at2.overlap_check(4), lifted.overlap_check(4)
+        assert [word for word, _ in bad2] == [word for word, _ in bad]
+        for (word, d2), (_, d) in zip(bad2, bad):
+            assert rewrite.lift(d2, frt.ALPHABET.torus_weight(word)) == d
+    assert len(bad) == 35
+
+
 def test_normal_form_at_p_2_lifts_to_the_scalar_normal_form(pres):
     # seeded homogeneous elements of weight E up to degree 4: random products
     # of the generators, each beside the power of p that brings it to weight
@@ -138,8 +165,10 @@ def test_normal_form_at_p_2_lifts_to_the_scalar_normal_form(pres):
 
 
 def test_hopf_checks_multiply_no_scalars(pres, monkeypatch):
-    # once the presentation is built, the coproduct, coassociativity,
-    # antipode and counit-axiom checks reduce numbers at p = 2
+    # once the presentation and the generator images at p = 2 are built (the
+    # elimination that builds the images multiplies Scalars), the coproduct,
+    # coassociativity, antipode and counit-axiom checks reduce numbers at p = 2
+    frt._hopf_at_two()
     products = []
     kernel = scalars._products
 
@@ -265,17 +294,28 @@ def test_e_inverse_two_sided(pres):
     assert left.is_zero or left.min_degree() > 4
 
 
-def test_coproduct_of_a(pres):
-    elim = frt.EliminationMap()
-    d = frt.coproduct("a")
-    a = SuperPoly.letter(frt.ALPHABET, "a")
-    b = SuperPoly.letter(frt.ALPHABET, "b")
-    c = SuperPoly.letter(frt.ALPHABET, "c")
-    al = SuperPoly.letter(frt.ALPHABET, "al")
-    ga = elim.images["ga"]
-    expected = (TensorElement.of(a, a) + TensorElement.of(al, ga)
-                + TensorElement.of(b, c))
-    assert d == expected
+def test_coproduct_of_a():
+    # Delta(a) = a ox a + al ox ga + b ox c, its coefficients at p = 2
+    ga = rewrite.at_two(frt.EliminationMap().images["ga"])[1]
+    expected = (TensorElement.of(w2("a"), w2("a")) + TensorElement.of(w2("al"), ga)
+                + TensorElement.of(w2("b"), w2("c")))
+    assert frt.coproduct.word(("a",)) == expected
+
+
+def _at_two_tensor(tensor):
+    """The tensor with each Scalar coefficient taken at p = 2."""
+    return TensorElement(frt.ALPHABET, tensor.arity,
+                         {k: c.substitute(p=2).as_rational() for k, c in tensor.terms()})
+
+
+def test_hopf_maps_are_the_scalar_maps_at_p_2():
+    # the one set of Hopf maps holds the generator images at p = 2: Delta(x)
+    # is the Scalar sum over the eliminated matrix taken at p = 2, and S(x)
+    # the value at p = 2 of the entry of S(T) = C T^st C^-1
+    t = frt.eliminated_matrix().entries
+    for x in frt.ALPHABET.letters:
+        assert frt.coproduct.word((x,)) == _at_two_tensor(frt._coproduct_letter(x, t))
+        assert frt.antipode.word((x,)) == rewrite.at_two(frt.antipode_images()[x])[1]
 
 
 def test_coproduct_homomorphism():
@@ -291,12 +331,11 @@ def test_counit():
 
 def test_counit_axiom_on_generators(pres):
     for x in frt.ALPHABET.letters:
-        d = frt.coproduct_reduced(frt.coproduct(x))
+        d = frt.coproduct_reduced(frt.coproduct.word((x,)), pres.at2)
         collapsed = SuperPoly.zero(frt.ALPHABET)
-        for (w1, w2), c in d.terms():
-            collapsed = collapsed + SuperPoly.word(
-                frt.ALPHABET, w2, c * frt.counit(SuperPoly.word(frt.ALPHABET, w1)))
-        assert pres.reduces_to_zero(collapsed - SuperPoly.letter(frt.ALPHABET, x))
+        for (u1, u2), c in d.terms():
+            collapsed = collapsed + SuperPoly.word(frt.ALPHABET, u2, c * frt.counit(w2(*u1)))
+        assert pres.at2.reduces_to_zero(collapsed - w2(x))
 
 
 def test_antipode_images():
@@ -323,15 +362,15 @@ def test_antipode_axioms():
 
 
 def test_antipode_classical_inverse(pres):
-    # at p = 0 the antipode gives the inverse matrix of the classical group
-    t = frt.eliminated_matrix()
+    # at p = 0 the antipode gives the inverse matrix of the classical group:
+    # sum_k S(t_ik) t_kj - delta_ij, reduced at p = 2 and lifted at the
+    # weight of t_ij, vanishes at p = 0
+    t = frt._hopf_at_two()[0]
     for i in range(3):
         for j in range(3):
-            want = SuperPoly.one(frt.ALPHABET) if i == j else SuperPoly.zero(frt.ALPHABET)
-            total = sum_polys([frt.antipode(t.entries[i][k]) * t.entries[k][j]
-                               for k in range(3)])
-            defect = pres.normal_form(total - want).substitute_parameter(p=0)
-            assert defect.is_zero
+            total = sum_polys([frt.antipode(t[i][k][1]) * t[k][j][1] for k in range(3)])
+            defect = pres.at2.normal_form(total - SuperPoly.constant(frt.ALPHABET, int(i == j)))
+            assert rewrite.lift(defect, t[i][j][0]).substitute_parameter(p=0).is_zero
 
 
 def test_s_squared_has_trivial_classical_limit():

@@ -1,9 +1,11 @@
 """Fixed-seed property tests for the Hopf maps of the 6-letter algebra.
 
 ``frt.coproduct`` and ``frt.counit`` extend their values on the generators
-as algebra maps, and ``frt.antipode`` as a graded anti-homomorphism.  These
-properties hold already in the free algebra, before any reduction, so they
-are checked on random homogeneous polynomials f and g there:
+as algebra maps, and ``frt.antipode`` as a graded anti-homomorphism; the
+coproduct and antipode images of the generators are taken at p = 2.  These
+properties hold already in the free algebra, before any reduction and for
+any generator images, so they are checked on random Z2-homogeneous
+polynomials f and g there, with Scalar coefficients:
 
     Delta(fg) = Delta(f) Delta(g)   (the Koszul product of the tensor square)
     eps(fg) = eps(f) eps(g)

@@ -38,7 +38,9 @@ module, or a traced run would fail.
 
 The Hopf maps and letter substitutions extend a map on letters over words
 through ``freealg.extend``, so the Koszul sign of an anti-homomorphism is
-written in ``freealg.py`` alone.
+written in ``freealg.py`` alone.  ``frt`` holds one coproduct, one counit and
+one antipode, with the generator images at p = 2, and every check decides on
+the rules at p = 2: only the export lifts them to Scalars.
 
 A matrix product sums the products for each output entry into one dict, so
 it makes no ``SuperPoly`` partial sums, and a scaled matrix keeps its zero
@@ -60,7 +62,8 @@ from pathlib import Path
 import ospq
 from ospq import borel, classical, freealg, frt, rewrite
 from ospq.borel import BorelTensor
-from ospq.checks import CHECKS
+from ospq.checks import CHECKS, CheckConfig, run_checks
+from ospq.cli import export_artifacts
 from ospq.freealg import SuperPoly, TensorElement, extend
 from ospq.scalars import _accumulate, rat
 from ospq.supermatrix import SuperMatrix, graded_swap, kron
@@ -246,13 +249,18 @@ def _spy_extend(monkeypatch, module):
 
 def test_word_extensions_go_through_extend(monkeypatch):
     assert not hasattr(frt, "_coproduct_word_cached")
-    for ext in (frt.counit, frt.antipode, frt._coproducts):
-        assert ext.__code__ is EXTENDED
-    used = []
-    monkeypatch.setattr(frt, "_coproducts", _spied(frt._coproducts, used))
-    frt.coproduct("a")
-    frt.coproduct(SuperPoly.word(frt.ALPHABET, ("a", "de")))
-    assert len(used) == 2
+    # one coproduct, one counit and one antipode, and the Hopf checks reach
+    # each through its module name
+    for name in ("_coproducts", "_coproducts_at_two", "_counit_at_two", "_antipode_at_two"):
+        assert not hasattr(frt, name), name
+    for name, run in (("coproduct", lambda: frt.coassociativity_defect("a")),
+                      ("counit", frt.counit_axiom_holds),
+                      ("antipode", frt.s_squared_images)):
+        assert getattr(frt, name).__code__ is EXTENDED
+        used = []
+        monkeypatch.setattr(frt, name, _spied(getattr(frt, name), used))
+        run()
+        assert used, name
     used = _spy_extend(monkeypatch, freealg)
     SuperPoly.word(frt.ALPHABET, ("a", "b")).substitute_letters(
         {"a": SuperPoly.letter(frt.ALPHABET, "c")})
@@ -268,6 +276,28 @@ def test_word_extensions_go_through_extend(monkeypatch):
         assert len(used) > 1 + len(borel.dual_relations())
     finally:
         borel._coproducts.cache_clear()
+
+
+def test_only_the_export_lifts_the_rules(monkeypatch, tmp_path):
+    # every check decides on the rules at p = 2; the lifted Scalar rules are
+    # built for the exported rule set alone.  A fresh Presentation over the
+    # built rules has not lifted them yet.
+    pres = frt.presentation()
+    fresh = frt.Presentation(pres.at2, pres.relations, pres.derived)
+    monkeypatch.setattr(frt, "presentation", lambda: fresh)
+    lifts = []
+    lifted = rewrite.RewriteSystem.lifted
+
+    def spy(system):
+        lifts.append(system)
+        return lifted(system)
+
+    monkeypatch.setattr(rewrite.RewriteSystem, "lifted", spy)
+    reports = run_checks("all", CheckConfig())
+    assert [r.status for r in reports] == ["pass"] * len(reports)
+    assert lifts == []
+    export_artifacts(tmp_path)
+    assert lifts == [pres.at2]
 
 
 def _pairwise_grade_loops(source):
