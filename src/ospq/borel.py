@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 from .scalars import Scalar, rat, P, HALF, SQRT2, _accumulate
@@ -54,8 +54,10 @@ def _h_shift_poly(m1: int, s1: Fraction, m2: int, s2: Fraction):
     return poly
 
 
+@lru_cache(maxsize=None)
 def _mono_mul(k1, k2):
-    """Product of normal-ordered monomials as (key, Fraction) pairs.
+    """Product of normal-ordered monomials as a tuple of (key, Fraction) pairs,
+    built once per key pair and shared.
 
     Normal ordering preserves weight: every key has weight
     _weight(k1) + _weight(k2), so callers truncate before multiplying.
@@ -67,7 +69,7 @@ def _mono_mul(k1, k2):
     hpoly = _h_shift_poly(m1, Fraction(e2, 2) + shift, m2, Fraction(-n1) + shift)
     quarter = Fraction(1, 4) if doubled else 1
     eps = (e1 + e2) % 2
-    return [((eps, j, n), q * quarter) for j, q in hpoly.items()]
+    return tuple(((eps, j, n), q * quarter) for j, q in hpoly.items())
 
 
 class BorelSeries:
@@ -248,15 +250,15 @@ def one_plus_px(w: int) -> BorelSeries:
 
 def exp_sigma(w: int) -> BorelSeries:
     """(1 + pX)^(1/2)."""
-    return one_plus_px(w).sqrt()
+    return _generators(w).exp_sigma
 
 
 def exp_minus_sigma(w: int) -> BorelSeries:
-    return exp_sigma(w).inverse()
+    return _generators(w).exp_minus_sigma
 
 
 def exp_minus_two_sigma(w: int) -> BorelSeries:
-    return one_plus_px(w).inverse()
+    return _generators(w).exp_minus_two_sigma
 
 
 # ----------------------------------------------------------------------
@@ -313,35 +315,82 @@ class BorelTensor(GradedTensor):
 # Deformed coproducts.
 # ----------------------------------------------------------------------
 
+class _Generators:
+    """The generator series and coproducts at one weight bound w, each built
+    on first use and then shared: no BorelSeries or BorelTensor method
+    mutates them."""
+
+    def __init__(self, w: int):
+        self.w = w
+
+    @cached_property
+    def exp_sigma(self) -> BorelSeries:
+        return one_plus_px(self.w).sqrt()
+
+    @cached_property
+    def exp_minus_sigma(self) -> BorelSeries:
+        return self.exp_sigma.inverse()
+
+    @cached_property
+    def exp_minus_two_sigma(self) -> BorelSeries:
+        return one_plus_px(self.w).inverse()
+
+    @cached_property
+    def delta_v(self) -> BorelTensor:
+        """Delta(V) = e^sigma ox V + V ox 1."""
+        w = self.w
+        return (BorelTensor.of(self.exp_sigma, BorelSeries.v(w))
+                + BorelTensor.of(BorelSeries.v(w), BorelSeries.one(w)))
+
+    @cached_property
+    def delta_h(self) -> BorelTensor:
+        """Delta(H) = 1 ox H + p V e^-sigma ox V e^-2sigma + H ox e^-2sigma."""
+        w = self.w
+        es2i = self.exp_minus_two_sigma
+        v = BorelSeries.v(w)
+        h = BorelSeries.h(w)
+        return (BorelTensor.of(BorelSeries.one(w), h)
+                + BorelTensor.of(v * self.exp_minus_sigma, v * es2i).scale(P)
+                + BorelTensor.of(h, es2i))
+
+    @cached_property
+    def delta_x(self) -> BorelTensor:
+        """Delta(X) = X ox 1 + 1 ox X + p X ox X (group-like e^{2 sigma})."""
+        x = BorelSeries.x(self.w)
+        one = BorelSeries.one(self.w)
+        return (BorelTensor.of(x, one) + BorelTensor.of(one, x)
+                + BorelTensor.of(x, x).scale(P))
+
+    @cached_property
+    def delta_exp_sigma(self) -> BorelTensor:
+        return BorelTensor.of(self.exp_sigma, self.exp_sigma)
+
+    @cached_property
+    def coproducts(self):
+        """Delta extended multiplicatively over words in V, H, X."""
+        return extend({"V": self.delta_v, "H": self.delta_h, "X": self.delta_x}.__getitem__,
+                      BorelTensor.one(2, self.w))
+
+
+@lru_cache(maxsize=None)
+def _generators(w: int) -> _Generators:
+    return _Generators(w)
+
+
 def delta_v(w: int) -> BorelTensor:
-    """Delta(V) = e^sigma ox V + V ox 1."""
-    es = exp_sigma(w)
-    return (BorelTensor.of(es, BorelSeries.v(w))
-            + BorelTensor.of(BorelSeries.v(w), BorelSeries.one(w)))
+    return _generators(w).delta_v
 
 
 def delta_h(w: int) -> BorelTensor:
-    """Delta(H) = 1 ox H + p V e^-sigma ox V e^-2sigma + H ox e^-2sigma."""
-    esi = exp_minus_sigma(w)
-    es2i = exp_minus_two_sigma(w)
-    v = BorelSeries.v(w)
-    h = BorelSeries.h(w)
-    return (BorelTensor.of(BorelSeries.one(w), h)
-            + BorelTensor.of(v * esi, v * es2i).scale(P)
-            + BorelTensor.of(h, es2i))
+    return _generators(w).delta_h
 
 
 def delta_x(w: int) -> BorelTensor:
-    """Delta(X) = X ox 1 + 1 ox X + p X ox X (group-like e^{2 sigma})."""
-    x = BorelSeries.x(w)
-    one = BorelSeries.one(w)
-    return (BorelTensor.of(x, one) + BorelTensor.of(one, x)
-            + BorelTensor.of(x, x).scale(P))
+    return _generators(w).delta_x
 
 
 def delta_exp_sigma(w: int) -> BorelTensor:
-    es = exp_sigma(w)
-    return BorelTensor.of(es, es)
+    return _generators(w).delta_exp_sigma
 
 
 def _word(key):
@@ -350,17 +399,10 @@ def _word(key):
     return ("V",) * eps + ("H",) * m + ("X",) * n
 
 
-@lru_cache(maxsize=None)
-def _coproducts(w: int):
-    """Delta extended multiplicatively over words in V, H, X at weight w."""
-    return extend({"V": delta_v(w), "H": delta_h(w), "X": delta_x(w)}.__getitem__,
-                  BorelTensor.one(2, w))
-
-
 def delta_monomial(key, w: int) -> BorelTensor:
     """Delta(V)^eps Delta(H)^m Delta(X)^n, built once per (key, w) and shared:
     no BorelTensor method mutates it."""
-    return _coproducts(w).word(_word(key))
+    return _generators(w).coproducts.word(_word(key))
 
 
 def coassociativity_defect(which: str, w: int) -> BorelTensor:
@@ -442,14 +484,19 @@ def antipode_axiom_defects(w: int):
     antipode = extend({"V": cand["V"], "H": cand["H"], "X": s_x}.__getitem__,
                       BorelSeries.one(w), {"V": 1, "H": 0, "X": 0}).word
 
+    def mono(key):
+        return BorelSeries(w, {key: Scalar.one()})
+
+    def summed(products):
+        """Sum of c * product over (c, product) pairs, in one pass."""
+        return BorelSeries(w, _accumulate((k, c * a) for c, s in products
+                                          for k, a in s._terms.items()), _internal=True)
+
     defects = {}
     for name, (d, eps_val) in gens.items():
         unit = BorelSeries.one(w).scale(eps_val)
-        left = BorelSeries.zero(w)
-        right = BorelSeries.zero(w)
-        for (k1, k2), c in d._terms.items():
-            left = left + (antipode(_word(k1)) * BorelSeries(w, {k2: Scalar.one()})).scale(c)
-            right = right + (BorelSeries(w, {k1: Scalar.one()}) * antipode(_word(k2))).scale(c)
+        left = summed((c, antipode(_word(k1)) * mono(k2)) for (k1, k2), c in d._terms.items())
+        right = summed((c, mono(k1) * antipode(_word(k2))) for (k1, k2), c in d._terms.items())
         defects[name] = (left - unit, right - unit)
     return defects
 

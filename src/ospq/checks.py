@@ -290,11 +290,25 @@ def _relabel(poly, alphabet):
     return SuperPoly(alphabet, dict(poly._terms))
 
 
+E_INVERSE_TAIL_ORDERS = (2, 3)
+
+
 def check_e_inverse(config):
+    """e times its truncated inverse, reduced by the presentation.
+
+    Tail orders 2 and 3 reduce words of degree 8 and 10, while the overlap
+    audit shows the rules confluent only on words up to
+    ``frt.COMPLETION_DEGREE`` = 6.  Every rule lies in the ideal, so a zero
+    normal form still proves the identity; above the audited degree a
+    nonzero one would not refute it, since the normal form there may depend
+    on the order in which rules are applied.  Reducing suffix-first instead
+    of leftmost keeps the 35 rules and the ``--export`` bytes, yet makes this
+    check report "right inverse fails at tail order 2".
+    """
     pres = frt.presentation()
     elim = frt.EliminationMap()
     e = elim.e_image()
-    for k in (2, 3):
+    for k in E_INVERSE_TAIL_ORDERS:
         einv = elim.e_inverse(tail_order=k)
         tail = elim.geometric_tail(tail_order=k)
         right = pres.normal_form(e * einv - SuperPoly.one(frt.ALPHABET) + tail)
@@ -575,9 +589,8 @@ def check_coproduct_square(config):
     lhs = borel.delta_v(w) * borel.delta_v(w)
     rhs = borel.delta_x(w).scale(rat(Fraction(1, 4)))
     ok = lhs == rhs
-    es = borel.exp_sigma(w)
     esi = borel.exp_minus_sigma(w)
-    grouplike = (borel.BorelTensor.of(es, es) * borel.BorelTensor.of(esi, esi)
+    grouplike = (borel.delta_exp_sigma(w) * borel.BorelTensor.of(esi, esi)
                  == borel.BorelTensor.one(2, w))
     return ok and grouplike, ("squared odd coproduct reproduces the deformed "
                               "primitive form; group-likes invert" if ok and grouplike

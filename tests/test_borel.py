@@ -5,6 +5,7 @@ import pytest
 
 from ospq.scalars import Scalar, rat, P, HALF, SQRT2
 from ospq import borel
+from ospq.checks import CheckConfig, run_checks
 from ospq.freealg import TensorElement
 from ospq.borel import (BorelSeries, BorelTensor, exp_sigma, exp_minus_sigma,
                         one_plus_px)
@@ -223,7 +224,7 @@ def _count_calls(monkeypatch, cls, name):
 def test_coassociativity_builds_each_leg_coproduct_once(monkeypatch):
     w = 16
     keys = _leg_keys(borel.delta_h(w)) - {(0, 0, 0)}
-    borel._coproducts.cache_clear()
+    borel._generators.cache_clear()
     calls = _count_calls(monkeypatch, BorelTensor, "__mul__")
     assert borel.coassociativity_defect("H", w).is_zero
     assert calls[0] <= len(keys)
@@ -240,3 +241,59 @@ def test_antipode_builds_each_leg_image_once(monkeypatch):
     # one product per leg key for its image, two per term for the axiom
     # sides, and two each in antipode_candidate and delta_h
     assert calls[0] <= len(keys) + 2 * terms + 4
+
+
+def test_mono_mul_memo_matches_the_product_and_shares_a_tuple():
+    w = 24
+    keys = [(eps, m, n) for eps in (0, 1) for m in range(4)
+            for n in range((w - eps) // 2 + 1)]
+    for k1 in keys:
+        for k2 in keys:
+            if borel._weight(k1) + borel._weight(k2) <= w:
+                product = borel._mono_mul(k1, k2)
+                assert isinstance(product, tuple)
+                assert product == borel._mono_mul.__wrapped__(k1, k2)
+
+
+def _generator_data(w):
+    return {name: getattr(borel, name)(w)
+            for name in ("exp_sigma", "exp_minus_sigma", "exp_minus_two_sigma",
+                         "delta_v", "delta_h", "delta_x", "delta_exp_sigma")}
+
+
+def test_cached_generators_equal_fresh_builds_after_every_check():
+    w = 16
+    # a cached series or coproduct changed by a check would show on the
+    # second run, or against the fresh builds after cache_clear()
+    for _ in range(2):
+        reports = run_checks("borel-coproduct", CheckConfig(truncation=w))
+        assert [r.status for r in reports] == ["pass"] * len(reports)
+    cached = _generator_data(w)
+    keys = set().union(*(_leg_keys(cached[name])
+                         for name in ("delta_v", "delta_h", "delta_exp_sigma")))
+    monomials = {key: borel.delta_monomial(key, w) for key in keys}
+    borel._generators.cache_clear()
+    fresh = _generator_data(w)
+    assert all(fresh[name] is not cached[name] for name in cached)
+    assert fresh == cached
+    assert {key: borel.delta_monomial(key, w) for key in keys} == monomials
+
+
+def test_one_run_builds_delta_h_once_per_weight(monkeypatch):
+    built = []
+    prop = borel._Generators.delta_h
+    original = prop.func
+
+    def spy(generators):
+        built.append(generators.w)
+        return original(generators)
+
+    monkeypatch.setattr(prop, "func", spy)
+    borel._generators.cache_clear()
+    try:
+        for w in (8, 10):
+            reports = run_checks("borel-coproduct", CheckConfig(truncation=w))
+            assert [r.status for r in reports] == ["pass"] * len(reports)
+        assert built == [8, 10]
+    finally:
+        borel._generators.cache_clear()

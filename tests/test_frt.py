@@ -294,6 +294,22 @@ def test_e_inverse_two_sided(pres):
     assert left.is_zero or left.min_degree() > 4
 
 
+def test_middle_inverse_reduces_words_above_the_audited_degree():
+    # orthogonality.middle-inverse reduces words of degree 8 and 10, beyond
+    # the degree up to which the overlap audit shows the rules confluent; its
+    # docstring states that scope, so a change here must revisit it
+    elim = frt.EliminationMap()
+    e = elim.e_image()
+    one = SuperPoly.one(frt.ALPHABET)
+    degrees = []
+    for k in checks.E_INVERSE_TAIL_ORDERS:
+        einv = elim.e_inverse(tail_order=k)
+        right = e * einv - one + elim.geometric_tail(tail_order=k)
+        degrees.append(max(right.degree(), (einv * e - one).degree()))
+    assert degrees == [8, 10]
+    assert frt.COMPLETION_DEGREE == 6 < min(degrees)
+
+
 def test_coproduct_of_a():
     # Delta(a) = a ox a + al ox ga + b ox c, its coefficients at p = 2
     ga = rewrite.at_two(frt.EliminationMap().images["ga"])[1]
@@ -397,13 +413,14 @@ def test_relations_at_p_zero_are_graded_commutators():
             assert c1 == rat(sign) * c2
 
 
-def test_s_squared_is_an_algebra_homomorphism(pres):
-    def s2(poly):
-        return frt.antipode(frt.antipode(poly))
-
-    for x in ("a", "al", "c"):
-        for y in ("b", "de", "d"):
-            fx = SuperPoly.letter(frt.ALPHABET, x)
-            fy = SuperPoly.letter(frt.ALPHABET, y)
-            defect = pres.normal_form(s2(fx * fy) - s2(fx) * s2(fy))
-            assert defect.is_zero
+def test_antipode_and_its_square_map_relations_into_the_ideal(pres):
+    # S and S^2 send each of the 18 relations, taken at p = 2, into the ideal;
+    # the images of S are nonzero words before reduction, so the zero normal
+    # forms are the presentation's doing, not the free algebra's
+    relations = [rewrite.at_two(rel)[1] for rel in pres.all_relations()]
+    assert len(relations) == 18
+    images = [frt.antipode(rel) for rel in relations]
+    for image in images:
+        assert pres.at2.normal_form(image).is_zero
+        assert pres.at2.normal_form(frt.antipode(image)).is_zero
+    assert any(not image.is_zero for image in images)

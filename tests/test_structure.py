@@ -266,7 +266,7 @@ def test_word_extensions_go_through_extend(monkeypatch):
         {"a": SuperPoly.letter(frt.ALPHABET, "c")})
     assert len(used) == 1
     used = _spy_extend(monkeypatch, borel)
-    borel._coproducts.cache_clear()
+    borel._generators.cache_clear()
     try:
         borel.delta_monomial((1, 1, 1), 8)
         assert used == [("V", "H", "X")]
@@ -275,7 +275,7 @@ def test_word_extensions_go_through_extend(monkeypatch):
         borel.antipode_axiom_defects(8)
         assert len(used) > 1 + len(borel.dual_relations())
     finally:
-        borel._coproducts.cache_clear()
+        borel._generators.cache_clear()
 
 
 def test_only_the_export_lifts_the_rules(monkeypatch, tmp_path):
