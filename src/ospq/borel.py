@@ -8,6 +8,16 @@ preserve the filtration weight w = eps + 2n, so truncating at a weight bound
 is an algebra quotient.  Tensor powers are truncated in the *total* weight
 across legs, which is the quotient-compatible notion (per-leg truncation
 breaks coassociativity bookkeeping).
+
+The series algebra is also graded with p of weight ``rewrite.P_WEIGHT`` = 2:
+V weighs -1, H 0 and X -2, so V^eps H^m X^n weighs -_weight(key).  This is
+the torus grading of ``RLL_ALPHABET`` carried across by the ansatz (A -> K,
+B -> V M, E -> V N, C_L -> H P).  The normal-ordering rules and every
+generator image (``generator_images``) are homogeneous in it, so in an
+element of weight E each monomial carries the one power p^k with
+2k = E + _weight(key), and the element is zero exactly when its value at
+p = 1 is (``at_one``).  The Hopf checks therefore run on the images at
+p = 1, with Fraction coefficients, and multiply no Scalars.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from math import comb
 from .scalars import Scalar, rat, P, HALF, SQRT2, _accumulate
 from .freealg import GradedAlphabet, GradedTensor, SuperPoly, _scaled, extend
 from .supermatrix import SuperMatrix, entry_weights, kron
-from .rewrite import span_equal
+from .rewrite import P_WEIGHT, span_equal
 
 DEFAULT_TRUNCATION = 16  # filtration weight; X-degree up to 8
 
@@ -73,7 +83,9 @@ def _mono_mul(k1, k2):
 
 
 class BorelSeries:
-    """Scalar combination of normal-ordered monomials V^eps H^m X^n."""
+    """Combination of normal-ordered monomials V^eps H^m X^n.  Coefficients
+    are Scalars, or numbers for values at p = 1; a container keeps their
+    type (zero tests are truthiness)."""
 
     __slots__ = ("weight_bound", "_terms")
 
@@ -83,7 +95,7 @@ class BorelSeries:
             terms = {}
         if not _internal:
             terms = {k: c for k, c in terms.items()
-                     if not c.is_zero and _weight(k) <= weight_bound}
+                     if c and _weight(k) <= weight_bound}
         self._terms = terms
 
     # -- constructors ---------------------------------------------------
@@ -125,8 +137,8 @@ class BorelSeries:
     def terms(self):
         return sorted(self._terms.items())
 
-    def coefficient(self, key) -> Scalar:
-        return self._terms.get(key, Scalar.zero())
+    def coefficient(self, key):
+        return self._terms.get(key, 0)
 
     def _bound_with(self, other):
         return min(self.weight_bound, other.weight_bound)
@@ -157,8 +169,7 @@ class BorelSeries:
     __rmul__ = __mul__
 
     def scale(self, coeff) -> "BorelSeries":
-        coeff = coeff if isinstance(coeff, Scalar) else rat(coeff)
-        if coeff.is_zero:
+        if not coeff:
             return BorelSeries.zero(self.weight_bound)
         return BorelSeries(self.weight_bound,
                            {k: c * coeff for k, c in self._terms.items()},
@@ -172,12 +183,12 @@ class BorelSeries:
         for k in keys:
             if _weight(k) > w:
                 continue
-            if self._terms.get(k, Scalar.zero()) != other._terms.get(k, Scalar.zero()):
+            if self._terms.get(k, 0) != other._terms.get(k, 0):
                 return False
         return True
 
-    def counit(self) -> Scalar:
-        return self._terms.get((0, 0, 0), Scalar.zero())
+    def counit(self):
+        return self._terms.get((0, 0, 0), 0)
 
     # -- the commutative slice of series in X alone ------------------------
 
@@ -312,13 +323,70 @@ class BorelTensor(GradedTensor):
 
 
 # ----------------------------------------------------------------------
-# Deformed coproducts.
+# Deformed coproducts, decided at p = 1.
 # ----------------------------------------------------------------------
 
+def at_one(element):
+    """(E, value at p = 1) of a Scalar BorelSeries or BorelTensor of weight E
+    in the grading of the module docstring, E None for zero; ValueError when
+    a term weighs otherwise or a coefficient is not a polynomial in p."""
+    tensor = isinstance(element, BorelTensor)
+    top, terms = None, {}
+    for key, c in element._terms.items():
+        base = -(sum(map(_weight, key)) if tensor else _weight(key))
+        for d, q in c.p_coefficients().items():
+            if top is None:
+                top = base + d * P_WEIGHT
+            elif base + d * P_WEIGHT != top:
+                raise ValueError(f"not homogeneous in the Borel grading: {element!r}")
+            terms[key] = q
+    if tensor:
+        return top, element._like(terms)
+    return top, BorelSeries(element.weight_bound, terms, _internal=True)
+
+
+def generator_images(w: int):
+    """The unit, e^sigma, V, H and X with their coproducts and antipode
+    images over Q[p], as the paper writes them:
+    {"id" | "delta" | "antipode": {generator: image}}.  Each image is
+    homogeneous of its generator's weight.
+
+    Delta(e^sigma) = e^sigma ox e^sigma, Delta(V) = e^sigma ox V + V ox 1,
+    Delta(H) = 1 ox H + p V e^-sigma ox V e^-2sigma + H ox e^-2sigma and
+    Delta(X) = X ox 1 + 1 ox X + p X ox X (group-like e^{2 sigma}).  The
+    antipode candidate is derived from the antipode axiom on the generators:
+    S(e^sigma) = e^-sigma, S(V) = -e^-sigma V, S(H) = -H e^{2 sigma} + (p/4) X,
+    and S(X) = (e^{-2 sigma} - 1)/p from X = (e^{2 sigma} - 1)/p.
+    """
+    es, esi, es2i = exp_sigma(w), exp_minus_sigma(w), exp_minus_two_sigma(w)
+    one, v, h, x = BorelSeries.one(w), BorelSeries.v(w), BorelSeries.h(w), BorelSeries.x(w)
+    return {
+        "id": {"1": one, "exp_sigma": es, "V": v, "H": h, "X": x},
+        "delta": {
+            "1": BorelTensor.one(2, w),
+            "exp_sigma": BorelTensor.of(es, es),
+            "V": BorelTensor.of(es, v) + BorelTensor.of(v, one),
+            "H": (BorelTensor.of(one, h) + BorelTensor.of(v * esi, v * es2i).scale(P)
+                  + BorelTensor.of(h, es2i)),
+            "X": (BorelTensor.of(x, one) + BorelTensor.of(one, x)
+                  + BorelTensor.of(x, x).scale(P)),
+        },
+        "antipode": {
+            "1": one,
+            "exp_sigma": esi,
+            "V": -(esi * v),
+            "H": -(h * one_plus_px(w)) + x.scale(P * rat(Fraction(1, 4))),
+            "X": BorelSeries(w, {k: c.divide_exact(P) for k, c in es2i._terms.items() if k[2]}),
+        },
+    }
+
+
 class _Generators:
-    """The generator series and coproducts at one weight bound w, each built
-    on first use and then shared: no BorelSeries or BorelTensor method
-    mutates them."""
+    """The generator data at one weight bound w, each built on first use and
+    then shared: no BorelSeries or BorelTensor method mutates it.  The
+    series e^sigma, e^-sigma and e^-2sigma stay over Q[p] for the ansatz and
+    the export; the Hopf images are built over Q[p] once and kept only at
+    p = 1, where the checks decide."""
 
     def __init__(self, w: int):
         self.w = w
@@ -336,40 +404,16 @@ class _Generators:
         return one_plus_px(self.w).inverse()
 
     @cached_property
-    def delta_v(self) -> BorelTensor:
-        """Delta(V) = e^sigma ox V + V ox 1."""
-        w = self.w
-        return (BorelTensor.of(self.exp_sigma, BorelSeries.v(w))
-                + BorelTensor.of(BorelSeries.v(w), BorelSeries.one(w)))
-
-    @cached_property
-    def delta_h(self) -> BorelTensor:
-        """Delta(H) = 1 ox H + p V e^-sigma ox V e^-2sigma + H ox e^-2sigma."""
-        w = self.w
-        es2i = self.exp_minus_two_sigma
-        v = BorelSeries.v(w)
-        h = BorelSeries.h(w)
-        return (BorelTensor.of(BorelSeries.one(w), h)
-                + BorelTensor.of(v * self.exp_minus_sigma, v * es2i).scale(P)
-                + BorelTensor.of(h, es2i))
-
-    @cached_property
-    def delta_x(self) -> BorelTensor:
-        """Delta(X) = X ox 1 + 1 ox X + p X ox X (group-like e^{2 sigma})."""
-        x = BorelSeries.x(self.w)
-        one = BorelSeries.one(self.w)
-        return (BorelTensor.of(x, one) + BorelTensor.of(one, x)
-                + BorelTensor.of(x, x).scale(P))
-
-    @cached_property
-    def delta_exp_sigma(self) -> BorelTensor:
-        return BorelTensor.of(self.exp_sigma, self.exp_sigma)
+    def images(self):
+        """``generator_images`` at p = 1, each image evaluated once."""
+        return {name: {g: at_one(image)[1] for g, image in images.items()}
+                for name, images in generator_images(self.w).items()}
 
     @cached_property
     def coproducts(self):
-        """Delta extended multiplicatively over words in V, H, X."""
-        return extend({"V": self.delta_v, "H": self.delta_h, "X": self.delta_x}.__getitem__,
-                      BorelTensor.one(2, self.w))
+        """Delta at p = 1 extended multiplicatively over words in V, H, X."""
+        delta = self.images["delta"]
+        return extend(delta.__getitem__, delta["1"])
 
 
 @lru_cache(maxsize=None)
@@ -378,19 +422,23 @@ def _generators(w: int) -> _Generators:
 
 
 def delta_v(w: int) -> BorelTensor:
-    return _generators(w).delta_v
+    """Delta(V) at p = 1."""
+    return _generators(w).images["delta"]["V"]
 
 
 def delta_h(w: int) -> BorelTensor:
-    return _generators(w).delta_h
+    """Delta(H) at p = 1."""
+    return _generators(w).images["delta"]["H"]
 
 
 def delta_x(w: int) -> BorelTensor:
-    return _generators(w).delta_x
+    """Delta(X) at p = 1."""
+    return _generators(w).images["delta"]["X"]
 
 
 def delta_exp_sigma(w: int) -> BorelTensor:
-    return _generators(w).delta_exp_sigma
+    """Delta(e^sigma) at p = 1."""
+    return _generators(w).images["delta"]["exp_sigma"]
 
 
 def _word(key):
@@ -400,28 +448,27 @@ def _word(key):
 
 
 def delta_monomial(key, w: int) -> BorelTensor:
-    """Delta(V)^eps Delta(H)^m Delta(X)^n, built once per (key, w) and shared:
-    no BorelTensor method mutates it."""
+    """Delta(V)^eps Delta(H)^m Delta(X)^n at p = 1, built once per (key, w)
+    and shared: no BorelTensor method mutates it."""
     return _generators(w).coproducts.word(_word(key))
 
 
 def coassociativity_defect(which: str, w: int) -> BorelTensor:
-    """(Delta ox id)Delta(g) - (id ox Delta)Delta(g) for g in {e^sigma, V, H}."""
-    d = {"exp_sigma": delta_exp_sigma, "V": delta_v, "H": delta_h}[which](w)
+    """(Delta ox id)Delta(g) - (id ox Delta)Delta(g) at p = 1, for g in
+    {e^sigma, V, H}."""
+    d = _generators(w).images["delta"][which]
     left = d.expand_leg(0, lambda k: delta_monomial(k, w), 3)
     right = d.expand_leg(1, lambda k: delta_monomial(k, w), 3)
     return left - right
 
 
 def counit_defects(w: int):
-    """(eps ox id)Delta(g) - g and (id ox eps)Delta(g) - g for the generators."""
+    """(eps ox id)Delta(g) - g and (id ox eps)Delta(g) - g at p = 1, for g in
+    {e^sigma, V, H}."""
+    images = _generators(w).images
     out = {}
-    gens = {
-        "exp_sigma": (delta_exp_sigma(w), exp_sigma(w)),
-        "V": (delta_v(w), BorelSeries.v(w)),
-        "H": (delta_h(w), BorelSeries.h(w)),
-    }
-    for name, (d, g) in gens.items():
+    for name in ("exp_sigma", "V", "H"):
+        d, g = images["delta"][name], images["id"][name]
         out[name] = (d.apply_counit_leg(0, BorelSeries.counit) - g,
                      d.apply_counit_leg(1, BorelSeries.counit) - g)
     return out
@@ -435,9 +482,9 @@ def _relation_defect(which: str, h, v, x):
     if which == "HX":
         return h * x - x * h - x
     if which == "HV":
-        return h * v - v * h - v.scale(HALF)
+        return h * v - v * h - v.scale(Fraction(1, 2))
     if which == "VV":
-        return v * v - x.scale(rat(Fraction(1, 4)))
+        return v * v - x.scale(Fraction(1, 4))
     if which == "XV":
         return x * v - v * x
     raise ValueError(which)
@@ -445,56 +492,47 @@ def _relation_defect(which: str, h, v, x):
 
 def borel_relation_defect(which: str, w: int) -> BorelSeries:
     """Defining Borel relations evaluated in the algebra itself (sanity zero)."""
-    return _relation_defect(which, BorelSeries.h(w), BorelSeries.v(w),
-                            BorelSeries.x(w))
+    ids = _generators(w).images["id"]
+    return _relation_defect(which, ids["H"], ids["V"], ids["X"])
 
 
 def coproduct_relation_defect(which: str, w: int) -> BorelTensor:
-    """Delta applied to a defining Borel relation (homomorphism certificate)."""
-    return _relation_defect(which, delta_h(w), delta_v(w), delta_x(w))
+    """Delta at p = 1 applied to a defining Borel relation (homomorphism
+    certificate)."""
+    delta = _generators(w).images["delta"]
+    return _relation_defect(which, delta["H"], delta["V"], delta["X"])
 
 
-def antipode_candidate(w: int):
-    """Images derived from the antipode axiom on the generators.
-
-    S(e^sigma) = e^-sigma, S(V) = -e^-sigma V, S(H) = -H e^{2 sigma} + (p/4) X;
-    both axiom sides are checked in antipode_axiom_defects.
-    """
-    esi = exp_minus_sigma(w)
-    es2 = one_plus_px(w)
-    v, h, x = BorelSeries.v(w), BorelSeries.h(w), BorelSeries.x(w)
-    return {
-        "exp_sigma": esi,
-        "V": -(esi * v),
-        "H": -(h * es2) + x.scale(P * rat(Fraction(1, 4))),
-    }
+def square_defects(w: int):
+    """Delta(V)^2 - Delta(X)/4 (the relation VV), and Delta(e^sigma)
+    (S(e^sigma) ox S(e^sigma)) - 1 ox 1 (group-likes invert), at p = 1."""
+    images = _generators(w).images
+    delta, s_es = images["delta"], images["antipode"]["exp_sigma"]
+    return {"square": coproduct_relation_defect("VV", w),
+            "grouplike": (delta["exp_sigma"] * BorelTensor.of(s_es, s_es)
+                          - delta["1"])}
 
 
 def antipode_axiom_defects(w: int):
-    """m(S ox id)Delta(g) - eps(g) 1 and m(id ox S)Delta(g) - eps(g) 1."""
-    cand = antipode_candidate(w)
-    gens = {"exp_sigma": (delta_exp_sigma(w), Scalar.one()),
-            "V": (delta_v(w), Scalar.zero()),
-            "H": (delta_h(w), Scalar.zero())}
-
-    # S(X) from X = (e^{2 sigma} - 1)/p: S(X) = (e^{-2 sigma} - 1)/p
-    s_x = BorelSeries(w, {k: c.divide_exact(P)
-                          for k, c in exp_minus_two_sigma(w)._terms.items() if k[2]})
-
-    antipode = extend({"V": cand["V"], "H": cand["H"], "X": s_x}.__getitem__,
-                      BorelSeries.one(w), {"V": 1, "H": 0, "X": 0}).word
+    """m(S ox id)Delta(g) - eps(g) 1 and m(id ox S)Delta(g) - eps(g) 1 at
+    p = 1, for g in {e^sigma, V, H}, with S extended from the candidate
+    images of ``generator_images``."""
+    images = _generators(w).images
+    ids, anti = images["id"], images["antipode"]
+    antipode = extend(anti.__getitem__, anti["1"], {"V": 1, "H": 0, "X": 0}).word
 
     def mono(key):
-        return BorelSeries(w, {key: Scalar.one()})
+        return BorelSeries(w, {key: 1})
 
     def summed(products):
         """Sum of c * product over (c, product) pairs, in one pass."""
-        return BorelSeries(w, _accumulate((k, c * a) for c, s in products
-                                          for k, a in s._terms.items()), _internal=True)
+        return BorelSeries(w, _accumulate((k, c * a) for c, f in products
+                                          for k, a in f._terms.items()), _internal=True)
 
     defects = {}
-    for name, (d, eps_val) in gens.items():
-        unit = BorelSeries.one(w).scale(eps_val)
+    for name in ("exp_sigma", "V", "H"):
+        d = images["delta"][name]
+        unit = ids["1"].scale(ids[name].counit())
         left = summed((c, antipode(_word(k1)) * mono(k2)) for (k1, k2), c in d._terms.items())
         right = summed((c, mono(k1) * antipode(_word(k2))) for (k1, k2), c in d._terms.items())
         defects[name] = (left - unit, right - unit)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .scalars import Scalar, rat, P, HALF
 from .freealg import SuperPoly
@@ -585,13 +584,8 @@ def check_ansatz_prefix_consistency(config):
 
 
 def check_coproduct_square(config):
-    w = config.truncation
-    lhs = borel.delta_v(w) * borel.delta_v(w)
-    rhs = borel.delta_x(w).scale(rat(Fraction(1, 4)))
-    ok = lhs == rhs
-    esi = borel.exp_minus_sigma(w)
-    grouplike = (borel.delta_exp_sigma(w) * borel.BorelTensor.of(esi, esi)
-                 == borel.BorelTensor.one(2, w))
+    defects = borel.square_defects(config.truncation)
+    ok, grouplike = defects["square"].is_zero, defects["grouplike"].is_zero
     return ok and grouplike, ("squared odd coproduct reproduces the deformed "
                               "primitive form; group-likes invert" if ok and grouplike
                               else f"square={ok} grouplike={grouplike}")

@@ -153,15 +153,14 @@ class RewriteSystem:
         self._index()
 
     def _index(self):
-        """Index the rules by first letter and empty the normal-form cache;
-        called again after ``rules`` changes."""
+        """Index the left-side lengths by first letter and empty the
+        normal-form cache; called again after ``rules`` changes."""
         self._cache = {}
-        by_first = {}
+        lengths = {}
         for lhs in self.rules:
-            by_first.setdefault(lhs[0], []).append(lhs)
+            lengths.setdefault(lhs[0], set()).add(len(lhs))
         # longer left sides first, so the most specific rule matches
-        self._by_first = {x: sorted(ls, key=len, reverse=True)
-                          for x, ls in by_first.items()}
+        self._lengths = {x: sorted(ns, reverse=True) for x, ns in lengths.items()}
 
     def __len__(self):
         return len(self.rules)
@@ -179,44 +178,47 @@ class RewriteSystem:
                 for lhs, rhs in self.rules.items()]
 
     def _first_match(self, word):
-        by_first = self._by_first
-        n = len(word)
-        for i in range(n):
-            cands = by_first.get(word[i])
-            if not cands:
-                continue
-            for lhs in cands:
-                if word[i:i + len(lhs)] == lhs:
+        """(i, lhs) of the leftmost rule match in ``word``, the longest left
+        side at that position, or None."""
+        rules, lengths = self.rules, self._lengths
+        for i, x in enumerate(word):
+            for n in lengths.get(x, ()):
+                lhs = word[i:i + n]
+                if lhs in rules:
                     return i, lhs
         return None
 
     def nf_word(self, word) -> SuperPoly:
-        """Normal form of a single word (iterative, memoized)."""
+        """Normal form of a single word (iterative, memoized).  Each word is
+        searched for a match once: it waits on the stack with its rewritten
+        words until their normal forms are known."""
         cache = self._cache
         hit = cache.get(word)
         if hit is not None:
             return hit
-        stack = [word]
+        stack = [(word, None)]
         while stack:
-            w = stack[-1]
-            if w in cache:
-                stack.pop()
-                continue
-            m = self._first_match(w)
-            if m is None:
-                cache[w] = SuperPoly(self.alphabet, {w: self.one}, _internal=True)
-                stack.pop()
-                continue
-            i, lhs = m
-            pre, post = w[:i], w[i + len(lhs):]
-            rhs = self.rules[lhs]
-            deps = [pre + w2 + post for w2 in rhs.words()]
-            missing = [d for d in deps if d not in cache]
-            if missing:
-                stack.extend(missing)
-                continue
-            acc = _accumulate((w3, c2 * c3) for w2, c2 in rhs._terms.items()
-                              for w3, c3 in cache[pre + w2 + post]._terms.items())
+            w, rewritten = stack[-1]
+            if rewritten is None:
+                if w in cache:
+                    stack.pop()
+                    continue
+                m = self._first_match(w)
+                if m is None:
+                    cache[w] = SuperPoly(self.alphabet, {w: self.one}, _internal=True)
+                    stack.pop()
+                    continue
+                i, lhs = m
+                pre, post = w[:i], w[i + len(lhs):]
+                rewritten = [(pre + w2 + post, c2)
+                             for w2, c2 in self.rules[lhs]._terms.items()]
+                missing = [(d, None) for d, _ in rewritten if d not in cache]
+                if missing:
+                    stack[-1] = (w, rewritten)
+                    stack.extend(missing)
+                    continue
+            acc = _accumulate((w3, c2 * c3) for d, c2 in rewritten
+                              for w3, c3 in cache[d]._terms.items())
             cache[w] = SuperPoly(self.alphabet, acc, _internal=True)
             stack.pop()
         return cache[word]

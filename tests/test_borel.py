@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ospq.scalars import Scalar, rat, P, HALF, SQRT2
-from ospq import borel
+from ospq import borel, scalars
 from ospq.checks import CheckConfig, run_checks
 from ospq.freealg import TensorElement
 from ospq.borel import (BorelSeries, BorelTensor, exp_sigma, exp_minus_sigma,
@@ -173,7 +173,7 @@ def test_antipode_candidate_satisfies_axioms():
 
 
 def test_antipode_candidate_images():
-    cand = borel.antipode_candidate(W)
+    cand = borel.generator_images(W)["antipode"]
     esi = exp_minus_sigma(W)
     assert cand["exp_sigma"] == esi
     assert cand["V"] == -(esi * BorelSeries.v(W))
@@ -280,20 +280,104 @@ def test_cached_generators_equal_fresh_builds_after_every_check():
 
 
 def test_one_run_builds_delta_h_once_per_weight(monkeypatch):
+    # Delta(H) is built over Q[p] with the other generator images
     built = []
-    prop = borel._Generators.delta_h
-    original = prop.func
+    original = borel.generator_images
 
-    def spy(generators):
-        built.append(generators.w)
-        return original(generators)
+    def spy(w):
+        built.append(w)
+        return original(w)
 
-    monkeypatch.setattr(prop, "func", spy)
+    monkeypatch.setattr(borel, "generator_images", spy)
     borel._generators.cache_clear()
     try:
         for w in (8, 10):
             reports = run_checks("borel-coproduct", CheckConfig(truncation=w))
             assert [r.status for r in reports] == ["pass"] * len(reports)
         assert built == [8, 10]
+    finally:
+        borel._generators.cache_clear()
+
+
+def _lift(value, top):
+    """The Scalar element of weight ``top`` whose value at p = 1 is ``value``:
+    a term q on a key of weight -wt goes to q p^k with 2k = top + wt."""
+    tensor = isinstance(value, BorelTensor)
+    terms = {}
+    for key, q in value._terms.items():
+        wt = sum(map(borel._weight, key)) if tensor else borel._weight(key)
+        k, r = divmod(top + wt, 2)
+        assert not r and k >= 0
+        terms[key] = Scalar.in_p({k: q})
+    if tensor:
+        return BorelTensor(value.arity, value.weight_bound, terms)
+    return BorelSeries(value.weight_bound, terms)
+
+
+def test_at_one_rejects_an_element_that_is_not_homogeneous():
+    for element in (BorelSeries.one(W) + BorelSeries.x(W),
+                    BorelSeries.x(W).scale(P + rat(1)),
+                    BorelTensor.of(BorelSeries.one(W), BorelSeries.one(W) + BorelSeries.v(W))):
+        with pytest.raises(ValueError, match="not homogeneous"):
+            borel.at_one(element)
+    # 1 + pX is homogeneous of weight 0
+    assert borel.at_one(one_plus_px(W)) == (0, BorelSeries.in_x(W, {0: 1, 1: 1}))
+    assert borel.at_one(BorelSeries.zero(W)) == (None, BorelSeries.zero(W))
+
+
+def test_generator_images_at_p_1_lift_to_their_scalar_builds():
+    w = 16
+    values = borel._generators(w).images
+    for name, images in borel.generator_images(w).items():
+        for g, image in images.items():
+            top, value = borel.at_one(image)
+            assert value == values[name][g], (name, g)
+            assert not any(isinstance(c, Scalar) for c in values[name][g]._terms.values())
+            assert _lift(value, top) == image, (name, g)
+
+
+def test_borel_coproduct_checks_multiply_no_scalars(monkeypatch):
+    # once the generator images are built over Q[p] and evaluated at p = 1,
+    # the five borel-coproduct checks run on numbers
+    w = 24
+    borel._generators(w).images
+    products = []
+    kernel = scalars._products
+
+    def spy(terms1, terms2):
+        products.append((terms1, terms2))
+        return kernel(terms1, terms2)
+
+    monkeypatch.setattr(scalars, "_products", spy)
+    reports = run_checks("borel-coproduct", CheckConfig(truncation=w))
+    assert [r.status for r in reports] == ["pass"] * 5
+    assert products == []
+
+
+def test_doubled_pvv_term_of_delta_h_fails_at_p_1(monkeypatch):
+    # a negative control for the checks at p = 1: Delta(H) with its
+    # p V e^-sigma ox V e^-2sigma term doubled
+    w = 12
+    original = borel.generator_images
+
+    def doubled(w):
+        images = original(w)
+        v = BorelSeries.v(w)
+        images["delta"]["H"] = images["delta"]["H"] + BorelTensor.of(
+            v * exp_minus_sigma(w), v * borel.exp_minus_two_sigma(w)).scale(P)
+        return images
+
+    monkeypatch.setattr(borel, "generator_images", doubled)
+    borel._generators.cache_clear()
+    try:
+        status = {r.name.split(".")[1]: r.status
+                  for r in run_checks("borel-coproduct", CheckConfig(truncation=w))}
+        assert [n for n in borel.BOREL_RELATIONS
+                if not borel.coproduct_relation_defect(n, w).is_zero] == ["HV"]
+        assert status["homomorphism"] == status["antipode-candidate"] == "fail"
+        # coassociativity alone would not catch it: Delta(H) stays coassociative
+        # for any multiple of that term, and the counit kills the term on
+        # either leg, since eps(V) = 0
+        assert status["coassociativity"] == status["counit-axiom"] == "pass"
     finally:
         borel._generators.cache_clear()

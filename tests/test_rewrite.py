@@ -820,3 +820,23 @@ def test_completion_multiplies_no_scalars(monkeypatch):
     assert products == []
     # the lifted rules carry p again
     assert system.lifted().rules[("b", "a")].coefficient(("a", "a")) == -P
+
+
+def test_nf_word_searches_each_word_once(monkeypatch):
+    # a word waits on the stack with its match until its rewritten words
+    # are reduced, and is not searched again; the normal forms equal those
+    # the completed system built
+    at2 = frt.presentation().at2
+    words = list(frt.ALPHABET.words_up_to(4))
+    expected = [at2.nf_word(word) for word in words]
+    fresh = RewriteSystem(frt.ALPHABET, at2.rules, one=1)
+    searched = []
+    first_match = RewriteSystem._first_match
+
+    def spy(self, word):
+        searched.append(word)
+        return first_match(self, word)
+
+    monkeypatch.setattr(RewriteSystem, "_first_match", spy)
+    assert [fresh.nf_word(word) for word in words] == expected
+    assert len(searched) == len(set(searched)) == len(fresh._cache)
