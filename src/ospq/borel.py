@@ -2,22 +2,29 @@
 the upper-triangular dual generator matrix with its exchange relations, the
 ansatz reduction, and the deformed coproducts.
 
-Normal-ordered monomials are V^eps H^m X^n (eps in {0,1}); the rewrite rules
-    X H = (H - 1) X,   V H = (H - 1/2) V,   V V = X / 4,   X V = V X
-preserve the filtration weight w = eps + 2n, so truncating at a weight bound
-is an algebra quotient.  Tensor powers are truncated in the *total* weight
-across legs, which is the quotient-compatible notion (per-leg truncation
-breaks coassociativity bookkeeping).
+Normal-ordered monomials are v^eps h^m X^n (eps in {0,1}) in the integral
+basis v = 2V, h = 2H, X.  There the paper's rules X H = (H - 1) X,
+V H = (H - 1/2) V, V V = X / 4 and X V = V X have integer constants:
+    X h = (h - 2) X,   v h = (h - 1) v,   v v = X,   X v = v X.
+They preserve the filtration weight w = eps + 2n, so truncating at a weight
+bound is an algebra quotient.  Tensor powers are truncated in the *total*
+weight across legs, which is the quotient-compatible notion (per-leg
+truncation breaks coassociativity bookkeeping).
 
 The series algebra is also graded with p of weight ``rewrite.P_WEIGHT`` = 2:
-V weighs -1, H 0 and X -2, so V^eps H^m X^n weighs -_weight(key).  This is
+v weighs -1, h 0 and X -2, so v^eps h^m X^n weighs -_weight(key).  This is
 the torus grading of ``RLL_ALPHABET`` carried across by the ansatz (A -> K,
 B -> V M, E -> V N, C_L -> H P).  The normal-ordering rules and every
 generator image (``generator_images``) are homogeneous in it, so in an
 element of weight E each monomial carries the one power p^k with
 2k = E + _weight(key), and the element is zero exactly when its value at
-p = 1 is (``at_one``).  The Hopf checks therefore run on the images at
-p = 1, with Fraction coefficients, and multiply no Scalars.
+p = 4 is (``at_four``).
+
+Why 4: at p = 4, e^sigma = (1 + 4X)^(1/2), e^-sigma and e^-2sigma have
+integer coefficients (central binomial and Catalan numbers), so the images
+of v, h, X and e^sigma under the coproduct and the antipode are integral
+there.  The Hopf checks run on those values: every product in them is int
+arithmetic, with no Scalar and no Fraction.
 """
 
 from __future__ import annotations
@@ -53,9 +60,9 @@ def _weight(key) -> int:
     return key[0] + 2 * key[2]
 
 
-def _h_shift_poly(m1: int, s1: Fraction, m2: int, s2: Fraction):
-    """Expand (H + s1)^m1 (H + s2)^m2 as {H-power: Fraction}."""
-    poly = {0: Fraction(1)}
+def _h_shift_poly(m1: int, s1: int, m2: int, s2: int):
+    """Expand (h + s1)^m1 (h + s2)^m2 as {h-power: int}."""
+    poly = {0: 1}
     for m, s in ((m1, s1), (m2, s2)):
         if m == 0:
             continue
@@ -66,26 +73,26 @@ def _h_shift_poly(m1: int, s1: Fraction, m2: int, s2: Fraction):
 
 @lru_cache(maxsize=None)
 def _mono_mul(k1, k2):
-    """Product of normal-ordered monomials as a tuple of (key, Fraction) pairs,
+    """Product of normal-ordered monomials as a tuple of (key, int) pairs,
     built once per key pair and shared.
 
-    Normal ordering preserves weight: every key has weight
+    v^e1 h^m1 X^n1 v^e2 h^m2 X^n2 = v^e1 v^e2 (h + e2)^m1 (h - 2 n1)^m2 X^(n1+n2),
+    and when both e are 1, v v = X moves left of both h factors, shifting
+    each by -2.  Normal ordering preserves weight: every key has weight
     _weight(k1) + _weight(k2), so callers truncate before multiplying.
     """
     (e1, m1, n1), (e2, m2, n2) = k1, k2
-    doubled = e1 == 1 and e2 == 1
-    n = n1 + n2 + (1 if doubled else 0)
-    shift = Fraction(-1) if doubled else Fraction(0)
-    hpoly = _h_shift_poly(m1, Fraction(e2, 2) + shift, m2, Fraction(-n1) + shift)
-    quarter = Fraction(1, 4) if doubled else 1
-    eps = (e1 + e2) % 2
-    return tuple(((eps, j, n), q * quarter) for j, q in hpoly.items())
+    doubled = e1 & e2
+    shift = -2 * doubled
+    hpoly = _h_shift_poly(m1, e2 + shift, m2, shift - 2 * n1)
+    eps, n = (e1 + e2) % 2, n1 + n2 + doubled
+    return tuple(((eps, j, n), c) for j, c in hpoly.items())
 
 
 class BorelSeries:
-    """Combination of normal-ordered monomials V^eps H^m X^n.  Coefficients
-    are Scalars, or numbers for values at p = 1; a container keeps their
-    type (zero tests are truthiness)."""
+    """Combination of normal-ordered monomials v^eps h^m X^n, with v = 2V and
+    h = 2H.  Coefficients are Scalars, or ints for values at p = 4; a
+    container keeps their type (zero tests are truthiness)."""
 
     __slots__ = ("weight_bound", "_terms")
 
@@ -110,11 +117,13 @@ class BorelSeries:
 
     @classmethod
     def v(cls, w):
-        return cls(w, {(1, 0, 0): Scalar.one()}, _internal=True)
+        """The paper's V = v/2."""
+        return cls(w, {(1, 0, 0): HALF}, _internal=True)
 
     @classmethod
     def h(cls, w):
-        return cls(w, {(0, 1, 0): Scalar.one()}, _internal=True)
+        """The paper's H = h/2."""
+        return cls(w, {(0, 1, 0): HALF}, _internal=True)
 
     @classmethod
     def x(cls, w):
@@ -249,10 +258,10 @@ class BorelSeries:
             return "BorelSeries(0)"
         bits = []
         for (e, m, n), c in self.terms():
-            mono = "".join((["V"] if e else []) + (["H^%d" % m] if m else [])
+            mono = "".join((["v"] if e else []) + (["h^%d" % m] if m else [])
                            + (["X^%d" % n] if n else [])) or "1"
             bits.append(f"({c})*{mono}")
-        return "BorelSeries(" + " + ".join(bits) + ")"
+        return "BorelSeries[v = 2V, h = 2H](" + " + ".join(bits) + ")"
 
 
 def one_plus_px(w: int) -> BorelSeries:
@@ -279,7 +288,7 @@ def exp_minus_two_sigma(w: int) -> BorelSeries:
 class BorelTensor(GradedTensor):
     """Tensor power of the Borel algebra, truncated in total weight.
 
-    Leg keys are the monomials (eps, m, n) of V^eps H^m X^n: grade eps,
+    Leg keys are the monomials (eps, m, n) of v^eps h^m X^n: grade eps,
     weight eps + 2n, product ``_mono_mul``.
     """
 
@@ -323,13 +332,14 @@ class BorelTensor(GradedTensor):
 
 
 # ----------------------------------------------------------------------
-# Deformed coproducts, decided at p = 1.
+# Deformed coproducts, decided at p = 4.
 # ----------------------------------------------------------------------
 
-def at_one(element):
-    """(E, value at p = 1) of a Scalar BorelSeries or BorelTensor of weight E
-    in the grading of the module docstring, E None for zero; ValueError when
-    a term weighs otherwise or a coefficient is not a polynomial in p."""
+def at_four(element):
+    """(E, value at p = 4) of a Scalar BorelSeries or BorelTensor of weight E
+    in the grading of the module docstring, E None for zero, with int
+    coefficients; ValueError when a term weighs otherwise or a coefficient is
+    not a polynomial in p, ArithmeticError when a value is not an integer."""
     tensor = isinstance(element, BorelTensor)
     top, terms = None, {}
     for key, c in element._terms.items():
@@ -339,34 +349,41 @@ def at_one(element):
                 top = base + d * P_WEIGHT
             elif base + d * P_WEIGHT != top:
                 raise ValueError(f"not homogeneous in the Borel grading: {element!r}")
-            terms[key] = q
+            value = q * 4 ** d
+            if value.denominator != 1:
+                raise ArithmeticError(f"term {key} of {element!r} is not integral at p = 4")
+            terms[key] = value.numerator
     if tensor:
         return top, element._like(terms)
     return top, BorelSeries(element.weight_bound, terms, _internal=True)
 
 
 def generator_images(w: int):
-    """The unit, e^sigma, V, H and X with their coproducts and antipode
-    images over Q[p], as the paper writes them:
-    {"id" | "delta" | "antipode": {generator: image}}.  Each image is
-    homogeneous of its generator's weight.
+    """The unit, e^sigma, v = 2V, h = 2H and X with their coproducts and
+    antipode images over Q[p]: {"id" | "delta" | "antipode": {generator:
+    image}}.  Each image is homogeneous of its generator's weight.
 
-    Delta(e^sigma) = e^sigma ox e^sigma, Delta(V) = e^sigma ox V + V ox 1,
-    Delta(H) = 1 ox H + p V e^-sigma ox V e^-2sigma + H ox e^-2sigma and
-    Delta(X) = X ox 1 + 1 ox X + p X ox X (group-like e^{2 sigma}).  The
-    antipode candidate is derived from the antipode axiom on the generators:
-    S(e^sigma) = e^-sigma, S(V) = -e^-sigma V, S(H) = -H e^{2 sigma} + (p/4) X,
+    Delta(e^sigma) = e^sigma ox e^sigma, Delta(v) = e^sigma ox v + v ox 1,
+    Delta(h) = 1 ox h + (p/2) v e^-sigma ox v e^-2sigma + h ox e^-2sigma and
+    Delta(X) = X ox 1 + 1 ox X + p X ox X (group-like e^{2 sigma}): twice the
+    paper's Delta(V) and Delta(H) = 1 ox H + p V e^-sigma ox V e^-2sigma +
+    H ox e^-2sigma.  The antipode candidate is derived from the antipode
+    axiom on the generators: S(e^sigma) = e^-sigma, S(v) = -e^-sigma v,
+    S(h) = -h e^{2 sigma} + (p/2) X (twice S(H) = -H e^{2 sigma} + (p/4) X),
     and S(X) = (e^{-2 sigma} - 1)/p from X = (e^{2 sigma} - 1)/p.
     """
     es, esi, es2i = exp_sigma(w), exp_minus_sigma(w), exp_minus_two_sigma(w)
-    one, v, h, x = BorelSeries.one(w), BorelSeries.v(w), BorelSeries.h(w), BorelSeries.x(w)
+    one, x = BorelSeries.one(w), BorelSeries.x(w)
+    v = BorelSeries(w, {(1, 0, 0): Scalar.one()}, _internal=True)
+    h = BorelSeries(w, {(0, 1, 0): Scalar.one()}, _internal=True)
+    half_p = HALF * P
     return {
-        "id": {"1": one, "exp_sigma": es, "V": v, "H": h, "X": x},
+        "id": {"1": one, "exp_sigma": es, "v": v, "h": h, "X": x},
         "delta": {
             "1": BorelTensor.one(2, w),
             "exp_sigma": BorelTensor.of(es, es),
-            "V": BorelTensor.of(es, v) + BorelTensor.of(v, one),
-            "H": (BorelTensor.of(one, h) + BorelTensor.of(v * esi, v * es2i).scale(P)
+            "v": BorelTensor.of(es, v) + BorelTensor.of(v, one),
+            "h": (BorelTensor.of(one, h) + BorelTensor.of(v * esi, v * es2i).scale(half_p)
                   + BorelTensor.of(h, es2i)),
             "X": (BorelTensor.of(x, one) + BorelTensor.of(one, x)
                   + BorelTensor.of(x, x).scale(P)),
@@ -374,8 +391,8 @@ def generator_images(w: int):
         "antipode": {
             "1": one,
             "exp_sigma": esi,
-            "V": -(esi * v),
-            "H": -(h * one_plus_px(w)) + x.scale(P * rat(Fraction(1, 4))),
+            "v": -(esi * v),
+            "h": -(h * one_plus_px(w)) + x.scale(half_p),
             "X": BorelSeries(w, {k: c.divide_exact(P) for k, c in es2i._terms.items() if k[2]}),
         },
     }
@@ -386,10 +403,12 @@ class _Generators:
     then shared: no BorelSeries or BorelTensor method mutates it.  The
     series e^sigma, e^-sigma and e^-2sigma stay over Q[p] for the ansatz and
     the export; the Hopf images are built over Q[p] once and kept only at
-    p = 1, where the checks decide."""
+    p = 4, where the checks decide, and so are the coproduct relation
+    defects (``coproduct_relation_defect``)."""
 
     def __init__(self, w: int):
         self.w = w
+        self.relation_defects = {}
 
     @cached_property
     def exp_sigma(self) -> BorelSeries:
@@ -405,13 +424,14 @@ class _Generators:
 
     @cached_property
     def images(self):
-        """``generator_images`` at p = 1, each image evaluated once."""
-        return {name: {g: at_one(image)[1] for g, image in images.items()}
+        """``generator_images`` at p = 4, each image evaluated once: every
+        coefficient is an int."""
+        return {name: {g: at_four(image)[1] for g, image in images.items()}
                 for name, images in generator_images(self.w).items()}
 
     @cached_property
     def coproducts(self):
-        """Delta at p = 1 extended multiplicatively over words in V, H, X."""
+        """Delta at p = 4 extended multiplicatively over words in v, h, X."""
         delta = self.images["delta"]
         return extend(delta.__getitem__, delta["1"])
 
@@ -422,53 +442,58 @@ def _generators(w: int) -> _Generators:
 
 
 def delta_v(w: int) -> BorelTensor:
-    """Delta(V) at p = 1."""
-    return _generators(w).images["delta"]["V"]
+    """Delta(V) = Delta(v)/2 at p = 4."""
+    return _generators(w).images["delta"]["v"].scale(Fraction(1, 2))
 
 
 def delta_h(w: int) -> BorelTensor:
-    """Delta(H) at p = 1."""
-    return _generators(w).images["delta"]["H"]
+    """Delta(H) = Delta(h)/2 at p = 4."""
+    return _generators(w).images["delta"]["h"].scale(Fraction(1, 2))
 
 
 def delta_x(w: int) -> BorelTensor:
-    """Delta(X) at p = 1."""
+    """Delta(X) at p = 4."""
     return _generators(w).images["delta"]["X"]
 
 
 def delta_exp_sigma(w: int) -> BorelTensor:
-    """Delta(e^sigma) at p = 1."""
+    """Delta(e^sigma) at p = 4."""
     return _generators(w).images["delta"]["exp_sigma"]
 
 
+# the generators of the Hopf checks by the paper's names, each decided on its
+# integral image: a defect of v = 2V or h = 2H is twice that of V or H
+_INTEGRAL = {"exp_sigma": "exp_sigma", "V": "v", "H": "h"}
+
+
 def _word(key):
-    """The normal-ordered monomial V^eps H^m X^n as a word in V, H, X."""
+    """The normal-ordered monomial v^eps h^m X^n as a word in v, h, X."""
     eps, m, n = key
-    return ("V",) * eps + ("H",) * m + ("X",) * n
+    return ("v",) * eps + ("h",) * m + ("X",) * n
 
 
 def delta_monomial(key, w: int) -> BorelTensor:
-    """Delta(V)^eps Delta(H)^m Delta(X)^n at p = 1, built once per (key, w)
+    """Delta(v)^eps Delta(h)^m Delta(X)^n at p = 4, built once per (key, w)
     and shared: no BorelTensor method mutates it."""
     return _generators(w).coproducts.word(_word(key))
 
 
 def coassociativity_defect(which: str, w: int) -> BorelTensor:
-    """(Delta ox id)Delta(g) - (id ox Delta)Delta(g) at p = 1, for g in
-    {e^sigma, V, H}."""
-    d = _generators(w).images["delta"][which]
+    """(Delta ox id)Delta(g) - (id ox Delta)Delta(g) at p = 4, for g in
+    {e^sigma, V, H}, decided on e^sigma, v and h."""
+    d = _generators(w).images["delta"][_INTEGRAL[which]]
     left = d.expand_leg(0, lambda k: delta_monomial(k, w), 3)
     right = d.expand_leg(1, lambda k: delta_monomial(k, w), 3)
     return left - right
 
 
 def counit_defects(w: int):
-    """(eps ox id)Delta(g) - g and (id ox eps)Delta(g) - g at p = 1, for g in
-    {e^sigma, V, H}."""
+    """(eps ox id)Delta(g) - g and (id ox eps)Delta(g) - g at p = 4, for g in
+    {e^sigma, V, H}, decided on e^sigma, v and h."""
     images = _generators(w).images
     out = {}
-    for name in ("exp_sigma", "V", "H"):
-        d, g = images["delta"][name], images["id"][name]
+    for name, gen in _INTEGRAL.items():
+        d, g = images["delta"][gen], images["id"][gen]
         out[name] = (d.apply_counit_leg(0, BorelSeries.counit) - g,
                      d.apply_counit_leg(1, BorelSeries.counit) - g)
     return out
@@ -478,13 +503,14 @@ BOREL_RELATIONS = ("HX", "HV", "VV", "XV")
 
 
 def _relation_defect(which: str, h, v, x):
-    """Defining Borel relation ``which`` evaluated on images of H, V, X."""
+    """Defining Borel relation ``which`` in the basis v, h, X, evaluated on
+    images of h, v, x."""
     if which == "HX":
-        return h * x - x * h - x
+        return h * x - x * h - x.scale(2)
     if which == "HV":
-        return h * v - v * h - v.scale(Fraction(1, 2))
+        return h * v - v * h - v
     if which == "VV":
-        return v * v - x.scale(Fraction(1, 4))
+        return v * v - x
     if which == "XV":
         return x * v - v * x
     raise ValueError(which)
@@ -493,19 +519,25 @@ def _relation_defect(which: str, h, v, x):
 def borel_relation_defect(which: str, w: int) -> BorelSeries:
     """Defining Borel relations evaluated in the algebra itself (sanity zero)."""
     ids = _generators(w).images["id"]
-    return _relation_defect(which, ids["H"], ids["V"], ids["X"])
+    return _relation_defect(which, ids["h"], ids["v"], ids["X"])
 
 
 def coproduct_relation_defect(which: str, w: int) -> BorelTensor:
-    """Delta at p = 1 applied to a defining Borel relation (homomorphism
-    certificate)."""
-    delta = _generators(w).images["delta"]
-    return _relation_defect(which, delta["H"], delta["V"], delta["X"])
+    """Delta at p = 4 applied to a defining Borel relation (homomorphism
+    certificate), built once per (which, w) and shared."""
+    gens = _generators(w)
+    defect = gens.relation_defects.get(which)
+    if defect is None:
+        delta = gens.images["delta"]
+        defect = _relation_defect(which, delta["h"], delta["v"], delta["X"])
+        gens.relation_defects[which] = defect
+    return defect
 
 
 def square_defects(w: int):
-    """Delta(V)^2 - Delta(X)/4 (the relation VV), and Delta(e^sigma)
-    (S(e^sigma) ox S(e^sigma)) - 1 ox 1 (group-likes invert), at p = 1."""
+    """Delta(v)^2 - Delta(X) (the relation VV: Delta(V)^2 - Delta(X)/4, times
+    4), and Delta(e^sigma) (S(e^sigma) ox S(e^sigma)) - 1 ox 1 (group-likes
+    invert), at p = 4."""
     images = _generators(w).images
     delta, s_es = images["delta"], images["antipode"]["exp_sigma"]
     return {"square": coproduct_relation_defect("VV", w),
@@ -515,11 +547,11 @@ def square_defects(w: int):
 
 def antipode_axiom_defects(w: int):
     """m(S ox id)Delta(g) - eps(g) 1 and m(id ox S)Delta(g) - eps(g) 1 at
-    p = 1, for g in {e^sigma, V, H}, with S extended from the candidate
-    images of ``generator_images``."""
+    p = 4, for g in {e^sigma, V, H}, decided on e^sigma, v and h, with S
+    extended from the candidate images of ``generator_images``."""
     images = _generators(w).images
     ids, anti = images["id"], images["antipode"]
-    antipode = extend(anti.__getitem__, anti["1"], {"V": 1, "H": 0, "X": 0}).word
+    antipode = extend(anti.__getitem__, anti["1"], {"v": 1, "h": 0, "X": 0}).word
 
     def mono(key):
         return BorelSeries(w, {key: 1})
@@ -530,9 +562,9 @@ def antipode_axiom_defects(w: int):
                                           for k, a in f._terms.items()), _internal=True)
 
     defects = {}
-    for name in ("exp_sigma", "V", "H"):
-        d = images["delta"][name]
-        unit = ids["1"].scale(ids[name].counit())
+    for name, gen in _INTEGRAL.items():
+        d = images["delta"][gen]
+        unit = ids["1"].scale(ids[gen].counit())
         left = summed((c, antipode(_word(k1)) * mono(k2)) for (k1, k2), c in d._terms.items())
         right = summed((c, mono(k1) * antipode(_word(k2))) for (k1, k2), c in d._terms.items())
         defects[name] = (left - unit, right - unit)

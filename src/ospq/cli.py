@@ -16,7 +16,7 @@ import sys
 from .checks import CheckConfig, run_checks, SUBCOMMANDS
 from . import borel
 
-MAX_TRUNCATION = 40  # borel-coproduct grows about 1.5-2.3x for each +8 of weight
+MAX_TRUNCATION = 40  # borel-coproduct grows about 1.2-1.5x for each +8 of weight
 
 
 def build_parser():
@@ -29,8 +29,8 @@ def build_parser():
     parser.add_argument("--truncation", type=int, default=borel.DEFAULT_TRUNCATION,
                         help="filtration weight bound for series checks: an even "
                              "integer from 4 to 40 (default 16); borel-coproduct "
-                             "takes about 0.2 s at 16, 0.35 s at 24, 0.5 s at 32 "
-                             "and 1.2 s at 40")
+                             "takes about 0.25 s at 16, 0.3 s at 24, 0.4 s at 32 "
+                             "and 0.6 s at 40")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format")
     parser.add_argument("--seed", type=int, default=0,

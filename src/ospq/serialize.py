@@ -75,7 +75,8 @@ def format_matrix(matrix: SuperMatrix) -> str:
 
 
 def format_series(series) -> str:
-    """Borel series as coefficient lines keyed by the (eps, m, n) monomials."""
+    """Borel series as coefficient lines keyed by the (eps, m, n) monomials
+    v^eps h^m X^n, with v = 2V and h = 2H."""
     lines = []
     for key, coeff in series.terms():
         lines.append(f"{key[0]} {key[1]} {key[2]} : {format_scalar(coeff)}")

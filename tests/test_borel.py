@@ -173,10 +173,13 @@ def test_antipode_candidate_satisfies_axioms():
 
 
 def test_antipode_candidate_images():
+    # the candidate holds the images of v = 2V and h = 2H
     cand = borel.generator_images(W)["antipode"]
     esi = exp_minus_sigma(W)
+    v, h = BorelSeries.v(W).scale(rat(2)), BorelSeries.h(W).scale(rat(2))
     assert cand["exp_sigma"] == esi
-    assert cand["V"] == -(esi * BorelSeries.v(W))
+    assert cand["v"] == -(esi * v)
+    assert cand["h"] == -(h * one_plus_px(W)) + BorelSeries.x(W).scale(HALF * P)
 
 
 def test_truncation_order_prefix_consistency():
@@ -191,8 +194,11 @@ def test_dual_relations_count():
 
 
 def test_delta_monomial_equals_explicit_product():
+    # keys are v^eps h^m X^n, and Delta(v), Delta(h) are twice Delta(V), Delta(H)
     w = 8
-    dv, dh, dx = borel.delta_v(w), borel.delta_h(w), borel.delta_x(w)
+    delta = borel._generators(w).images["delta"]
+    dv, dh, dx = delta["v"], delta["h"], borel.delta_x(w)
+    assert dv == borel.delta_v(w).scale(2) and dh == borel.delta_h(w).scale(2)
     for eps in (0, 1):
         for m in range(4):
             for n in range((w - eps) // 2 + 1):
@@ -256,9 +262,14 @@ def test_mono_mul_memo_matches_the_product_and_shares_a_tuple():
 
 
 def _generator_data(w):
-    return {name: getattr(borel, name)(w)
+    data = {name: getattr(borel, name)(w)
             for name in ("exp_sigma", "exp_minus_sigma", "exp_minus_two_sigma",
-                         "delta_v", "delta_h", "delta_x", "delta_exp_sigma")}
+                         "delta_x", "delta_exp_sigma")}
+    # delta_v and delta_h halve the cached Delta(v) and Delta(h) on each call
+    data["images"] = borel._generators(w).images
+    data["relation_defects"] = {name: borel.coproduct_relation_defect(name, w)
+                                for name in borel.BOREL_RELATIONS}
+    return data
 
 
 def test_cached_generators_equal_fresh_builds_after_every_check():
@@ -269,8 +280,7 @@ def test_cached_generators_equal_fresh_builds_after_every_check():
         reports = run_checks("borel-coproduct", CheckConfig(truncation=w))
         assert [r.status for r in reports] == ["pass"] * len(reports)
     cached = _generator_data(w)
-    keys = set().union(*(_leg_keys(cached[name])
-                         for name in ("delta_v", "delta_h", "delta_exp_sigma")))
+    keys = set().union(*map(_leg_keys, cached["images"]["delta"].values()))
     monomials = {key: borel.delta_monomial(key, w) for key in keys}
     borel._generators.cache_clear()
     fresh = _generator_data(w)
@@ -300,45 +310,50 @@ def test_one_run_builds_delta_h_once_per_weight(monkeypatch):
 
 
 def _lift(value, top):
-    """The Scalar element of weight ``top`` whose value at p = 1 is ``value``:
-    a term q on a key of weight -wt goes to q p^k with 2k = top + wt."""
+    """The Scalar element of weight ``top`` whose value at p = 4 is ``value``:
+    a term q on a key of weight -wt goes to (q / 4^k) p^k with 2k = top + wt."""
     tensor = isinstance(value, BorelTensor)
     terms = {}
     for key, q in value._terms.items():
         wt = sum(map(borel._weight, key)) if tensor else borel._weight(key)
         k, r = divmod(top + wt, 2)
         assert not r and k >= 0
-        terms[key] = Scalar.in_p({k: q})
+        terms[key] = Scalar.in_p({k: Fraction(q, 4 ** k)})
     if tensor:
         return BorelTensor(value.arity, value.weight_bound, terms)
     return BorelSeries(value.weight_bound, terms)
 
 
-def test_at_one_rejects_an_element_that_is_not_homogeneous():
+def test_at_four_rejects_an_element_that_is_not_homogeneous():
     for element in (BorelSeries.one(W) + BorelSeries.x(W),
                     BorelSeries.x(W).scale(P + rat(1)),
                     BorelTensor.of(BorelSeries.one(W), BorelSeries.one(W) + BorelSeries.v(W))):
         with pytest.raises(ValueError, match="not homogeneous"):
-            borel.at_one(element)
+            borel.at_four(element)
     # 1 + pX is homogeneous of weight 0
-    assert borel.at_one(one_plus_px(W)) == (0, BorelSeries.in_x(W, {0: 1, 1: 1}))
-    assert borel.at_one(BorelSeries.zero(W)) == (None, BorelSeries.zero(W))
+    assert borel.at_four(one_plus_px(W)) == (0, BorelSeries.in_x(W, {0: 1, 1: 4}))
+    assert borel.at_four(BorelSeries.zero(W)) == (None, BorelSeries.zero(W))
+    # homogeneous but not integral at p = 4: the paper's V = v/2, and p X / 8
+    for element in (BorelSeries.v(W), BorelSeries.x(W).scale(rat(Fraction(1, 8)) * P),
+                    BorelTensor.of(BorelSeries.h(W), BorelSeries.one(W))):
+        with pytest.raises(ArithmeticError, match="not integral"):
+            borel.at_four(element)
 
 
-def test_generator_images_at_p_1_lift_to_their_scalar_builds():
+def test_generator_images_at_p_4_lift_to_their_scalar_builds():
     w = 16
     values = borel._generators(w).images
     for name, images in borel.generator_images(w).items():
         for g, image in images.items():
-            top, value = borel.at_one(image)
+            top, value = borel.at_four(image)
             assert value == values[name][g], (name, g)
-            assert not any(isinstance(c, Scalar) for c in values[name][g]._terms.values())
+            assert all(type(c) is int for c in values[name][g]._terms.values())
             assert _lift(value, top) == image, (name, g)
 
 
 def test_borel_coproduct_checks_multiply_no_scalars(monkeypatch):
-    # once the generator images are built over Q[p] and evaluated at p = 1,
-    # the five borel-coproduct checks run on numbers
+    # once the generator images are built over Q[p] and evaluated at p = 4,
+    # the five borel-coproduct checks run on ints
     w = 24
     borel._generators(w).images
     products = []
@@ -354,17 +369,18 @@ def test_borel_coproduct_checks_multiply_no_scalars(monkeypatch):
     assert products == []
 
 
-def test_doubled_pvv_term_of_delta_h_fails_at_p_1(monkeypatch):
-    # a negative control for the checks at p = 1: Delta(H) with its
-    # p V e^-sigma ox V e^-2sigma term doubled
+def test_doubled_pvv_term_of_delta_h_fails_at_p_4(monkeypatch):
+    # a negative control for the checks at p = 4: Delta(H) with its
+    # p V e^-sigma ox V e^-2sigma term doubled, so Delta(h) = 2 Delta(H) gains
+    # that term twice
     w = 12
     original = borel.generator_images
 
     def doubled(w):
         images = original(w)
         v = BorelSeries.v(w)
-        images["delta"]["H"] = images["delta"]["H"] + BorelTensor.of(
-            v * exp_minus_sigma(w), v * borel.exp_minus_two_sigma(w)).scale(P)
+        images["delta"]["h"] = images["delta"]["h"] + BorelTensor.of(
+            v * exp_minus_sigma(w), v * borel.exp_minus_two_sigma(w)).scale(rat(2) * P)
         return images
 
     monkeypatch.setattr(borel, "generator_images", doubled)
@@ -380,4 +396,99 @@ def test_doubled_pvv_term_of_delta_h_fails_at_p_1(monkeypatch):
         # either leg, since eps(V) = 0
         assert status["coassociativity"] == status["counit-axiom"] == "pass"
     finally:
+        borel._generators.cache_clear()
+
+
+def test_generator_images_and_monomial_products_are_integral():
+    # at p = 4 in the basis v, h, X every generator image is integral, and so
+    # is every structure constant of the normal ordering
+    for w in range(4, 41, 2):
+        images = borel._generators(w).images
+        for name, by_generator in images.items():
+            for g, image in by_generator.items():
+                assert all(type(c) is int for c in image._terms.values()), (w, name, g)
+    borel._generators.cache_clear()
+    w = 40
+    keys = [(eps, m, n) for eps in (0, 1) for m in range(4)
+            for n in range((w - eps) // 2 + 1)]
+    for k1 in keys:
+        for k2 in keys:
+            if borel._weight(k1) + borel._weight(k2) <= w:
+                assert all(type(c) is int for _, c in borel._mono_mul(k1, k2))
+
+
+_FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                        "__rmul__", "__truediv__", "__rtruediv__", "__neg__",
+                        "__pow__", "__rpow__")
+
+
+def test_borel_coproduct_checks_do_no_fraction_arithmetic(monkeypatch):
+    # after the generator build, the five checks add and multiply ints only
+    w = 24
+    borel._generators.cache_clear()
+    borel._generators(w).images
+    used = []
+    for name in _FRACTION_ARITHMETIC:
+        original = getattr(Fraction, name)
+
+        def spy(*args, _name=name, _original=original):
+            used.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(Fraction, name, spy)
+    try:
+        reports = run_checks("borel-coproduct", CheckConfig(truncation=w))
+    finally:
+        monkeypatch.undo()
+    assert [r.status for r in reports] == ["pass"] * 5
+    assert used == []
+
+
+def test_one_run_builds_the_vv_defect_once(monkeypatch):
+    # square-identity and homomorphism share Delta(v)^2 - Delta(X)
+    w = 16
+    built = []
+    original = borel._relation_defect
+
+    def spy(which, h, v, x):
+        if isinstance(v, BorelTensor):
+            built.append(which)
+        return original(which, h, v, x)
+
+    monkeypatch.setattr(borel, "_relation_defect", spy)
+    borel._generators.cache_clear()
+    try:
+        reports = run_checks("borel-coproduct", CheckConfig(truncation=w))
+        assert [r.status for r in reports] == ["pass"] * 5
+        assert built.count("VV") == 1
+        assert sorted(built) == sorted(borel.BOREL_RELATIONS)
+    finally:
+        borel._generators.cache_clear()
+
+
+def test_perturbed_v_h_constant_fails_the_homomorphism_check(monkeypatch):
+    # a negative control on a structure constant: v h = (h - 2) v in place of
+    # (h - 1) v, i.e. h v = v (h + 2).  _mono_mul passes the shift of h^m1
+    # past v^e2 as e2 plus an even number, so adding e2 again doubles it.
+    w = 12
+    original = borel._h_shift_poly
+
+    def perturbed(m1, s1, m2, s2):
+        return original(m1, s1 + s1 % 2, m2, s2)
+
+    monkeypatch.setattr(borel, "_h_shift_poly", perturbed)
+    borel._mono_mul.cache_clear()
+    borel._generators.cache_clear()
+    try:
+        reports = {r.name: r for group in ("borel-coproduct", "borel-ansatz")
+                   for r in run_checks(group, CheckConfig(truncation=w))}
+        homomorphism = reports["borel-coproduct.homomorphism"]
+        assert homomorphism.status == "fail"
+        assert homomorphism.details == "failing relations: ['HV']"
+        assert [n for n in borel.BOREL_RELATIONS
+                if not borel.coproduct_relation_defect(n, w).is_zero] == ["HV"]
+        # the ansatz substitutes V = v/2 and H = h/2 through the same product
+        assert reports["borel-ansatz.solutions-satisfy-relations"].status == "fail"
+    finally:
+        monkeypatch.undo()
+        borel._mono_mul.cache_clear()
         borel._generators.cache_clear()

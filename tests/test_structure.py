@@ -269,7 +269,7 @@ def test_word_extensions_go_through_extend(monkeypatch):
     borel._generators.cache_clear()
     try:
         borel.delta_monomial((1, 1, 1), 8)
-        assert used == [("V", "H", "X")]
+        assert used == [("v", "h", "X")]
         assert borel.verify_rll_solution(borel.particular_solution(8), 8)
         assert len(used) == 1 + len(borel.dual_relations())
         borel.antipode_axiom_defects(8)
