@@ -45,6 +45,10 @@ DEFAULT_TRUNCATION = 16  # filtration weight; X-degree up to 8
 # entry is 1 and its lower triangle 0
 L_ENTRIES = (("A", "B", "C_L"), (None, None, "E"), (None, None, "F"))
 
+# the generators v = 2V, h = 2H and X of the Borel algebra, on which its Hopf
+# maps are given and its defining relations (``BOREL_RELATIONS``) written
+BOREL_ALPHABET = GradedAlphabet(("v", "h", "X"), {"v": 1, "h": 0, "X": 0})
+
 RLL_ALPHABET = GradedAlphabet(
     ("A", "B", "C_L", "E", "F"),
     {"A": 0, "B": 1, "C_L": 0, "E": 1, "F": 0},
@@ -91,8 +95,10 @@ def _mono_mul(k1, k2):
 
 class BorelSeries:
     """Combination of normal-ordered monomials v^eps h^m X^n, with v = 2V and
-    h = 2H.  Coefficients are Scalars, or ints for values at p = 4; a
-    container keeps their type (zero tests are truthiness)."""
+    h = 2H, up to its weight bound.  Coefficients are Scalars, or ints for
+    values at p = 4; a container keeps their type (zero tests are
+    truthiness).  The series and tensors of one computation share their
+    bound: combining two bounds raises ValueError."""
 
     __slots__ = ("weight_bound", "_terms")
 
@@ -149,14 +155,15 @@ class BorelSeries:
     def coefficient(self, key):
         return self._terms.get(key, 0)
 
-    def _bound_with(self, other):
-        return min(self.weight_bound, other.weight_bound)
+    def _check(self, other):
+        if self.weight_bound != other.weight_bound:
+            raise ValueError("mixing weight bounds")
 
     def __add__(self, other):
-        w = self._bound_with(other)
-        out = {k: c for k, c in self._terms.items() if _weight(k) <= w}
-        _accumulate(((k, c) for k, c in other._terms.items() if _weight(k) <= w), out)
-        return BorelSeries(w, out, _internal=True)
+        self._check(other)
+        return BorelSeries(self.weight_bound,
+                           _accumulate(other._terms.items(), dict(self._terms)),
+                           _internal=True)
 
     def __neg__(self):
         return BorelSeries(self.weight_bound,
@@ -168,7 +175,8 @@ class BorelSeries:
     def __mul__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
             return self.scale(other)
-        w = self._bound_with(other)
+        self._check(other)
+        w = self.weight_bound
         out = _accumulate(kc for k1, c1 in self._terms.items()
                           for k2, c2 in other._terms.items()
                           if _weight(k1) + _weight(k2) <= w
@@ -187,14 +195,8 @@ class BorelSeries:
     def __eq__(self, other):
         if not isinstance(other, BorelSeries):
             return NotImplemented
-        w = self._bound_with(other)
-        keys = set(self._terms) | set(other._terms)
-        for k in keys:
-            if _weight(k) > w:
-                continue
-            if self._terms.get(k, 0) != other._terms.get(k, 0):
-                return False
-        return True
+        self._check(other)
+        return self._terms == other._terms
 
     def counit(self):
         return self._terms.get((0, 0, 0), 0)
@@ -308,8 +310,9 @@ class BorelTensor(GradedTensor):
 
     @classmethod
     def of(cls, *legs):
-        w = min(leg.weight_bound for leg in legs)
-        return cls.zero(len(legs), w)._tensor_of(legs)
+        for leg in legs[1:]:
+            legs[0]._check(leg)
+        return cls.zero(len(legs), legs[0].weight_bound)._tensor_of(legs)
 
     _key_weight = staticmethod(_weight)
     _key_product = staticmethod(_mono_mul)
@@ -325,10 +328,9 @@ class BorelTensor(GradedTensor):
     def _leg_element(self, terms):
         return BorelSeries(self.weight_bound, terms, _internal=True)
 
-    def _join(self, other):
-        if self.arity != other.arity:
-            raise ValueError("mixing tensor arities")
-        return self if self.weight_bound <= other.weight_bound else other
+    def _check(self, other):
+        if self.arity != other.arity or self.weight_bound != other.weight_bound:
+            raise ValueError("mixing tensor arities or weight bounds")
 
 
 # ----------------------------------------------------------------------
@@ -403,12 +405,11 @@ class _Generators:
     then shared: no BorelSeries or BorelTensor method mutates it.  The
     series e^sigma, e^-sigma and e^-2sigma stay over Q[p] for the ansatz and
     the export; the Hopf images are built over Q[p] once and kept only at
-    p = 4, where the checks decide, and so are the coproduct relation
-    defects (``coproduct_relation_defect``)."""
+    p = 4, where the checks decide, and the coproduct extends them over
+    words, each word built once."""
 
     def __init__(self, w: int):
         self.w = w
-        self.relation_defects = {}
 
     @cached_property
     def exp_sigma(self) -> BorelSeries:
@@ -425,9 +426,17 @@ class _Generators:
     @cached_property
     def images(self):
         """``generator_images`` at p = 4, each image evaluated once: every
-        coefficient is an int."""
-        return {name: {g: at_four(image)[1] for g, image in images.items()}
-                for name, images in generator_images(self.w).items()}
+        coefficient is an int.  ValueError unless each coproduct and
+        antipode image weighs as its generator: then so does the image of a
+        homogeneous element, and its value at p = 4 decides its zero test."""
+        values = {name: {g: at_four(image) for g, image in images.items()}
+                  for name, images in generator_images(self.w).items()}
+        ids = values["id"]
+        if any(values[name][g][0] != top for name in ("delta", "antipode")
+               for g, (top, _) in ids.items()):
+            raise ValueError("a Hopf map does not keep the Borel weight")
+        return {name: {g: value for g, (_, value) in images.items()}
+                for name, images in values.items()}
 
     @cached_property
     def coproducts(self):
@@ -499,39 +508,31 @@ def counit_defects(w: int):
     return out
 
 
-BOREL_RELATIONS = ("HX", "HV", "VV", "XV")
+# the defining Borel relations in the basis v, h, X, as {word: coefficient}:
+# h X - X h - 2 X, h v - v h - v, v v - X and X v - v X
+BOREL_RELATIONS = {
+    "HX": {("h", "X"): 1, ("X", "h"): -1, ("X",): -2},
+    "HV": {("h", "v"): 1, ("v", "h"): -1, ("v",): -1},
+    "VV": {("v", "v"): 1, ("X",): -1},
+    "XV": {("X", "v"): 1, ("v", "X"): -1},
+}
 
 
-def _relation_defect(which: str, h, v, x):
-    """Defining Borel relation ``which`` in the basis v, h, X, evaluated on
-    images of h, v, x."""
-    if which == "HX":
-        return h * x - x * h - x.scale(2)
-    if which == "HV":
-        return h * v - v * h - v
-    if which == "VV":
-        return v * v - x
-    if which == "XV":
-        return x * v - v * x
-    raise ValueError(which)
+def borel_relation(which: str) -> SuperPoly:
+    """The defining Borel relation ``which`` over ``BOREL_ALPHABET``."""
+    return SuperPoly(BOREL_ALPHABET, BOREL_RELATIONS[which])
 
 
 def borel_relation_defect(which: str, w: int) -> BorelSeries:
     """Defining Borel relations evaluated in the algebra itself (sanity zero)."""
     ids = _generators(w).images["id"]
-    return _relation_defect(which, ids["h"], ids["v"], ids["X"])
+    return extend(ids.__getitem__, ids["1"])(borel_relation(which))
 
 
 def coproduct_relation_defect(which: str, w: int) -> BorelTensor:
     """Delta at p = 4 applied to a defining Borel relation (homomorphism
-    certificate), built once per (which, w) and shared."""
-    gens = _generators(w)
-    defect = gens.relation_defects.get(which)
-    if defect is None:
-        delta = gens.images["delta"]
-        defect = _relation_defect(which, delta["h"], delta["v"], delta["X"])
-        gens.relation_defects[which] = defect
-    return defect
+    certificate); each word's coproduct is built once per w and shared."""
+    return _generators(w).coproducts(borel_relation(which))
 
 
 def square_defects(w: int):
@@ -551,7 +552,7 @@ def antipode_axiom_defects(w: int):
     extended from the candidate images of ``generator_images``."""
     images = _generators(w).images
     ids, anti = images["id"], images["antipode"]
-    antipode = extend(anti.__getitem__, anti["1"], {"v": 1, "h": 0, "X": 0}).word
+    antipode = extend(anti.__getitem__, anti["1"], BOREL_ALPHABET.grades).word
 
     def mono(key):
         return BorelSeries(w, {key: 1})

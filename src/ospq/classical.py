@@ -238,17 +238,15 @@ def family_two(x=None, y=None, z=None) -> RMatrixExpr:
     ])
 
 
-def ad_invariant_element(t=None) -> SuperMatrix:
+def ad_invariant_element() -> SuperMatrix:
     """The symmetric invariant 2H ox H + Xp ox Xm + Xm ox Xp + 2(Vp ox Vm - Vm ox Vp)."""
-    if t is None:
-        t = Scalar.var("t")
     pieces = [
         (rat(2), "H", "H"), (Scalar.one(), "Xp", "Xm"), (Scalar.one(), "Xm", "Xp"),
         (rat(2), "Vp", "Vm"), (rat(-2), "Vm", "Vp"),
     ]
     out = SuperMatrix.zero(SCALAR_ALPHABET, 9)
     for c, x, y in pieces:
-        out = out + kron(REP[x], REP[y]).scale(c * t)
+        out = out + kron(REP[x], REP[y]).scale(c)
     return out
 
 

@@ -317,9 +317,10 @@ class GradedTensor:
     A subclass says what a leg key is: its Z2 ``_key_grade``, its
     ``_key_weight`` (bounded kinds only) and the ``_key_product`` of two keys
     as (key, rational) pairs.  ``_like`` and ``_leg_element`` (one leg alone)
-    build results of its kind; ``_join`` picks the operand whose alphabet or
-    bound a binary result keeps.  The product applies the Koszul rule leg by
-    leg: (x ox y)(u ox v) = (-1)^{|y||u|} xu ox yv.
+    build results of its kind; ``_check`` raises ValueError unless two
+    operands share their arity and their alphabet or bound, so a binary
+    result keeps both.  The product applies the Koszul rule leg by leg:
+    (x ox y)(u ox v) = (-1)^{|y||u|} xu ox yv.
     """
 
     __slots__ = ("arity", "_terms")
@@ -332,22 +333,14 @@ class GradedTensor:
         if not _internal:
             if any(len(k) != arity for k in terms):
                 raise ValueError("wrong arity in term")
-            terms = {k: c for k, c in terms.items() if c and self._fits(k)}
+            bound = self.weight_bound
+            terms = {k: c for k, c in terms.items() if c and (
+                bound is None or sum(map(self._key_weight, k)) <= bound)}
         self._terms = terms
 
     @staticmethod
     def _key_weight(key):
         return 0
-
-    def _fits(self, key) -> bool:
-        bound = self.weight_bound
-        return bound is None or sum(map(self._key_weight, key)) <= bound
-
-    def _within(self, like):
-        """The term dict cut to the bound of ``like``."""
-        if self.weight_bound == like.weight_bound:
-            return self._terms
-        return {k: c for k, c in self._terms.items() if like._fits(k)}
 
     def __bool__(self):
         return bool(self._terms)
@@ -362,9 +355,8 @@ class GradedTensor:
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        like = self._join(other)
-        return like._like(_accumulate(other._within(like).items(),
-                                      dict(self._within(like))))
+        self._check(other)
+        return self._like(_accumulate(other._terms.items(), dict(self._terms)))
 
     def __neg__(self):
         return self._like({k: -c for k, c in self._terms.items()})
@@ -383,8 +375,8 @@ class GradedTensor:
             return self.scale(scal)
         if not isinstance(other, type(self)):
             return NotImplemented
-        like = self._join(other)
-        bound, grade, weight = like.weight_bound, self._key_grade, self._key_weight
+        self._check(other)
+        bound, grade, weight = self.weight_bound, self._key_grade, self._key_weight
         key_product = self._key_product
         right = [(k2, c2, [i for i, x in enumerate(k2) if grade(x)],
                   sum(map(weight, k2)))
@@ -407,15 +399,15 @@ class GradedTensor:
                         legs = [(key + (z,), q * r) for key, q in legs
                                 for z, r in key_product(x, y)]
                     yield from _scaled(legs, c)
-        return like._like(_accumulate(products()))
+        return self._like(_accumulate(products()))
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        like = self._join(other)
-        return self._within(like) == other._within(like)
+        self._check(other)
+        return self._terms == other._terms
 
     def map_leg(self, leg: int, fn):
         """Apply a linear map to one leg; fn sends a key to a one-leg element."""
@@ -424,15 +416,18 @@ class GradedTensor:
 
     def expand_leg(self, leg: int, fn, new_arity: int):
         """Splice the tensor fn(key) in place of one leg, as (Delta ox id) does."""
-        fits = self._fits
+        bound, weight = self.weight_bound, self._key_weight
 
         def spliced():
             for k, c in self._terms.items():
+                head, tail = k[:leg], k[leg + 1:]
+                # the weight left for the spliced key beside the kept legs
+                room = None if bound is None else bound - sum(map(weight, head + tail))
                 for k2, c2 in fn(k[leg])._terms.items():
-                    key = k[:leg] + k2 + k[leg + 1:]
+                    key = head + k2 + tail
                     if len(key) != new_arity:
                         raise ValueError("arity mismatch in expand_leg")
-                    if fits(key):
+                    if room is None or sum(map(weight, k2)) <= room:
                         yield key, c * c2
         return self._like(_accumulate(spliced()), new_arity)
 
@@ -496,10 +491,9 @@ class TensorElement(GradedTensor):
     def _leg_element(self, terms):
         return SuperPoly(self.alphabet, terms, _internal=True)
 
-    def _join(self, other):
+    def _check(self, other):
         if self.alphabet is not other.alphabet or self.arity != other.arity:
             raise ValueError("mixing tensor arities or alphabets")
-        return self
 
     def __repr__(self):
         from .serialize import format_tensor

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from ospq.scalars import Scalar, rat, P, HALF, SQRT2
 from ospq import borel, scalars
 from ospq.checks import CheckConfig, run_checks
-from ospq.freealg import TensorElement
+from ospq.freealg import GradedTensor, TensorElement
 from ospq.borel import (BorelSeries, BorelTensor, exp_sigma, exp_minus_sigma,
                         one_plus_px)
 
@@ -443,24 +444,62 @@ def test_borel_coproduct_checks_do_no_fraction_arithmetic(monkeypatch):
     assert used == []
 
 
-def test_one_run_builds_the_vv_defect_once(monkeypatch):
-    # square-identity and homomorphism share Delta(v)^2 - Delta(X)
+def test_one_run_multiplies_delta_v_by_delta_v_once(monkeypatch):
+    # square-identity and homomorphism share Delta(v) Delta(v) through the
+    # word memo of the coproduct
     w = 16
-    built = []
-    original = borel._relation_defect
-
-    def spy(which, h, v, x):
-        if isinstance(v, BorelTensor):
-            built.append(which)
-        return original(which, h, v, x)
-
-    monkeypatch.setattr(borel, "_relation_defect", spy)
     borel._generators.cache_clear()
+    dv = borel._generators(w).images["delta"]["v"]._terms
+    squares = []
+    original = GradedTensor.__mul__
+
+    def spy(self, other):
+        if isinstance(other, BorelTensor) and self._terms == other._terms == dv:
+            squares.append(self)
+        return original(self, other)
+
+    monkeypatch.setattr(GradedTensor, "__mul__", spy)
     try:
         reports = run_checks("borel-coproduct", CheckConfig(truncation=w))
         assert [r.status for r in reports] == ["pass"] * 5
-        assert built.count("VV") == 1
-        assert sorted(built) == sorted(borel.BOREL_RELATIONS)
+        assert len(squares) == 1
+    finally:
+        monkeypatch.undo()
+        borel._generators.cache_clear()
+
+
+def test_combining_two_weight_bounds_raises():
+    # the series and tensors of one computation share their bound
+    binary = (operator.add, operator.sub, operator.mul, operator.eq)
+    for a, b in ((BorelSeries.x(12), BorelSeries.x(10)),
+                 (BorelTensor.one(2, 12), BorelTensor.one(2, 10))):
+        for op in binary:
+            with pytest.raises(ValueError, match="weight bounds"):
+                op(a, b)
+    with pytest.raises(ValueError, match="weight bounds"):
+        BorelTensor.of(BorelSeries.x(12), BorelSeries.x(10))
+
+
+@pytest.mark.parametrize("name, g", [("delta", "h"), ("antipode", "X")])
+def test_hopf_images_must_keep_the_weight(monkeypatch, name, g):
+    # a negative control for deciding at p = 4: an image scaled by p weighs 2
+    # more than its generator
+    w = 12
+    borel._generators.cache_clear()
+    tops = {x: borel.at_four(image)[0]
+            for x, image in borel.generator_images(w)["id"].items()}
+    assert tops == {"1": 0, "exp_sigma": 0, "v": -1, "h": 0, "X": -2}
+    original = borel.generator_images
+
+    def scaled(w):
+        images = original(w)
+        images[name][g] = images[name][g].scale(P)
+        return images
+
+    monkeypatch.setattr(borel, "generator_images", scaled)
+    try:
+        with pytest.raises(ValueError, match="does not keep the Borel weight"):
+            borel._generators(w).images
     finally:
         borel._generators.cache_clear()
 

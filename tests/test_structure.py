@@ -28,6 +28,8 @@ of each element, so none of its functions takes or solves for a grading.
 The element tensors ``TensorElement`` and ``BorelTensor`` take their linear
 structure, Koszul-sign product and leg maps from ``freealg.GradedTensor``, so
 that loop is written once; each class body says only what its leg keys are.
+The Borel series and tensors of one computation share one weight bound, so
+no operation cuts an operand down to the bound of the other.
 
 The per-layer timings of ``perfbench/run.py`` sum traced spans by qualified
 name, so a renamed function would read as 0 s; every name it quotes still
@@ -36,11 +38,12 @@ functions in its ``COUNTED`` and builds stages by calling ``frt`` and
 ``rewrite`` functions; each of those is a module-level function of its
 module, or a traced run would fail.
 
-The Hopf maps and letter substitutions extend a map on letters over words
-through ``freealg.extend``, so the Koszul sign of an anti-homomorphism is
-written in ``freealg.py`` alone.  ``frt`` holds one coproduct, one counit and
-one antipode, with the generator images at p = 2, and every check decides on
-the rules at p = 2: only the export lifts them to Scalars.
+The Hopf maps, letter substitutions and the Borel relation defects extend a
+map on letters over words through ``freealg.extend``, so the Koszul sign of
+an anti-homomorphism is written in ``freealg.py`` alone.  ``frt`` holds one
+coproduct, one counit and one antipode, with the generator images at p = 2,
+and every check decides on the rules at p = 2: only the export lifts them to
+Scalars.
 
 A matrix product sums the products for each output entry into one dict, so
 it makes no ``SuperPoly`` partial sums, and a scaled matrix keeps its zero
@@ -153,6 +156,11 @@ SHARED_TENSOR_API = {"__mul__", "__add__", "__neg__", "__sub__", "scale", "__eq_
                      "map_leg", "expand_leg", "apply_counit_leg"}
 
 
+def test_borel_operands_share_one_weight_bound():
+    assert not hasattr(borel.BorelSeries, "_bound_with")
+    assert not hasattr(freealg.GradedTensor, "_within")
+
+
 def test_tensor_types_inherit_one_product_and_leg_maps():
     for cls in (TensorElement, BorelTensor):
         body = ast.parse(textwrap.dedent(inspect.getsource(cls))).body[0].body
@@ -249,6 +257,7 @@ def _spy_extend(monkeypatch, module):
 
 def test_word_extensions_go_through_extend(monkeypatch):
     assert not hasattr(frt, "_coproduct_word_cached")
+    assert not hasattr(borel, "_relation_defect")
     # one coproduct, one counit and one antipode, and the Hopf checks reach
     # each through its module name
     for name in ("_coproducts", "_coproducts_at_two", "_counit_at_two", "_antipode_at_two"):
@@ -274,6 +283,13 @@ def test_word_extensions_go_through_extend(monkeypatch):
         assert len(used) == 1 + len(borel.dual_relations())
         borel.antipode_axiom_defects(8)
         assert len(used) > 1 + len(borel.dual_relations())
+        # the relation defects extend Delta and the identity over each relation
+        del used[:]
+        for name in borel.BOREL_RELATIONS:
+            borel.coproduct_relation_defect(name, 8)
+            borel.borel_relation_defect(name, 8)
+            assert used[-2:] == [borel.borel_relation(name)] * 2
+        assert len(used) == 2 * len(borel.BOREL_RELATIONS)
     finally:
         borel._generators.cache_clear()
 
