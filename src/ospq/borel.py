@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 from math import comb
 
 from .scalars import Scalar, rat, P, HALF, SQRT2, _accumulate
-from .freealg import GradedAlphabet, GradedTensor, SuperPoly, _scaled, extend
+from .freealg import GradedAlphabet, GradedTensor, HopfMaps, SuperPoly, _scaled, extend
 from .supermatrix import SuperMatrix, entry_weights, kron
 from .rewrite import P_WEIGHT, span_equal
 
@@ -405,8 +405,7 @@ class _Generators:
     then shared: no BorelSeries or BorelTensor method mutates it.  The
     series e^sigma, e^-sigma and e^-2sigma stay over Q[p] for the ansatz and
     the export; the Hopf images are built over Q[p] once and kept only at
-    p = 4, where the checks decide, and the coproduct extends them over
-    words, each word built once."""
+    p = 4, where the checks decide."""
 
     def __init__(self, w: int):
         self.w = w
@@ -424,25 +423,16 @@ class _Generators:
         return one_plus_px(self.w).inverse()
 
     @cached_property
-    def images(self):
-        """``generator_images`` at p = 4, each image evaluated once: every
-        coefficient is an int.  ValueError unless each coproduct and
-        antipode image weighs as its generator: then so does the image of a
-        homogeneous element, and its value at p = 4 decides its zero test."""
-        values = {name: {g: at_four(image) for g, image in images.items()}
-                  for name, images in generator_images(self.w).items()}
-        ids = values["id"]
-        if any(values[name][g][0] != top for name in ("delta", "antipode")
-               for g, (top, _) in ids.items()):
-            raise ValueError("a Hopf map does not keep the Borel weight")
-        return {name: {g: value for g, (_, value) in images.items()}
-                for name, images in values.items()}
+    def hopf(self) -> HopfMaps:
+        """The Hopf maps on ``generator_images`` at p = 4, each image
+        evaluated once: every coefficient is an int."""
+        return HopfMaps(generator_images(self.w), at_four, BOREL_ALPHABET.grades,
+                        BorelSeries.counit, "Borel", word_of=_word)
 
-    @cached_property
-    def coproducts(self):
-        """Delta at p = 4 extended multiplicatively over words in v, h, X."""
-        delta = self.images["delta"]
-        return extend(delta.__getitem__, delta["1"])
+    @property
+    def images(self):
+        """{"id" | "delta" | "antipode": {generator: image at p = 4}}."""
+        return self.hopf.images
 
 
 @lru_cache(maxsize=None)
@@ -484,28 +474,19 @@ def _word(key):
 def delta_monomial(key, w: int) -> BorelTensor:
     """Delta(v)^eps Delta(h)^m Delta(X)^n at p = 4, built once per (key, w)
     and shared: no BorelTensor method mutates it."""
-    return _generators(w).coproducts.word(_word(key))
+    return _generators(w).hopf.delta.word(_word(key))
 
 
 def coassociativity_defect(which: str, w: int) -> BorelTensor:
-    """(Delta ox id)Delta(g) - (id ox Delta)Delta(g) at p = 4, for g in
-    {e^sigma, V, H}, decided on e^sigma, v and h."""
-    d = _generators(w).images["delta"][_INTEGRAL[which]]
-    left = d.expand_leg(0, lambda k: delta_monomial(k, w), 3)
-    right = d.expand_leg(1, lambda k: delta_monomial(k, w), 3)
-    return left - right
+    """The coassociativity defect at p = 4 of g in {e^sigma, V, H}, decided
+    on e^sigma, v and h."""
+    return _generators(w).hopf.coassociativity_defect(_INTEGRAL[which])
 
 
 def counit_defects(w: int):
-    """(eps ox id)Delta(g) - g and (id ox eps)Delta(g) - g at p = 4, for g in
-    {e^sigma, V, H}, decided on e^sigma, v and h."""
-    images = _generators(w).images
-    out = {}
-    for name, gen in _INTEGRAL.items():
-        d, g = images["delta"][gen], images["id"][gen]
-        out[name] = (d.apply_counit_leg(0, BorelSeries.counit) - g,
-                     d.apply_counit_leg(1, BorelSeries.counit) - g)
-    return out
+    """The two counit defects at p = 4 of each g in {e^sigma, V, H}."""
+    hopf = _generators(w).hopf
+    return {name: hopf.counit_defects(gen) for name, gen in _INTEGRAL.items()}
 
 
 # the defining Borel relations in the basis v, h, X, as {word: coefficient}:
@@ -532,7 +513,7 @@ def borel_relation_defect(which: str, w: int) -> BorelSeries:
 def coproduct_relation_defect(which: str, w: int) -> BorelTensor:
     """Delta at p = 4 applied to a defining Borel relation (homomorphism
     certificate); each word's coproduct is built once per w and shared."""
-    return _generators(w).coproducts(borel_relation(which))
+    return _generators(w).hopf.delta(borel_relation(which))
 
 
 def square_defects(w: int):
@@ -547,29 +528,10 @@ def square_defects(w: int):
 
 
 def antipode_axiom_defects(w: int):
-    """m(S ox id)Delta(g) - eps(g) 1 and m(id ox S)Delta(g) - eps(g) 1 at
-    p = 4, for g in {e^sigma, V, H}, decided on e^sigma, v and h, with S
+    """The two antipode defects at p = 4 of each g in {e^sigma, V, H}, with S
     extended from the candidate images of ``generator_images``."""
-    images = _generators(w).images
-    ids, anti = images["id"], images["antipode"]
-    antipode = extend(anti.__getitem__, anti["1"], BOREL_ALPHABET.grades).word
-
-    def mono(key):
-        return BorelSeries(w, {key: 1})
-
-    def summed(products):
-        """Sum of c * product over (c, product) pairs, in one pass."""
-        return BorelSeries(w, _accumulate((k, c * a) for c, f in products
-                                          for k, a in f._terms.items()), _internal=True)
-
-    defects = {}
-    for name, gen in _INTEGRAL.items():
-        d = images["delta"][gen]
-        unit = ids["1"].scale(ids[gen].counit())
-        left = summed((c, antipode(_word(k1)) * mono(k2)) for (k1, k2), c in d._terms.items())
-        right = summed((c, mono(k1) * antipode(_word(k2))) for (k1, k2), c in d._terms.items())
-        defects[name] = (left - unit, right - unit)
-    return defects
+    hopf = _generators(w).hopf
+    return {name: hopf.antipode_defects(gen) for name, gen in _INTEGRAL.items()}
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,10 @@ such extensions.
 linear structure, the Koszul-sign product, the leg maps and the counit
 contraction.  Its kinds are :class:`TensorElement` (word legs)
 and ``borel.BorelTensor`` (Borel monomial legs, truncated in total weight).
+:class:`HopfMaps` builds Delta and S from generator images by :func:`extend`,
+guards that they keep the weight, and writes the Hopf axioms on a generator
+once: the function algebra (``frt.hopf_maps``) and the Borel algebra
+(``borel._generators(w).hopf``) are its instances.
 """
 
 from __future__ import annotations
@@ -277,8 +281,8 @@ def extend(image, one, grade=None):
     Words go to products in order or, when ``grade`` maps letters to Z2, by
     the graded anti-homomorphism S(ux) = (-1)^{|u||x|} S(x) S(u); ``one`` is
     the image of the empty word.  The returned map's ``word`` attribute maps
-    one word, built once from its prefix with one product and memoized: the
-    image is shared and must not be mutated.
+    one word, built once from its prefix with one product (a letter is its
+    image) and memoized: the image is shared and must not be mutated.
     """
     memo = {(): one}
 
@@ -286,7 +290,9 @@ def extend(image, one, grade=None):
         out = memo.get(w)
         if out is None:
             prefix, x = w[:-1], w[-1]
-            if grade is None:
+            if not prefix:
+                out = image(x)
+            elif grade is None:
                 out = word(prefix) * image(x)
             else:
                 out = image(x) * word(prefix)
@@ -498,3 +504,60 @@ class TensorElement(GradedTensor):
     def __repr__(self):
         from .serialize import format_tensor
         return format_tensor(self)
+
+
+class HopfMaps:
+    """The Hopf maps of a graded algebra, given on its generators, and the
+    Hopf axioms on a generator g, each written once.
+
+    ``images`` maps "id", "delta" and "antipode" to {generator: image}, the
+    unit under "1"; ``evaluate`` sends an image to (weight, value) at the p
+    where zero tests are decided.  ValueError unless each Delta and S image
+    weighs as its generator (``grading`` names the weight): then so does the
+    image of a homogeneous element, and its value decides its zero test.
+    Delta extends as an algebra map and S as a graded anti-homomorphism
+    (letter ``grades``); ``counit`` is eps on one-leg elements; ``reduce``
+    brings an element or a tensor to the form whose truthiness decides its
+    zero test, and ``word_of`` reads a leg key as a word.
+    """
+
+    def __init__(self, images, evaluate, grades, counit, grading,
+                 reduce=lambda f: f, word_of=lambda key: key):
+        values = {name: {g: evaluate(f) for g, f in by_g.items()}
+                  for name, by_g in images.items()}
+        if any(values[name][g][0] != top for name in ("delta", "antipode")
+               for g, (top, _) in values["id"].items()):
+            raise ValueError(f"a Hopf map does not keep the {grading} weight")
+        self.images = {name: {g: f for g, (_, f) in by_g.items()}
+                       for name, by_g in values.items()}
+        delta, anti = self.images["delta"], self.images["antipode"]
+        self.delta = extend(delta.__getitem__, delta["1"])
+        self.antipode = extend(anti.__getitem__, anti["1"], grades)
+        self.counit, self.reduce, self.word_of = counit, reduce, word_of
+
+    def coassociativity_defect(self, g):
+        """(Delta ox id)Delta(g) - (id ox Delta)Delta(g), reduced."""
+        d = self.reduce(self.images["delta"][g])
+
+        def delta(key):
+            return self.delta.word(self.word_of(key))
+        return self.reduce(d.expand_leg(0, delta, 3) - d.expand_leg(1, delta, 3))
+
+    def counit_defects(self, g):
+        """(eps ox id)Delta(g) - g and (id ox eps)Delta(g) - g, reduced."""
+        d, x = self.reduce(self.images["delta"][g]), self.images["id"][g]
+        return tuple(self.reduce(d.apply_counit_leg(leg, self.counit) - x) for leg in (0, 1))
+
+    def antipode_defects(self, g):
+        """m(S ox id)Delta(g) - eps(g) 1 and m(id ox S)Delta(g) - eps(g) 1,
+        reduced."""
+        ids, d = self.images["id"], self.images["delta"][g]
+        s, word_of, leg = self.antipode.word, self.word_of, d._leg_element
+        unit = ids["1"].scale(self.counit(ids[g]))
+
+        def multiplied(product):
+            return leg(_accumulate((k, c * a) for (k1, k2), c in d.terms()
+                                   for k, a in product(k1, k2)._terms.items()))
+        left = multiplied(lambda k1, k2: s(word_of(k1)) * leg({k2: 1}))
+        right = multiplied(lambda k1, k2: leg({k1: 1}) * s(word_of(k2)))
+        return self.reduce(left - unit), self.reduce(right - unit)

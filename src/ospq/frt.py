@@ -7,9 +7,10 @@ Two alphabets appear: the nine matrix entries a, al, b, ga, e, be, c, de, d
 of the defining matrix, and the six surviving generators after the dependent
 entries e, ga, be are eliminated.  All certification happens in the 6-letter
 algebra modulo the compiled rewrite system, at p = 2 (module ``rewrite``):
-the rule audits, the normal forms and the one set of Hopf maps, whose
-generator images are taken at p = 2.  The lifted Scalar rules are built
-only for the exported rule set.
+the rule audits, the normal forms and the one set of Hopf maps
+(``hopf_maps``, an instance of ``freealg.HopfMaps``), whose generator
+images are taken at p = 2.  The lifted Scalar rules are built only for the
+exported rule set.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .scalars import Scalar, rat, P, HALF
-from .freealg import (GradedAlphabet, SuperPoly, TensorElement, SCALAR_ALPHABET, extend,
-                      sum_polys)
+from .freealg import (GradedAlphabet, HopfMaps, SuperPoly, TensorElement, SCALAR_ALPHABET,
+                      extend, sum_polys)
 from .rewrite import (OrientationError, RewriteSystem, affine_rows, at_two, complete, lift,
                       nullspace, orient, solve_affine)
 from .supermatrix import (SuperMatrix, entry_weights, exp_nilpotent, kron,
@@ -26,6 +27,7 @@ from .supermatrix import (SuperMatrix, entry_weights, exp_nilpotent, kron,
 from . import classical
 
 T_ENTRIES = (("a", "al", "b"), ("ga", "e", "be"), ("c", "de", "d"))
+POSITIONS = {x: (i, j) for i, row in enumerate(T_ENTRIES) for j, x in enumerate(row)}
 
 # 6-letter alphabet; the weights make every defining relation orientable with
 # a unit leading coefficient (plain degree-lex cannot orient them all), and
@@ -332,35 +334,17 @@ def unimodularity_relation() -> SuperPoly:
 # Hopf structure.
 # ----------------------------------------------------------------------
 
-def _position(name: str):
-    """The (row, column) of a generator letter in the defining matrix."""
-    for i, row in enumerate(T_ENTRIES):
-        if name in row:
-            return i, row.index(name)
-    raise ValueError(f"unknown generator {name!r}")
-
-
-def _coproduct_letter(name: str, t) -> TensorElement:
-    """Delta(t_ij) = sum_k t_ik ox t_kj for the matrix entries ``t``."""
-    i, j = _position(name)
-    out = TensorElement.zero(ALPHABET, 2)
-    for k in range(3):
-        out = out + TensorElement.of(t[i][k], t[k][j])
-    return out
-
-
-def _counit_letter(name: str) -> int:
-    """eps(t_ij) = delta_ij."""
-    i, j = _position(name)
-    return int(i == j)
+# eps(t_ij) = delta_ij, read off the matrix positions; it holds at every p, so
+# the one counit takes Scalar elements and values at p = 2 alike
+counit = extend({x: int(i == j) for x, (i, j) in POSITIONS.items()}.__getitem__, 1)
 
 
 @lru_cache(maxsize=None)
 def antipode_images():
-    """S(t_ij) for the six generators: the entries of S(T) = C T^st C^-1
-    with the dependent letters eliminated."""
-    s = antipode_matrix().map_entries(EliminationMap().substitute)
-    return {x: s.entries[i][j] for x in ALPHABET.letters for i, j in [_position(x)]}
+    """S(t_ij) for the nine entries: the entries of S(T) = C T^st C^-1 with
+    the dependent letters eliminated."""
+    s = antipode_matrix().map_entries(EliminationMap().substitute).entries
+    return {x: s[i][j] for x, (i, j) in POSITIONS.items()}
 
 
 def eliminated_matrix() -> SuperMatrix:
@@ -370,97 +354,59 @@ def eliminated_matrix() -> SuperMatrix:
                                    for x in row] for row in T_ENTRIES])
 
 
+def generator_images():
+    """The unit and the nine entries t_ij of the eliminated matrix with
+    Delta(t_ij) = sum_k t_ik ox t_kj and S(t_ij) (``antipode_images``), over
+    Q[p]: {"id" | "delta" | "antipode": {entry: image}}."""
+    t, one = eliminated_matrix().entries, SuperPoly.one(ALPHABET)
+    delta = {x: sum((TensorElement.of(t[i][k], t[k][j]) for k in range(3)),
+                    TensorElement.zero(ALPHABET, 2)) for x, (i, j) in POSITIONS.items()}
+    return {"id": {"1": one, **{x: t[i][j] for x, (i, j) in POSITIONS.items()}},
+            "delta": {"1": TensorElement.of(one, one), **delta},
+            "antipode": {"1": one, **antipode_images()}}
+
+
+def _reduced(f):
+    """The normal form under the rules at p = 2, leg by leg for a tensor."""
+    at2 = presentation().at2
+    if isinstance(f, SuperPoly):
+        return at2.normal_form(f)
+    for leg in range(f.arity):
+        f = f.map_leg(leg, at2.nf_word)
+    return f
+
+
 @lru_cache(maxsize=None)
-def _hopf_at_two():
-    """The eliminated defining matrix at p = 2 as (weight, entry) pairs, and
-    the antipode images at p = 2, for the Hopf checks, which decide their
-    zero tests there (module ``rewrite``).  ValueError unless t_ik ox t_kj
-    weighs as t_ij for every k and S(x) as x: then Delta and S keep the
-    weight, and so does the counit contraction, since eps(t_ij) = delta_ij is
-    nonzero only on diagonal letters, of weight 0."""
-    t = [[at_two(f) for f in row] for row in eliminated_matrix().entries]
-    s = {x: at_two(f) for x, f in antipode_images().items()}
-    if (any(t[i][k][0] + t[k][j][0] != t[i][j][0]
-            for i in range(3) for j in range(3) for k in range(3))
-            or any(top != ALPHABET.torus[x] for x, (top, _) in s.items())):
-        raise ValueError("a Hopf map does not keep the torus weight")
-    return t, {x: f for x, (_, f) in s.items()}
-
-
-# The Hopf maps, given on the generators and extended by ``extend``: Delta as
-# an algebra map and S as a graded anti-homomorphism, S(xy) =
-# (-1)^{|x||y|} S(y) S(x), each with its generator images at p = 2; eps(T) = 1
-# holds at every p, so the one counit takes Scalar elements and values at
-# p = 2 alike.
-coproduct = extend(
-    lambda x: _coproduct_letter(x, [[f for _, f in row] for row in _hopf_at_two()[0]]),
-    TensorElement(ALPHABET, 2, {((), ()): 1}))
-counit = extend(_counit_letter, 1)
-antipode = extend(lambda x: _hopf_at_two()[1][x], SuperPoly.constant(ALPHABET, 1),
-                  ALPHABET.grades)
-
-
-def coproduct_reduced(tensor: TensorElement, system: RewriteSystem) -> TensorElement:
-    """The tensor with every leg in normal form under ``system``, the
-    presentation's rules at p = 2 for a tensor of values at p = 2."""
-    for leg in range(tensor.arity):
-        tensor = tensor.map_leg(leg, system.nf_word)
-    return tensor
+def hopf_maps() -> HopfMaps:
+    """The Hopf maps with their generator images at p = 2, where the checks
+    decide their zero tests (module ``rewrite``); ValueError unless each
+    image keeps the torus weight.  The counit contraction keeps it too, since
+    eps is nonzero only on a and d, of weight 0."""
+    return HopfMaps(generator_images(), at_two, ALPHABET.grades, counit, "torus", _reduced)
 
 
 def coproduct_respects_relations() -> bool:
     """Delta maps every relation into the ideal, decided at p = 2."""
-    pres = presentation()
-    return not any(coproduct_reduced(coproduct(at_two(rel)[1]), pres.at2)
-                   for rel in pres.all_relations())
+    hopf = hopf_maps()
+    return not any(hopf.reduce(hopf.delta(at_two(rel)[1]))
+                   for rel in presentation().all_relations())
 
 
 def counit_annihilates_relations() -> bool:
     return all(counit(rel).is_zero for rel in presentation().all_relations())
 
 
-def counit_axiom_holds() -> bool:
-    """(eps ox id)Delta(x) = x = (id ox eps)Delta(x) for every generator x,
-    decided at p = 2."""
-    at2 = presentation().at2
-    for x in ALPHABET.letters:
-        d = coproduct_reduced(coproduct.word((x,)), at2)
-        gen = SuperPoly.letter(ALPHABET, x, 1)
-        if any(at2.normal_form(d.apply_counit_leg(leg, counit) - gen)
-               for leg in (0, 1)):
-            return False
-    return True
-
-
-def coassociativity_defect(name: str) -> TensorElement:
-    """(Delta ox id)Delta(x) - (id ox Delta)Delta(x), legs reduced, at p = 2:
-    zero exactly when the defect is, since Delta keeps the weight."""
-    at2 = presentation().at2
-    d = coproduct_reduced(coproduct.word((name,)), at2)
-    left = d.expand_leg(0, coproduct.word, 3)
-    right = d.expand_leg(1, coproduct.word, 3)
-    return coproduct_reduced(left - right, at2)
-
-
 def antipode_axiom_defects():
-    """Normal forms of sum_k S(t_ik) t_kj - delta_ij and the mirror identity,
-    reduced at p = 2 and lifted at the weight of t_ij."""
-    at2 = presentation().at2
-    t = _hopf_at_two()[0]
-    defects = []
-    for i in range(3):
-        for j in range(3):
-            want = SuperPoly.constant(ALPHABET, int(i == j))
-            left = sum_polys([antipode(t[i][k][1]) * t[k][j][1] for k in range(3)])
-            right = sum_polys([t[i][k][1] * antipode(t[k][j][1]) for k in range(3)])
-            defects.append(((i, j), *(lift(at2.normal_form(f - want), t[i][j][0])
-                                      for f in (left, right))))
-    return defects
+    """The antipode defects of Delta(t_ij) = sum_k t_ik ox t_kj for the nine
+    entries, reduced at p = 2 and lifted at the weight of t_ij."""
+    hopf = hopf_maps()
+    return [((i, j), *(lift(f, ALPHABET9.torus[x])
+                       for f in hopf.antipode_defects(x)))
+            for x, (i, j) in POSITIONS.items()]
 
 
 def s_squared_images():
     """S^2 of the generators, reduced at p = 2 and lifted: S keeps the weight."""
-    at2 = presentation().at2
-    return {x: lift(at2.normal_form(antipode(antipode.word((x,)))),
-                    ALPHABET.torus[x])
+    hopf = hopf_maps()
+    return {x: lift(hopf.reduce(hopf.antipode(hopf.images["antipode"][x])), ALPHABET.torus[x])
             for x in ALPHABET.letters}

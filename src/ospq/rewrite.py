@@ -55,7 +55,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .scalars import Scalar, ONE as S_ONE, _accumulate
-from .freealg import SuperPoly
+from .freealg import SuperPoly, TensorElement
 
 
 class OrientationError(ValueError):
@@ -102,18 +102,22 @@ def orient(polys):
 
 
 def at_two(poly):
-    """(E, value at p = 2) of a Scalar SuperPoly of torus weight E, E None
-    for zero; ValueError when a term weighs otherwise or a coefficient is not
-    a polynomial in p."""
+    """(E, value at p = 2) of a Scalar SuperPoly or TensorElement of torus
+    weight E, E None for zero; ValueError when a term weighs otherwise or a
+    coefficient is not a polynomial in p."""
+    tensor = isinstance(poly, TensorElement)
+    weight = poly.alphabet.torus_weight
     top, terms = None, {}
     for u, c in poly._terms.items():
-        base = poly.alphabet.torus_weight(u)
+        base = sum(map(weight, u)) if tensor else weight(u)
         for d, q in c.p_coefficients().items():
             if top is None:
                 top = base + d * P_WEIGHT
             elif base + d * P_WEIGHT != top:
                 raise ValueError(f"not homogeneous in the torus grading: {poly!r}")
             terms[u] = _whole(q * 2 ** d)
+    if tensor:
+        return top, poly._like(terms)
     return top, SuperPoly(poly.alphabet, terms, _internal=True)
 
 

@@ -168,7 +168,7 @@ def test_hopf_checks_multiply_no_scalars(pres, monkeypatch):
     # once the presentation and the generator images at p = 2 are built (the
     # elimination that builds the images multiplies Scalars), the coproduct,
     # coassociativity, antipode and counit-axiom checks reduce numbers at p = 2
-    frt._hopf_at_two()
+    frt.hopf_maps()
     products = []
     kernel = scalars._products
 
@@ -315,7 +315,7 @@ def test_coproduct_of_a():
     ga = rewrite.at_two(frt.EliminationMap().images["ga"])[1]
     expected = (TensorElement.of(w2("a"), w2("a")) + TensorElement.of(w2("al"), ga)
                 + TensorElement.of(w2("b"), w2("c")))
-    assert frt.coproduct.word(("a",)) == expected
+    assert frt.hopf_maps().delta.word(("a",)) == expected
 
 
 def _at_two_tensor(tensor):
@@ -329,9 +329,15 @@ def test_hopf_maps_are_the_scalar_maps_at_p_2():
     # is the Scalar sum over the eliminated matrix taken at p = 2, and S(x)
     # the value at p = 2 of the entry of S(T) = C T^st C^-1
     t = frt.eliminated_matrix().entries
-    for x in frt.ALPHABET.letters:
-        assert frt.coproduct.word((x,)) == _at_two_tensor(frt._coproduct_letter(x, t))
-        assert frt.antipode.word((x,)) == rewrite.at_two(frt.antipode_images()[x])[1]
+    hopf = frt.hopf_maps()
+    for i, row in enumerate(frt.T_ENTRIES):
+        for j, x in enumerate(row):
+            if x not in frt.ALPHABET:
+                continue
+            delta = sum((TensorElement.of(t[i][k], t[k][j]) for k in range(3)),
+                        TensorElement.zero(frt.ALPHABET, 2))
+            assert hopf.delta.word((x,)) == _at_two_tensor(delta)
+            assert hopf.antipode.word((x,)) == rewrite.at_two(frt.antipode_images()[x])[1]
 
 
 def test_coproduct_homomorphism():
@@ -346,8 +352,9 @@ def test_counit():
 
 
 def test_counit_axiom_on_generators(pres):
+    hopf = frt.hopf_maps()
     for x in frt.ALPHABET.letters:
-        d = frt.coproduct_reduced(frt.coproduct.word((x,)), pres.at2)
+        d = hopf.reduce(hopf.delta.word((x,)))
         collapsed = SuperPoly.zero(frt.ALPHABET)
         for (u1, u2), c in d.terms():
             collapsed = collapsed + SuperPoly.word(frt.ALPHABET, u2, c * frt.counit(w2(*u1)))
@@ -381,12 +388,14 @@ def test_antipode_classical_inverse(pres):
     # at p = 0 the antipode gives the inverse matrix of the classical group:
     # sum_k S(t_ik) t_kj - delta_ij, reduced at p = 2 and lifted at the
     # weight of t_ij, vanishes at p = 0
-    t = frt._hopf_at_two()[0]
-    for i in range(3):
-        for j in range(3):
-            total = sum_polys([frt.antipode(t[i][k][1]) * t[k][j][1] for k in range(3)])
+    hopf = frt.hopf_maps()
+    t = [[hopf.images["id"][x] for x in row] for row in frt.T_ENTRIES]
+    for i, row in enumerate(frt.T_ENTRIES):
+        for j, x in enumerate(row):
+            total = sum_polys([hopf.antipode(t[i][k]) * t[k][j] for k in range(3)])
             defect = pres.at2.normal_form(total - SuperPoly.constant(frt.ALPHABET, int(i == j)))
-            assert rewrite.lift(defect, t[i][j][0]).substitute_parameter(p=0).is_zero
+            weight = frt.ALPHABET9.torus[x]
+            assert rewrite.lift(defect, weight).substitute_parameter(p=0).is_zero
 
 
 def test_s_squared_has_trivial_classical_limit():
@@ -395,8 +404,9 @@ def test_s_squared_has_trivial_classical_limit():
 
 
 def test_coassociativity():
+    hopf = frt.hopf_maps()
     for x in frt.ALPHABET.letters:
-        assert frt.coassociativity_defect(x).is_zero
+        assert hopf.coassociativity_defect(x).is_zero
 
 
 def test_relations_at_p_zero_are_graded_commutators():
@@ -419,8 +429,9 @@ def test_antipode_and_its_square_map_relations_into_the_ideal(pres):
     # forms are the presentation's doing, not the free algebra's
     relations = [rewrite.at_two(rel)[1] for rel in pres.all_relations()]
     assert len(relations) == 18
-    images = [frt.antipode(rel) for rel in relations]
+    antipode = frt.hopf_maps().antipode
+    images = [antipode(rel) for rel in relations]
     for image in images:
         assert pres.at2.normal_form(image).is_zero
-        assert pres.at2.normal_form(frt.antipode(image)).is_zero
+        assert pres.at2.normal_form(antipode(image)).is_zero
     assert any(not image.is_zero for image in images)

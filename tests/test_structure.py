@@ -40,10 +40,12 @@ module, or a traced run would fail.
 
 The Hopf maps, letter substitutions and the Borel relation defects extend a
 map on letters over words through ``freealg.extend``, so the Koszul sign of
-an anti-homomorphism is written in ``freealg.py`` alone.  ``frt`` holds one
-coproduct, one counit and one antipode, with the generator images at p = 2,
-and every check decides on the rules at p = 2: only the export lifts them to
-Scalars.
+an anti-homomorphism is written in ``freealg.py`` alone.  The Hopf axioms on
+a generator are written once too, on ``freealg.HopfMaps``: its instances
+``frt.hopf_maps()`` (generator images at p = 2) and ``borel._generators(w).hopf``
+(at p = 4) supply images, a ``reduce`` and a ``word_of``, so no other module
+splices or contracts tensor legs.  Every ``frt`` check decides on the rules
+at p = 2: only the export lifts them to Scalars.
 
 A matrix product sums the products for each output entry into one dict, so
 it makes no ``SuperPoly`` partial sums, and a scaled matrix keeps its zero
@@ -248,10 +250,11 @@ def _spied(ext, used):
     return counted
 
 
-def _spy_extend(monkeypatch, module):
-    """Make ``module.extend`` log the uses of the maps it builds."""
+def _spy_extend(monkeypatch, *modules):
+    """Make ``extend`` in each module log the uses of the maps it builds."""
     used = []
-    monkeypatch.setattr(module, "extend", lambda *args: _spied(extend(*args), used))
+    for module in modules:
+        monkeypatch.setattr(module, "extend", lambda *args: _spied(extend(*args), used))
     return used
 
 
@@ -259,22 +262,27 @@ def test_word_extensions_go_through_extend(monkeypatch):
     assert not hasattr(frt, "_coproduct_word_cached")
     assert not hasattr(borel, "_relation_defect")
     # one coproduct, one counit and one antipode, and the Hopf checks reach
-    # each through its module name
-    for name in ("_coproducts", "_coproducts_at_two", "_counit_at_two", "_antipode_at_two"):
+    # each through the one instance of the shared checker
+    for name in ("_coproducts", "_coproducts_at_two", "_counit_at_two", "_antipode_at_two",
+                 "coproduct", "antipode", "_hopf_at_two"):
         assert not hasattr(frt, name), name
-    for name, run in (("coproduct", lambda: frt.coassociativity_defect("a")),
-                      ("counit", frt.counit_axiom_holds),
+    assert not hasattr(borel._Generators, "coproducts")
+    hopf = frt.hopf_maps()
+    assert hopf.counit is frt.counit
+    for name, run in (("delta", lambda: hopf.coassociativity_defect("a")),
+                      ("counit", lambda: hopf.counit_defects("a")),
                       ("antipode", frt.s_squared_images)):
-        assert getattr(frt, name).__code__ is EXTENDED
+        assert getattr(hopf, name).__code__ is EXTENDED
         used = []
-        monkeypatch.setattr(frt, name, _spied(getattr(frt, name), used))
+        monkeypatch.setattr(hopf, name, _spied(getattr(hopf, name), used))
         run()
         assert used, name
     used = _spy_extend(monkeypatch, freealg)
     SuperPoly.word(frt.ALPHABET, ("a", "b")).substitute_letters(
         {"a": SuperPoly.letter(frt.ALPHABET, "c")})
     assert len(used) == 1
-    used = _spy_extend(monkeypatch, borel)
+    # the Borel Hopf maps are built by the shared checker in freealg
+    used = _spy_extend(monkeypatch, freealg, borel)
     borel._generators.cache_clear()
     try:
         borel.delta_monomial((1, 1, 1), 8)
@@ -292,6 +300,19 @@ def test_word_extensions_go_through_extend(monkeypatch):
         assert len(used) == 2 * len(borel.BOREL_RELATIONS)
     finally:
         borel._generators.cache_clear()
+
+
+def test_hopf_axioms_are_written_once():
+    # only the shared checker splices a coproduct into a leg or contracts one
+    # with the counit: frt and borel supply images, a reduce and a word_of
+    package = Path(ospq.__file__).parent
+    callers = sorted({path.name for path in package.glob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in ("expand_leg", "apply_counit_leg")})
+    assert callers == ["freealg.py"]
+    assert isinstance(frt.hopf_maps(), freealg.HopfMaps)
+    assert isinstance(borel._generators(8).hopf, freealg.HopfMaps)
 
 
 def test_only_the_export_lifts_the_rules(monkeypatch, tmp_path):
