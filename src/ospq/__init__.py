@@ -11,7 +11,8 @@ from .rewrite import RewriteSystem, complete, orient, span_equal, span_contains
 from .supermatrix import (SuperMatrix, kron, exp_nilpotent, invert_unipotent,
                           partial_transpose_first, supertranspose3, desuperize,
                           ybe_check)
-from .borel import BorelSeries, BorelTensor, AnsatzFunctions, DEFAULT_TRUNCATION
+from .borel import (BorelSeries, ExactBorel, ExactBorelTensor, AnsatzFunctions,
+                    DEFAULT_TRUNCATION)
 
 __version__ = "0.1.0"
 
@@ -21,5 +22,6 @@ __all__ = [
     "RewriteSystem", "complete", "orient", "span_equal", "span_contains",
     "SuperMatrix", "kron", "exp_nilpotent", "invert_unipotent",
     "partial_transpose_first", "supertranspose3", "desuperize", "ybe_check",
-    "BorelSeries", "BorelTensor", "AnsatzFunctions", "DEFAULT_TRUNCATION",
+    "BorelSeries", "ExactBorel", "ExactBorelTensor", "AnsatzFunctions",
+    "DEFAULT_TRUNCATION",
 ]

@@ -1,41 +1,39 @@
 """The undeformed Borel algebra <H, V, X> as a normal-ordered series algebra,
-the upper-triangular dual generator matrix with its exchange relations, the
-ansatz reduction, and the deformed coproducts.
+the exact Borel Hopf algebra with its deformed coproduct, the
+upper-triangular dual generator matrix with its exchange relations, and the
+ansatz reduction.
 
-Normal-ordered monomials are v^eps h^m X^n (eps in {0,1}) in the integral
-basis v = 2V, h = 2H, X.  There the paper's rules X H = (H - 1) X,
+Normal-ordered series monomials are v^eps h^m X^n (eps in {0,1}) in the
+integral basis v = 2V, h = 2H, X.  There the paper's rules X H = (H - 1) X,
 V H = (H - 1/2) V, V V = X / 4 and X V = V X have integer constants:
     X h = (h - 2) X,   v h = (h - 1) v,   v v = X,   X v = v X.
 They preserve the filtration weight w = eps + 2n, so truncating at a weight
-bound is an algebra quotient.  Tensor powers are truncated in the *total*
-weight across legs, which is the quotient-compatible notion (per-leg
-truncation breaks coassociativity bookkeeping).
+bound is an algebra quotient.  The ansatz checks run on these series.
 
-The series algebra is also graded with p of weight ``rewrite.P_WEIGHT`` = 2:
-v weighs -1, h 0 and X -2, so v^eps h^m X^n weighs -_weight(key).  This is
-the torus grading of ``RLL_ALPHABET`` carried across by the ansatz (A -> K,
-B -> V M, E -> V N, C_L -> H P).  The normal-ordering rules and every
-generator image (``generator_images``) are homogeneous in it, so in an
-element of weight E each monomial carries the one power p^k with
-2k = E + _weight(key), and the element is zero exactly when its value at
-p = 4 is (``at_four``).
-
-Why 4: at p = 4, e^sigma = (1 + 4X)^(1/2), e^-sigma and e^-2sigma have
-integer coefficients (central binomial and Catalan numbers), so the images
-of v, h, X and e^sigma under the coproduct and the antipode are integral
-there.  The Hopf checks run on those values: every product in them is int
-arithmetic, with no Scalar and no Fraction.
+The Hopf structure is exact.  K = e^sigma = (1 + pX)^(1/2) makes it finite:
+in the basis v^eps h^m K^n (n in Z) with v = 2V and h = 4H,
+    K v = v K,   h v = v (h + 2),   K^n h = (h - 2n) K^n + 2n K^(n-2),
+    v v = (K^2 - 1) / p,
+and the coproduct, counit and antipode of K^+-1, v and h are finite
+(``hopf_images``).  With p of weight 2, v weighs -1 and h, K 0, the rules
+and every image are homogeneous, so an element is zero exactly when its
+value at p = 1 is (``at_one``), where every structure constant is an
+integer: v v = K^2 - 1.  The map K -> e^sigma, v -> v, h -> 2h into the
+series algebra is an algebra map (``borel_relation_defect``), so each exact
+identity holds at every truncation weight; it sends K to the particular
+solution's K, so the Hopf checks certify that solution only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache, partial
 from math import comb
 
 from .scalars import Scalar, rat, P, HALF, SQRT2, _accumulate
-from .freealg import GradedAlphabet, GradedTensor, HopfMaps, SuperPoly, _scaled, extend
+from .freealg import (Combination, GradedAlphabet, GradedTensor, HopfMaps, SuperPoly,
+                       _scaled, extend)
 from .supermatrix import SuperMatrix, entry_weights, kron
 from .rewrite import P_WEIGHT, span_equal
 
@@ -45,9 +43,10 @@ DEFAULT_TRUNCATION = 16  # filtration weight; X-degree up to 8
 # entry is 1 and its lower triangle 0
 L_ENTRIES = (("A", "B", "C_L"), (None, None, "E"), (None, None, "F"))
 
-# the generators v = 2V, h = 2H and X of the Borel algebra, on which its Hopf
-# maps are given and its defining relations (``BOREL_RELATIONS``) written
-BOREL_ALPHABET = GradedAlphabet(("v", "h", "X"), {"v": 1, "h": 0, "X": 0})
+# the generators K, K^-1, v = 2V and h = 4H of the exact Borel algebra, on
+# which its Hopf maps are given and its defining relations
+# (``BOREL_RELATIONS``) written
+BOREL_ALPHABET = GradedAlphabet(("K", "K^-1", "v", "h"), {"K": 0, "K^-1": 0, "v": 1, "h": 0})
 
 RLL_ALPHABET = GradedAlphabet(
     ("A", "B", "C_L", "E", "F"),
@@ -93,14 +92,13 @@ def _mono_mul(k1, k2):
     return tuple(((eps, j, n), c) for j, c in hpoly.items())
 
 
-class BorelSeries:
+class BorelSeries(Combination):
     """Combination of normal-ordered monomials v^eps h^m X^n, with v = 2V and
-    h = 2H, up to its weight bound.  Coefficients are Scalars, or ints for
-    values at p = 4; a container keeps their type (zero tests are
-    truthiness).  The series and tensors of one computation share their
-    bound: combining two bounds raises ValueError."""
+    h = 2H, up to its weight bound, with Scalar coefficients.  The series of
+    one computation share their bound: combining two bounds raises
+    ValueError."""
 
-    __slots__ = ("weight_bound", "_terms")
+    __slots__ = ("weight_bound",)
 
     def __init__(self, weight_bound: int, terms=None, _internal=False):
         self.weight_bound = weight_bound
@@ -142,13 +140,6 @@ class BorelSeries:
 
     # -- structure --------------------------------------------------------
 
-    def __bool__(self):
-        return bool(self._terms)
-
-    @property
-    def is_zero(self):
-        return not self._terms
-
     def terms(self):
         return sorted(self._terms.items())
 
@@ -159,18 +150,8 @@ class BorelSeries:
         if self.weight_bound != other.weight_bound:
             raise ValueError("mixing weight bounds")
 
-    def __add__(self, other):
-        self._check(other)
-        return BorelSeries(self.weight_bound,
-                           _accumulate(other._terms.items(), dict(self._terms)),
-                           _internal=True)
-
-    def __neg__(self):
-        return BorelSeries(self.weight_bound,
-                           {k: -c for k, c in self._terms.items()}, _internal=True)
-
-    def __sub__(self, other):
-        return self + (-other)
+    def _like(self, terms):
+        return BorelSeries(self.weight_bound, terms, _internal=True)
 
     def __mul__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
@@ -184,19 +165,6 @@ class BorelSeries:
         return BorelSeries(w, out, _internal=True)
 
     __rmul__ = __mul__
-
-    def scale(self, coeff) -> "BorelSeries":
-        if not coeff:
-            return BorelSeries.zero(self.weight_bound)
-        return BorelSeries(self.weight_bound,
-                           {k: c * coeff for k, c in self._terms.items()},
-                           _internal=True)
-
-    def __eq__(self, other):
-        if not isinstance(other, BorelSeries):
-            return NotImplemented
-        self._check(other)
-        return self._terms == other._terms
 
     def counit(self):
         return self._terms.get((0, 0, 0), 0)
@@ -270,268 +238,243 @@ def one_plus_px(w: int) -> BorelSeries:
     return BorelSeries.in_x(w, {0: Scalar.one(), 1: P})
 
 
+@lru_cache(maxsize=None)
 def exp_sigma(w: int) -> BorelSeries:
-    """(1 + pX)^(1/2)."""
-    return _generators(w).exp_sigma
+    """(1 + pX)^(1/2) over Q[p], built once per w and shared: no BorelSeries
+    method mutates it."""
+    return one_plus_px(w).sqrt()
 
 
+@lru_cache(maxsize=None)
 def exp_minus_sigma(w: int) -> BorelSeries:
-    return _generators(w).exp_minus_sigma
+    return exp_sigma(w).inverse()
 
 
-def exp_minus_two_sigma(w: int) -> BorelSeries:
-    return _generators(w).exp_minus_two_sigma
+def generator_images(w: int):
+    """The images of the exact algebra's generators in the series algebra at
+    weight bound w: K = e^sigma, K^-1 = e^-sigma, v = 2V and h = 4H."""
+    return {"K": exp_sigma(w), "K^-1": exp_minus_sigma(w),
+            "v": BorelSeries(w, {(1, 0, 0): Scalar.one()}, _internal=True),
+            "h": BorelSeries(w, {(0, 1, 0): rat(2)}, _internal=True)}
 
 
 # ----------------------------------------------------------------------
-# Graded tensor powers with total-weight truncation.
+# The exact Borel Hopf algebra, decided at p = 1.
 # ----------------------------------------------------------------------
 
-class BorelTensor(GradedTensor):
-    """Tensor power of the Borel algebra, truncated in total weight.
+@lru_cache(maxsize=None)
+def _k_past_h(n: int, m: int):
+    """K^n h^m in normal order at p = 1 as {(j, k): int}, the sum of the
+    terms h^j K^k: K^n h = (h - 2n) K^n + 2n K^(n-2) brings each h left."""
+    if not m:
+        return {(0, n): 1}
+    rest, lowered = _k_past_h(n, m - 1), _k_past_h(n - 2, m - 1)
+    return _accumulate([((j + 1, k), c) for (j, k), c in rest.items()]
+                       + [(jk, -2 * n * c) for jk, c in rest.items()]
+                       + [(jk, 2 * n * c) for jk, c in lowered.items()])
 
-    Leg keys are the monomials (eps, m, n) of v^eps h^m X^n: grade eps,
-    weight eps + 2n, product ``_mono_mul``.
+
+@lru_cache(maxsize=None)
+def _exact_mul(k1, k2):
+    """Product of exact monomials at p = 1 as a tuple of (key, int) pairs,
+    built once per key pair and shared.
+
+    v^e1 h^m1 K^n1 v^e2 h^m2 K^n2 = v^e1 v^e2 (h + 2 e2)^m1 K^n1 h^m2 K^n2,
+    since K v = v K and h v = v (h + 2); when both e are 1, v v = K^2 - 1
+    stands left of (h + 2)^m1, and ``_k_past_h`` orders each K^k h^j.
     """
+    (e1, m1, n1), (e2, m2, n2) = k1, k2
+    left = {(j, 0): c for j, c in _h_shift_poly(m1, 2 * e2, 0, 0).items()}
+    if e1 & e2:
+        left = _accumulate([(jk, c * d) for (j, _), c in left.items()
+                            for jk, d in _k_past_h(2, j).items()]
+                           + [(jk, -c) for jk, c in left.items()])
+    out = _accumulate(((e1 ^ e2, j + i, k + n2), c * d) for (j, b), c in left.items()
+                      for (i, k), d in _k_past_h(b + n1, m2).items())
+    return tuple(out.items())
 
-    __slots__ = ("weight_bound",)
 
-    def __init__(self, arity, weight_bound, terms=None, _internal=False):
-        self.weight_bound = weight_bound
-        super().__init__(arity, terms, _internal)
+class ExactBorel(Combination):
+    """Element of the exact Borel algebra: a combination of the monomials
+    v^eps h^m K^n (eps in {0, 1}, m >= 0, n in Z), with Scalars over Q[p]
+    for a generator image, or ints for its value at p = 1, which is what
+    ``_exact_mul`` multiplies."""
 
-    @classmethod
-    def zero(cls, arity, w):
-        return cls(arity, w, {}, _internal=True)
+    __slots__ = ()
 
-    @classmethod
-    def one(cls, arity, w):
-        return cls(arity, w, {((0, 0, 0),) * arity: Scalar.one()}, _internal=True)
+    def __init__(self, terms, _internal=False):
+        self._terms = terms if _internal else {k: c for k, c in terms.items() if c}
 
-    @classmethod
-    def of(cls, *legs):
-        for leg in legs[1:]:
-            legs[0]._check(leg)
-        return cls.zero(len(legs), legs[0].weight_bound)._tensor_of(legs)
+    def _like(self, terms):
+        return ExactBorel(terms, _internal=True)
 
-    _key_weight = staticmethod(_weight)
-    _key_product = staticmethod(_mono_mul)
+    def __mul__(self, other):
+        if isinstance(other, (Scalar, int, Fraction)):
+            return self.scale(other)
+        return ExactBorel(_accumulate(kc for k1, c1 in self._terms.items()
+                                      for k2, c2 in other._terms.items()
+                                      for kc in _scaled(_exact_mul(k1, k2), c1 * c2)),
+                          _internal=True)
+
+    __rmul__ = __mul__
+
+    def counit(self):
+        """eps(K) = 1 and eps(v) = eps(h) = 0."""
+        return sum(c for (e, m, _), c in self._terms.items() if not e and not m)
+
+
+class ExactBorelTensor(GradedTensor):
+    """Tensor power of the exact Borel algebra: leg keys (eps, m, n) of
+    v^eps h^m K^n, grade eps, product ``_exact_mul``."""
+
+    __slots__ = ()
+
+    _key_product = staticmethod(_exact_mul)
 
     @staticmethod
     def _key_grade(key):
         return key[0]
 
+    @classmethod
+    def of(cls, *legs):
+        return cls(len(legs))._tensor_of(legs)
+
     def _like(self, terms, arity=None):
-        return BorelTensor(self.arity if arity is None else arity, self.weight_bound,
-                           terms, _internal=True)
+        return ExactBorelTensor(self.arity if arity is None else arity, terms, _internal=True)
 
     def _leg_element(self, terms):
-        return BorelSeries(self.weight_bound, terms, _internal=True)
+        return ExactBorel(terms)
 
     def _check(self, other):
-        if self.arity != other.arity or self.weight_bound != other.weight_bound:
-            raise ValueError("mixing tensor arities or weight bounds")
+        if self.arity != other.arity:
+            raise ValueError("mixing tensor arities")
 
 
-# ----------------------------------------------------------------------
-# Deformed coproducts, decided at p = 4.
-# ----------------------------------------------------------------------
-
-def at_four(element):
-    """(E, value at p = 4) of a Scalar BorelSeries or BorelTensor of weight E
-    in the grading of the module docstring, E None for zero, with int
-    coefficients; ValueError when a term weighs otherwise or a coefficient is
-    not a polynomial in p, ArithmeticError when a value is not an integer."""
-    tensor = isinstance(element, BorelTensor)
+def at_one(element):
+    """(E, value at p = 1) of an ExactBorel, an ExactBorelTensor or a relation
+    over ``BOREL_ALPHABET`` with coefficients in Q[p], of weight E in the
+    grading where v weighs -1, h and K 0 and p 2; E is None for zero and the
+    value has int coefficients.  ValueError when a term weighs otherwise,
+    ArithmeticError when a value is not an integer."""
+    if isinstance(element, SuperPoly):
+        weight, like = (lambda word: -word.count("v")), partial(SuperPoly, element.alphabet)
+    elif isinstance(element, ExactBorelTensor):
+        weight, like = (lambda key: -sum(k[0] for k in key)), element._like
+    else:
+        weight, like = (lambda key: -key[0]), ExactBorel
     top, terms = None, {}
     for key, c in element._terms.items():
-        base = -(sum(map(_weight, key)) if tensor else _weight(key))
         for d, q in c.p_coefficients().items():
             if top is None:
-                top = base + d * P_WEIGHT
-            elif base + d * P_WEIGHT != top:
+                top = weight(key) + d * P_WEIGHT
+            elif weight(key) + d * P_WEIGHT != top:
                 raise ValueError(f"not homogeneous in the Borel grading: {element!r}")
-            value = q * 4 ** d
-            if value.denominator != 1:
-                raise ArithmeticError(f"term {key} of {element!r} is not integral at p = 4")
-            terms[key] = value.numerator
-    if tensor:
-        return top, element._like(terms)
-    return top, BorelSeries(element.weight_bound, terms, _internal=True)
+            if q.denominator != 1:
+                raise ArithmeticError(f"term {key} of {element!r} is not integral at p = 1")
+            terms[key] = q.numerator
+    return top, like(terms)
 
 
-def generator_images(w: int):
-    """The unit, e^sigma, v = 2V, h = 2H and X with their coproducts and
+def hopf_images():
+    """The unit and the generators K, K^-1, v, h with their coproducts and
     antipode images over Q[p]: {"id" | "delta" | "antipode": {generator:
-    image}}.  Each image is homogeneous of its generator's weight.
+    image}}, each homogeneous of its generator's weight.
 
-    Delta(e^sigma) = e^sigma ox e^sigma, Delta(v) = e^sigma ox v + v ox 1,
-    Delta(h) = 1 ox h + (p/2) v e^-sigma ox v e^-2sigma + h ox e^-2sigma and
-    Delta(X) = X ox 1 + 1 ox X + p X ox X (group-like e^{2 sigma}): twice the
-    paper's Delta(V) and Delta(H) = 1 ox H + p V e^-sigma ox V e^-2sigma +
-    H ox e^-2sigma.  The antipode candidate is derived from the antipode
-    axiom on the generators: S(e^sigma) = e^-sigma, S(v) = -e^-sigma v,
-    S(h) = -h e^{2 sigma} + (p/2) X (twice S(H) = -H e^{2 sigma} + (p/4) X),
-    and S(X) = (e^{-2 sigma} - 1)/p from X = (e^{2 sigma} - 1)/p.
+    Delta(K^+-1) = K^+-1 ox K^+-1, Delta(v) = K ox v + v ox 1 and
+    Delta(h) = 1 ox h + p v K^-1 ox v K^-2 + h ox K^-2; S(K^+-1) = K^-+1,
+    S(v) = -v K^-1 and S(h) = -h K^2 + K^2 - 1.  With v = 2V, h = 4H and
+    K = e^sigma these are the paper's Delta(H) = 1 ox H + p V e^-sigma ox
+    V e^-2sigma + H ox e^-2sigma and S(H) = -H e^{2 sigma} + (p/4) X.
     """
-    es, esi, es2i = exp_sigma(w), exp_minus_sigma(w), exp_minus_two_sigma(w)
-    one, x = BorelSeries.one(w), BorelSeries.x(w)
-    v = BorelSeries(w, {(1, 0, 0): Scalar.one()}, _internal=True)
-    h = BorelSeries(w, {(0, 1, 0): Scalar.one()}, _internal=True)
-    half_p = HALF * P
+    one, unit, v, h = Scalar.one(), (0, 0, 0), (1, 0, 0), (0, 1, 0)
+    k, k_inv = (0, 0, 1), (0, 0, -1)
+
+    def tensor(*terms):
+        return ExactBorelTensor(2, {(a, b): c for a, b, c in terms})
+    ids = {g: ExactBorel({key: one}) for g, key in
+           (("1", unit), ("K", k), ("K^-1", k_inv), ("v", v), ("h", h))}
     return {
-        "id": {"1": one, "exp_sigma": es, "v": v, "h": h, "X": x},
-        "delta": {
-            "1": BorelTensor.one(2, w),
-            "exp_sigma": BorelTensor.of(es, es),
-            "v": BorelTensor.of(es, v) + BorelTensor.of(v, one),
-            "h": (BorelTensor.of(one, h) + BorelTensor.of(v * esi, v * es2i).scale(half_p)
-                  + BorelTensor.of(h, es2i)),
-            "X": (BorelTensor.of(x, one) + BorelTensor.of(one, x)
-                  + BorelTensor.of(x, x).scale(P)),
-        },
-        "antipode": {
-            "1": one,
-            "exp_sigma": esi,
-            "v": -(esi * v),
-            "h": -(h * one_plus_px(w)) + x.scale(half_p),
-            "X": BorelSeries(w, {k: c.divide_exact(P) for k, c in es2i._terms.items() if k[2]}),
-        },
+        "id": ids,
+        "delta": {"1": tensor((unit, unit, one)), "K": tensor((k, k, one)),
+                  "K^-1": tensor((k_inv, k_inv, one)),
+                  "v": tensor((k, v, one), (v, unit, one)),
+                  "h": tensor((unit, h, one), ((1, 0, -1), (1, 0, -2), P),
+                              (h, (0, 0, -2), one))},
+        "antipode": {"1": ids["1"], "K": ids["K^-1"], "K^-1": ids["K"],
+                     "v": ExactBorel({(1, 0, -1): -one}),
+                     "h": ExactBorel({(0, 1, 2): -one, (0, 0, 2): one, unit: -one})},
     }
 
 
-class _Generators:
-    """The generator data at one weight bound w, each built on first use and
-    then shared: no BorelSeries or BorelTensor method mutates it.  The
-    series e^sigma, e^-sigma and e^-2sigma stay over Q[p] for the ansatz and
-    the export; the Hopf images are built over Q[p] once and kept only at
-    p = 4, where the checks decide."""
-
-    def __init__(self, w: int):
-        self.w = w
-
-    @cached_property
-    def exp_sigma(self) -> BorelSeries:
-        return one_plus_px(self.w).sqrt()
-
-    @cached_property
-    def exp_minus_sigma(self) -> BorelSeries:
-        return self.exp_sigma.inverse()
-
-    @cached_property
-    def exp_minus_two_sigma(self) -> BorelSeries:
-        return one_plus_px(self.w).inverse()
-
-    @cached_property
-    def hopf(self) -> HopfMaps:
-        """The Hopf maps on ``generator_images`` at p = 4, each image
-        evaluated once: every coefficient is an int."""
-        return HopfMaps(generator_images(self.w), at_four, BOREL_ALPHABET.grades,
-                        BorelSeries.counit, "Borel", word_of=_word)
-
-    @property
-    def images(self):
-        """{"id" | "delta" | "antipode": {generator: image at p = 4}}."""
-        return self.hopf.images
+def _word(key):
+    """The exact monomial v^eps h^m K^n as a word in K, K^-1, v, h."""
+    eps, m, n = key
+    return ("v",) * eps + ("h",) * m + (("K",) * n if n >= 0 else ("K^-1",) * -n)
 
 
 @lru_cache(maxsize=None)
-def _generators(w: int) -> _Generators:
-    return _Generators(w)
+def hopf_maps() -> HopfMaps:
+    """The Hopf maps on ``hopf_images`` at p = 1, each image evaluated once:
+    every coefficient is an int, and since every element is homogeneous it
+    is zero exactly when its value at p = 1 is."""
+    return HopfMaps(hopf_images(), at_one, BOREL_ALPHABET.grades, ExactBorel.counit,
+                    "Borel", word_of=_word)
 
 
-def delta_v(w: int) -> BorelTensor:
-    """Delta(V) = Delta(v)/2 at p = 4."""
-    return _generators(w).images["delta"]["v"].scale(Fraction(1, 2))
-
-
-def delta_h(w: int) -> BorelTensor:
-    """Delta(H) = Delta(h)/2 at p = 4."""
-    return _generators(w).images["delta"]["h"].scale(Fraction(1, 2))
-
-
-def delta_x(w: int) -> BorelTensor:
-    """Delta(X) at p = 4."""
-    return _generators(w).images["delta"]["X"]
-
-
-def delta_exp_sigma(w: int) -> BorelTensor:
-    """Delta(e^sigma) at p = 4."""
-    return _generators(w).images["delta"]["exp_sigma"]
-
-
-# the generators of the Hopf checks by the paper's names, each decided on its
-# integral image: a defect of v = 2V or h = 2H is twice that of V or H
-_INTEGRAL = {"exp_sigma": "exp_sigma", "V": "v", "H": "h"}
-
-
-def _word(key):
-    """The normal-ordered monomial v^eps h^m X^n as a word in v, h, X."""
-    eps, m, n = key
-    return ("v",) * eps + ("h",) * m + ("X",) * n
-
-
-def delta_monomial(key, w: int) -> BorelTensor:
-    """Delta(v)^eps Delta(h)^m Delta(X)^n at p = 4, built once per (key, w)
-    and shared: no BorelTensor method mutates it."""
-    return _generators(w).hopf.delta.word(_word(key))
-
-
-def coassociativity_defect(which: str, w: int) -> BorelTensor:
-    """The coassociativity defect at p = 4 of g in {e^sigma, V, H}, decided
-    on e^sigma, v and h."""
-    return _generators(w).hopf.coassociativity_defect(_INTEGRAL[which])
-
-
-def counit_defects(w: int):
-    """The two counit defects at p = 4 of each g in {e^sigma, V, H}."""
-    hopf = _generators(w).hopf
-    return {name: hopf.counit_defects(gen) for name, gen in _INTEGRAL.items()}
-
-
-# the defining Borel relations in the basis v, h, X, as {word: coefficient}:
-# h X - X h - 2 X, h v - v h - v, v v - X and X v - v X
+# the defining relations of the exact algebra, {word: coefficient}: K K^-1 =
+# K^-1 K = 1, K v = v K, p v v = K^2 - 1, h v = v (h + 2) and
+# K h = (h - 2) K + 2 K^-1
 BOREL_RELATIONS = {
-    "HX": {("h", "X"): 1, ("X", "h"): -1, ("X",): -2},
-    "HV": {("h", "v"): 1, ("v", "h"): -1, ("v",): -1},
-    "VV": {("v", "v"): 1, ("X",): -1},
-    "XV": {("X", "v"): 1, ("v", "X"): -1},
+    "KK^-1": {("K", "K^-1"): 1, (): -1},
+    "K^-1K": {("K^-1", "K"): 1, (): -1},
+    "KV": {("K", "v"): 1, ("v", "K"): -1},
+    "VV": {("v", "v"): P, ("K", "K"): -1, (): 1},
+    "HV": {("h", "v"): 1, ("v", "h"): -1, ("v",): -2},
+    "KH": {("K", "h"): 1, ("h", "K"): -1, ("K",): 2, ("K^-1",): -2},
 }
 
 
 def borel_relation(which: str) -> SuperPoly:
-    """The defining Borel relation ``which`` over ``BOREL_ALPHABET``."""
-    return SuperPoly(BOREL_ALPHABET, BOREL_RELATIONS[which])
+    """The defining relation ``which`` over ``BOREL_ALPHABET``, over Q[p]."""
+    return SuperPoly(BOREL_ALPHABET, {u: c if isinstance(c, Scalar) else rat(c)
+                                      for u, c in BOREL_RELATIONS[which].items()})
 
 
 def borel_relation_defect(which: str, w: int) -> BorelSeries:
-    """Defining Borel relations evaluated in the algebra itself (sanity zero)."""
-    ids = _generators(w).images["id"]
-    return extend(ids.__getitem__, ids["1"])(borel_relation(which))
+    """A defining relation with K = e^sigma, v = 2V and h = 4H in the series
+    algebra at weight bound w (sanity zero: the exact algebra maps into the
+    series by ``generator_images``)."""
+    images = generator_images(w)
+    return extend(images.__getitem__, BorelSeries.one(w))(borel_relation(which))
 
 
-def coproduct_relation_defect(which: str, w: int) -> BorelTensor:
-    """Delta at p = 4 applied to a defining Borel relation (homomorphism
-    certificate); each word's coproduct is built once per w and shared."""
-    return _generators(w).hopf.delta(borel_relation(which))
+# views that keep the paper's names: each is exact at p = 1, so w is ignored
+PAPER_NAMES = {"exp_sigma": "K", "V": "v", "H": "h"}
 
 
-def square_defects(w: int):
-    """Delta(v)^2 - Delta(X) (the relation VV: Delta(V)^2 - Delta(X)/4, times
-    4), and Delta(e^sigma) (S(e^sigma) ox S(e^sigma)) - 1 ox 1 (group-likes
-    invert), at p = 4."""
-    images = _generators(w).images
-    delta, s_es = images["delta"], images["antipode"]["exp_sigma"]
-    return {"square": coproduct_relation_defect("VV", w),
-            "grouplike": (delta["exp_sigma"] * BorelTensor.of(s_es, s_es)
-                          - delta["1"])}
+def delta_v(w=None) -> ExactBorelTensor:
+    return hopf_maps().images["delta"]["v"].scale(Fraction(1, 2))  # Delta(V)
 
 
-def antipode_axiom_defects(w: int):
-    """The two antipode defects at p = 4 of each g in {e^sigma, V, H}, with S
-    extended from the candidate images of ``generator_images``."""
-    hopf = _generators(w).hopf
-    return {name: hopf.antipode_defects(gen) for name, gen in _INTEGRAL.items()}
+def delta_x(w=None) -> ExactBorelTensor:
+    return hopf_maps().delta.word(("v", "v"))  # Delta(X) = Delta(v v)
+
+
+def delta_monomial(key, w=None) -> ExactBorelTensor:
+    return hopf_maps().delta.word(_word(key))
+
+
+def coassociativity_defect(which: str, w=None) -> ExactBorelTensor:
+    return hopf_maps().coassociativity_defect(PAPER_NAMES.get(which, which))
+
+
+def counit_defects(w=None):
+    return {g: hopf_maps().counit_defects(g) for g in BOREL_ALPHABET.letters}
+
+
+def coproduct_relation_defect(which: str, w=None) -> ExactBorelTensor:
+    """Delta applied to a defining relation (homomorphism certificate)."""
+    return hopf_maps().delta(at_one(borel_relation(which))[1])
 
 
 # ----------------------------------------------------------------------

@@ -12,13 +12,15 @@ or as a graded anti-homomorphism with its Koszul sign, and linearly over
 elements: the Hopf maps of both sides and every letter substitution are
 such extensions.
 :class:`GradedTensor` holds what every graded tensor power shares: the
-linear structure, the Koszul-sign product, the leg maps and the counit
-contraction.  Its kinds are :class:`TensorElement` (word legs)
-and ``borel.BorelTensor`` (Borel monomial legs, truncated in total weight).
+Koszul-sign product, the leg maps and the counit contraction, on the linear
+structure of :class:`Combination`, which the Borel series and exact elements
+share too.  Its kinds are :class:`TensorElement` (word legs) and
+``borel.ExactBorelTensor`` (legs the monomials v^eps h^m K^n of the exact
+Borel algebra).
 :class:`HopfMaps` builds Delta and S from generator images by :func:`extend`,
 guards that they keep the weight, and writes the Hopf axioms on a generator
-once: the function algebra (``frt.hopf_maps``) and the Borel algebra
-(``borel._generators(w).hopf``) are its instances.
+once: the function algebra (``frt.hopf_maps``) and the exact Borel algebra
+(``borel.hopf_maps``) are its instances.
 """
 
 from __future__ import annotations
@@ -316,37 +318,13 @@ def _scaled(pairs, coeff):
     return ((k, coeff if q == 1 else coeff * q) for k, q in pairs)
 
 
-class GradedTensor:
-    """Element of a graded tensor power: a map from tuples of leg keys, one
-    per leg, to Scalars, cut at a total weight when ``weight_bound`` is set.
+class Combination:
+    """A finite combination of keys with nonzero coefficients, and its linear
+    structure.  A subclass builds results of its kind with ``_like(terms)``,
+    and its ``_check`` raises ValueError unless two operands can be
+    combined, so a binary result keeps what both share."""
 
-    A subclass says what a leg key is: its Z2 ``_key_grade``, its
-    ``_key_weight`` (bounded kinds only) and the ``_key_product`` of two keys
-    as (key, rational) pairs.  ``_like`` and ``_leg_element`` (one leg alone)
-    build results of its kind; ``_check`` raises ValueError unless two
-    operands share their arity and their alphabet or bound, so a binary
-    result keeps both.  The product applies the Koszul rule leg by leg:
-    (x ox y)(u ox v) = (-1)^{|y||u|} xu ox yv.
-    """
-
-    __slots__ = ("arity", "_terms")
-    weight_bound = None
-
-    def __init__(self, arity, terms=None, _internal=False):
-        self.arity = arity
-        if terms is None:
-            terms = {}
-        if not _internal:
-            if any(len(k) != arity for k in terms):
-                raise ValueError("wrong arity in term")
-            bound = self.weight_bound
-            terms = {k: c for k, c in terms.items() if c and (
-                bound is None or sum(map(self._key_weight, k)) <= bound)}
-        self._terms = terms
-
-    @staticmethod
-    def _key_weight(key):
-        return 0
+    __slots__ = ("_terms",)
 
     def __bool__(self):
         return bool(self._terms)
@@ -357,6 +335,9 @@ class GradedTensor:
 
     def terms(self):
         return self._terms.items()
+
+    def _check(self, other):
+        pass
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
@@ -375,6 +356,37 @@ class GradedTensor:
             return self._like({})
         return self._like({k: c * coeff for k, c in self._terms.items()})
 
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return self._terms == other._terms
+
+
+class GradedTensor(Combination):
+    """Element of a graded tensor power: a map from tuples of leg keys, one
+    per leg, to coefficients.
+
+    A subclass says what a leg key is: its Z2 ``_key_grade`` and the
+    ``_key_product`` of two keys as (key, rational) pairs.  ``_like`` and
+    ``_leg_element`` (one leg alone) build results of its kind; ``_check``
+    raises ValueError unless two operands share their arity (and alphabet).
+    The product applies the Koszul rule leg by leg:
+    (x ox y)(u ox v) = (-1)^{|y||u|} xu ox yv.
+    """
+
+    __slots__ = ("arity",)
+
+    def __init__(self, arity, terms=None, _internal=False):
+        self.arity = arity
+        if terms is None:
+            terms = {}
+        if not _internal:
+            if any(len(k) != arity for k in terms):
+                raise ValueError("wrong arity in term")
+            terms = {k: c for k, c in terms.items() if c}
+        self._terms = terms
+
     def __mul__(self, other):
         scal = _coerce_scalar(other)
         if scal is not None:
@@ -382,21 +394,15 @@ class GradedTensor:
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check(other)
-        bound, grade, weight = self.weight_bound, self._key_grade, self._key_weight
-        key_product = self._key_product
-        right = [(k2, c2, [i for i, x in enumerate(k2) if grade(x)],
-                  sum(map(weight, k2)))
+        grade, key_product = self._key_grade, self._key_product
+        right = [(k2, c2, [i for i, x in enumerate(k2) if grade(x)])
                  for k2, c2 in other._terms.items()]
 
         def products():
             for k1, c1 in self._terms.items():
                 g1 = [grade(x) for x in k1]
                 after = [sum(g1[i + 1:]) for i in range(len(g1))]
-                w1 = sum(map(weight, k1))
-                for k2, c2, odd2, w2 in right:
-                    # a key product keeps the summed weight: cut before it
-                    if bound is not None and w1 + w2 > bound:
-                        continue
+                for k2, c2, odd2 in right:
                     c = c1 * c2
                     if sum(after[i] for i in odd2) % 2:
                         c = -c
@@ -409,12 +415,6 @@ class GradedTensor:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        self._check(other)
-        return self._terms == other._terms
-
     def map_leg(self, leg: int, fn):
         """Apply a linear map to one leg; fn sends a key to a one-leg element."""
         return self.expand_leg(leg, lambda x: self._like(
@@ -422,19 +422,14 @@ class GradedTensor:
 
     def expand_leg(self, leg: int, fn, new_arity: int):
         """Splice the tensor fn(key) in place of one leg, as (Delta ox id) does."""
-        bound, weight = self.weight_bound, self._key_weight
-
         def spliced():
             for k, c in self._terms.items():
                 head, tail = k[:leg], k[leg + 1:]
-                # the weight left for the spliced key beside the kept legs
-                room = None if bound is None else bound - sum(map(weight, head + tail))
                 for k2, c2 in fn(k[leg])._terms.items():
                     key = head + k2 + tail
                     if len(key) != new_arity:
                         raise ValueError("arity mismatch in expand_leg")
-                    if room is None or sum(map(weight, k2)) <= room:
-                        yield key, c * c2
+                    yield key, c * c2
         return self._like(_accumulate(spliced()), new_arity)
 
     def apply_counit_leg(self, leg: int, counit):
@@ -447,23 +442,19 @@ class GradedTensor:
         return self._like(out, self.arity - 1)
 
     def _tensor_of(self, legs):
-        """x ox y (ox z) of one-leg elements in this kind and bound: no sign,
-        this is not a product."""
-        bound, weight = self.weight_bound, self._key_weight
-        terms = [((k,), c, weight(k)) for k, c in legs[0]._terms.items()
-                 if bound is None or weight(k) <= bound]
+        """x ox y (ox z) of one-leg elements in this kind: no sign, this is not
+        a product."""
+        terms = [((k,), c) for k, c in legs[0]._terms.items()]
         for leg in legs[1:]:
-            terms = [(key + (k,), coeff * c, w + weight(k))
-                     for key, coeff, w in terms for k, c in leg._terms.items()
-                     if bound is None or w + weight(k) <= bound]
-        return self._like(_accumulate((key, c) for key, c, _ in terms), len(legs))
+            terms = [(key + (k,), coeff * c) for key, coeff in terms
+                     for k, c in leg._terms.items()]
+        return self._like(_accumulate(terms), len(legs))
 
 
 class TensorElement(GradedTensor):
     """Element of a graded tensor power of a free graded algebra.
 
-    Leg keys are words; their product is concatenation, and the tensor is not
-    truncated.
+    Leg keys are words; their product is concatenation.
     """
 
     __slots__ = ("alphabet",)
@@ -550,14 +541,21 @@ class HopfMaps:
 
     def antipode_defects(self, g):
         """m(S ox id)Delta(g) - eps(g) 1 and m(id ox S)Delta(g) - eps(g) 1,
-        reduced."""
+        reduced.  A unit leg is not multiplied: x ox 1 adds S(x) or x, and
+        1 ox y adds y or S(y)."""
         ids, d = self.images["id"], self.images["delta"][g]
         s, word_of, leg = self.antipode.word, self.word_of, d._leg_element
         unit = ids["1"].scale(self.counit(ids[g]))
 
-        def multiplied(product):
-            return leg(_accumulate((k, c * a) for (k1, k2), c in d.terms()
-                                   for k, a in product(k1, k2)._terms.items()))
-        left = multiplied(lambda k1, k2: s(word_of(k1)) * leg({k2: 1}))
-        right = multiplied(lambda k1, k2: leg({k1: 1}) * s(word_of(k2)))
-        return self.reduce(left - unit), self.reduce(right - unit)
+        def side(anti):
+            def terms():
+                for key, c in d.terms():
+                    factors = [s(w) if i == anti else leg({k: 1})
+                               for i, k in enumerate(key) if (w := word_of(k))]
+                    if len(factors) == 2:
+                        product = factors[0] * factors[1]
+                    else:
+                        product = factors[0] if factors else ids["1"]
+                    yield from ((k, c * a) for k, a in product._terms.items())
+            return leg(_accumulate(terms()))
+        return self.reduce(side(0) - unit), self.reduce(side(1) - unit)

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .scalars import Scalar, ONE as S_ONE, _accumulate
@@ -422,17 +423,22 @@ def _int_rows(polys, ranks, pval):
 
 def _int_reduce(basis, row):
     """Fraction-free remainder of an integer row, primitive or not, modulo an
-    echelon basis: primitive, and empty when the row is in the span.  A row
-    whose lead has a pivot is copied and reduced in place: with a the pivot's
-    lead and b the row's, it is scaled by a // gcd(a, b) only when a does not
+    echelon basis: primitive, empty when the row is in the span, and free of
+    every column that has a pivot.  Those columns are reduced highest first,
+    through a heap, in a copy of the row: with a the pivot's lead and b the
+    row's entry, the row is scaled by a // gcd(a, b) only when a does not
     divide b, and the content is stripped once, at the end."""
-    row = dict(row) if row and max(row) in basis else row
-    while row:
-        lead = max(row)
-        piv = basis.get(lead)
-        if piv is None:
-            break
-        a, b = piv[lead], row[lead]
+    heap = [-k for k in row if k in basis]
+    if heap:
+        row = dict(row)
+        heapify(heap)
+    while heap:
+        col = -heappop(heap)
+        b = row.get(col)
+        if b is None:
+            continue
+        piv = basis[col]
+        a = piv[col]
         g = gcd(a, b) if b % a else a
         if g != a:
             for k in row:
@@ -440,10 +446,12 @@ def _int_reduce(basis, row):
         b //= g
         for k, v in piv.items():
             cur = row.get(k, 0) - b * v
-            if cur:
-                row[k] = cur
-            else:
+            if not cur:
                 del row[k]
+                continue
+            if k not in row and k in basis:
+                heappush(heap, -k)
+            row[k] = cur
     g = _gcd_all(row.values())
     return {k: v // g for k, v in row.items()} if g > 1 else row
 

@@ -7,9 +7,9 @@ import pytest
 from ospq.scalars import Scalar, rat, P, HALF, SQRT2
 from ospq import borel, scalars
 from ospq.checks import CheckConfig, run_checks
-from ospq.freealg import GradedTensor, TensorElement
-from ospq.borel import (BorelSeries, BorelTensor, exp_sigma, exp_minus_sigma,
-                        one_plus_px)
+from ospq.freealg import GradedTensor, SuperPoly, TensorElement, extend
+from ospq.borel import (BorelSeries, ExactBorel, ExactBorelTensor, exp_sigma,
+                        exp_minus_sigma, one_plus_px)
 
 W = 12  # enough weight for every identity below; acceptance uses 16
 
@@ -135,20 +135,61 @@ def test_rll_residuals_shape():
         assert f.degree() <= 2
 
 
+ONE = Scalar.one()
+UNIT = (0, 0, 0)
+
+
+def _fresh_hopf():
+    """The exact Hopf maps with an empty word memo."""
+    borel.hopf_maps.cache_clear()
+    return borel.hopf_maps()
+
+
+def _grid(m_max, n_max):
+    return [(e, m, n) for e in (0, 1) for m in range(m_max + 1)
+            for n in range(-n_max, n_max + 1)]
+
+
+def test_exact_product_is_associative_on_a_monomial_grid():
+    monos = [ExactBorel({key: 1}) for key in _grid(2, 2)]
+    for a in monos:
+        for b in monos:
+            ab = a * b
+            for c in monos:
+                assert ab * c == a * (b * c)
+
+
+def test_exact_normal_ordering_rules():
+    hopf = borel.hopf_maps()
+    k, k_inv, v, h = (hopf.images["id"][g] for g in ("K", "K^-1", "v", "h"))
+    one = hopf.images["id"]["1"]
+    assert k * k_inv == one == k_inv * k
+    assert k * v == v * k
+    assert h * v == v * h + v.scale(2)
+    assert v * v == k * k - one
+    assert k * h == h * k - k.scale(2) + k_inv.scale(2)
+
+
 def test_coproduct_square_identity():
     lhs = borel.delta_v(W) * borel.delta_v(W)
     assert lhs == borel.delta_x(W).scale(rat(Fraction(1, 4)))
+    # p Delta(v)^2 = Delta(K)^2 - 1 ox 1, at p = 1
+    delta = borel.hopf_maps().images["delta"]
+    assert borel.delta_x(W) == delta["K"] * delta["K"] - delta["1"]
 
 
 def test_grouplike_inverse():
     es = exp_sigma(W)
     esi = exp_minus_sigma(W)
-    assert BorelTensor.of(es, es) * BorelTensor.of(esi, esi) == BorelTensor.one(2, W)
+    assert es * esi == BorelSeries.one(W)
+    ids = borel.hopf_maps().images["id"]
+    assert (ExactBorelTensor.of(ids["K"], ids["K"]) * ExactBorelTensor.of(ids["K^-1"], ids["K^-1"])
+            == ExactBorelTensor.of(ids["1"], ids["1"]))
 
 
 def test_tensor_constructors_reject_terms_of_the_wrong_arity():
     with pytest.raises(ValueError, match="arity"):
-        BorelTensor(2, W, {((0, 0, 0),): Scalar.one()})
+        ExactBorelTensor(2, {(UNIT,): ONE})
     with pytest.raises(ValueError, match="arity"):
         TensorElement(borel.RLL_ALPHABET, 2, {(("A",),): Scalar.one()})
 
@@ -159,7 +200,7 @@ def test_coproduct_homomorphism():
 
 
 def test_coassociativity():
-    for g in ("exp_sigma", "V", "H"):
+    for g in ("exp_sigma", "V", "H", *borel.BOREL_ALPHABET.letters):
         assert borel.coassociativity_defect(g, W).is_zero
 
 
@@ -169,18 +210,29 @@ def test_counit_axiom():
 
 
 def test_antipode_candidate_satisfies_axioms():
-    for g, (left, right) in borel.antipode_axiom_defects(W).items():
+    hopf = borel.hopf_maps()
+    for g in borel.BOREL_ALPHABET.letters:
+        left, right = hopf.antipode_defects(g)
         assert left.is_zero and right.is_zero
 
 
+def _in_series(element, w):
+    """An exact element over Q[p] mapped into the series algebra by
+    K -> e^sigma, v -> v and h -> 2h."""
+    images = borel.generator_images(w)
+    word = SuperPoly(borel.BOREL_ALPHABET, {borel._word(k): c for k, c in element._terms.items()})
+    return extend(images.__getitem__, BorelSeries.one(w))(word)
+
+
 def test_antipode_candidate_images():
-    # the candidate holds the images of v = 2V and h = 2H
-    cand = borel.generator_images(W)["antipode"]
+    # with v = 2V and h = 4H the exact images map to the paper's candidate
+    cand = borel.hopf_images()["antipode"]
     esi = exp_minus_sigma(W)
-    v, h = BorelSeries.v(W).scale(rat(2)), BorelSeries.h(W).scale(rat(2))
-    assert cand["exp_sigma"] == esi
-    assert cand["v"] == -(esi * v)
-    assert cand["h"] == -(h * one_plus_px(W)) + BorelSeries.x(W).scale(HALF * P)
+    v, h = BorelSeries.v(W), BorelSeries.h(W)
+    assert _in_series(cand["K"], W) == esi
+    assert _in_series(cand["v"], W) == -(esi * v).scale(rat(2))
+    assert _in_series(cand["h"], W) == (
+        -(h * one_plus_px(W)) + BorelSeries.x(W).scale(P * rat(Fraction(1, 4)))).scale(rat(4))
 
 
 def test_truncation_order_prefix_consistency():
@@ -195,22 +247,20 @@ def test_dual_relations_count():
 
 
 def test_delta_monomial_equals_explicit_product():
-    # keys are v^eps h^m X^n, and Delta(v), Delta(h) are twice Delta(V), Delta(H)
-    w = 8
-    delta = borel._generators(w).images["delta"]
-    dv, dh, dx = delta["v"], delta["h"], borel.delta_x(w)
-    assert dv == borel.delta_v(w).scale(2) and dh == borel.delta_h(w).scale(2)
-    for eps in (0, 1):
-        for m in range(4):
-            for n in range((w - eps) // 2 + 1):
-                expected = BorelTensor.one(2, w)
-                for factor in [dv] * eps + [dh] * m + [dx] * n:
-                    expected = expected * factor
-                assert borel.delta_monomial((eps, m, n), w) == expected
+    # keys are v^eps h^m K^n, with Delta(v) twice Delta(V)
+    hopf = borel.hopf_maps()
+    delta = hopf.images["delta"]
+    assert delta["v"] == borel.delta_v().scale(2)
+    for eps, m, n in _grid(3, 3):
+        expected = delta["1"]
+        k = delta["K"] if n >= 0 else delta["K^-1"]
+        for factor in [delta["v"]] * eps + [delta["h"]] * m + [k] * abs(n):
+            expected = expected * factor
+        assert borel.delta_monomial((eps, m, n)) == expected
     # a cached tensor changed by its first use would show on the second
     for _ in range(2):
-        for g in ("exp_sigma", "V", "H"):
-            assert borel.coassociativity_defect(g, w).is_zero
+        for g in borel.BOREL_ALPHABET.letters:
+            assert hopf.coassociativity_defect(g).is_zero
 
 
 def _leg_keys(tensor):
@@ -229,25 +279,25 @@ def _count_calls(monkeypatch, cls, name):
 
 
 def test_coassociativity_builds_each_leg_coproduct_once(monkeypatch):
-    w = 16
-    keys = _leg_keys(borel.delta_h(w)) - {(0, 0, 0)}
-    borel._generators.cache_clear()
-    calls = _count_calls(monkeypatch, BorelTensor, "__mul__")
-    assert borel.coassociativity_defect("H", w).is_zero
+    hopf = _fresh_hopf()
+    keys = _leg_keys(hopf.images["delta"]["h"]) - {UNIT}
+    calls = _count_calls(monkeypatch, ExactBorelTensor, "__mul__")
+    assert hopf.coassociativity_defect("h").is_zero
     assert calls[0] <= len(keys)
 
 
 def test_antipode_builds_each_leg_image_once(monkeypatch):
-    w = 16
-    gens = (borel.delta_exp_sigma(w), borel.delta_v(w), borel.delta_h(w))
+    hopf = _fresh_hopf()
+    gens = [hopf.images["delta"][g] for g in borel.BOREL_ALPHABET.letters]
     terms = sum(len(d._terms) for d in gens)
-    keys = set().union(*map(_leg_keys, gens)) - {(0, 0, 0)}
-    calls = _count_calls(monkeypatch, BorelSeries, "__mul__")
-    defects = borel.antipode_axiom_defects(w)
-    assert all(left.is_zero and right.is_zero for left, right in defects.values())
-    # one product per leg key for its image, two per term for the axiom
-    # sides, and two each in antipode_candidate and delta_h
-    assert calls[0] <= len(keys) + 2 * terms + 4
+    keys = set().union(*map(_leg_keys, gens)) - {UNIT}
+    calls = _count_calls(monkeypatch, ExactBorel, "__mul__")
+    for g in borel.BOREL_ALPHABET.letters:
+        left, right = hopf.antipode_defects(g)
+        assert left.is_zero and right.is_zero
+    # at most one product per leg key for its image and two per term for the
+    # axiom sides
+    assert calls[0] <= len(keys) + 2 * terms
 
 
 def test_mono_mul_memo_matches_the_product_and_shares_a_tuple():
@@ -260,15 +310,22 @@ def test_mono_mul_memo_matches_the_product_and_shares_a_tuple():
                 product = borel._mono_mul(k1, k2)
                 assert isinstance(product, tuple)
                 assert product == borel._mono_mul.__wrapped__(k1, k2)
+    for k1 in _grid(3, 3):
+        for k2 in _grid(3, 3):
+            product = borel._exact_mul(k1, k2)
+            assert isinstance(product, tuple)
+            assert product == borel._exact_mul.__wrapped__(k1, k2)
+
+
+def _clear_caches():
+    for cache in (borel.hopf_maps, borel.exp_sigma, borel.exp_minus_sigma):
+        cache.cache_clear()
 
 
 def _generator_data(w):
-    data = {name: getattr(borel, name)(w)
-            for name in ("exp_sigma", "exp_minus_sigma", "exp_minus_two_sigma",
-                         "delta_x", "delta_exp_sigma")}
-    # delta_v and delta_h halve the cached Delta(v) and Delta(h) on each call
-    data["images"] = borel._generators(w).images
-    data["relation_defects"] = {name: borel.coproduct_relation_defect(name, w)
+    data = {name: getattr(borel, name)(w) for name in ("exp_sigma", "exp_minus_sigma")}
+    data["images"] = borel.hopf_maps().images
+    data["relation_defects"] = {name: borel.coproduct_relation_defect(name)
                                 for name in borel.BOREL_RELATIONS}
     return data
 
@@ -282,81 +339,92 @@ def test_cached_generators_equal_fresh_builds_after_every_check():
         assert [r.status for r in reports] == ["pass"] * len(reports)
     cached = _generator_data(w)
     keys = set().union(*map(_leg_keys, cached["images"]["delta"].values()))
-    monomials = {key: borel.delta_monomial(key, w) for key in keys}
-    borel._generators.cache_clear()
+    monomials = {key: borel.delta_monomial(key) for key in keys}
+    _clear_caches()
     fresh = _generator_data(w)
     assert all(fresh[name] is not cached[name] for name in cached)
     assert fresh == cached
-    assert {key: borel.delta_monomial(key, w) for key in keys} == monomials
+    assert {key: borel.delta_monomial(key) for key in keys} == monomials
 
 
 def test_one_run_builds_delta_h_once_per_weight(monkeypatch):
-    # Delta(H) is built over Q[p] with the other generator images
+    # Delta(h) is built over Q[p] with the other generator images, once for
+    # every weight: the Hopf checks are exact
     built = []
-    original = borel.generator_images
+    original = borel.hopf_images
 
-    def spy(w):
-        built.append(w)
-        return original(w)
+    def spy():
+        built.append(1)
+        return original()
 
-    monkeypatch.setattr(borel, "generator_images", spy)
-    borel._generators.cache_clear()
+    monkeypatch.setattr(borel, "hopf_images", spy)
+    borel.hopf_maps.cache_clear()
     try:
         for w in (8, 10):
             reports = run_checks("borel-coproduct", CheckConfig(truncation=w))
             assert [r.status for r in reports] == ["pass"] * len(reports)
-        assert built == [8, 10]
+        assert built == [1]
     finally:
-        borel._generators.cache_clear()
+        borel.hopf_maps.cache_clear()
 
 
 def _lift(value, top):
-    """The Scalar element of weight ``top`` whose value at p = 4 is ``value``:
-    a term q on a key of weight -wt goes to (q / 4^k) p^k with 2k = top + wt."""
-    tensor = isinstance(value, BorelTensor)
+    """The Scalar element of weight ``top`` whose value at p = 1 is ``value``:
+    a term q on a key of weight -eps goes to q p^k with 2k = top + eps."""
+    tensor = isinstance(value, ExactBorelTensor)
     terms = {}
     for key, q in value._terms.items():
-        wt = sum(map(borel._weight, key)) if tensor else borel._weight(key)
-        k, r = divmod(top + wt, 2)
+        eps = sum(k[0] for k in key) if tensor else key[0]
+        k, r = divmod(top + eps, 2)
         assert not r and k >= 0
-        terms[key] = Scalar.in_p({k: Fraction(q, 4 ** k)})
-    if tensor:
-        return BorelTensor(value.arity, value.weight_bound, terms)
-    return BorelSeries(value.weight_bound, terms)
+        terms[key] = Scalar.in_p({k: Fraction(q)})
+    return value._like(terms) if tensor else ExactBorel(terms)
 
 
-def test_at_four_rejects_an_element_that_is_not_homogeneous():
-    for element in (BorelSeries.one(W) + BorelSeries.x(W),
-                    BorelSeries.x(W).scale(P + rat(1)),
-                    BorelTensor.of(BorelSeries.one(W), BorelSeries.one(W) + BorelSeries.v(W))):
+def test_at_one_rejects_an_element_that_is_not_homogeneous():
+    v, k = (1, 0, 0), (0, 0, 1)
+    for element in (ExactBorel({UNIT: ONE, v: ONE}),
+                    ExactBorel({k: P + rat(1)}),
+                    ExactBorelTensor(2, {(UNIT, UNIT): ONE, (UNIT, v): ONE}),
+                    SuperPoly.word(borel.BOREL_ALPHABET, ("v", "v")) + SuperPoly.one(
+                        borel.BOREL_ALPHABET)):
         with pytest.raises(ValueError, match="not homogeneous"):
-            borel.at_four(element)
-    # 1 + pX is homogeneous of weight 0
-    assert borel.at_four(one_plus_px(W)) == (0, BorelSeries.in_x(W, {0: 1, 1: 4}))
-    assert borel.at_four(BorelSeries.zero(W)) == (None, BorelSeries.zero(W))
-    # homogeneous but not integral at p = 4: the paper's V = v/2, and p X / 8
-    for element in (BorelSeries.v(W), BorelSeries.x(W).scale(rat(Fraction(1, 8)) * P),
-                    BorelTensor.of(BorelSeries.h(W), BorelSeries.one(W))):
+            borel.at_one(element)
+    # p v v - K^2 + 1 is homogeneous of weight 0
+    top, value = borel.at_one(borel.borel_relation("VV"))
+    assert top == 0
+    assert value._terms == {("v", "v"): 1, ("K", "K"): -1, (): 1}
+    assert borel.at_one(ExactBorel({})) == (None, ExactBorel({}))
+    # homogeneous but not integral at p = 1: the paper's V = v/2, and p K / 2
+    for element in (ExactBorel({v: HALF}), ExactBorel({k: HALF * P}),
+                    ExactBorelTensor(2, {((0, 1, 0), UNIT): HALF})):
         with pytest.raises(ArithmeticError, match="not integral"):
-            borel.at_four(element)
+            borel.at_one(element)
 
 
-def test_generator_images_at_p_4_lift_to_their_scalar_builds():
-    w = 16
-    values = borel._generators(w).images
-    for name, images in borel.generator_images(w).items():
+def test_hopf_images_at_p_1_lift_to_their_scalar_builds():
+    values = _fresh_hopf().images
+    for name, images in borel.hopf_images().items():
         for g, image in images.items():
-            top, value = borel.at_four(image)
+            top, value = borel.at_one(image)
             assert value == values[name][g], (name, g)
             assert all(type(c) is int for c in values[name][g]._terms.values())
             assert _lift(value, top) == image, (name, g)
 
 
+def _precomputed_sanity(monkeypatch, w):
+    """Build the series sanity half of borel-coproduct.homomorphism, the one
+    part over Q[p], and the exact Hopf maps before a spied run."""
+    sanity = {name: borel.borel_relation_defect(name, w) for name in borel.BOREL_RELATIONS}
+    monkeypatch.setattr(borel, "borel_relation_defect", lambda name, w: sanity[name])
+    _fresh_hopf()
+
+
 def test_borel_coproduct_checks_multiply_no_scalars(monkeypatch):
-    # once the generator images are built over Q[p] and evaluated at p = 4,
-    # the five borel-coproduct checks run on ints
+    # once the generator images are built over Q[p] and evaluated at p = 1,
+    # the Hopf part of the five borel-coproduct checks runs on ints
     w = 24
-    borel._generators(w).images
+    _precomputed_sanity(monkeypatch, w)
     products = []
     kernel = scalars._products
 
@@ -370,45 +438,44 @@ def test_borel_coproduct_checks_multiply_no_scalars(monkeypatch):
     assert products == []
 
 
-def test_doubled_pvv_term_of_delta_h_fails_at_p_4(monkeypatch):
-    # a negative control for the checks at p = 4: Delta(H) with its
-    # p V e^-sigma ox V e^-2sigma term doubled, so Delta(h) = 2 Delta(H) gains
-    # that term twice
-    w = 12
-    original = borel.generator_images
+def test_doubled_p_term_of_delta_h_fails_the_homomorphism_check(monkeypatch):
+    # a negative control for the exact checks: Delta(h) with its
+    # p v K^-1 ox v K^-2 term doubled
+    original = borel.hopf_images
 
-    def doubled(w):
-        images = original(w)
-        v = BorelSeries.v(w)
-        images["delta"]["h"] = images["delta"]["h"] + BorelTensor.of(
-            v * exp_minus_sigma(w), v * borel.exp_minus_two_sigma(w)).scale(rat(2) * P)
+    def doubled():
+        images = original()
+        images["delta"]["h"] = images["delta"]["h"] + ExactBorelTensor(
+            2, {((1, 0, -1), (1, 0, -2)): P})
         return images
 
-    monkeypatch.setattr(borel, "generator_images", doubled)
-    borel._generators.cache_clear()
+    monkeypatch.setattr(borel, "hopf_images", doubled)
+    borel.hopf_maps.cache_clear()
     try:
         status = {r.name.split(".")[1]: r.status
-                  for r in run_checks("borel-coproduct", CheckConfig(truncation=w))}
+                  for r in run_checks("borel-coproduct", CheckConfig(truncation=W))}
         assert [n for n in borel.BOREL_RELATIONS
-                if not borel.coproduct_relation_defect(n, w).is_zero] == ["HV"]
+                if not borel.coproduct_relation_defect(n).is_zero] == ["HV"]
         assert status["homomorphism"] == status["antipode-candidate"] == "fail"
-        # coassociativity alone would not catch it: Delta(H) stays coassociative
+        # coassociativity alone would not catch it: Delta(h) stays coassociative
         # for any multiple of that term, and the counit kills the term on
-        # either leg, since eps(V) = 0
+        # either leg, since eps(v) = 0
         assert status["coassociativity"] == status["counit-axiom"] == "pass"
     finally:
-        borel._generators.cache_clear()
+        monkeypatch.undo()
+        borel.hopf_maps.cache_clear()
 
 
 def test_generator_images_and_monomial_products_are_integral():
-    # at p = 4 in the basis v, h, X every generator image is integral, and so
-    # is every structure constant of the normal ordering
-    for w in range(4, 41, 2):
-        images = borel._generators(w).images
-        for name, by_generator in images.items():
-            for g, image in by_generator.items():
-                assert all(type(c) is int for c in image._terms.values()), (w, name, g)
-    borel._generators.cache_clear()
+    # at p = 1 in the basis v, h = 4H, K every generator image is integral,
+    # and so is every structure constant of the exact normal ordering; the
+    # series constants are integral in the basis v, h = 2H, X
+    for name, by_generator in _fresh_hopf().images.items():
+        for g, image in by_generator.items():
+            assert all(type(c) is int for c in image._terms.values()), (name, g)
+    for k1 in _grid(4, 4):
+        for k2 in _grid(4, 4):
+            assert all(type(c) is int for _, c in borel._exact_mul(k1, k2))
     w = 40
     keys = [(eps, m, n) for eps in (0, 1) for m in range(4)
             for n in range((w - eps) // 2 + 1)]
@@ -424,10 +491,10 @@ _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
 
 
 def test_borel_coproduct_checks_do_no_fraction_arithmetic(monkeypatch):
-    # after the generator build, the five checks add and multiply ints only
+    # after the generator build, the Hopf part of the five checks adds and
+    # multiplies ints only
     w = 24
-    borel._generators.cache_clear()
-    borel._generators(w).images
+    _precomputed_sanity(monkeypatch, w)
     used = []
     for name in _FRACTION_ARITHMETIC:
         original = getattr(Fraction, name)
@@ -447,67 +514,71 @@ def test_borel_coproduct_checks_do_no_fraction_arithmetic(monkeypatch):
 def test_one_run_multiplies_delta_v_by_delta_v_once(monkeypatch):
     # square-identity and homomorphism share Delta(v) Delta(v) through the
     # word memo of the coproduct
-    w = 16
-    borel._generators.cache_clear()
-    dv = borel._generators(w).images["delta"]["v"]._terms
+    dv = _fresh_hopf().images["delta"]["v"]._terms
     squares = []
     original = GradedTensor.__mul__
 
     def spy(self, other):
-        if isinstance(other, BorelTensor) and self._terms == other._terms == dv:
+        if isinstance(other, ExactBorelTensor) and self._terms == other._terms == dv:
             squares.append(self)
         return original(self, other)
 
     monkeypatch.setattr(GradedTensor, "__mul__", spy)
     try:
-        reports = run_checks("borel-coproduct", CheckConfig(truncation=w))
+        reports = run_checks("borel-coproduct", CheckConfig(truncation=16))
         assert [r.status for r in reports] == ["pass"] * 5
         assert len(squares) == 1
     finally:
         monkeypatch.undo()
-        borel._generators.cache_clear()
+        borel.hopf_maps.cache_clear()
 
 
 def test_combining_two_weight_bounds_raises():
-    # the series and tensors of one computation share their bound
+    # the series of one computation share their bound
     binary = (operator.add, operator.sub, operator.mul, operator.eq)
-    for a, b in ((BorelSeries.x(12), BorelSeries.x(10)),
-                 (BorelTensor.one(2, 12), BorelTensor.one(2, 10))):
-        for op in binary:
-            with pytest.raises(ValueError, match="weight bounds"):
-                op(a, b)
-    with pytest.raises(ValueError, match="weight bounds"):
-        BorelTensor.of(BorelSeries.x(12), BorelSeries.x(10))
+    for op in binary:
+        with pytest.raises(ValueError, match="weight bounds"):
+            op(BorelSeries.x(12), BorelSeries.x(10))
+    # the exact tensors have no bound, but share their arity
+    one = borel.hopf_maps().images["id"]["1"]
+    for op in binary:
+        with pytest.raises(ValueError, match="arities"):
+            op(ExactBorelTensor.of(one, one), ExactBorelTensor.of(one, one, one))
 
 
-@pytest.mark.parametrize("name, g", [("delta", "h"), ("antipode", "X")])
+@pytest.mark.parametrize("name, g", [("delta", "h"), ("antipode", "v")])
 def test_hopf_images_must_keep_the_weight(monkeypatch, name, g):
-    # a negative control for deciding at p = 4: an image scaled by p weighs 2
+    # a negative control for deciding at p = 1: an image scaled by p weighs 2
     # more than its generator
-    w = 12
-    borel._generators.cache_clear()
-    tops = {x: borel.at_four(image)[0]
-            for x, image in borel.generator_images(w)["id"].items()}
-    assert tops == {"1": 0, "exp_sigma": 0, "v": -1, "h": 0, "X": -2}
-    original = borel.generator_images
+    tops = {x: borel.at_one(image)[0] for x, image in borel.hopf_images()["id"].items()}
+    assert tops == {"1": 0, "K": 0, "K^-1": 0, "v": -1, "h": 0}
+    original = borel.hopf_images
 
-    def scaled(w):
-        images = original(w)
+    def scaled():
+        images = original()
         images[name][g] = images[name][g].scale(P)
         return images
 
-    monkeypatch.setattr(borel, "generator_images", scaled)
+    monkeypatch.setattr(borel, "hopf_images", scaled)
+    borel.hopf_maps.cache_clear()
     try:
         with pytest.raises(ValueError, match="does not keep the Borel weight"):
-            borel._generators(w).images
+            borel.hopf_maps()
     finally:
-        borel._generators.cache_clear()
+        monkeypatch.undo()
+        borel.hopf_maps.cache_clear()
+
+
+def _borel_reports(w):
+    return {r.name: r for group in ("borel-coproduct", "borel-ansatz")
+            for r in run_checks(group, CheckConfig(truncation=w))}
 
 
 def test_perturbed_v_h_constant_fails_the_homomorphism_check(monkeypatch):
-    # a negative control on a structure constant: v h = (h - 2) v in place of
-    # (h - 1) v, i.e. h v = v (h + 2).  _mono_mul passes the shift of h^m1
-    # past v^e2 as e2 plus an even number, so adding e2 again doubles it.
+    # a negative control on a series structure constant: v h = (h - 2) v in
+    # place of (h - 1) v, i.e. h v = v (h + 2).  _mono_mul passes the shift of
+    # h^m1 past v^e2 as e2 plus an even number, so adding e2 again doubles it;
+    # the exact product passes an even shift and is untouched
     w = 12
     original = borel._h_shift_poly
 
@@ -516,18 +587,45 @@ def test_perturbed_v_h_constant_fails_the_homomorphism_check(monkeypatch):
 
     monkeypatch.setattr(borel, "_h_shift_poly", perturbed)
     borel._mono_mul.cache_clear()
-    borel._generators.cache_clear()
+    _clear_caches()
     try:
-        reports = {r.name: r for group in ("borel-coproduct", "borel-ansatz")
-                   for r in run_checks(group, CheckConfig(truncation=w))}
+        reports = _borel_reports(w)
         homomorphism = reports["borel-coproduct.homomorphism"]
         assert homomorphism.status == "fail"
         assert homomorphism.details == "failing relations: ['HV']"
+        # the sanity half, in the series algebra, catches it
         assert [n for n in borel.BOREL_RELATIONS
-                if not borel.coproduct_relation_defect(n, w).is_zero] == ["HV"]
+                if not borel.borel_relation_defect(n, w).is_zero] == ["HV"]
+        assert not any(borel.coproduct_relation_defect(n) for n in borel.BOREL_RELATIONS)
         # the ansatz substitutes V = v/2 and H = h/2 through the same product
         assert reports["borel-ansatz.solutions-satisfy-relations"].status == "fail"
     finally:
         monkeypatch.undo()
         borel._mono_mul.cache_clear()
-        borel._generators.cache_clear()
+        _clear_caches()
+
+
+def test_perturbed_exact_h_v_constant_fails_the_homomorphism_check(monkeypatch):
+    # the exact counterpart: h v = v (h + 4) in place of v (h + 2).  _exact_mul
+    # passes the shift of h^m1 past v^e2 as 2 e2, a shift of 2 that the series
+    # product never passes, so only the exact algebra changes
+    original = borel._h_shift_poly
+
+    def perturbed(m1, s1, m2, s2):
+        return original(m1, 4 if s1 == 2 else s1, m2, s2)
+
+    monkeypatch.setattr(borel, "_h_shift_poly", perturbed)
+    borel._exact_mul.cache_clear()
+    borel.hopf_maps.cache_clear()
+    try:
+        reports = _borel_reports(W)
+        homomorphism = reports["borel-coproduct.homomorphism"]
+        assert homomorphism.status == "fail"
+        assert homomorphism.details == "failing relations: ['HV']"
+        assert [n for n in borel.BOREL_RELATIONS
+                if not borel.coproduct_relation_defect(n).is_zero] == ["HV"]
+        assert reports["borel-ansatz.solutions-satisfy-relations"].status == "pass"
+    finally:
+        monkeypatch.undo()
+        borel._exact_mul.cache_clear()
+        borel.hopf_maps.cache_clear()

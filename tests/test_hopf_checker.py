@@ -1,6 +1,6 @@
 """The shared generator-level Hopf checker, ``freealg.HopfMaps``, on its two
-instances: the function algebra at p = 2 (``frt.hopf_maps()``) and the Borel
-algebra at p = 4, one per weight bound (``borel._generators(w).hopf``).
+instances: the function algebra at p = 2 (``frt.hopf_maps()``) and the exact
+Borel algebra at p = 1 (``borel.hopf_maps()``).
 
 Each check must be able to fail: one generator image is perturbed by a term
 of the same weight, so the weight guard still passes, and the check turns to
@@ -10,10 +10,10 @@ FAIL through ``run_checks``.
 import pytest
 
 from ospq import borel, frt
-from ospq.borel import BorelSeries, BorelTensor
+from ospq.borel import ExactBorel, ExactBorelTensor
 from ospq.checks import CheckConfig, run_checks
 from ospq.freealg import GradedTensor, SuperPoly, TensorElement
-from ospq.scalars import P
+from ospq.scalars import P, Scalar
 
 
 def _letter(x):
@@ -34,11 +34,13 @@ FRT_CONTROLS = [
 
 W = 12
 
-# the same at p = 4 on h = 2H, of weight 0, as X is with p
+# the same on the exact h = 4H, of weight 0, as K^2 - 1 = p v v is
+K2_MINUS_1 = {(0, 0, 2): Scalar.one(), (0, 0, 0): -Scalar.one()}
 BOREL_CONTROLS = [
-    ("delta", "h", lambda: BorelTensor.of(BorelSeries.one(W), BorelSeries.x(W)).scale(P),
+    ("delta", "h", lambda: ExactBorelTensor(2, {((0, 0, 0), k): c
+                                                for k, c in K2_MINUS_1.items()}),
      ["borel-coproduct.coassociativity", "borel-coproduct.counit-axiom"]),
-    ("antipode", "h", lambda: BorelSeries.x(W).scale(P),
+    ("antipode", "h", lambda: ExactBorel(K2_MINUS_1),
      ["borel-coproduct.antipode-candidate"]),
 ]
 
@@ -74,20 +76,21 @@ def test_perturbed_function_algebra_image_fails(monkeypatch, name, g, term, chec
 
 @pytest.mark.parametrize("name, g, term, checks", BOREL_CONTROLS, ids=_ids(BOREL_CONTROLS))
 def test_perturbed_borel_image_fails(monkeypatch, name, g, term, checks):
-    original = borel.generator_images
+    original = borel.hopf_images
 
-    def perturbed(w):
-        images = original(w)
+    def perturbed():
+        images = original()
         images[name][g] = images[name][g] + term()
         return images
 
-    monkeypatch.setattr(borel, "generator_images", perturbed)
-    borel._generators.cache_clear()
+    monkeypatch.setattr(borel, "hopf_images", perturbed)
+    borel.hopf_maps.cache_clear()
     try:
         assert set(checks) <= _failing("borel-coproduct", CheckConfig(truncation=W))
     finally:
         monkeypatch.undo()
-        borel._generators.cache_clear()
+        borel.hopf_maps.cache_clear()
+    assert not _failing("borel-coproduct", CheckConfig(truncation=W))
 
 
 @pytest.mark.parametrize("name, g", [("delta", "b"), ("antipode", "c")])
@@ -114,8 +117,8 @@ def test_extend_takes_a_letter_to_its_image(monkeypatch):
     # a one-letter word is its image, not its product with the unit: once the
     # generator images are built, a borel-coproduct run, whose coproduct words
     # are all new, multiplies no tensor by 1 ox 1
-    borel._generators.cache_clear()
-    unit = borel._generators(W).images["delta"]["1"]
+    borel.hopf_maps.cache_clear()
+    unit = borel.hopf_maps().images["delta"]["1"]
     units = []
     mul = GradedTensor.__mul__
 
@@ -129,6 +132,29 @@ def test_extend_takes_a_letter_to_its_image(monkeypatch):
         reports = run_checks("borel-coproduct", CheckConfig(truncation=W))
     finally:
         monkeypatch.undo()
-        borel._generators.cache_clear()
+        borel.hopf_maps.cache_clear()
     assert [r.status for r in reports] == ["pass"] * 5
+    assert units == []
+
+
+@pytest.mark.parametrize("hopf", [frt.hopf_maps, borel.hopf_maps], ids=["frt", "borel"])
+def test_antipode_defects_multiply_by_no_unit(monkeypatch, hopf):
+    # a coproduct term with a unit leg adds S(x) or x: no product in the
+    # antipode defects of any generator has a unit factor
+    hopf = hopf()
+    one = hopf.images["id"]["1"]
+    cls = type(one)
+    units = []
+    mul = cls.__mul__
+
+    def spy(a, b):
+        if isinstance(b, cls) and one in (a, b):
+            units.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(cls, "__mul__", spy)
+    for g in hopf.images["id"]:
+        left, right = hopf.antipode_defects(g)
+        assert not left and not right, g
+    monkeypatch.undo()
     assert units == []

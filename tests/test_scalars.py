@@ -5,7 +5,7 @@ import pytest
 
 from ospq.scalars import Scalar, rat, P, HALF, SQRT2, format_scalar, _accumulate
 from ospq.freealg import GradedAlphabet, SuperPoly, TensorElement
-from ospq.borel import BorelSeries, BorelTensor
+from ospq.borel import BorelSeries, ExactBorel, ExactBorelTensor
 
 
 def test_sqrt2_squares_to_two():
@@ -177,8 +177,9 @@ def _container_makers():
         ("TensorElement", lambda rng: (rng.choice(words), rng.choice(words)),
          lambda t: TensorElement(alphabet, 2, t)),
         ("BorelSeries", mono, lambda t: BorelSeries(8, t)),
-        ("BorelTensor", lambda rng: (mono(rng), mono(rng)),
-         lambda t: BorelTensor(2, 8, t)),
+        ("ExactBorel", mono, ExactBorel),
+        ("ExactBorelTensor", lambda rng: (mono(rng), mono(rng)),
+         lambda t: ExactBorelTensor(2, t)),
     ]
 
 

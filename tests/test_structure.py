@@ -25,11 +25,12 @@ derive their letters' weights from the 3x3 basis weights through
 ``supermatrix.entry_weights``, and ``rewrite`` reads them from the alphabet
 of each element, so none of its functions takes or solves for a grading.
 
-The element tensors ``TensorElement`` and ``BorelTensor`` take their linear
-structure, Koszul-sign product and leg maps from ``freealg.GradedTensor``, so
-that loop is written once; each class body says only what its leg keys are.
-The Borel series and tensors of one computation share one weight bound, so
-no operation cuts an operand down to the bound of the other.
+The element tensors ``TensorElement`` and ``ExactBorelTensor`` take their
+linear structure, Koszul-sign product and leg maps from
+``freealg.GradedTensor``, so that loop is written once; each class body says
+only what its leg keys are.  The Borel series of one computation share one
+weight bound, so no operation cuts an operand down to the bound of the
+other, and no tensor is truncated.
 
 The per-layer timings of ``perfbench/run.py`` sum traced spans by qualified
 name, so a renamed function would read as 0 s; every name it quotes still
@@ -42,8 +43,8 @@ The Hopf maps, letter substitutions and the Borel relation defects extend a
 map on letters over words through ``freealg.extend``, so the Koszul sign of
 an anti-homomorphism is written in ``freealg.py`` alone.  The Hopf axioms on
 a generator are written once too, on ``freealg.HopfMaps``: its instances
-``frt.hopf_maps()`` (generator images at p = 2) and ``borel._generators(w).hopf``
-(at p = 4) supply images, a ``reduce`` and a ``word_of``, so no other module
+``frt.hopf_maps()`` (generator images at p = 2) and ``borel.hopf_maps()``
+(exact, at p = 1) supply images, a ``reduce`` and a ``word_of``, so no other module
 splices or contracts tensor legs.  Every ``frt`` check decides on the rules
 at p = 2: only the export lifts them to Scalars.
 
@@ -66,7 +67,7 @@ from pathlib import Path
 
 import ospq
 from ospq import borel, classical, freealg, frt, rewrite
-from ospq.borel import BorelTensor
+from ospq.borel import ExactBorelTensor
 from ospq.checks import CHECKS, CheckConfig, run_checks
 from ospq.cli import export_artifacts
 from ospq.freealg import SuperPoly, TensorElement, extend
@@ -161,10 +162,11 @@ SHARED_TENSOR_API = {"__mul__", "__add__", "__neg__", "__sub__", "scale", "__eq_
 def test_borel_operands_share_one_weight_bound():
     assert not hasattr(borel.BorelSeries, "_bound_with")
     assert not hasattr(freealg.GradedTensor, "_within")
+    assert not hasattr(freealg.GradedTensor, "weight_bound")
 
 
 def test_tensor_types_inherit_one_product_and_leg_maps():
-    for cls in (TensorElement, BorelTensor):
+    for cls in (TensorElement, ExactBorelTensor):
         body = ast.parse(textwrap.dedent(inspect.getsource(cls))).body[0].body
         names = {node.name for node in body if isinstance(node, ast.FunctionDef)}
         names |= {target.id for node in body if isinstance(node, ast.Assign)
@@ -266,7 +268,7 @@ def test_word_extensions_go_through_extend(monkeypatch):
     for name in ("_coproducts", "_coproducts_at_two", "_counit_at_two", "_antipode_at_two",
                  "coproduct", "antipode", "_hopf_at_two"):
         assert not hasattr(frt, name), name
-    assert not hasattr(borel._Generators, "coproducts")
+    assert not hasattr(borel, "_Generators")
     hopf = frt.hopf_maps()
     assert hopf.counit is frt.counit
     for name, run in (("delta", lambda: hopf.coassociativity_defect("a")),
@@ -283,23 +285,25 @@ def test_word_extensions_go_through_extend(monkeypatch):
     assert len(used) == 1
     # the Borel Hopf maps are built by the shared checker in freealg
     used = _spy_extend(monkeypatch, freealg, borel)
-    borel._generators.cache_clear()
+    borel.hopf_maps.cache_clear()
     try:
-        borel.delta_monomial((1, 1, 1), 8)
-        assert used == [("v", "h", "X")]
+        borel.delta_monomial((1, 1, -1))
+        assert used == [("v", "h", "K^-1")]
         assert borel.verify_rll_solution(borel.particular_solution(8), 8)
         assert len(used) == 1 + len(borel.dual_relations())
-        borel.antipode_axiom_defects(8)
+        borel.hopf_maps().antipode_defects("h")
         assert len(used) > 1 + len(borel.dual_relations())
-        # the relation defects extend Delta and the identity over each relation
+        # the relation defects extend Delta (at p = 1) and the series images
+        # over each relation
         del used[:]
         for name in borel.BOREL_RELATIONS:
-            borel.coproduct_relation_defect(name, 8)
+            borel.coproduct_relation_defect(name)
             borel.borel_relation_defect(name, 8)
-            assert used[-2:] == [borel.borel_relation(name)] * 2
+            relation = borel.borel_relation(name)
+            assert used[-2:] == [borel.at_one(relation)[1], relation]
         assert len(used) == 2 * len(borel.BOREL_RELATIONS)
     finally:
-        borel._generators.cache_clear()
+        borel.hopf_maps.cache_clear()
 
 
 def test_hopf_axioms_are_written_once():
@@ -312,7 +316,7 @@ def test_hopf_axioms_are_written_once():
                       and node.func.attr in ("expand_leg", "apply_counit_leg")})
     assert callers == ["freealg.py"]
     assert isinstance(frt.hopf_maps(), freealg.HopfMaps)
-    assert isinstance(borel._generators(8).hopf, freealg.HopfMaps)
+    assert isinstance(borel.hopf_maps(), freealg.HopfMaps)
 
 
 def test_only_the_export_lifts_the_rules(monkeypatch, tmp_path):

@@ -1,11 +1,11 @@
 """Fixed-seed property tests for the graded products.
 
-SuperPoly is a ring; TensorElement, BorelTensor (at weight <= 8) and the
-graded Kronecker product ``kron`` are associative and obey the Koszul rule
+SuperPoly is a ring; TensorElement, ExactBorelTensor and the graded Kronecker
+product ``kron`` are associative and obey the Koszul rule
 (x ox y)(u ox v) = (-1)^{|y||u|} xu ox yv on homogeneous factors.  Both
 element tensors run the one product of ``freealg.GradedTensor``, each with
-its own leg keys, so these properties test that product on words and on
-truncated Borel monomials.
+its own leg keys, so these properties test that product on words and on the
+monomials v^eps h^m K^n of the exact Borel algebra.
 """
 
 import pytest
@@ -15,10 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from ospq.scalars import Scalar, rat, P
 from ospq.freealg import GradedAlphabet, SuperPoly, TensorElement, SCALAR_ALPHABET
-from ospq.borel import BorelSeries, BorelTensor
+from ospq.borel import ExactBorel, ExactBorelTensor
 from ospq.supermatrix import SuperMatrix, entry_grade, kron
 
-W = 8
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=25)
 
@@ -82,26 +81,26 @@ def test_tensor_element_koszul_rule(data, gy, gu):
     assert lhs == signed(gy * gu, TensorElement.of(x * u, y * v))
 
 
-# -- BorelTensor --------------------------------------------------------
+# -- ExactBorelTensor ---------------------------------------------------
 
 @st.composite
-def borel_series(draw, grade=None):
-    """A series at weight W; with ``grade`` every term has V-exponent grade."""
+def exact_elements(draw, grade=None):
+    """An exact Borel element at p = 1; with ``grade`` every term has
+    v-exponent grade."""
     eps = st.integers(0, 1) if grade is None else st.just(grade)
-    key = st.tuples(eps, st.integers(0, 2), st.integers(0, W // 2)).filter(
-        lambda k: k[0] + 2 * k[2] <= W)
-    return BorelSeries(W, draw(st.dictionaries(key, coeffs, min_size=1,
-                                               max_size=3)))
+    key = st.tuples(eps, st.integers(0, 2), st.integers(-2, 2))
+    return ExactBorel(draw(st.dictionaries(key, st.integers(-3, 3), min_size=1,
+                                           max_size=3)))
 
 
-borel_tensors = st.lists(st.tuples(borel_series(), borel_series()), min_size=1,
+exact_tensors = st.lists(st.tuples(exact_elements(), exact_elements()), min_size=1,
                          max_size=2).map(
-    lambda pairs: sum((BorelTensor.of(x, y) for x, y in pairs[1:]),
-                      BorelTensor.of(*pairs[0])))
+    lambda pairs: sum((ExactBorelTensor.of(x, y) for x, y in pairs[1:]),
+                      ExactBorelTensor.of(*pairs[0])))
 
 
 @PROPERTY
-@given(borel_tensors, borel_tensors, borel_tensors)
+@given(exact_tensors, exact_tensors, exact_tensors)
 def test_borel_tensor_product_is_associative(a, b, c):
     assert (a * b) * c == a * (b * c)
 
@@ -109,10 +108,10 @@ def test_borel_tensor_product_is_associative(a, b, c):
 @PROPERTY
 @given(st.data(), grades, grades)
 def test_borel_tensor_koszul_rule(data, gy, gu):
-    x, v = data.draw(borel_series()), data.draw(borel_series())
-    y, u = data.draw(borel_series(gy)), data.draw(borel_series(gu))
-    lhs = BorelTensor.of(x, y) * BorelTensor.of(u, v)
-    assert lhs == signed(gy * gu, BorelTensor.of(x * u, y * v))
+    x, v = data.draw(exact_elements()), data.draw(exact_elements())
+    y, u = data.draw(exact_elements(gy)), data.draw(exact_elements(gu))
+    lhs = ExactBorelTensor.of(x, y) * ExactBorelTensor.of(u, v)
+    assert lhs == signed(gy * gu, ExactBorelTensor.of(x * u, y * v))
 
 
 # -- kron ---------------------------------------------------------------
