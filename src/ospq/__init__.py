@@ -1,8 +1,8 @@
 """Exact symbolic verification of a quantum deformation of the
 orthosymplectic supergroup: classical r-matrices, the 9x9 R-matrix and braid
 identities, the deformed function algebra with its Hopf structure, and the
-dual Borel series side.  Everything is exact over Q(sqrt2)[p, x, y, z, t];
-there is no floating point anywhere.
+dual Borel series side.  Everything is exact over Q(sqrt2)[p]; there is no
+floating point anywhere.
 """
 
 from .scalars import Scalar, rat, P, HALF, SQRT2

@@ -85,7 +85,7 @@ def export_artifacts(directory):
     rep_lines = []
     for name in classical.BASIS:
         rep_lines.append(f"# {name}")
-        rep_lines.append(format_matrix(classical.rep(name)))
+        rep_lines.append(format_matrix(classical.REP[name]))
     write("matrix_representation.txt", "\n".join(rep_lines))
     table_lines = []
     for (x, y), rhs in sorted(classical._TABLE.items()):

@@ -1,11 +1,11 @@
 """Exact coefficient arithmetic for the verification engine.
 
-A :class:`Scalar` is an element of Q(sqrt2)[p, x, y, z, t]: a polynomial with
-rational coefficients in the deformation parameter ``p``, the symbolic family
-parameters ``x, y, z, t``, and the square root ``s`` of 2.  That ring is
-Q[p, x, y, z, t, s]/(s^2 - 2), so a term maps an exponent tuple over
-(p, x, y, z, t, s), with the s exponent 0 or 1, to one Fraction; a product
-whose s exponent reaches 2 drops it to 0 and doubles the coefficient.
+A :class:`Scalar` is an element of Q(sqrt2)[p]: a polynomial with rational
+coefficients in the deformation parameter ``p`` and the square root ``s`` of
+2.  That ring is Q[p, s]/(s^2 - 2), so a term maps a key (p-degree, s), with
+s 0 or 1, to one Fraction; a product of two s terms drops s and doubles the
+coefficient.  The classical r-matrix families keep their parameters outside
+this ring (``classical.family_coboundary_check``).
 
 All arithmetic is exact; there is no floating point anywhere in this package.
 """
@@ -14,13 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from operator import add
 
-VARS = ("p", "x", "y", "z", "t")
-_NVARS = len(VARS)
-_ZMONO = (0,) * _NVARS
-_ZEXP = _ZMONO + (0,)
-_SEXP = _ZMONO + (1,)
+_ZEXP = (0, 0)
+_SEXP = (0, 1)
 
 
 def _accumulate(pairs, out=None):
@@ -46,13 +42,12 @@ def _accumulate(pairs, out=None):
 
 def _products(terms1, terms2):
     """Term products of two Scalars, with s*s reduced to 2."""
-    for e1, c1 in terms1.items():
-        for e2, c2 in terms2.items():
-            e = tuple(map(add, e1, e2))
-            if e[_NVARS] == 2:
-                yield e[:_NVARS] + (0,), 2 * c1 * c2
+    for (d1, s1), c1 in terms1.items():
+        for (d2, s2), c2 in terms2.items():
+            if s1 and s2:
+                yield (d1 + d2, 0), 2 * c1 * c2
             else:
-                yield e, c1 * c2
+                yield (d1 + d2, s1 + s2), c1 * c2
 
 
 def _q2_inv(u):
@@ -96,13 +91,13 @@ def _q2_sqrt(u):
 
 
 class Scalar:
-    """Immutable exact polynomial in (p, x, y, z, t) over Q(sqrt2)."""
+    """Immutable exact polynomial in p over Q(sqrt2)."""
 
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms=None):
-        """``terms`` maps (p, x, y, z, t, s) exponents, s in {0, 1}, to
-        nonzero Fractions; it is stored as given."""
+        """``terms`` maps (p-degree, s) keys, s in {0, 1}, to nonzero
+        Fractions; it is stored as given."""
         self._terms = {} if terms is None else terms
         self._hash = None
 
@@ -111,29 +106,21 @@ class Scalar:
     @classmethod
     def rational(cls, value) -> "Scalar":
         value = Fraction(value)
-        if value == 0:
-            return _ZERO
-        return cls({_ZEXP: value})
+        return cls({_ZEXP: value}) if value else _ZERO
 
     @classmethod
     def sqrt2(cls) -> "Scalar":
         return _SQRT2
 
     @classmethod
-    def var(cls, name: str) -> "Scalar":
-        i = VARS.index(name)
-        exp = tuple(1 if j == i else 0 for j in range(_NVARS)) + (0,)
-        return cls({exp: Fraction(1)})
-
-    @classmethod
     def in_p(cls, coeffs) -> "Scalar":
         """The polynomial in p with coefficients ``{degree: Fraction}``."""
-        return cls({(d,) + _ZEXP[1:]: Fraction(c) for d, c in coeffs.items() if c})
+        return cls({(d, 0): Fraction(c) for d, c in coeffs.items() if c})
 
     @classmethod
-    def _monomial(cls, mono, pair) -> "Scalar":
-        """(a + b*s) * mono for a (p..t) exponent tuple and a pair (a, b)."""
-        return cls({mono + (k,): c for k, c in enumerate(pair) if c})
+    def _monomial(cls, degree, pair) -> "Scalar":
+        """(a + b*s) * p^degree for a pair (a, b)."""
+        return cls({(degree, k): c for k, c in enumerate(pair) if c})
 
     @classmethod
     def zero(cls) -> "Scalar":
@@ -154,7 +141,7 @@ class Scalar:
 
     @property
     def is_constant(self) -> bool:
-        return all(e in (_ZEXP, _SEXP) for e in self._terms)
+        return all(d == 0 for d, _ in self._terms)
 
     @property
     def is_rational(self) -> bool:
@@ -169,23 +156,18 @@ class Scalar:
 
     # -- coefficient views ----------------------------------------------
 
-    def grouped(self):
-        """``{(p..t) exponents: (a, b)}``: the coefficient a + b*sqrt2 of
-        each monomial."""
-        out = {}
-        for e, c in self._terms.items():
-            pair = out.setdefault(e[:_NVARS], [Fraction(0), Fraction(0)])
-            pair[e[_NVARS]] = c
-        return {mono: tuple(pair) for mono, pair in out.items()}
+    def coefficient(self, degree):
+        """The coefficient (a, b), a + b*sqrt2, of p^degree."""
+        return tuple(self._terms.get((degree, s), Fraction(0)) for s in (0, 1))
 
     def p_coefficients(self):
         """``{degree: Fraction}`` of a rational polynomial in p alone;
-        raises ValueError on sqrt2, x, y, z or t."""
+        raises ValueError on sqrt2."""
         out = {}
-        for e, c in self._terms.items():
-            if any(e[1:]):
+        for (d, s), c in self._terms.items():
+            if s:
                 raise ValueError("not a rational polynomial in p")
-            out[e[0]] = c
+            out[d] = c
         return out
 
     # -- arithmetic ---------------------------------------------------
@@ -266,50 +248,48 @@ class Scalar:
     # -- ring maps ----------------------------------------------------
 
     def substitute(self, **values) -> "Scalar":
-        """Ring homomorphism substituting rational values for variables."""
-        subs = {VARS.index(name): Fraction(val) for name, val in values.items()}
+        """Ring homomorphism p -> a rational value; the identity without one.
 
-        def terms():
-            for e, c in self._terms.items():
-                new_e = list(e)
-                for i, q in subs.items():
-                    c *= q ** e[i]
-                    new_e[i] = 0
-                yield tuple(new_e), c
-        return Scalar(_accumulate(terms()))
+        ``p`` is the only variable, so any other name raises ValueError.
+        """
+        if values.keys() - {"p"}:
+            raise ValueError(f"only p can be substituted, not {sorted(values)}")
+        if "p" not in values:
+            return self
+        q = Fraction(values["p"])
+        return Scalar(_accumulate(((0, s), c * q ** d) for (d, s), c in self._terms.items()))
 
     def unit_inverse(self) -> "Scalar":
         """Inverse of an invertible constant (nonzero element of Q(sqrt2))."""
         if not self.is_constant or self.is_zero:
             raise ValueError(f"not a unit: {self}")
-        return Scalar._monomial(_ZMONO, _q2_inv(self.grouped()[_ZMONO]))
+        return Scalar._monomial(0, _q2_inv(self.coefficient(0)))
 
     def _lead(self, below=None):
-        """Largest (p..t) monomial and its Q(sqrt2) coefficient (a, b).
+        """Largest p-degree and its Q(sqrt2) coefficient (a, b).
 
-        With ``below``, raises ArithmeticError unless the monomial is lex
-        smaller.  Lex order on exponent tuples is a well-order, so a remainder
-        loop whose leads pass this check terminates; a lead that fails to
-        cancel is an arithmetic defect, not a slow input.
+        With ``below``, raises ArithmeticError unless the degree is smaller,
+        so a remainder loop whose leads pass this check terminates; a lead
+        that fails to cancel is an arithmetic defect, not a slow input.
         """
-        mono = max(self._terms)[:_NVARS]
-        if below is not None and mono >= below:
-            raise ArithmeticError(f"remainder lead {mono} is not below {below}")
-        return mono, self.grouped()[mono]
+        degree = max(self._terms)[0]
+        if below is not None and degree >= below:
+            raise ArithmeticError(f"remainder lead {degree} is not below {below}")
+        return degree, self.coefficient(degree)
 
     def divide_exact(self, divisor: "Scalar") -> "Scalar":
         """Exact polynomial division; raises ValueError if not divisible."""
         if divisor.is_zero:
             raise ZeroDivisionError("division by zero")
         dlead, dlc = divisor._lead()
-        dlc_inv = Scalar._monomial(_ZMONO, _q2_inv(dlc))
+        dlc_inv = Scalar._monomial(0, _q2_inv(dlc))
         quo, rem, rlead = _ZERO, self, None
         while rem:
             rlead, rlc = rem._lead(rlead)
-            qexp = tuple(a - b for a, b in zip(rlead, dlead))
-            if any(k < 0 for k in qexp):
+            qdeg = rlead - dlead
+            if qdeg < 0:
                 raise ValueError("not exactly divisible")
-            q = Scalar._monomial(qexp, rlc) * dlc_inv
+            q = Scalar._monomial(qdeg, rlc) * dlc_inv
             quo, rem = quo + q, rem - q * divisor
         return quo
 
@@ -318,12 +298,12 @@ class Scalar:
         if self.is_zero:
             return _ZERO
         lead, lc = self._lead()
-        if any(k % 2 for k in lead):
+        if lead % 2:
             raise ValueError(f"no polynomial square root: {self}")
         glc = _q2_sqrt(lc)
         if glc is None:
             raise ValueError(f"no square root in Q(sqrt2) for leading coefficient of {self}")
-        g = Scalar._monomial(tuple(k // 2 for k in lead), glc)
+        g = Scalar._monomial(lead // 2, glc)
         two_g_lead = g + g
         rem = self - g * g
         while rem:
@@ -341,10 +321,9 @@ class Scalar:
         return format_scalar(self)
 
     def sorted_terms(self):
-        """Grouped terms ``((p..t) exponents, (a, b))`` sorted descending by
-        (total degree, exponent tuple)."""
-        return sorted(self.grouped().items(), key=lambda ec: (sum(ec[0]), ec[0]),
-                      reverse=True)
+        """Terms ``(p-degree, (a, b))`` sorted by descending degree."""
+        degrees = sorted({d for d, _ in self._terms}, reverse=True)
+        return [(d, self.coefficient(d)) for d in degrees]
 
 
 def format_scalar(value: Scalar) -> str:
@@ -352,47 +331,31 @@ def format_scalar(value: Scalar) -> str:
     if value.is_zero:
         return "0"
     parts = []
-    for exp, coeff in value.sorted_terms():
-        mono = "*".join(
-            (VARS[i] if k == 1 else f"{VARS[i]}^{k}")
-            for i, k in enumerate(exp) if k
-        )
+    for degree, coeff in value.sorted_terms():
+        mono = "" if degree == 0 else "p" if degree == 1 else f"p^{degree}"
         a, b = coeff
         if b == 0:
             head = None if a == 1 and mono else ("-" if a == -1 and mono else str(a))
-            neg = a < 0 and head == str(a)
         elif a == 0:
-            base = "s" if b == 1 else ("-s" if b == -1 else f"{b}*s")
-            head, neg = base, b < 0 and base.startswith("-")
+            head = "s" if b == 1 else ("-s" if b == -1 else f"{b}*s")
         else:
             head = f"({a}+{b}*s)" if b > 0 else f"({a}-{-b}*s)"
-            neg = False
         if head is None:
-            term = mono
+            parts.append(mono)
         elif head == "-":
-            term = f"-{mono}"
-        elif mono:
-            term = f"{head}*{mono}"
+            parts.append(f"-{mono}")
         else:
-            term = head
-        parts.append(term)
+            parts.append(f"{head}*{mono}" if mono else head)
     out = parts[0]
     for term in parts[1:]:
-        if term.startswith("-"):
-            out += f" - {term[1:]}"
-        else:
-            out += f" + {term}"
+        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
     return out
 
 
-_ZERO = Scalar({})
-_ONE = Scalar({_ZEXP: Fraction(1)})
-_SQRT2 = Scalar({_SEXP: Fraction(1)})
-
-ZERO = _ZERO
-ONE = _ONE
-SQRT2 = _SQRT2
-P = Scalar.var("p")
+ZERO = _ZERO = Scalar({})
+ONE = _ONE = Scalar({_ZEXP: Fraction(1)})
+SQRT2 = _SQRT2 = Scalar({_SEXP: Fraction(1)})
+P = Scalar({(1, 0): Fraction(1)})
 HALF = Scalar.rational(Fraction(1, 2))
 
 

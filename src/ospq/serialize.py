@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Scalar, format_scalar, VARS
+from .scalars import Scalar, format_scalar, P
 from .freealg import SuperPoly, TensorElement, GradedAlphabet
 from .supermatrix import SuperMatrix
 
@@ -25,7 +25,7 @@ def _format_coeff(c: Scalar):
     if text == "-1":
         return None, True
     neg = False
-    if len(c.grouped()) == 1:
+    if len(c.sorted_terms()) == 1:
         if text.startswith("-"):
             neg = True
             text = text[1:]
@@ -184,8 +184,8 @@ def _parse_factor(alphabet, toks):
         base = SuperPoly.constant(alphabet, Scalar.rational(value))
     elif tok == "s":
         base = SuperPoly.constant(alphabet, Scalar.sqrt2())
-    elif tok in VARS:
-        base = SuperPoly.constant(alphabet, Scalar.var(tok))
+    elif tok == "p":
+        base = SuperPoly.constant(alphabet, P)
     elif tok in alphabet:
         base = SuperPoly.letter(alphabet, tok)
     else:

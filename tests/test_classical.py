@@ -6,7 +6,7 @@ from ospq.scalars import Scalar, rat, P
 from ospq.freealg import SCALAR_ALPHABET
 from ospq.supermatrix import SuperMatrix, kron
 from ospq import classical
-from ospq.checks import _r2_target_matrix
+from ospq.checks import CheckConfig, _r2_target_matrix, run_checks
 
 
 def test_bracket_examples():
@@ -93,16 +93,15 @@ def test_schouten_r3_nonzero_but_invariant():
 
 
 def test_schouten_scales_quadratically():
-    t = Scalar.var("t")
-    assert classical.schouten(classical.r3(t)) == \
-        classical.schouten(classical.r3(Scalar.one())).scale(t * t)
+    s_1 = classical.schouten(classical.r3(Scalar.one()))
+    for t in map(rat, (2, -3, Fraction(1, 2))):
+        assert classical.schouten(classical.r3(t)) == s_1.scale(t * t)
 
 
 def test_parameter_absorbed_by_linearity():
-    t = Scalar.var("t")
-    lhs = classical.r3(t).expand().scale(rat(2) * P)
-    rhs = classical.r3(Scalar.one()).expand().scale(rat(2) * P * t)
-    assert lhs == rhs
+    r_1 = classical.r3(Scalar.one()).expand()
+    for t in map(rat, (2, -3, Fraction(1, 2))):
+        assert classical.r3(t).expand().scale(rat(2) * P) == r_1.scale(rat(2) * P * t)
 
 
 def test_invariant_element():
@@ -125,7 +124,7 @@ def test_families_fully_symbolic():
 
 
 def test_family_two_specializes_to_r2():
-    special = classical.family_two(Scalar.one(), Scalar.zero(), Scalar.zero())
+    special = dict(classical.family_two())[(1, 0, 0)]
     assert special.expand() == classical.r2().expand()
 
 
@@ -133,7 +132,101 @@ def test_odd_probe_not_coboundary_compatible():
     probe = classical.RMatrixExpr([(Scalar.one(), "H", "Vp")])
     s = classical.schouten(probe)
     assert not s.is_zero()
-    assert classical.family_coboundary_check(probe) is False
+    assert classical.family_coboundary_check([((), probe)]) is False
+
+
+def _wedges(*terms):
+    return classical.RMatrixExpr([(rat(c), x, y) for c, x, y in terms])
+
+
+def test_family_groups_are_the_coefficients_of_each_monomial():
+    # [[r, r]] of x^2 H^Xp + xy Xp^Xm + y^2 H^Xm at x = 2, y = -1 (it is
+    # homogeneous of degree 4) against the groups evaluated there
+    groups = classical.family_groups(classical.family_one())
+    assert sorted(groups) == [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]
+    r = _wedges((4, "H", "Xp"), (-2, "Xp", "Xm"), (1, "H", "Xm"))
+    total = SuperMatrix.zero(SCALAR_ALPHABET, 27)
+    for (i, j), m in groups.items():
+        total = total + m.scale(rat(2 ** i * (-1) ** j))
+    assert classical.schouten(r) == total
+    # one piece alone is its own Schouten bracket
+    assert classical.family_groups([((1,), classical.r2())]) == {
+        (2,): classical.schouten(classical.r2())}
+
+
+def test_family_one_with_a_doubled_cross_term_fails():
+    pieces = dict(classical.family_one())
+    pieces[(1, 1)] = _wedges((2, "Xp", "Xm"))
+    assert classical.family_coboundary_check(list(pieces.items())) is False
+
+
+def test_family_two_with_a_halved_odd_wedge_fails():
+    pieces = dict(classical.family_two())
+    pieces[(0, 1, 0)] = _wedges((1, "Xp", "Xm"), (1, "Vp", "Vm"))
+    assert classical.family_coboundary_check(list(pieces.items())) is False
+
+
+def test_families_are_decided_by_monomial_not_by_piece():
+    # the Xp^Xm piece of family_one is not coboundary-compatible alone; only
+    # the whole (2, 2) group, with B(H^Xp, H^Xm), is ad-invariant
+    cross = dict(classical.family_one())[(1, 1)]
+    assert classical.family_coboundary_check([((1, 1), cross)]) is False
+    assert classical.family_coboundary_check(classical.family_one())
+
+
+def test_family_pieces_of_mixed_parity_are_rejected():
+    with pytest.raises(ValueError, match="mixed parity"):
+        classical.family_groups([((1,), classical.r2()), ((0,), _wedges((1, "H", "Vp")))])
+
+
+def _full_basis_invariant(omega):
+    arity = {9: 2, 27: 3}[omega.n]
+    return all((dx @ omega) == (omega @ dx) for dx in
+               (classical.coproduct_embedding(name, arity) for name in classical.BASIS))
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_odd_coproducts_generate_the_even_ones(arity):
+    vp = classical.coproduct_embedding("Vp", arity)
+    vm = classical.coproduct_embedding("Vm", arity)
+    embed = lambda name, c: classical.coproduct_embedding(name, arity).scale(rat(c))
+    assert vp @ vp == embed("Xp", Fraction(1, 4))
+    assert vm @ vm == embed("Xm", Fraction(-1, 4))
+    assert (vp @ vm) + (vm @ vp) == embed("H", Fraction(-1, 2))
+
+
+def test_odd_generators_give_the_full_basis_verdict():
+    probe = classical.schouten(_wedges((1, "H", "Vp")))
+    cases = [kron(classical.REP["H"], classical.REP["H"]).scale(rat(2)),
+             classical.ad_invariant_element(),
+             classical.schouten(classical.r3(Scalar.one())), probe]
+    for family in (classical.family_one(), classical.family_two()):
+        cases += classical.family_groups(family).values()
+    cases.append(classical.schouten(dict(classical.family_one())[(1, 1)]))
+    verdicts = [classical.ad_invariance_check(m) for m in cases]
+    assert verdicts == [_full_basis_invariant(m) for m in cases]
+    assert verdicts[:4] == [False, True, True, False] and not verdicts[-1]
+
+
+def test_one_run_builds_each_coproduct_embedding_once(monkeypatch):
+    built = []
+    reduce = classical.reduce
+
+    def spy(fn, legs):
+        name, = (n for n in classical.BASIS for leg in legs if leg is classical.REP[n])
+        built.append((name, len(legs)))
+        return reduce(fn, legs)
+
+    classical.coproduct_embedding.cache_clear()
+    monkeypatch.setattr(classical, "reduce", spy)
+    try:
+        reports = run_checks("r-matrix", CheckConfig())
+    finally:
+        classical.coproduct_embedding.cache_clear()
+    assert [r.status for r in reports] == ["pass"] * len(reports)
+    # one reduce per leg position of each embedding built
+    assert sorted(built) == sorted((name, arity) for name in ("Vp", "Vm")
+                                   for arity in (2, 3) for _ in range(arity))
 
 
 def test_mixed_parity_wedge_rejected():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ospq.scalars import Scalar, rat, P, HALF, SQRT2, format_scalar, _accumulate
-from ospq.freealg import GradedAlphabet, SuperPoly, TensorElement
+from ospq.freealg import SCALAR_ALPHABET, GradedAlphabet, SuperPoly, TensorElement
 from ospq.borel import BorelSeries, ExactBorel, ExactBorelTensor
 
 
@@ -73,10 +73,18 @@ def test_sqrt_perfect_squares():
 
 
 def test_substitute_extra_symbols():
-    x = Scalar.var("x")
-    f = x * x * P
-    assert f.substitute(x=3) == rat(9) * P
-    assert f.substitute(x=0).is_zero
+    # p is the only variable: any other name is rejected, and no name at all
+    # is the identity
+    f = P * P * SQRT2 + rat(3)
+    for name in ("x", "y", "z", "t", "s"):
+        with pytest.raises(ValueError, match="only p"):
+            f.substitute(**{name: 3})
+        with pytest.raises(ValueError, match="only p"):
+            f.substitute(p=1, **{name: 3})
+    assert f.substitute() == f
+    assert f.substitute(p=0) == rat(3)
+    poly = SuperPoly.one(SCALAR_ALPHABET).scale(f)
+    assert poly.substitute_parameter() == poly
 
 
 def test_format():

@@ -76,6 +76,15 @@ def test_parse_rejects_unknown_symbols():
             parse_matrix(frt.ALPHABET, text)
 
 
+@pytest.mark.parametrize("name", ["x", "y", "z", "t"])
+def test_parse_rejects_the_old_family_parameters(name):
+    # the coefficients are Q(sqrt2)[p]: p and s are the only scalar symbols
+    for text in (name, f"{name}*a", f"(p + {name})*a", f"{name}^2"):
+        with pytest.raises(ValueError, match="unknown symbol"):
+            parse_poly(frt.ALPHABET, text)
+    assert parse_poly(frt.ALPHABET, "p*s*a") == w("a").scale(P * SQRT2)
+
+
 def test_matrix_roundtrip():
     t = frt.eliminated_matrix()
     text = format_matrix(t)

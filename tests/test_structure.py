@@ -57,6 +57,10 @@ linear rows of an affine matrix identity off its values at 0 and at the unit
 vectors, and ``rewrite.solve_affine`` takes its one solution.  The metric,
 its inverse and the lowering generators go through it, and the antipode and
 counit are read off the defining matrix, not typed in.
+
+The coefficient ring is Q(sqrt2)[p]: a Scalar term's key is (p-degree, s),
+and the classical r-matrix families keep their parameters outside it, as
+exponent tuples beside p-free rational pieces.
 """
 
 import ast
@@ -66,13 +70,12 @@ import textwrap
 from pathlib import Path
 
 import ospq
-from ospq import borel, classical, freealg, frt, rewrite
+from ospq import borel, classical, freealg, frt, rewrite, scalars
 from ospq.borel import ExactBorelTensor
 from ospq.checks import CHECKS, CheckConfig, run_checks
 from ospq.cli import export_artifacts
 from ospq.freealg import SuperPoly, TensorElement, extend
-from ospq.scalars import _accumulate, rat
-from ospq.supermatrix import SuperMatrix, graded_swap, kron
+from ospq.scalars import Scalar, _accumulate, rat
 
 LOOP_IDIOM = "if cur is not None else"
 
@@ -379,11 +382,7 @@ def test_only_freealg_computes_a_sign_over_the_letters_of_a_word():
 
 def test_matrix_products_make_no_partial_sums(monkeypatch):
     # the 27x27 operands r12 and r13 of ``classical.schouten`` for r3
-    r = classical.r3().expand()
-    one = SuperMatrix.identity(r.alphabet, 3)
-    flip23 = kron(one, graded_swap())
-    r12 = kron(r, one)
-    r13 = flip23 @ r12 @ flip23
+    r12, r13, _ = classical._legs(classical.r3(rat(3)))
     added = []
     add = SuperPoly.__add__
 
@@ -409,6 +408,16 @@ def test_scaled_matrices_keep_their_zero_entries(monkeypatch):
     out = m.scale(rat(3))
     assert len(scaled) == 2
     assert out.entries[0][0] is m.entries[0][0]
+
+
+def test_the_coefficient_ring_is_q_sqrt2_p():
+    assert not hasattr(scalars, "VARS")
+    assert not hasattr(Scalar, "var")
+    for value in (scalars.P, scalars.SQRT2, scalars.HALF):
+        assert all(len(key) == 2 for key in value._terms)
+    for family in (classical.family_one(), classical.family_two()):
+        for _, piece in family:
+            assert all(c.is_rational for c, _, _ in piece.terms)
 
 
 def test_matrix_unknowns_are_solved_through_affine_rows():
