@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb
 
 from .scalars import Scalar, rat, P, HALF, SQRT2, _accumulate
@@ -153,21 +153,12 @@ class BorelSeries(Combination):
     def _like(self, terms):
         return BorelSeries(self.weight_bound, terms, _internal=True)
 
-    def __mul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self.scale(other)
-        self._check(other)
+    def _product(self, other):
         w = self.weight_bound
-        out = _accumulate(kc for k1, c1 in self._terms.items()
-                          for k2, c2 in other._terms.items()
-                          if _weight(k1) + _weight(k2) <= w
-                          for kc in _scaled(_mono_mul(k1, k2), c1 * c2))
-        return BorelSeries(w, out, _internal=True)
-
-    __rmul__ = __mul__
-
-    def counit(self):
-        return self._terms.get((0, 0, 0), 0)
+        return self._like(_accumulate(kc for k1, c1 in self._terms.items()
+                                      for k2, c2 in other._terms.items()
+                                      if _weight(k1) + _weight(k2) <= w
+                                      for kc in _scaled(_mono_mul(k1, k2), c1 * c2)))
 
     # -- the commutative slice of series in X alone ------------------------
 
@@ -308,15 +299,10 @@ class ExactBorel(Combination):
     def _like(self, terms):
         return ExactBorel(terms, _internal=True)
 
-    def __mul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self.scale(other)
-        return ExactBorel(_accumulate(kc for k1, c1 in self._terms.items()
+    def _product(self, other):
+        return self._like(_accumulate(kc for k1, c1 in self._terms.items()
                                       for k2, c2 in other._terms.items()
-                                      for kc in _scaled(_exact_mul(k1, k2), c1 * c2)),
-                          _internal=True)
-
-    __rmul__ = __mul__
+                                      for kc in _scaled(_exact_mul(k1, k2), c1 * c2)))
 
     def counit(self):
         """eps(K) = 1 and eps(v) = eps(h) = 0."""
@@ -357,11 +343,11 @@ def at_one(element):
     value has int coefficients.  ValueError when a term weighs otherwise,
     ArithmeticError when a value is not an integer."""
     if isinstance(element, SuperPoly):
-        weight, like = (lambda word: -word.count("v")), partial(SuperPoly, element.alphabet)
+        weight = lambda word: -word.count("v")
     elif isinstance(element, ExactBorelTensor):
-        weight, like = (lambda key: -sum(k[0] for k in key)), element._like
+        weight = lambda key: -sum(k[0] for k in key)
     else:
-        weight, like = (lambda key: -key[0]), ExactBorel
+        weight = lambda key: -key[0]
     top, terms = None, {}
     for key, c in element._terms.items():
         for d, q in c.p_coefficients().items():
@@ -372,7 +358,7 @@ def at_one(element):
             if q.denominator != 1:
                 raise ArithmeticError(f"term {key} of {element!r} is not integral at p = 1")
             terms[key] = q.numerator
-    return top, like(terms)
+    return top, element._like(terms)
 
 
 def hopf_images():

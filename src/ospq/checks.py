@@ -118,7 +118,7 @@ def check_triangularity(config):
 
 
 def check_modified_cybe(config):
-    s3 = classical.schouten(classical.r3(Scalar.one()))
+    s3 = classical.r3_schouten()
     nonzero = not s3.is_zero()
     inv = classical.ad_invariance_check(s3)
     omega = classical.ad_invariant_element()
@@ -134,7 +134,7 @@ def check_parameter_absorption(config):
     # (both sides vanish) and t = 1 (both sides agree), so t = 2 decides them
     t = rat(2)
     r_t, r_1 = classical.r3(t), classical.r3(Scalar.one())
-    ok1 = classical.schouten(r_t) == classical.schouten(r_1).scale(t * t)
+    ok1 = classical.schouten(r_t) == classical.r3_schouten().scale(t * t)
     ok2 = r_t.expand().scale(rat(2) * P) == r_1.expand().scale(rat(2) * P * t)
     return ok1 and ok2, ("Schouten scales as t^2 and the parameter is absorbed "
                          "into the deformation parameter by linearity"

@@ -141,6 +141,9 @@ def _lowering(values) -> dict:
             for k, name in enumerate(("Xm", "Vm"))}
 
 
+_lowering_memo = [(), None]  # the REP matrices of the last build, and its result
+
+
 def lowering_equations() -> dict:
     """The relations with at most one of Xm, Vm as an argument, as linear
     equations in the 18 entries of Xm then Vm (columns 0-17, row by row).
@@ -148,11 +151,16 @@ def lowering_equations() -> dict:
     Returns ``{relation pair: [row, ...]}``, one row ``{column: Scalar}`` per
     nonzero defect entry, column 18 holding the constant term.  These
     relations are affine in the entries, so ``affine_rows`` gives the rows
-    exactly.
+    exactly.  Built once while ``REP`` holds equal matrices, and shared:
+    callers only read it.
     """
-    return {pair: affine_rows(lambda values, pair=pair: [
+    known = tuple(REP.values())
+    if _lowering_memo[0] != known:
+        _lowering_memo[:] = known, {
+            pair: affine_rows(lambda values, pair=pair: [
                 relation_defect({**REP, **_lowering(values)}, *pair)], 18)
             for pair in RELATIONS if sum(name in ("Xm", "Vm") for name in pair) < 2}
+    return _lowering_memo[1]
 
 
 def derive_lowering_matrices():
@@ -269,6 +277,12 @@ def _schouten_of_legs(parity: int, legs) -> SuperMatrix:
 def schouten(expr: RMatrixExpr) -> SuperMatrix:
     """[[r,r]] evaluated in the representation as an exact 27x27 matrix."""
     return _schouten_of_legs(expr.parity(), _legs(expr))
+
+
+@lru_cache(maxsize=None)
+def r3_schouten() -> SuperMatrix:
+    """[[r3(1), r3(1)]], built once and shared: callers only read it."""
+    return schouten(r3(Scalar.one()))
 
 
 @lru_cache(maxsize=None)

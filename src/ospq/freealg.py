@@ -1,22 +1,23 @@
 """Free graded algebras: Z2-graded alphabets, noncommutative polynomials, maps
 extended from letters, and graded tensor powers with the Koszul sign rule.
 
+Every element kind is a :class:`Combination` of keys, which holds the sum,
+difference, negation, scaling, equality and ``*`` of all five:
+:class:`SuperPoly`, :class:`TensorElement` and, in :mod:`ospq.borel`,
+``ExactBorelTensor``, ``BorelSeries`` and ``ExactBorel``.  A kind writes
+only its key product, its constructor and its operand check.
 Words are tuples of letter names.  A :class:`SuperPoly` is a finite Scalar
 combination of words, or a number combination: its value at p = 2 (see
-:mod:`ospq.rewrite`).  Containers keep the type of their coefficients, a
-number stays a number and a Scalar a Scalar.  Multiplication is plain
-concatenation (no reordering happens here; normal forms live in
-:mod:`ospq.rewrite`).
+:mod:`ospq.rewrite`); containers keep the type of their coefficients.  Its
+product is concatenation; normal forms live in :mod:`ospq.rewrite`.
 :func:`extend` extends a map given on letters over words, as an algebra map
 or as a graded anti-homomorphism with its Koszul sign, and linearly over
 elements: the Hopf maps of both sides and every letter substitution are
 such extensions.
 :class:`GradedTensor` holds what every graded tensor power shares: the
-Koszul-sign product, the leg maps and the counit contraction, on the linear
-structure of :class:`Combination`, which the Borel series and exact elements
-share too.  Its kinds are :class:`TensorElement` (word legs) and
-``borel.ExactBorelTensor`` (legs the monomials v^eps h^m K^n of the exact
-Borel algebra).
+Koszul-sign product, the leg maps and the counit contraction.  Its kinds are
+:class:`TensorElement` (word legs) and ``borel.ExactBorelTensor`` (legs the
+monomials v^eps h^m K^n of the exact Borel algebra).
 :class:`HopfMaps` builds Delta and S from generator images by :func:`extend`,
 guards that they keep the weight, and writes the Hopf axioms on a generator
 once: the function algebra (``frt.hopf_maps``) and the exact Borel algebra
@@ -90,16 +91,80 @@ class GradedAlphabet:
 SCALAR_ALPHABET = GradedAlphabet((), {})
 
 
-def _coerce_scalar(value):
-    """A coefficient to scale by, kept as it is (a Scalar or a number), or
-    None."""
-    return value if isinstance(value, (Scalar, int, Fraction)) else None
+def _scaled(pairs, coeff):
+    """(key, q * coeff) for (key, rational q) pairs, skipping the product at q = 1."""
+    return ((k, coeff if q == 1 else coeff * q) for k, q in pairs)
 
 
-class SuperPoly:
-    """Noncommutative polynomial: finite map word -> Scalar."""
+class Combination:
+    """A finite combination of keys with nonzero coefficients: its linear
+    structure and what ``*`` means.  A subclass builds results of its kind
+    with ``_like(terms)``; its ``_check`` raises ValueError unless two
+    operands can be combined, so a binary result keeps what both share; and
+    its ``_product`` multiplies two checked operands.  ``*`` by a Scalar, an
+    int or a Fraction scales, on either side."""
 
-    __slots__ = ("alphabet", "_terms", "_hash")
+    __slots__ = ("_terms",)
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    @property
+    def is_zero(self):
+        return not self._terms
+
+    def terms(self):
+        return self._terms.items()
+
+    def _check(self, other):
+        pass
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return self._like(_accumulate(other._terms.items(), dict(self._terms)))
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self._terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return self._like(_accumulate(((k, -c) for k, c in other._terms.items()),
+                                      dict(self._terms)))
+
+    def scale(self, coeff):
+        if not coeff:
+            return self._like({})
+        return self._like({k: c * coeff for k, c in self._terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (Scalar, int, Fraction)):
+            return self.scale(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return self._product(other)
+
+    def __rmul__(self, other):
+        if isinstance(other, (Scalar, int, Fraction)):
+            return self.scale(other)
+        return NotImplemented
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return self._terms == other._terms
+
+
+class SuperPoly(Combination):
+    """Noncommutative polynomial: finite map word -> Scalar, whose product
+    concatenates words.  Combining two alphabets, by ``==`` too, raises ValueError."""
+
+    __slots__ = ("alphabet", "_hash")
 
     def __init__(self, alphabet, terms=None, _internal=False):
         self.alphabet = alphabet
@@ -136,14 +201,10 @@ class SuperPoly:
     def constant(cls, alphabet, coeff):
         return cls(alphabet, {(): coeff})
 
+    def _like(self, terms):
+        return SuperPoly(self.alphabet, terms, _internal=True)
+
     # -- inspection ----------------------------------------------------
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    @property
-    def is_zero(self):
-        return not self._terms
 
     def terms(self):
         """(word, coefficient) pairs, descending in the monomial order."""
@@ -180,59 +241,15 @@ class SuperPoly:
         if self.alphabet is not other.alphabet:
             raise ValueError("mixed alphabets")
 
-    def __add__(self, other):
-        if not isinstance(other, SuperPoly):
-            return NotImplemented
-        self._check(other)
-        return SuperPoly(self.alphabet,
-                         _accumulate(other._terms.items(), dict(self._terms)),
-                         _internal=True)
-
-    def __neg__(self):
-        return SuperPoly(self.alphabet, {w: -c for w, c in self._terms.items()},
-                         _internal=True)
-
-    def __sub__(self, other):
-        if not isinstance(other, SuperPoly):
-            return NotImplemented
-        self._check(other)
-        neg = ((w, -c) for w, c in other._terms.items())
-        return SuperPoly(self.alphabet, _accumulate(neg, dict(self._terms)),
-                         _internal=True)
-
-    def __mul__(self, other):
-        scal = _coerce_scalar(other)
-        if scal is not None:
-            return self.scale(scal)
-        if not isinstance(other, SuperPoly):
-            return NotImplemented
-        self._check(other)
-        out = _accumulate((w1 + w2, c1 * c2)
-                          for w1, c1 in self._terms.items()
-                          for w2, c2 in other._terms.items())
-        return SuperPoly(self.alphabet, out, _internal=True)
-
-    def __rmul__(self, other):
-        scal = _coerce_scalar(other)
-        if scal is not None:
-            return self.scale(scal)
-        return NotImplemented
-
-    def scale(self, coeff) -> "SuperPoly":
-        if not coeff:
-            return SuperPoly.zero(self.alphabet)
-        return SuperPoly(self.alphabet,
-                         {w: c * coeff for w, c in self._terms.items()},
-                         _internal=True)
-
-    def __eq__(self, other):
-        if not isinstance(other, SuperPoly):
-            return NotImplemented
-        return self.alphabet is other.alphabet and self._terms == other._terms
+    def _product(self, other):
+        return self._like(_accumulate((w1 + w2, c1 * c2)
+                                      for w1, c1 in self._terms.items()
+                                      for w2, c2 in other._terms.items()))
 
     def __hash__(self):
+        # with the alphabet, a hashed lookup never compares two alphabets
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((self.alphabet, frozenset(self._terms.items())))
         return self._hash
 
     # -- maps ------------------------------------------------------------
@@ -253,7 +270,7 @@ class SuperPoly:
             c2 = fn(c)
             if not c2.is_zero:
                 out[w] = c2
-        return SuperPoly(self.alphabet, out, _internal=True)
+        return self._like(out)
 
     def substitute_parameter(self, **values) -> "SuperPoly":
         return self.map_scalars(lambda c: c.substitute(**values))
@@ -313,56 +330,6 @@ def extend(image, one, grade=None):
     return extended
 
 
-def _scaled(pairs, coeff):
-    """(key, q * coeff) for (key, rational q) pairs, skipping the product at q = 1."""
-    return ((k, coeff if q == 1 else coeff * q) for k, q in pairs)
-
-
-class Combination:
-    """A finite combination of keys with nonzero coefficients, and its linear
-    structure.  A subclass builds results of its kind with ``_like(terms)``,
-    and its ``_check`` raises ValueError unless two operands can be
-    combined, so a binary result keeps what both share."""
-
-    __slots__ = ("_terms",)
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    @property
-    def is_zero(self):
-        return not self._terms
-
-    def terms(self):
-        return self._terms.items()
-
-    def _check(self, other):
-        pass
-
-    def __add__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        self._check(other)
-        return self._like(_accumulate(other._terms.items(), dict(self._terms)))
-
-    def __neg__(self):
-        return self._like({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff):
-        if not coeff:
-            return self._like({})
-        return self._like({k: c * coeff for k, c in self._terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        self._check(other)
-        return self._terms == other._terms
-
-
 class GradedTensor(Combination):
     """Element of a graded tensor power: a map from tuples of leg keys, one
     per leg, to coefficients.
@@ -387,13 +354,7 @@ class GradedTensor(Combination):
             terms = {k: c for k, c in terms.items() if c}
         self._terms = terms
 
-    def __mul__(self, other):
-        scal = _coerce_scalar(other)
-        if scal is not None:
-            return self.scale(scal)
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        self._check(other)
+    def _product(self, other):
         grade, key_product = self._key_grade, self._key_product
         right = [(k2, c2, [i for i, x in enumerate(k2) if grade(x)])
                  for k2, c2 in other._terms.items()]
@@ -412,8 +373,6 @@ class GradedTensor(Combination):
                                 for z, r in key_product(x, y)]
                     yield from _scaled(legs, c)
         return self._like(_accumulate(products()))
-
-    __rmul__ = __mul__
 
     def map_leg(self, leg: int, fn):
         """Apply a linear map to one leg; fn sends a key to a one-leg element."""

@@ -117,9 +117,7 @@ def at_two(poly):
             elif base + d * P_WEIGHT != top:
                 raise ValueError(f"not homogeneous in the torus grading: {poly!r}")
             terms[u] = _whole(q * 2 ** d)
-    if tensor:
-        return top, poly._like(terms)
-    return top, SuperPoly(poly.alphabet, terms, _internal=True)
+    return top, poly._like(terms)
 
 
 def lift(poly, top):

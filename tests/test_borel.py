@@ -7,7 +7,7 @@ import pytest
 from ospq.scalars import Scalar, rat, P, HALF, SQRT2
 from ospq import borel, scalars
 from ospq.checks import CheckConfig, run_checks
-from ospq.freealg import GradedTensor, SuperPoly, TensorElement, extend
+from ospq.freealg import GradedTensor, HopfMaps, SuperPoly, TensorElement, extend
 from ospq.borel import (BorelSeries, ExactBorel, ExactBorelTensor, exp_sigma,
                         exp_minus_sigma, one_plus_px)
 
@@ -197,6 +197,34 @@ def test_tensor_constructors_reject_terms_of_the_wrong_arity():
 def test_coproduct_homomorphism():
     for name in borel.BOREL_RELATIONS:
         assert borel.coproduct_relation_defect(name, W).is_zero
+
+
+def _antipode_and_counit_of_relations(hopf):
+    """{relation name: (S(rel), eps(rel))} at p = 1, eps extended over words
+    as an algebra map."""
+    ids = hopf.images["id"]
+    counit = extend(lambda g: hopf.counit(ids[g]), 1)
+    rels = {name: borel.at_one(borel.borel_relation(name))[1]
+            for name in borel.BOREL_RELATIONS}
+    return {name: (hopf.antipode(rel), counit(rel)) for name, rel in rels.items()}
+
+
+def test_antipode_and_counit_map_the_relations_to_zero():
+    images = _antipode_and_counit_of_relations(borel.hopf_maps())
+    assert list(images) == list(borel.BOREL_RELATIONS)
+    assert all(s.is_zero and e == 0 for s, e in images.values())
+
+
+def test_wrong_antipode_of_v_breaks_the_relations():
+    # S(v) = -v K in place of -v K^-1 keeps the weight and the KV relation,
+    # but S no longer maps VV and HV to zero
+    images = borel.hopf_images()
+    images["antipode"]["v"] = ExactBorel({(1, 0, 1): -ONE})
+    hopf = HopfMaps(images, borel.at_one, borel.BOREL_ALPHABET.grades,
+                    ExactBorel.counit, "Borel", word_of=borel._word)
+    bad = _antipode_and_counit_of_relations(hopf)
+    assert [name for name, (s, _) in bad.items() if s] == ["VV", "HV"]
+    assert all(e == 0 for _, e in bad.values())
 
 
 def test_coassociativity():

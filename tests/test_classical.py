@@ -55,6 +55,23 @@ def test_lowering_solve_ignores_the_frozen_values(monkeypatch):
     assert classical.derive_lowering_matrices() == frozen
 
 
+def test_one_classical_run_builds_the_lowering_equations_once(monkeypatch):
+    # lowering-derivation solves the equations and counts them for its
+    # detail string from one build: one affine_rows call per relation pair
+    built = []
+    rows = classical.affine_rows
+
+    def spy(defect, n):
+        built.append(n)
+        return rows(defect, n)
+
+    monkeypatch.setattr(classical, "_lowering_memo", [(), None])
+    monkeypatch.setattr(classical, "affine_rows", spy)
+    reports = run_checks("classical", CheckConfig())
+    assert [r.status for r in reports] == ["pass"] * len(reports)
+    assert len(built) == len(classical.lowering_equations()) == 12
+
+
 def test_lowering_solve_follows_a_rescaling_automorphism(monkeypatch):
     # Xp -> 9 Xp, Vp -> 3 Vp fixes every bracket once Xm -> Xm/9, Vm -> Vm/3
     xm, vm = classical.REP["Xm"], classical.REP["Vm"]
@@ -227,6 +244,24 @@ def test_one_run_builds_each_coproduct_embedding_once(monkeypatch):
     # one reduce per leg position of each embedding built
     assert sorted(built) == sorted((name, arity) for name in ("Vp", "Vm")
                                    for arity in (2, 3) for _ in range(arity))
+
+
+def test_one_r_matrix_run_brackets_r3_once(monkeypatch):
+    # modified-cybe and parameter-absorption read one [[r3(1), r3(1)]]
+    unit = classical.r3(Scalar.one()).terms
+    bracketed = []
+    schouten = classical.schouten
+
+    def spy(expr):
+        bracketed.append(expr.terms == unit)
+        return schouten(expr)
+
+    classical.r3_schouten.cache_clear()
+    monkeypatch.setattr(classical, "schouten", spy)
+    reports = run_checks("r-matrix", CheckConfig())
+    assert [r.status for r in reports] == ["pass"] * len(reports)
+    assert bracketed.count(True) == 1
+    assert len(bracketed) == 4
 
 
 def test_mixed_parity_wedge_rejected():

@@ -25,6 +25,10 @@ derive their letters' weights from the 3x3 basis weights through
 ``supermatrix.entry_weights``, and ``rewrite`` reads them from the alphabet
 of each element, so none of its functions takes or solves for a grading.
 
+Every element kind (``SuperPoly``, ``TensorElement``, ``ExactBorelTensor``,
+``BorelSeries``, ``ExactBorel``) is a ``freealg.Combination``, which owns the
+sum, difference, negation, scaling, equality and ``*`` of all five; a kind
+writes only its key product, its constructor and its operand check.
 The element tensors ``TensorElement`` and ``ExactBorelTensor`` take their
 linear structure, Koszul-sign product and leg maps from
 ``freealg.GradedTensor``, so that loop is written once; each class body says
@@ -176,6 +180,26 @@ def test_tensor_types_inherit_one_product_and_leg_maps():
                   for target in node.targets if isinstance(target, ast.Name)}
         own = sorted(names & SHARED_TENSOR_API)
         assert not own, f"{cls.__name__} defines its own {own}"
+
+
+ELEMENT_KINDS = (SuperPoly, TensorElement, ExactBorelTensor, borel.BorelSeries,
+                 borel.ExactBorel)
+SHARED_LINEAR_API = {"__add__", "__sub__", "__neg__", "scale", "__mul__", "__rmul__",
+                     "__bool__", "is_zero", "__eq__"}
+
+
+def test_every_element_kind_takes_its_arithmetic_from_combination():
+    # each kind writes only its key product, constructor and operand check
+    for kind in ELEMENT_KINDS:
+        assert issubclass(kind, freealg.Combination), kind.__name__
+        for cls in kind.__mro__[:kind.__mro__.index(freealg.Combination)]:
+            body = ast.parse(textwrap.dedent(inspect.getsource(cls))).body[0].body
+            names = {node.name for node in body if isinstance(node, ast.FunctionDef)}
+            names |= {target.id for node in body if isinstance(node, ast.Assign)
+                      for target in node.targets if isinstance(target, ast.Name)}
+            own = sorted(names & SHARED_LINEAR_API)
+            assert not own, f"{cls.__name__} defines its own {own}"
+    assert not hasattr(freealg, "_coerce_scalar")
 
 
 def _perfbench_span_names():
