@@ -285,6 +285,13 @@ def _exact_mul(k1, k2):
     return tuple(out.items())
 
 
+def _at_one_only(*operands):
+    """ValueError unless each coefficient is an int or a Fraction, a value at
+    p = 1, where ``_exact_mul`` holds the structure constants."""
+    if not all(isinstance(c, (int, Fraction)) for f in operands for c in f._terms.values()):
+        raise ValueError("the exact Borel product takes values at p = 1: apply at_one first")
+
+
 class ExactBorel(Combination):
     """Element of the exact Borel algebra: a combination of the monomials
     v^eps h^m K^n (eps in {0, 1}, m >= 0, n in Z), with Scalars over Q[p]
@@ -300,6 +307,7 @@ class ExactBorel(Combination):
         return ExactBorel(terms, _internal=True)
 
     def _product(self, other):
+        _at_one_only(self, other)
         return self._like(_accumulate(kc for k1, c1 in self._terms.items()
                                       for k2, c2 in other._terms.items()
                                       for kc in _scaled(_exact_mul(k1, k2), c1 * c2)))
@@ -316,6 +324,10 @@ class ExactBorelTensor(GradedTensor):
     __slots__ = ()
 
     _key_product = staticmethod(_exact_mul)
+
+    def _product(self, other):
+        _at_one_only(self, other)
+        return super()._product(other)
 
     @staticmethod
     def _key_grade(key):

@@ -11,7 +11,7 @@ import time
 from dataclasses import dataclass, field
 
 from .scalars import Scalar, rat, P, HALF
-from .freealg import SuperPoly
+from .freealg import SuperPoly, TensorElement
 from .rewrite import RewriteSystem, complete, span_contains, span_equal
 from .supermatrix import SuperMatrix, desuperize, kron, ybe_check
 from . import classical
@@ -112,21 +112,23 @@ def check_r_exponential(config):
 def check_triangularity(config):
     s1 = classical.schouten(classical.r1())
     s2 = classical.schouten(classical.r2())
-    ok = s1.is_zero() and s2.is_zero()
+    ok = s1.is_zero and s2.is_zero
     return ok, ("both triangular r-matrices have vanishing Schouten bracket"
                 if ok else "a Schouten bracket expected to vanish does not")
 
 
 def check_modified_cybe(config):
     s3 = classical.r3_schouten()
-    nonzero = not s3.is_zero()
+    nonzero = not s3.is_zero
     inv = classical.ad_invariance_check(s3)
     omega = classical.ad_invariant_element()
     inv_omega = classical.ad_invariance_check(omega)
-    ok = nonzero and inv and inv_omega
+    standard = s3 == -classical.omega_commutator()
+    ok = nonzero and inv and inv_omega and standard
     return ok, ("third r-matrix: nonzero ad-invariant Schouten bracket; "
                 "the symmetric pairing element is ad-invariant" if ok else
-                f"nonzero={nonzero} schouten-invariant={inv} pairing-invariant={inv_omega}")
+                f"nonzero={nonzero} schouten-invariant={inv} pairing-invariant={inv_omega} "
+                f"standard-form={standard}")
 
 
 def check_parameter_absorption(config):
@@ -152,8 +154,8 @@ def check_families(config):
 
 
 def check_h_tensor_h_probe(config):
-    omega = kron(classical.REP["H"], classical.REP["H"])
-    ok = classical.ad_invariance_check(omega.scale(rat(2))) is False
+    omega = TensorElement(classical.ALPHABET, 2, {(("H",), ("H",)): rat(2)})
+    ok = classical.ad_invariance_check(omega) is False
     return ok, "H ox H alone is not ad-invariant (negative control)" if ok else \
         "H ox H unexpectedly ad-invariant"
 

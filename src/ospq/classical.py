@@ -4,26 +4,26 @@ ad-invariance certificates.
 
 Basis {H, Xp, Xm, Vp, Vm} with grades 0,0,0,1,1.  Brackets are graded: a
 commutator unless both arguments are odd, then an anticommutator.  The
-Schouten bracket [[r,r]] = [r12,r13] + [r12,r23] + [r13,r23] is evaluated in
-the 27-dimensional image of the representation: r is a 9x9 sum of graded
-Kronecker products, its legs are kron(r, 1), kron(1, r) and kron(r, 1) with
-legs 2 and 3 flipped, and kron is multiplicative, so graded commutators
-become matrix commutators.
-A family's parameters stay outside the coefficient ring, so every matrix
-here is p-free and rational (``family_groups``).
+Schouten bracket [[r,r]] = [r12,r13] + [r12,r23] + [r13,r23] is decided in
+g ox g ox g: r is a ``TensorElement`` over ``ALPHABET``, whose product
+carries the Koszul sign, and ``PBW`` puts each leg in PBW order in U(g).
+REP ox REP ox REP is injective on g ox g ox g, so a tensor there is zero, or
+ad-invariant, exactly when its image (``rep_image``) is.  A family's
+parameters stay outside the coefficient ring, so every tensor here is p-free
+and rational (``family_groups``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations
-from operator import add
+from itertools import combinations, product
+from operator import add, matmul
 
 from .scalars import Scalar, rat, _accumulate
-from .freealg import SCALAR_ALPHABET
-from .rewrite import affine_rows, solve_affine
-from .supermatrix import SuperMatrix, graded_swap, kron
+from .freealg import SCALAR_ALPHABET, GradedAlphabet, SuperPoly, TensorElement
+from .rewrite import RewriteSystem, affine_rows, solve_affine
+from .supermatrix import SuperMatrix, kron
 
 BASIS = ("H", "Xp", "Xm", "Vp", "Vm")
 GRADE = {"H": 0, "Xp": 0, "Xm": 0, "Vp": 1, "Vm": 1}
@@ -84,6 +84,24 @@ def jacobi_holds_everywhere() -> bool:
                for x in BASIS for y in BASIS for z in BASIS)
 
 
+ALPHABET = GradedAlphabet(BASIS, GRADE)
+
+
+def _pbw_rule(x: str, y: str) -> SuperPoly:
+    """x y = (-1)^{|x||y|} y x + [x, y] for x after y in BASIS, and
+    u u = [u, u]/2 for odd u."""
+    terms = {(z,): rat(c / 2 if x == y else c) for z, c in bracket(x, y).items()}
+    if x != y:
+        terms[(y, x)] = rat((-1) ** (GRADE[x] * GRADE[y]))
+    return SuperPoly(ALPHABET, terms)
+
+
+# U(g) in PBW order: 12 rules, every left side of length 2, so a clean
+# overlap_check(3) makes normal forms unique in all degrees (diamond lemma)
+PBW = RewriteSystem(ALPHABET, {(x, y): _pbw_rule(x, y) for i, y in enumerate(BASIS)
+                               for x in BASIS[i:] if x != y or GRADE[x]})
+
+
 # ----------------------------------------------------------------------
 # Matrix representation.
 # ----------------------------------------------------------------------
@@ -103,18 +121,13 @@ REP = {
 }
 
 
-def graded_matrix_bracket(a: SuperMatrix, b: SuperMatrix, ga: int, gb: int) -> SuperMatrix:
-    ab = a @ b
-    ba = b @ a
-    return ab + ba if (ga and gb) else ab - ba
-
-
 def relation_defect(matrices, x: str, y: str) -> SuperMatrix:
     """[x, y] - sum_z c z on the matrices: the defect of one defining relation."""
-    want = SuperMatrix.zero(SCALAR_ALPHABET, 3)
+    a, b = matrices[x], matrices[y]
+    defect = a @ b + b @ a if GRADE[x] and GRADE[y] else a @ b - b @ a
     for z, c in bracket(x, y).items():
-        want = want + matrices[z].scale(rat(c))
-    return graded_matrix_bracket(matrices[x], matrices[y], GRADE[x], GRADE[y]) - want
+        defect = defect - matrices[z].scale(rat(c))
+    return defect
 
 
 # the 15 defining relations, one per unordered pair of basis elements
@@ -182,8 +195,19 @@ def derive_lowering_matrices():
 
 
 # ----------------------------------------------------------------------
-# r-matrices as wedge combinations, expanded through the representation.
+# r-matrices as wedge combinations in g ox g.
 # ----------------------------------------------------------------------
+
+def rep_image(t: TensorElement) -> SuperMatrix:
+    """The image of ``t`` under REP ox ... ox REP: the ``kron`` of the
+    matrix products of its leg words, the empty word going to 1."""
+    one = SuperMatrix.identity(SCALAR_ALPHABET, 3)
+    out = SuperMatrix.zero(SCALAR_ALPHABET, 3 ** t.arity)
+    for key, c in t.terms():
+        out = out + reduce(kron, [reduce(matmul, map(REP.__getitem__, w), one)
+                                  for w in key]).scale(c)
+    return out
+
 
 class RMatrixExpr:
     """Formal Scalar combination of wedges x ^ y of basis elements.
@@ -202,14 +226,16 @@ class RMatrixExpr:
             raise ValueError("graded-mixed r-matrix expression")
         return parities.pop() if parities else 0
 
+    def tensor(self) -> TensorElement:
+        """The wedges in g ox g."""
+        return TensorElement(ALPHABET, 2, _accumulate(
+            kc for c, x, y in self.terms
+            for kc in ((((x,), (y,)), c), (((y,), (x,)), c if GRADE[x] * GRADE[y] else -c))),
+            _internal=True)
+
     def expand(self) -> SuperMatrix:
-        """The 9x9 image: sum of c (kron(x, y) - (-1)^{|x||y|} kron(y, x))."""
-        out = SuperMatrix.zero(SCALAR_ALPHABET, 9)
-        for c, x, y in self.terms:
-            sign = rat(-((-1) ** (GRADE[x] * GRADE[y])))
-            out = (out + kron(REP[x], REP[y]).scale(c)
-                   + kron(REP[y], REP[x]).scale(c * sign))
-        return out
+        """The 9x9 image of ``tensor``."""
+        return rep_image(self.tensor())
 
 
 def r1() -> RMatrixExpr:
@@ -241,104 +267,78 @@ def family_two():
             ((0, 0, 1), RMatrixExpr([(Scalar.one(), "H", "Xm"), (rat(-1), "Vm", "Vm")]))]
 
 
-def ad_invariant_element() -> SuperMatrix:
+def ad_invariant_element() -> TensorElement:
     """The symmetric invariant 2H ox H + Xp ox Xm + Xm ox Xp + 2(Vp ox Vm - Vm ox Vp)."""
-    pieces = [
-        (rat(2), "H", "H"), (Scalar.one(), "Xp", "Xm"), (Scalar.one(), "Xm", "Xp"),
-        (rat(2), "Vp", "Vm"), (rat(-2), "Vm", "Vp"),
-    ]
-    out = SuperMatrix.zero(SCALAR_ALPHABET, 9)
-    for c, x, y in pieces:
-        out = out + kron(REP[x], REP[y]).scale(c)
-    return out
+    return TensorElement(ALPHABET, 2, {((x,), (y,)): rat(c) for c, x, y in (
+        (2, "H", "H"), (1, "Xp", "Xm"), (1, "Xm", "Xp"), (2, "Vp", "Vm"), (-2, "Vm", "Vp"))})
 
 
-_ONE = SuperMatrix.identity(SCALAR_ALPHABET, 3)
+def _three_legs(t: TensorElement):
+    """t12, t13 and t23 of a two-leg tensor: the empty word, an even unit, at
+    the third slot, so no sign."""
+    return [TensorElement(ALPHABET, 3, {key[:k] + ((),) + key[k:]: c for key, c in t.terms()},
+                          _internal=True) for k in (2, 1, 0)]
 
 
-def _legs(expr: RMatrixExpr):
-    """The 27x27 legs (r12, r13, r23) of the 9x9 image of ``expr``."""
-    r = expr.expand()
-    flip23 = kron(_ONE, graded_swap())
-    r12 = kron(r, _ONE)
-    return r12, flip23 @ r12 @ flip23, kron(_ONE, r)
+def _schouten(r: TensorElement, s: TensorElement, parity: int) -> TensorElement:
+    """[r12, s13] + [r12, s23] + [r13, s23], graded commutators of legs of
+    the given parity: bilinear in (r, s), and [[r,r]] at s = r."""
+    rs, ss, sign = _three_legs(r), _three_legs(s), (-1) ** parity
+    return reduce(add, (rs[i] * ss[j] - ss[j] * rs[i] * sign
+                        for i, j in combinations(range(3), 2)))
 
 
-def _schouten_of_legs(parity: int, legs) -> SuperMatrix:
-    r12, r13, r23 = legs
-    sign = rat((-1) ** parity)
-
-    def gcomm(a, b):
-        return (a @ b) - (b @ a).scale(sign)
-
-    return gcomm(r12, r13) + gcomm(r12, r23) + gcomm(r13, r23)
-
-
-def schouten(expr: RMatrixExpr) -> SuperMatrix:
-    """[[r,r]] evaluated in the representation as an exact 27x27 matrix."""
-    return _schouten_of_legs(expr.parity(), _legs(expr))
+def schouten(expr: RMatrixExpr) -> TensorElement:
+    """[[r,r]] as an exact tensor in g ox g ox g, in PBW normal form."""
+    r = expr.tensor()
+    return PBW.normal_form(_schouten(r, r, expr.parity()))
 
 
 @lru_cache(maxsize=None)
-def r3_schouten() -> SuperMatrix:
+def r3_schouten() -> TensorElement:
     """[[r3(1), r3(1)]], built once and shared: callers only read it."""
     return schouten(r3(Scalar.one()))
 
 
-@lru_cache(maxsize=None)
-def coproduct_embedding(name: str, arity: int) -> SuperMatrix:
-    """sum_k 1 ox .. ox x ox .. ox 1 (x at slot k) as a 3**arity matrix."""
-    total = SuperMatrix.zero(SCALAR_ALPHABET, 3 ** arity)
-    for pos in range(arity):
-        legs = [_ONE] * arity
-        legs[pos] = REP[name]
-        total = total + reduce(kron, legs)
-    return total
+def omega_commutator() -> TensorElement:
+    """[Omega12, Omega23] in PBW normal form, Omega = ``ad_invariant_element``:
+    the modified CYBE in its standard form (Chari & Pressley, *A Guide to
+    Quantum Groups*, ch. 2) reads [[r3(1), r3(1)]] = -[Omega12, Omega23]."""
+    o12, _, o23 = _three_legs(ad_invariant_element())
+    return PBW.normal_form(o12 * o23 - o23 * o12)
 
 
-def ad_invariance_check(omega: SuperMatrix) -> bool:
-    """Does the graded adjoint action of every basis element kill omega?
+def coproduct(name: str, arity: int) -> TensorElement:
+    """Delta_0(x) = sum_k 1 ox .. ox x ox .. ox 1 (x at slot k)."""
+    return TensorElement(ALPHABET, arity, {
+        tuple((name,) if k == slot else () for k in range(arity)): Scalar.one()
+        for slot in range(arity)}, _internal=True)
 
-    ``omega`` is a 9x9 or 27x27 matrix; its size gives the number of legs.
-    Since omega is even here, the action is the plain matrix commutator with
-    the embedded coproduct.  It is decided on Vp and Vm alone: at 2 and 3
-    legs the embedded coproducts satisfy DVp DVp = DXp/4, DVm DVm = -DXm/4
-    and DVp DVm + DVm DVp = -DH/2, so a matrix that commutes with DVp and
-    DVm commutes with all five.
-    """
-    arity = {9: 2, 27: 3}[omega.n]
-    for name in ("Vp", "Vm"):
-        dx = coproduct_embedding(name, arity)
-        comm = (dx @ omega) - (omega @ dx)
-        if not comm.is_zero():
-            return False
-    return True
+
+def ad_invariance_check(omega: TensorElement) -> bool:
+    """Does the graded adjoint action of every basis element kill the even
+    ``omega``?  It is the commutator with the coproduct, in PBW normal form.
+    DVp DVp = DXp/4, DVm DVm = -DXm/4 and DVp DVm + DVm DVp = -DH/2, so
+    commuting with DVp and DVm means commuting with all five."""
+    return not any(PBW.normal_form(d * omega - omega * d)
+                   for d in (coproduct(name, omega.arity) for name in ("Vp", "Vm")))
 
 
 def family_groups(family) -> dict:
-    """The rational 27x27 coefficient of each parameter monomial in [[r,r]].
+    """The rational tensor coefficient of each parameter monomial in [[r,r]].
 
     ``family`` lists pieces (m_i, r_i): a tuple of parameter exponents and a
-    p-free RMatrixExpr, for r = sum_i m_i r_i.  [[r,r]] is quadratic in r,
-    so [[r,r]] = sum_{i<=j} m_i m_j B(r_i, r_j), where B(r_i, r_i) = S(r_i)
-    and B(r_i, r_j) = S(r_i + r_j) - S(r_i) - S(r_j) for i < j, S being
-    ``schouten``.  Legs are linear in r, so S of a sum reads the summed legs
-    and each piece's Kronecker products and flips are built once.
+    p-free RMatrixExpr, for r = sum_i m_i r_i.  The bracket is bilinear, so
+    [[r,r]] = sum_{i,j} m_i m_j B(r_i, r_j), with B the bilinear form whose
+    diagonal is the Schouten bracket; each group is normal-formed once.
     """
-    pieces = []
-    for mono, expr in family:
-        parity, legs = expr.parity(), _legs(expr)
-        pieces.append((mono, parity, legs, _schouten_of_legs(parity, legs)))
-
-    def terms():
-        for mono, _, _, alone in pieces:
-            yield tuple(map(add, mono, mono)), alone
-        for (m1, par1, legs1, s1), (m2, par2, legs2, s2) in combinations(pieces, 2):
-            if par1 != par2:
-                raise ValueError("pieces of mixed parity")
-            both = _schouten_of_legs(par1, tuple(map(add, legs1, legs2)))
-            yield tuple(map(add, m1, m2)), both - s1 - s2
-    return _accumulate(terms())
+    pieces = [(mono, expr.parity(), expr.tensor()) for mono, expr in family]
+    groups = {}
+    for (m1, par1, r1), (m2, par2, r2) in product(pieces, repeat=2):
+        if par1 != par2:
+            raise ValueError("pieces of mixed parity")
+        groups.setdefault(tuple(map(add, m1, m2)), []).append(_schouten(r1, r2, par1))
+    return {mono: PBW.normal_form(reduce(add, parts)) for mono, parts in groups.items()}
 
 
 def family_coboundary_check(family) -> bool:

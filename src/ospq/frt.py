@@ -366,23 +366,14 @@ def generator_images():
             "antipode": {"1": one, **antipode_images()}}
 
 
-def _reduced(f):
-    """The normal form under the rules at p = 2, leg by leg for a tensor."""
-    at2 = presentation().at2
-    if isinstance(f, SuperPoly):
-        return at2.normal_form(f)
-    for leg in range(f.arity):
-        f = f.map_leg(leg, at2.nf_word)
-    return f
-
-
 @lru_cache(maxsize=None)
 def hopf_maps() -> HopfMaps:
     """The Hopf maps with their generator images at p = 2, where the checks
-    decide their zero tests (module ``rewrite``); ValueError unless each
-    image keeps the torus weight.  The counit contraction keeps it too, since
-    eps is nonzero only on a and d, of weight 0."""
-    return HopfMaps(generator_images(), at_two, ALPHABET.grades, counit, "torus", _reduced)
+    decide zero tests on normal forms, leg by leg for a tensor (``rewrite``);
+    ValueError unless each image keeps the torus weight.  The counit
+    contraction keeps it too, since eps is nonzero only on a and d, of weight 0."""
+    return HopfMaps(generator_images(), at_two, ALPHABET.grades, counit, "torus",
+                    lambda f: presentation().at2.normal_form(f))
 
 
 def coproduct_respects_relations() -> bool:

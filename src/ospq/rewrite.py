@@ -226,7 +226,12 @@ class RewriteSystem:
             stack.pop()
         return cache[word]
 
-    def normal_form(self, poly: SuperPoly) -> SuperPoly:
+    def normal_form(self, poly):
+        """The normal form of a SuperPoly, or of a TensorElement leg by leg."""
+        if isinstance(poly, TensorElement):
+            for leg in range(poly.arity):
+                poly = poly.map_leg(leg, self.nf_word)
+            return poly
         out = _accumulate((w2, c * c2) for w, c in poly._terms.items()
                           for w2, c2 in self.nf_word(w)._terms.items())
         return SuperPoly(self.alphabet, out, _internal=True)

@@ -216,17 +216,6 @@ def kron(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
     return SuperMatrix(a.alphabet, out)
 
 
-def graded_swap() -> SuperMatrix:
-    """The 9x9 graded flip u ox v -> (-1)^{|u||v|} v ox u."""
-    out = SuperMatrix.zero(SCALAR_ALPHABET, 9)
-    one = SuperPoly.one(SCALAR_ALPHABET)
-    for i in range(3):
-        for k in range(3):
-            out.entries[3 * k + i][3 * i + k] = \
-                -one if INDEX_GRADE[i] and INDEX_GRADE[k] else one
-    return out
-
-
 def exp_nilpotent(m: SuperMatrix, t=None) -> SuperMatrix:
     """exp(t*m) as a finite sum; raises on non-nilpotent input."""
     if t is not None:

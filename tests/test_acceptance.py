@@ -62,10 +62,10 @@ def test_criterion_03_yang_baxter():
 
 def test_criterion_04_triangularity():
     started = time.monotonic()
-    ok = classical.schouten(classical.r1()).is_zero()
-    ok = ok and classical.schouten(classical.r2()).is_zero()
+    ok = classical.schouten(classical.r1()).is_zero
+    ok = ok and classical.schouten(classical.r2()).is_zero
     s3 = classical.schouten(classical.r3(Scalar.one()))
-    ok = ok and not s3.is_zero() and classical.ad_invariance_check(s3)
+    ok = ok and not s3.is_zero and classical.ad_invariance_check(s3)
     ok = ok and classical.ad_invariance_check(classical.ad_invariant_element())
     assert _report(4, "Schouten brackets vanish for the triangular pair; the "
                       "third direction and the pairing element are ad-invariant",

@@ -170,6 +170,20 @@ def test_exact_normal_ordering_rules():
     assert k * h == h * k - k.scale(2) + k_inv.scale(2)
 
 
+def test_exact_products_take_values_at_p_1():
+    # the structure constants are those at p = 1: v v = K^2 - 1 there, while
+    # over Q[p] the exact product is (K^2 - 1)/p, so Scalar operands raise
+    images = borel.hopf_images()
+    v = images["id"]["v"]
+    with pytest.raises(ValueError, match="p = 1"):
+        v * v
+    with pytest.raises(ValueError, match="p = 1"):
+        images["delta"]["v"] * images["delta"]["v"]
+    v1 = borel.at_one(v)[1]
+    k1 = borel.at_one(images["id"]["K"])[1]
+    assert v1 * v1 == k1 * k1 - borel.at_one(images["id"]["1"])[1]
+
+
 def test_coproduct_square_identity():
     lhs = borel.delta_v(W) * borel.delta_v(W)
     assert lhs == borel.delta_x(W).scale(rat(Fraction(1, 4)))

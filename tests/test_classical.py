@@ -1,9 +1,10 @@
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from ospq.scalars import Scalar, rat, P
-from ospq.freealg import SCALAR_ALPHABET
+from ospq.freealg import SCALAR_ALPHABET, SuperPoly, TensorElement
 from ospq.supermatrix import SuperMatrix, kron
 from ospq import classical
 from ospq.checks import CheckConfig, _r2_target_matrix, run_checks
@@ -99,14 +100,32 @@ def test_r2_embedding_matches_reference_matrix():
 
 
 def test_schouten_triangular():
-    assert classical.schouten(classical.r1()).is_zero()
-    assert classical.schouten(classical.r2()).is_zero()
+    assert classical.schouten(classical.r1()).is_zero
+    assert classical.schouten(classical.r2()).is_zero
 
 
 def test_schouten_r3_nonzero_but_invariant():
     s3 = classical.schouten(classical.r3(Scalar.one()))
-    assert not s3.is_zero()
+    assert not s3.is_zero
     assert classical.ad_invariance_check(s3)
+
+
+def test_modified_cybe_in_standard_form():
+    # [[r3(1), r3(1)]] = -[Omega12, Omega23], 18 terms on each side; the
+    # identity with the other sign fails
+    s3, bracket = classical.r3_schouten(), classical.omega_commutator()
+    assert len(s3.terms()) == len(bracket.terms()) == 18
+    assert s3 == -bracket
+    assert s3 != bracket
+
+
+def test_pbw_rewriting_is_confluent_in_all_degrees():
+    # every left side has length 2, so every ambiguity is an overlap of
+    # length 3, and a clean overlap_check(3) gives confluence in all degrees
+    # (Bergman's diamond lemma): a normal form decides zero in U(osp(1|2))
+    assert len(classical.PBW) == 12
+    assert {len(lhs) for lhs in classical.PBW.rules} == {2}
+    assert classical.PBW.overlap_check(3) == []
 
 
 def test_schouten_scales_quadratically():
@@ -125,14 +144,19 @@ def test_invariant_element():
     assert classical.ad_invariance_check(classical.ad_invariant_element())
 
 
+def _tensor(*terms):
+    """A tensor over the basis from (coefficient, leg, leg, ...) terms."""
+    return TensorElement(classical.ALPHABET, len(terms[0]) - 1,
+                         {tuple((x,) for x in legs): rat(c) for c, *legs in terms})
+
+
 def test_h_tensor_h_not_invariant():
-    omega = kron(classical.REP["H"], classical.REP["H"])
-    assert not classical.ad_invariance_check(omega)
+    assert not classical.ad_invariance_check(_tensor((1, "H", "H")))
 
 
 def test_zero_is_invariant():
-    assert classical.ad_invariance_check(SuperMatrix.zero(SCALAR_ALPHABET, 9))
-    assert classical.ad_invariance_check(SuperMatrix.zero(SCALAR_ALPHABET, 27))
+    assert classical.ad_invariance_check(TensorElement.zero(classical.ALPHABET, 2))
+    assert classical.ad_invariance_check(TensorElement.zero(classical.ALPHABET, 3))
 
 
 def test_families_fully_symbolic():
@@ -148,7 +172,7 @@ def test_family_two_specializes_to_r2():
 def test_odd_probe_not_coboundary_compatible():
     probe = classical.RMatrixExpr([(Scalar.one(), "H", "Vp")])
     s = classical.schouten(probe)
-    assert not s.is_zero()
+    assert not s.is_zero
     assert classical.family_coboundary_check([((), probe)]) is False
 
 
@@ -162,7 +186,7 @@ def test_family_groups_are_the_coefficients_of_each_monomial():
     groups = classical.family_groups(classical.family_one())
     assert sorted(groups) == [(0, 4), (1, 3), (2, 2), (3, 1), (4, 0)]
     r = _wedges((4, "H", "Xp"), (-2, "Xp", "Xm"), (1, "H", "Xm"))
-    total = SuperMatrix.zero(SCALAR_ALPHABET, 27)
+    total = TensorElement.zero(classical.ALPHABET, 3)
     for (i, j), m in groups.items():
         total = total + m.scale(rat(2 ** i * (-1) ** j))
     assert classical.schouten(r) == total
@@ -197,53 +221,104 @@ def test_family_pieces_of_mixed_parity_are_rejected():
 
 
 def _full_basis_invariant(omega):
-    arity = {9: 2, 27: 3}[omega.n]
-    return all((dx @ omega) == (omega @ dx) for dx in
-               (classical.coproduct_embedding(name, arity) for name in classical.BASIS))
+    return all(classical.PBW.normal_form(dx * omega - omega * dx).is_zero for dx in
+               (classical.coproduct(name, omega.arity) for name in classical.BASIS))
 
 
 @pytest.mark.parametrize("arity", [2, 3])
 def test_odd_coproducts_generate_the_even_ones(arity):
-    vp = classical.coproduct_embedding("Vp", arity)
-    vm = classical.coproduct_embedding("Vm", arity)
-    embed = lambda name, c: classical.coproduct_embedding(name, arity).scale(rat(c))
-    assert vp @ vp == embed("Xp", Fraction(1, 4))
-    assert vm @ vm == embed("Xm", Fraction(-1, 4))
-    assert (vp @ vm) + (vm @ vp) == embed("H", Fraction(-1, 2))
+    # in PBW normal form: Delta(Vp)^2 = Delta(Xp)/4, Delta(Vm)^2 = -Delta(Xm)/4
+    # and {Delta(Vp), Delta(Vm)} = -Delta(H)/2
+    vp = classical.coproduct("Vp", arity)
+    vm = classical.coproduct("Vm", arity)
+    nf = classical.PBW.normal_form
+    embed = lambda name, c: classical.coproduct(name, arity).scale(rat(c))
+    assert nf(vp * vp) == embed("Xp", Fraction(1, 4))
+    assert nf(vm * vm) == embed("Xm", Fraction(-1, 4))
+    assert nf(vp * vm + vm * vp) == embed("H", Fraction(-1, 2))
 
 
-def test_odd_generators_give_the_full_basis_verdict():
-    probe = classical.schouten(_wedges((1, "H", "Vp")))
-    cases = [kron(classical.REP["H"], classical.REP["H"]).scale(rat(2)),
-             classical.ad_invariant_element(),
-             classical.schouten(classical.r3(Scalar.one())), probe]
+def _verdict_cases():
+    """2H ox H, Omega, [[r3, r3]], the H^Vp probe, the family groups and the
+    lone Xp^Xm piece of family_one."""
+    cases = [_tensor((2, "H", "H")), classical.ad_invariant_element(),
+             classical.schouten(classical.r3(Scalar.one())),
+             classical.schouten(_wedges((1, "H", "Vp")))]
     for family in (classical.family_one(), classical.family_two()):
         cases += classical.family_groups(family).values()
     cases.append(classical.schouten(dict(classical.family_one())[(1, 1)]))
-    verdicts = [classical.ad_invariance_check(m) for m in cases]
-    assert verdicts == [_full_basis_invariant(m) for m in cases]
+    return cases
+
+
+def test_odd_generators_give_the_full_basis_verdict():
+    cases = _verdict_cases()
+    verdicts = [classical.ad_invariance_check(t) for t in cases]
+    assert verdicts == [_full_basis_invariant(t) for t in cases]
     assert verdicts[:4] == [False, True, True, False] and not verdicts[-1]
 
 
-def test_one_run_builds_each_coproduct_embedding_once(monkeypatch):
-    built = []
-    reduce = classical.reduce
+# ----------------------------------------------------------------------
+# The 27x27 route as an independent oracle: REP ox REP ox REP is injective on
+# g ox g ox g, so the tensor verdicts are the matrix verdicts.
+# ----------------------------------------------------------------------
 
-    def spy(fn, legs):
-        name, = (n for n in classical.BASIS for leg in legs if leg is classical.REP[n])
-        built.append((name, len(legs)))
-        return reduce(fn, legs)
+def _graded_flip():
+    """The 9x9 graded flip u ox v -> (-1)^{|u||v|} v ox u (index 2 is odd)."""
+    out = SuperMatrix.zero(SCALAR_ALPHABET, 9)
+    one = SuperPoly.one(SCALAR_ALPHABET)
+    for i in range(3):
+        for k in range(3):
+            out.entries[3 * k + i][3 * i + k] = -one if i == k == 1 else one
+    return out
 
-    classical.coproduct_embedding.cache_clear()
-    monkeypatch.setattr(classical, "reduce", spy)
-    try:
-        reports = run_checks("r-matrix", CheckConfig())
-    finally:
-        classical.coproduct_embedding.cache_clear()
-    assert [r.status for r in reports] == ["pass"] * len(reports)
-    # one reduce per leg position of each embedding built
-    assert sorted(built) == sorted((name, arity) for name in ("Vp", "Vm")
-                                   for arity in (2, 3) for _ in range(arity))
+
+def _matrix_schouten(expr):
+    """[[r, r]] as the 27x27 sum of graded matrix commutators of the legs
+    kron(r, 1), kron(1, r) and kron(r, 1) with legs 2 and 3 flipped."""
+    r, one = expr.expand(), SuperMatrix.identity(SCALAR_ALPHABET, 3)
+    flip23 = kron(one, _graded_flip())
+    r12, r23 = kron(r, one), kron(one, r)
+    r13 = flip23 @ r12 @ flip23
+    sign = rat((-1) ** expr.parity())
+
+    def gcomm(a, b):
+        return (a @ b) - (b @ a).scale(sign)
+    return gcomm(r12, r13) + gcomm(r12, r23) + gcomm(r13, r23)
+
+
+def _oracle_exprs():
+    """r1, r2, r3(1), the H^Vp probe and the six family pieces."""
+    exprs = [classical.r1(), classical.r2(), classical.r3(Scalar.one()),
+             _wedges((1, "H", "Vp"))]
+    for family in (classical.family_one(), classical.family_two()):
+        exprs += [expr for _, expr in family]
+    return exprs
+
+
+@pytest.mark.parametrize("index", range(10))
+def test_schouten_tensor_maps_to_the_matrix_schouten(index):
+    expr = _oracle_exprs()[index]
+    assert classical.rep_image(classical.schouten(expr)) == _matrix_schouten(expr)
+
+
+def _matrix_invariant(m):
+    """Does m commute with the 3**k matrix images of Delta(x), x in BASIS?"""
+    one = SuperMatrix.identity(SCALAR_ALPHABET, 3)
+    arity = {9: 2, 27: 3}[m.n]
+    for name in classical.BASIS:
+        dx = SuperMatrix.zero(SCALAR_ALPHABET, m.n)
+        for slot in range(arity):
+            legs = [classical.REP[name] if k == slot else one for k in range(arity)]
+            dx = dx + reduce(kron, legs)
+        if dx @ m != m @ dx:
+            return False
+    return True
+
+
+def test_tensor_verdicts_are_the_matrix_verdicts():
+    cases = _verdict_cases()
+    assert ([classical.ad_invariance_check(t) for t in cases]
+            == [_matrix_invariant(classical.rep_image(t)) for t in cases])
 
 
 def test_one_r_matrix_run_brackets_r3_once(monkeypatch):
@@ -272,9 +347,11 @@ def test_mixed_parity_wedge_rejected():
 
 
 def test_coproduct_embedding_is_a_sum_of_one_leg_images():
+    # the image of the tensor Delta(Vp) is the embedded coproduct
     one = SuperMatrix.identity(SCALAR_ALPHABET, 3)
     vp = classical.REP["Vp"]
-    assert classical.coproduct_embedding("Vp", 2) == kron(vp, one) + kron(one, vp)
-    three = classical.coproduct_embedding("Vp", 3)
+    two = classical.rep_image(classical.coproduct("Vp", 2))
+    assert two == kron(vp, one) + kron(one, vp)
+    three = classical.rep_image(classical.coproduct("Vp", 3))
     assert three == (kron(kron(vp, one), one) + kron(one, kron(vp, one))
                      + kron(one, kron(one, vp)))

@@ -54,7 +54,9 @@ at p = 2: only the export lifts them to Scalars.
 
 A matrix product sums the products for each output entry into one dict, so
 it makes no ``SuperPoly`` partial sums, and a scaled matrix keeps its zero
-entries.
+entries.  The classical r-matrix layer decides its Schouten brackets and
+ad-invariance in g ox g ox g, so the r-matrix checks multiply no 27x27
+matrix: only the braid identity lives at that size.
 
 Matrix unknowns are solved one way: ``rewrite.affine_rows`` reads the
 linear rows of an affine matrix identity off its values at 0 and at the unit
@@ -74,7 +76,7 @@ import textwrap
 from pathlib import Path
 
 import ospq
-from ospq import borel, classical, freealg, frt, rewrite, scalars
+from ospq import borel, classical, freealg, frt, rewrite, scalars, supermatrix
 from ospq.borel import ExactBorelTensor
 from ospq.checks import CHECKS, CheckConfig, run_checks
 from ospq.cli import export_artifacts
@@ -405,8 +407,8 @@ def test_only_freealg_computes_a_sign_over_the_letters_of_a_word():
 
 
 def test_matrix_products_make_no_partial_sums(monkeypatch):
-    # the 27x27 operands r12 and r13 of ``classical.schouten`` for r3
-    r12, r13, _ = classical._legs(classical.r3(rat(3)))
+    # the 27x27 operands R12 and R13 of the braid identity
+    r12, r13, _ = supermatrix.leg_embeddings_27(frt.quantum_r_matrix())
     added = []
     add = SuperPoly.__add__
 
@@ -417,6 +419,25 @@ def test_matrix_products_make_no_partial_sums(monkeypatch):
     monkeypatch.setattr(SuperPoly, "__add__", spy)
     assert not (r12 @ r13).is_zero()
     assert added == []
+
+
+def test_the_classical_layer_builds_no_27x27_matrix(monkeypatch):
+    # Schouten brackets and ad-invariance are decided in g ox g ox g, and the
+    # 27x27 route is gone
+    for name in ("_legs", "_schouten_of_legs", "coproduct_embedding", "_ONE"):
+        assert not hasattr(classical, name), name
+    assert not hasattr(supermatrix, "graded_swap")
+    sizes = []
+    matmul = supermatrix.SuperMatrix.__matmul__
+
+    def spy(a, b):
+        sizes.append(a.n)
+        return matmul(a, b)
+
+    monkeypatch.setattr(supermatrix.SuperMatrix, "__matmul__", spy)
+    reports = run_checks("r-matrix", CheckConfig())
+    assert [r.status for r in reports] == ["pass"] * len(reports)
+    assert sizes and 27 not in sizes
 
 
 def test_scaled_matrices_keep_their_zero_entries(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from ospq.scalars import Scalar, rat, P, HALF
 from ospq.freealg import SuperPoly, SCALAR_ALPHABET
-from ospq.supermatrix import (SuperMatrix, kron, graded_swap, exp_nilpotent,
+from ospq.supermatrix import (SuperMatrix, kron, exp_nilpotent,
                               invert_unipotent, partial_transpose_first, desuperize,
                               ybe_check, entry_grade, index_grade)
 from ospq import frt
@@ -227,17 +227,6 @@ def test_kron_takes_odd_scalar_operators():
 def test_kron_rejects_mixed_alphabets():
     with pytest.raises(ValueError):
         kron(frt.defining_matrix(), SuperMatrix.identity(SCALAR_ALPHABET, 3))
-
-
-def test_graded_swap_is_an_involution_that_flips_legs():
-    from ospq.classical import REP
-    s = graded_swap()
-    assert s @ s == SuperMatrix.identity(SCALAR_ALPHABET, 9)
-    assert s[5, 5] == -SuperPoly.one(SCALAR_ALPHABET)
-    for x, y in (("H", "Xp"), ("Vp", "Xm"), ("Vp", "Vm")):
-        a, b = REP[x], REP[y]
-        sign = -1 if x.startswith("V") and y.startswith("V") else 1
-        assert s @ kron(a, b) @ s == kron(b, a).scale(rat(sign))
 
 
 def test_sum_and_difference_reject_unequal_sizes():
