@@ -34,8 +34,9 @@ from math import comb
 from .scalars import Scalar, rat, P, HALF, SQRT2, _accumulate
 from .freealg import (Combination, GradedAlphabet, GradedTensor, HopfMaps, SuperPoly,
                        _scaled, extend)
-from .supermatrix import SuperMatrix, entry_weights, kron
+from .supermatrix import layout_alphabet
 from .rewrite import P_WEIGHT, span_equal
+from . import frt
 
 DEFAULT_TRUNCATION = 16  # filtration weight; X-degree up to 8
 
@@ -48,11 +49,7 @@ L_ENTRIES = (("A", "B", "C_L"), (None, None, "E"), (None, None, "F"))
 # (``BOREL_RELATIONS``) written
 BOREL_ALPHABET = GradedAlphabet(("K", "K^-1", "v", "h"), {"K": 0, "K^-1": 0, "v": 1, "h": 0})
 
-RLL_ALPHABET = GradedAlphabet(
-    ("A", "B", "C_L", "E", "F"),
-    {"A": 0, "B": 1, "C_L": 0, "E": 1, "F": 0},
-    torus=entry_weights(L_ENTRIES),
-)
+RLL_ALPHABET = layout_alphabet(L_ENTRIES)
 
 
 # ----------------------------------------------------------------------
@@ -569,30 +566,15 @@ def dual_relations():
     ]
 
 
-def dual_generator_matrix() -> SuperMatrix:
-    return SuperMatrix(RLL_ALPHABET, [
-        [SuperPoly.letter(RLL_ALPHABET, x) if x
-         else SuperPoly.one(RLL_ALPHABET) if i == j else SuperPoly.zero(RLL_ALPHABET)
-         for j, x in enumerate(row)] for i, row in enumerate(L_ENTRIES)])
-
-
 def rll_residuals():
-    """Residuals of the dual exchange equation for the triangular matrix.
+    """The 81 entries of the dual exchange equation for the triangular matrix.
 
     The dual side realizes with the two tensor legs in the opposite order
     relative to the supergroup side: with L1 = L ox 1 and L2 = 1 ox L the
     residuals are R L2 L1 - L1 L2 R.  (The other order produces the mirror
     relation set with p negated.)
     """
-    from .frt import quantum_r_matrix
-    l_mat = dual_generator_matrix()
-    r = quantum_r_matrix().promote(RLL_ALPHABET)
-    l_mat.check_grading()
-    one = SuperMatrix.identity(RLL_ALPHABET, 3)
-    l1, l2 = kron(l_mat, one), kron(one, l_mat)
-    diff = (r @ l2 @ l1) - (l1 @ l2 @ r)
-    return [diff.entries[i][j] for i in range(9) for j in range(9)
-            if not diff.entries[i][j].is_zero]
+    return frt.exchange_residuals(RLL_ALPHABET, L_ENTRIES, dual=True)
 
 
 def rll_span_matches_relations() -> bool:

@@ -319,7 +319,11 @@ def ad_invariance_check(omega: TensorElement) -> bool:
     """Does the graded adjoint action of every basis element kill the even
     ``omega``?  It is the commutator with the coproduct, in PBW normal form.
     DVp DVp = DXp/4, DVm DVm = -DXm/4 and DVp DVm + DVm DVp = -DH/2, so
-    commuting with DVp and DVm means commuting with all five."""
+    commuting with DVp and DVm means commuting with all five.  On an odd
+    term the action is the anticommutator, so ValueError unless every term
+    of ``omega`` is even."""
+    if any(omega.alphabet.grade(sum(key, ())) for key, _ in omega.terms()):
+        raise ValueError("ad-invariance is decided for even tensors only")
     return not any(PBW.normal_form(d * omega - omega * d)
                    for d in (coproduct(name, omega.arity) for name in ("Vp", "Vm")))
 

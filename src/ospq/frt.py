@@ -18,33 +18,25 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .scalars import Scalar, rat, P, HALF
-from .freealg import (GradedAlphabet, HopfMaps, SuperPoly, TensorElement, SCALAR_ALPHABET,
-                      extend, sum_polys)
+from .freealg import (HopfMaps, SuperPoly, TensorElement, SCALAR_ALPHABET, extend,
+                      sum_polys)
 from .rewrite import (OrientationError, RewriteSystem, affine_rows, at_two, complete, lift,
                       nullspace, orient, solve_affine)
-from .supermatrix import (SuperMatrix, entry_weights, exp_nilpotent, kron,
+from .supermatrix import (SuperMatrix, exp_nilpotent, kron, layout_alphabet, letter_matrix,
                           partial_transpose_first, supertranspose3)
 from . import classical
 
 T_ENTRIES = (("a", "al", "b"), ("ga", "e", "be"), ("c", "de", "d"))
 POSITIONS = {x: (i, j) for i, row in enumerate(T_ENTRIES) for j, x in enumerate(row)}
 
-# 6-letter alphabet; the weights make every defining relation orientable with
-# a unit leading coefficient (plain degree-lex cannot orient them all), and
-# each letter t_ij has the torus weight of its matrix position
-ALPHABET = GradedAlphabet(
-    ("a", "al", "b", "c", "de", "d"),
-    {"a": 0, "al": 1, "b": 0, "c": 0, "de": 1, "d": 0},
-    weights={"a": 2, "al": 3, "b": 3, "c": 1, "de": 2, "d": 2},
-    torus=entry_weights(T_ENTRIES),
-)
-
 # 9-letter alphabet for the defining matrix before elimination
-ALPHABET9 = GradedAlphabet(
-    ("a", "al", "b", "ga", "e", "be", "c", "de", "d"),
-    {"a": 0, "al": 1, "b": 0, "ga": 1, "e": 0, "be": 1, "c": 0, "de": 1, "d": 0},
-    torus=entry_weights(T_ENTRIES),
-)
+ALPHABET9 = layout_alphabet(T_ENTRIES)
+
+# 6-letter alphabet after e, ga, be are eliminated; the order weights make
+# every defining relation orientable with a unit leading coefficient (plain
+# degree-lex cannot orient them all)
+ALPHABET = layout_alphabet(T_ENTRIES, weights={"a": 2, "al": 3, "b": 3, "c": 1, "de": 2, "d": 2},
+                           drop=("ga", "e", "be"))
 
 # the coefficients p/2, p^2/2 and p^2/4, multiplied out once
 HALF_P = HALF * P
@@ -54,8 +46,7 @@ QUARTER_P2 = HALF_P * HALF_P
 
 def defining_matrix() -> SuperMatrix:
     """The 3x3 matrix of the nine generator letters."""
-    return SuperMatrix(ALPHABET9, [[SuperPoly.letter(ALPHABET9, x) for x in row]
-                                   for row in T_ENTRIES])
+    return letter_matrix(ALPHABET9, T_ENTRIES)
 
 
 @lru_cache(maxsize=None)
@@ -64,15 +55,23 @@ def quantum_r_matrix() -> SuperMatrix:
     return exp_nilpotent(classical.r2().expand(), rat(2) * P)
 
 
+def exchange_residuals(alphabet, layout, dual=False):
+    """The 81 entries of R M1 M2 - M2 M1 R for the letter matrix M of a
+    layout, with M1 = M ox 1 and M2 = 1 ox M; ``dual`` takes the legs in the
+    opposite order, R M2 M1 - M1 M2 R, as the dual Borel side does."""
+    m = letter_matrix(alphabet, layout)
+    r = quantum_r_matrix().promote(alphabet)
+    one = SuperMatrix.identity(alphabet, 3)
+    first, second = kron(m, one), kron(one, m)
+    if dual:
+        first, second = second, first
+    diff = (r @ first @ second) - (second @ first @ r)
+    return [e for row in diff.entries for e in row]
+
+
 def rtt_residuals():
     """The 81 entries of R T1 T2 - T2 T1 R over the 9-letter algebra."""
-    t = defining_matrix()
-    r9 = quantum_r_matrix().promote(t.alphabet)
-    t.check_grading()
-    one = SuperMatrix.identity(t.alphabet, 3)
-    t1, t2 = kron(t, one), kron(one, t)
-    diff = (r9 @ t1 @ t2) - (t2 @ t1 @ r9)
-    return [diff.entries[i][j] for i in range(9) for j in range(9)]
+    return exchange_residuals(ALPHABET9, T_ENTRIES)
 
 
 # ----------------------------------------------------------------------

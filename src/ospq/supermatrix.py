@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import factorial
 
 from .scalars import Scalar, _accumulate
-from .freealg import SuperPoly, SCALAR_ALPHABET
+from .freealg import GradedAlphabet, SuperPoly, SCALAR_ALPHABET
 
 INDEX_GRADE = (0, 1, 0)  # grade of 3x3 index 1,2,3
 INDEX_WEIGHT = (1, 0, -1)  # torus weight of 3x3 index 1,2,3
@@ -46,11 +46,28 @@ def entry_grade(n: int, row: int, col: int) -> int:
     return (index_grade(n, row - 1) + index_grade(n, col - 1)) % 2
 
 
-def entry_weights(layout):
-    """{letter: w_i - w_j}: the torus weight of each letter of a 3x3 layout
-    at its position (i, j); None marks a slot without a letter."""
-    return {x: INDEX_WEIGHT[i] - INDEX_WEIGHT[j]
-            for i, row in enumerate(layout) for j, x in enumerate(row) if x}
+def layout_alphabet(layout, weights=None, drop=()):
+    """The graded alphabet of the letters of a 3x3 layout, row by row: the
+    letter at (i, j) has the slot grade and the torus weight w_i - w_j.
+    None marks a slot without a letter; the letters in ``drop`` are left
+    out, and ``weights`` are the order weights."""
+    slots = {x: (i, j) for i, row in enumerate(layout) for j, x in enumerate(row)
+             if x and x not in drop}
+    torus = {x: INDEX_WEIGHT[i] - INDEX_WEIGHT[j] for x, (i, j) in slots.items()}
+    return GradedAlphabet(tuple(slots), {x: entry_grade(3, i + 1, j + 1)
+                                         for x, (i, j) in slots.items()},
+                          weights, torus=torus)
+
+
+def letter_matrix(alphabet, layout) -> "SuperMatrix":
+    """The 3x3 matrix of a layout's letters over ``alphabet``: a slot
+    without a letter holds 1 on the diagonal and 0 off it.  ValueError
+    unless each letter has its slot grade."""
+    one, zero = SuperPoly.one(alphabet), SuperPoly.zero(alphabet)
+    m = SuperMatrix(alphabet, [[SuperPoly.letter(alphabet, x) if x else one if i == j else zero
+                                for j, x in enumerate(row)] for i, row in enumerate(layout)])
+    m.check_grading()
+    return m
 
 
 class SuperMatrix:
@@ -216,31 +233,29 @@ def kron(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:
     return SuperMatrix(a.alphabet, out)
 
 
-def exp_nilpotent(m: SuperMatrix, t=None) -> SuperMatrix:
-    """exp(t*m) as a finite sum; raises on non-nilpotent input."""
-    if t is not None:
-        m = m.scale(t)
-    out = SuperMatrix.identity(m.alphabet, m.n)
-    power = SuperMatrix.identity(m.alphabet, m.n)
+def _nilpotent_series(m: SuperMatrix, coeff, error: str) -> SuperMatrix:
+    """sum_k coeff(k) m^k, a finite sum over the nonzero powers of m;
+    ValueError(error) unless m is nilpotent."""
+    out = power = SuperMatrix.identity(m.alphabet, m.n)
     for k in range(1, m.n + 1):
         power = power @ m
         if power.is_zero():
             return out
-        out = out + power.scale(Scalar.rational(Fraction(1, factorial(k))))
-    raise ValueError("matrix is not nilpotent")
+        out = out + power.scale(coeff(k))
+    raise ValueError(error)
+
+
+def exp_nilpotent(m: SuperMatrix, t=None) -> SuperMatrix:
+    """exp(t*m) as a finite sum; raises on non-nilpotent input."""
+    return _nilpotent_series(m if t is None else m.scale(t),
+                             lambda k: Scalar.rational(Fraction(1, factorial(k))),
+                             "matrix is not nilpotent")
 
 
 def invert_unipotent(m: SuperMatrix) -> SuperMatrix:
     """Inverse of 1 + N with N nilpotent, via the finite geometric series."""
-    n_part = m - SuperMatrix.identity(m.alphabet, m.n)
-    out = SuperMatrix.identity(m.alphabet, m.n)
-    power = SuperMatrix.identity(m.alphabet, m.n)
-    for k in range(1, m.n + 1):
-        power = power @ n_part
-        if power.is_zero():
-            return out
-        out = out + power if k % 2 == 0 else out - power
-    raise ValueError("matrix is not unipotent")
+    return _nilpotent_series(m - SuperMatrix.identity(m.alphabet, m.n),
+                             lambda k: (-1) ** k, "matrix is not unipotent")
 
 
 def partial_transpose_first(m: SuperMatrix, graded: bool = False) -> SuperMatrix:

@@ -2,7 +2,10 @@
 
 import pytest
 
-from ospq.checks import CHECKS, CheckConfig, run_checks
+from ospq import borel, frt
+from ospq.checks import CHECKS, CheckConfig, _graded_commutators, run_checks
+from ospq.freealg import SuperPoly
+from ospq.scalars import rat
 
 
 @pytest.mark.parametrize("group", sorted(CHECKS))
@@ -19,3 +22,15 @@ def test_reports_have_the_contractual_shape():
         assert set(d) == {"name", "status", "details", "elapsed_ms", "config"}
         assert d["config"] == {"truncation": 8, "seed": 3}
         assert isinstance(d["elapsed_ms"], int)
+
+
+@pytest.mark.parametrize("alphabet", [frt.ALPHABET9, frt.ALPHABET, borel.RLL_ALPHABET],
+                         ids=["frt9", "frt6", "rll"])
+def test_graded_commutators_hold_the_odd_squares(alphabet):
+    # x x - (-1) x x = 2 x x for an odd letter x, so the classical-limit
+    # spans need no separate odd squares
+    comms = _graded_commutators(alphabet)
+    odd = [x for x in alphabet.letters if alphabet.grades[x]]
+    assert odd
+    for x in odd:
+        assert SuperPoly.word(alphabet, (x, x), rat(2)) in comms

@@ -159,9 +159,23 @@ def test_zero_is_invariant():
     assert classical.ad_invariance_check(TensorElement.zero(classical.ALPHABET, 3))
 
 
+def test_odd_tensors_are_rejected_by_the_ad_invariance_check():
+    with pytest.raises(ValueError, match="even tensors"):
+        classical.ad_invariance_check(_tensor((1, "H", "Vp")))
+
+
 def test_families_fully_symbolic():
     assert classical.family_coboundary_check(classical.family_one())
     assert classical.family_coboundary_check(classical.family_two())
+
+
+def test_family_one_solves_the_classical_ybe():
+    # [[r, r]] = 0 for every member of family_one; of family_two only the
+    # xz and y^2 groups are nonzero
+    assert all(g.is_zero for g in classical.family_groups(classical.family_one()).values())
+    groups = classical.family_groups(classical.family_two())
+    assert {m: len(g.terms()) for m, g in groups.items() if not g.is_zero} == {
+        (1, 0, 1): 18, (0, 2, 0): 18}
 
 
 def test_family_two_specializes_to_r2():

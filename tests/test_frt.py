@@ -5,7 +5,8 @@ import pytest
 
 from ospq.scalars import Scalar, rat, P, HALF
 from ospq.freealg import SuperPoly, TensorElement, sum_polys
-from ospq.supermatrix import SuperMatrix, INDEX_GRADE, INDEX_WEIGHT, partial_transpose_first
+from ospq.supermatrix import (SuperMatrix, INDEX_GRADE, INDEX_WEIGHT, letter_matrix,
+                              partial_transpose_first)
 from ospq.rewrite import P_WEIGHT, RewriteSystem, _graded_echelon, span_contains
 from ospq import borel, checks, frt, rewrite, scalars
 from ospq.checks import quantum_r_target_matrix, derived_metric_expected
@@ -265,9 +266,10 @@ def test_torus_grading_balances_r_and_the_metric():
         for j in range(3):
             if c.entries[i][j]:
                 assert wt[i] + wt[j] == P_WEIGHT * _monomial_degree(c.entries[i][j])
+    l_mat = letter_matrix(borel.RLL_ALPHABET, borel.L_ENTRIES)
     for alphabet, matrix in ((frt.ALPHABET9, frt.defining_matrix()),
                              (frt.ALPHABET, frt.defining_matrix()),
-                             (borel.RLL_ALPHABET, borel.dual_generator_matrix())):
+                             (borel.RLL_ALPHABET, l_mat)):
         at = {word[0]: (i, j) for i, row in enumerate(matrix.entries)
               for j, f in enumerate(row) for word in f.words() if len(word) == 1}
         assert alphabet.torus == {x: wt[i] - wt[j] for x, (i, j) in at.items()

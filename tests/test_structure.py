@@ -20,10 +20,14 @@ Only ``supermatrix.py`` reads the 3x3 index grades: other modules ask for a
 slot grade through ``entry_grade`` and build tensor legs with ``kron``, the
 one place that applies their Koszul sign.
 
-The torus grading is declared once, on the alphabets: ``frt`` and ``borel``
-derive their letters' weights from the 3x3 basis weights through
-``supermatrix.entry_weights``, and ``rewrite`` reads them from the alphabet
-of each element, so none of its functions takes or solves for a grading.
+The torus grading is declared once, on the alphabets:
+``supermatrix.layout_alphabet`` reads each alphabet of ``frt`` and ``borel``
+off its 3x3 layout, a letter taking its slot grade and the weight w_i - w_j
+of its position, and ``rewrite`` reads the weights from the alphabet of each
+element, so none of its functions takes or solves for a grading.  The two
+dual sides are one FRT construction: ``supermatrix.letter_matrix`` builds
+both letter matrices and ``frt.exchange_residuals`` both residual sets, which
+differ only in the layout and the order of the tensor legs.
 
 Every element kind (``SuperPoly``, ``TensorElement``, ``ExactBorelTensor``,
 ``BorelSeries``, ``ExactBorel``) is a ``freealg.Combination``, which owns the
@@ -152,8 +156,36 @@ def test_the_torus_grading_is_declared_once_on_the_alphabets():
             if (isinstance(node, ast.Attribute) and node.attr == "torus"
                     and isinstance(node.ctx, ast.Store)):
                 stored.append(path.name)
-    assert sorted(declared) == ["borel.py", "frt.py", "frt.py"]
+    assert declared == ["supermatrix.py"]
     assert stored == ["freealg.py"]
+
+
+def test_one_frt_construction_serves_both_dual_sides(monkeypatch):
+    assert not hasattr(supermatrix, "entry_weights")
+    assert not hasattr(borel, "dual_generator_matrix")
+    layout_alphabet = supermatrix.layout_alphabet
+    for alphabet, built in (
+            (frt.ALPHABET9, layout_alphabet(frt.T_ENTRIES)),
+            (frt.ALPHABET, layout_alphabet(frt.T_ENTRIES, frt.ALPHABET.weights,
+                                           drop=("ga", "e", "be"))),
+            (borel.RLL_ALPHABET, layout_alphabet(borel.L_ENTRIES))):
+        assert ((alphabet.letters, alphabet.grades, alphabet.weights, alphabet.torus)
+                == (built.letters, built.grades, built.weights, built.torus))
+    # no letter grade is typed in: borel's one alphabet literal is the
+    # exact Borel algebra's, which has no layout
+    assert "GradedAlphabet(" not in inspect.getsource(frt)
+    assert inspect.getsource(borel).count("GradedAlphabet(") == 1
+    calls = []
+    exchange = frt.exchange_residuals
+
+    def spy(alphabet, layout, dual=False):
+        calls.append((alphabet, layout, dual))
+        return exchange(alphabet, layout, dual)
+
+    monkeypatch.setattr(frt, "exchange_residuals", spy)
+    assert len(frt.rtt_residuals()) == len(borel.rll_residuals()) == 81
+    assert calls == [(frt.ALPHABET9, frt.T_ENTRIES, False),
+                     (borel.RLL_ALPHABET, borel.L_ENTRIES, True)]
 
 
 def test_only_supermatrix_reads_the_index_grades():

@@ -6,7 +6,7 @@ from ospq.scalars import Scalar, rat, P, HALF
 from ospq.freealg import SuperPoly, SCALAR_ALPHABET
 from ospq.supermatrix import (SuperMatrix, kron, exp_nilpotent,
                               invert_unipotent, partial_transpose_first, desuperize,
-                              ybe_check, entry_grade, index_grade)
+                              ybe_check, entry_grade, index_grade, letter_matrix)
 from ospq import frt
 
 
@@ -114,8 +114,8 @@ def _random_even_scalar_matrix(rng):
 
 
 def test_dual_matrix_embedding_signs():
-    from ospq.borel import RLL_ALPHABET, dual_generator_matrix
-    l1 = left(dual_generator_matrix())
+    from ospq.borel import L_ENTRIES, RLL_ALPHABET
+    l1 = left(letter_matrix(RLL_ALPHABET, L_ENTRIES))
     b = SuperPoly.letter(RLL_ALPHABET, "B")
     e = SuperPoly.letter(RLL_ALPHABET, "E")
     assert l1[2, 5] == -b
@@ -198,6 +198,9 @@ def test_grading_validation():
     bad.entries[0][1] = SuperPoly.letter(frt.ALPHABET9, "a")  # even letter, odd slot
     with pytest.raises(ValueError):
         bad.check_grading()
+    # the letter matrix checks its grading: al and a swap slots
+    with pytest.raises(ValueError, match="slot needs"):
+        letter_matrix(frt.ALPHABET9, (("al", "a", "b"),) + frt.T_ENTRIES[1:])
 
 
 def test_setting_p_zero_gives_identity():
