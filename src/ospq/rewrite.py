@@ -146,8 +146,6 @@ class RewriteSystem:
         self.one = one
         key = alphabet.word_key
         for lhs, rhs in self.rules.items():
-            if not lhs:
-                raise ValueError("empty left side")
             lk = key(lhs)
             for w in rhs.words():
                 if key(w) >= lk:
@@ -161,6 +159,8 @@ class RewriteSystem:
         self._cache = {}
         lengths = {}
         for lhs in self.rules:
+            if not lhs:
+                raise ValueError("empty left side")
             lengths.setdefault(lhs[0], set()).add(len(lhs))
         # longer left sides first, so the most specific rule matches
         self._lengths = {x: sorted(ns, reverse=True) for x, ns in lengths.items()}
@@ -267,6 +267,11 @@ class RewriteSystem:
         out = _accumulate((pre + w2 + post, c2) for w2, c2 in self.rules[lhs]._terms.items())
         return SuperPoly(self.alphabet, out, _internal=True)
 
+    def _difference(self, w, l1, i1, l2, i2):
+        """The difference of the normal forms of an ambiguity's two reducts."""
+        return (self.normal_form(self._apply_rule_at(w, l1, i1))
+                - self.normal_form(self._apply_rule_at(w, l2, i2)))
+
     def overlap_check(self, max_degree: int):
         """All ambiguities up to ``max_degree``; returns the unresolved ones.
 
@@ -276,39 +281,33 @@ class RewriteSystem:
         """
         if max_degree < 3:
             raise ValueError("max_degree must be at least 3")
-        bad = []
-        for w, l1, i1, l2, i2 in self._overlap_words(max_degree):
-            r1 = self.normal_form(self._apply_rule_at(w, l1, i1))
-            r2 = self.normal_form(self._apply_rule_at(w, l2, i2))
-            d = r1 - r2
-            if not d.is_zero:
-                bad.append((w, d))
-        return bad
+        return [(item[0], d) for item in self._overlap_words(max_degree)
+                if (d := self._difference(*item))]
 
 
 def interreduce(alphabet, rules):
-    """Reduce every rule by the others until stable; drops redundant rules.
-    The rules hold numbers at p = 2.  One system, whose order is checked
-    once, holds the rules as they change: ``orient`` builds every new rule
-    order-decreasing."""
-    others = RewriteSystem(alphabet, rules, one=1)
-    rules = others.rules
-    for _ in range(200):
-        changed = False
-        for lhs in sorted(rules, key=alphabet.word_key):
-            rhs = rules.pop(lhs)
-            others._index()
-            f = others.nf_word(lhs) - others.normal_form(rhs)
-            if f.is_zero:
-                changed = True
-                continue
-            (new_lhs, new_rhs), = orient([f]).items()
-            if new_lhs != lhs or new_rhs != rhs:
-                changed = True
-            rules[new_lhs] = new_rhs
-        if not changed:
+    """The rules at p = 2 reduced by one another; drops redundant rules.
+
+    ``word_key`` weighs a word first, so no word below a left side contains
+    it: every right side takes its normal form in the whole system, through
+    one memo.  Then the smallest rule whose left side contains another (in
+    its word less its first or its last letter) is reduced by the others and
+    re-oriented by ``orient``, until no left side contains another.  The
+    rules come back in ``word_key`` order.
+    """
+    key = alphabet.word_key
+    system = RewriteSystem(alphabet, rules, one=1)
+    while True:
+        rules = {lhs: system.normal_form(system.rules[lhs])
+                 for lhs in sorted(system.rules, key=key)}
+        lhs = min((lhs for lhs in rules if system._first_match(lhs[1:])
+                   or system._first_match(lhs[:-1])), key=key, default=None)
+        if lhs is None:
             return rules
-    raise RuntimeError("interreduction did not stabilize")
+        rhs = rules.pop(lhs)
+        system = RewriteSystem(alphabet, rules, one=1)
+        system.rules.update(orient([system.nf_word(lhs) - system.normal_form(rhs)]))
+        system._index()
 
 
 COMPLETION_ROUNDS = 30
@@ -317,23 +316,34 @@ COMPLETION_ROUNDS = 30
 def complete(alphabet, relations, max_degree: int) -> RewriteSystem:
     """Degree-bounded Buchberger-style completion of a relation list.
 
-    It runs at p = 2 (module docstring) and returns the system at p = 2,
-    with the normal forms of its last overlap audit; ``lifted`` gives its
-    Scalar rules.  Relations that are not homogeneous in the alphabet's torus
-    grading raise ValueError.  Every new relation is divided by its content, a
-    power of p, so the compiled system presents the ideal saturated with
-    respect to p.  Flatness of the quotient (normal-word counts matching the
-    classical algebra) certifies that the saturation adds nothing in the
-    audited degrees.
+    It runs at p = 2 (module docstring) and returns the interreduced system
+    at p = 2; ``lifted`` gives its Scalar rules.  Relations that are not
+    homogeneous in the alphabet's torus grading raise ValueError.  Every new
+    relation is divided by its content, a power of p, so the compiled system
+    presents the ideal saturated with respect to p.  Flatness of the quotient
+    (normal-word counts matching the classical algebra) certifies that the
+    saturation adds nothing in the audited degrees.
+
+    Each round audits only the ambiguities of length <= ``max_degree`` one
+    of whose two rules is new or has a new right side: Buchberger's criterion
+    read through Bergman's diamond lemma.  Call an ambiguity on a word w
+    resolvable when its two reducts differ by a sum of u*(l - r)*v with u*l*v
+    below w.  A resolved one stays resolvable as rules are added or reduced,
+    each old rule being such a sum in the new rules; an unresolved one has its
+    difference adjoined, which the next system reduces below w.  So a round
+    with none unresolved, in which every relation reduces to zero, leaves
+    every ambiguity of length <= ``max_degree`` resolvable: the diamond
+    lemma's condition in the audited degrees.
     """
     system = RewriteSystem(alphabet, {}, one=1)
     relations = bad = [at_two(f)[1] for f in relations]
     for _ in range(COMPLETION_ROUNDS):
-        rules = orient(system.rule_polys() + bad)
+        audited, rules = system.rules, orient(system.rule_polys() + bad)
         system = RewriteSystem(alphabet, interreduce(alphabet, rules), one=1)
-        # once the overlaps resolve, a relation that does not reduce to zero
-        # comes back
-        bad = ([d for _, d in system.overlap_check(max_degree)]
+        fresh = {lhs for lhs, rhs in system.rules.items() if audited.get(lhs) != rhs}
+        # once the overlaps resolve, the relations that do not reduce come back
+        bad = ([d for item in system._overlap_words(max_degree)
+                if {item[1], item[3]} & fresh and (d := system._difference(*item))]
                or [d for f in relations if (d := system.normal_form(f))])
         if not bad:
             return system

@@ -118,6 +118,24 @@ def test_presentation_completed_at_p_2_is_confluent_over_qp(pres):
         assert pres.reduces_to_zero(rel)
 
 
+def test_flatness_system_is_confluent_to_the_completion_degree(monkeypatch):
+    # the p = 0 system that rtt.flatness completes has as many rules as the
+    # deformed presentation and resolves every overlap to degree 6
+    systems = []
+    complete = checks.complete
+
+    def spy(*args, **kwargs):
+        systems.append(complete(*args, **kwargs))
+        return systems[-1]
+
+    monkeypatch.setattr(checks, "complete", spy)
+    ok, _ = checks.check_flatness(checks.CheckConfig())
+    assert ok
+    (system,) = systems
+    assert len(system) == 35
+    assert system.overlap_check(frt.COMPLETION_DEGREE) == []
+
+
 def _without_first_quadratic_rule(system):
     """The system with its first degree-2 rule in the word order dropped."""
     rules = dict(system.rules)

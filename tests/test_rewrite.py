@@ -734,6 +734,34 @@ def _completion(alphabet, relations, fn):
     return [(lhs, list(rhs._terms.items())) for lhs, rhs in system.rules.items()]
 
 
+def _seeded_family(rng, alphabet):
+    """Two random homogeneous relations, a p-multiple of one of them and its
+    shift by x, over ``alphabet``."""
+    gens = [_random_homogeneous(rng, rng.choice([2, 2, 3])) for _ in range(2)]
+    f = rng.choice(gens)
+    gens += [_p_power(f, 1), SuperPoly.letter(XZY, "x") * f]
+    return [SuperPoly(alphabet, dict(g._terms)) for g in gens]
+
+
+def _spy_audits(monkeypatch, rounds):
+    """Append to ``rounds``, for each overlap audit, (its number of
+    ambiguities, [(ambiguity, right sides of its two rules) normal-formed])."""
+    overlap_words, difference = RewriteSystem._overlap_words, RewriteSystem._difference
+
+    def words_spy(self, max_degree):
+        items = list(overlap_words(self, max_degree))
+        rounds.append((len(items), []))
+        return iter(items)
+
+    def difference_spy(self, *item):
+        sides = tuple(frozenset(self.rules[lhs]._terms.items()) for lhs in (item[1], item[3]))
+        rounds[-1][1].append((item, sides))
+        return difference(self, *item)
+
+    monkeypatch.setattr(RewriteSystem, "_overlap_words", words_spy)
+    monkeypatch.setattr(RewriteSystem, "_difference", difference_spy)
+
+
 def test_completion_at_p_2_lifts_to_the_completion_over_qp():
     # seeded homogeneous families (x, y, z of torus weights 1, -1, 2, p of
     # weight 2) with a p-multiple and a shift of one generator: completing
@@ -745,10 +773,7 @@ def test_completion_at_p_2_lifts_to_the_completion_over_qp():
     outcomes = {"rules": 0, "with p": 0, OrientationError: 0}
     for alphabet in (XZY, XZY_BY_WEIGHT):
         for _ in range(20):
-            gens = [_random_homogeneous(rng, rng.choice([2, 2, 3])) for _ in range(2)]
-            f = rng.choice(gens)
-            gens += [_p_power(f, 1), SuperPoly.letter(XZY, "x") * f]
-            gens = [SuperPoly(alphabet, dict(g._terms)) for g in gens]
+            gens = _seeded_family(rng, alphabet)
             lifted = _completion(alphabet, gens, lambda *args: complete(*args).lifted())
             assert lifted == _completion(alphabet, gens, _complete_over_qp)
             if lifted is OrientationError:
@@ -762,6 +787,90 @@ def test_completion_at_p_2_lifts_to_the_completion_over_qp():
                                           for c in rhs._terms.values())
                                       for rhs in system.rules.values())
     assert all(outcomes.values()), outcomes
+
+
+def test_completion_over_several_rounds_lifts_to_the_completion_over_qp(monkeypatch):
+    # families whose completion takes three rounds or more, so that later
+    # rounds skip the ambiguities whose two rules an earlier round audited:
+    # the lifted rules equal those of the full-audit Scalar completion, in
+    # the same order with the same terms, and a full audit to the degree
+    # bound finds every ambiguity resolved
+    rng = random.Random(41)
+    several = 0
+    for _ in range(30):
+        for alphabet in (XZY, XZY_BY_WEIGHT):
+            gens = _seeded_family(rng, alphabet)
+            rounds = []
+            with monkeypatch.context() as m:
+                _spy_audits(m, rounds)
+                lifted = _completion(alphabet, gens, lambda *args: complete(*args).lifted())
+            assert lifted == _completion(alphabet, gens, _complete_over_qp)
+            if lifted is OrientationError or lifted is ValueError or len(rounds) < 3:
+                continue
+            several += 1
+            assert any(len(audits) < count for count, audits in rounds[1:])
+            system = complete(alphabet, gens, 4).lifted()
+            assert system.overlap_check(4) == []
+            assert all(system.reduces_to_zero(g) for g in gens)
+    assert several >= 5
+
+
+def test_presentation_audits_each_ambiguity_once_per_rule_version(monkeypatch):
+    # the presentation build runs two completions; within each, no
+    # ambiguity is normal-formed twice while its two rules keep their right
+    # sides, and the audits are fewer than the ambiguities of every round
+    # taken together (611 with the full audit in each round)
+    expected = frt.presentation().at2.rules
+    runs, rounds = [], []
+    _spy_audits(monkeypatch, rounds)
+    complete_ = frt.complete
+
+    def complete_spy(*args, **kwargs):
+        runs.append(len(rounds))
+        return complete_(*args, **kwargs)
+
+    monkeypatch.setattr(frt, "complete", complete_spy)
+    assert frt.presentation.__wrapped__().at2.rules == expected
+    assert len(runs) == 2
+    for start, end in zip(runs, runs[1:] + [len(rounds)]):
+        audits = [audit for _, round_audits in rounds[start:end] for audit in round_audits]
+        assert len(audits) == len(set(audits))
+    assert sum(len(audits) for _, audits in rounds) < sum(count for count, _ in rounds)
+
+
+def _contains(word, sub):
+    return any(word[i:i + len(sub)] == sub for i in range(len(word) - len(sub) + 1))
+
+
+def test_interreduced_rules_are_reduced_and_in_word_order(monkeypatch):
+    # every system that the completions of the presentation and of seeded
+    # families interreduce: no left side lies inside another, every right
+    # side is its own normal form, and the rules are in word_key order; some
+    # inputs have a left side inside another, so their reduction runs
+    calls = []
+    interreduce = rewrite.interreduce
+
+    def spy(alphabet, rules):
+        calls.append((alphabet, rules, interreduce(alphabet, rules)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(rewrite, "interreduce", spy)
+    frt.presentation.__wrapped__()
+    rng = random.Random(41)
+    for _ in range(10):
+        for alphabet in (XZY, XZY_BY_WEIGHT):
+            try:
+                complete(alphabet, _seeded_family(rng, alphabet), 4)
+            except ValueError:
+                pass
+    nested = 0
+    for alphabet, rules, out in calls:
+        nested += any(l1 != l2 and _contains(l1, l2) for l1 in rules for l2 in rules)
+        assert not any(l1 != l2 and _contains(l1, l2) for l1 in out for l2 in out)
+        system = RewriteSystem(alphabet, out, one=1)
+        assert all(system.normal_form(rhs) == rhs for rhs in out.values())
+        assert list(out) == sorted(out, key=alphabet.word_key)
+    assert nested and len(calls) > nested
 
 
 def test_completion_keeps_relations_that_share_a_leading_word():
@@ -797,6 +906,16 @@ def test_completion_rejects_a_lead_that_carries_p():
         _orient_over_qp([rel])
     with pytest.raises(OrientationError):
         complete(frt.ALPHABET, [rel], 4)
+
+
+def test_completion_rejects_relations_that_generate_the_unit_ideal():
+    # x*y = 1 and (x*y)^2 = 2 give 1 = 2: the longer rule, reduced by the
+    # shorter one, leaves a constant, which no rule can have as left side
+    x_y, one = SuperPoly.word(XZY, ("x", "y")), SuperPoly.word(XZY, ())
+    rels = [x_y - one, x_y * x_y - one.scale(rat(2))]
+    for fn in (complete, _complete_over_qp):
+        with pytest.raises(ValueError, match="empty left side"):
+            fn(XZY, rels, 4)
 
 
 def test_completion_rejects_an_ungraded_family():
