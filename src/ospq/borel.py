@@ -26,7 +26,6 @@ solution's K, so the Hopf checks certify that solution only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -476,14 +475,14 @@ def coproduct_relation_defect(which: str, w=None) -> ExactBorelTensor:
 # The ansatz and its conditions.
 # ----------------------------------------------------------------------
 
-@dataclass
 class AnsatzFunctions:
     """The five series of the triangular ansatz; K(0) must be 1-like."""
-    K: BorelSeries
-    L: BorelSeries
-    M: BorelSeries
-    N: BorelSeries
-    P: BorelSeries
+
+    __slots__ = ("K", "L", "M", "N", "P")
+
+    def __init__(self, K: BorelSeries, L: BorelSeries, M: BorelSeries, N: BorelSeries,
+                 P: BorelSeries):
+        self.K, self.L, self.M, self.N, self.P = K, L, M, N, P
 
 
 def particular_solution(w: int) -> AnsatzFunctions:
@@ -566,15 +565,17 @@ def dual_relations():
     ]
 
 
+@lru_cache(maxsize=None)
 def rll_residuals():
-    """The 81 entries of the dual exchange equation for the triangular matrix.
+    """The 81 entries of the dual exchange equation for the triangular matrix,
+    built once and shared: callers only read them.
 
     The dual side realizes with the two tensor legs in the opposite order
     relative to the supergroup side: with L1 = L ox 1 and L2 = 1 ox L the
     residuals are R L2 L1 - L1 L2 R.  (The other order produces the mirror
     relation set with p negated.)
     """
-    return frt.exchange_residuals(RLL_ALPHABET, L_ENTRIES, dual=True)
+    return tuple(frt.exchange_residuals(RLL_ALPHABET, L_ENTRIES, dual=True))
 
 
 def rll_span_matches_relations() -> bool:

@@ -8,7 +8,6 @@ check name and carry the configuration echo.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from .scalars import Scalar, rat, P, HALF
 from .freealg import SuperPoly, TensorElement
@@ -19,22 +18,28 @@ from . import frt
 from . import borel
 
 
-@dataclass
 class CheckConfig:
-    truncation: int = borel.DEFAULT_TRUNCATION
-    seed: int = 0
+    """The options a run passes to every check."""
+
+    __slots__ = ("truncation", "seed")
+
+    def __init__(self, truncation: int = borel.DEFAULT_TRUNCATION, seed: int = 0):
+        self.truncation, self.seed = truncation, seed
 
     def as_dict(self):
         return {"truncation": self.truncation, "seed": self.seed}
 
 
-@dataclass
 class CheckReport:
-    name: str
-    status: str           # pass | fail | skipped
-    details: str
-    elapsed_ms: int
-    config: dict = field(default_factory=dict)
+    """One check's verdict; ``status`` is pass, fail or skipped."""
+
+    __slots__ = ("name", "status", "details", "elapsed_ms", "config")
+
+    def __init__(self, name: str, status: str, details: str, elapsed_ms: int,
+                 config: dict = None):
+        self.name, self.status, self.details = name, status, details
+        self.elapsed_ms = elapsed_ms
+        self.config = {} if config is None else config
 
     def as_dict(self):
         return {"name": self.name, "status": self.status, "details": self.details,
@@ -269,7 +274,7 @@ def check_e_square_identity(config):
     a9 = frt.ALPHABET9
     res = frt.orthogonality_residuals()[4]  # (2,2) entry of T C T^t C^-1 - 1
     # substitute ga, be only; keep e as a letter
-    images = frt.EliminationMap().images
+    images = frt.elimination_map().images
     res9 = res.substitute_letters({x: _relabel(images[x], a9) for x in ("ga", "be")})
     ee = SuperPoly.word(a9, ("e", "e"))
     target = (ee - SuperPoly.one(a9)
@@ -306,7 +311,7 @@ def check_e_inverse(config):
     check report "right inverse fails at tail order 2".
     """
     pres = frt.presentation()
-    elim = frt.EliminationMap()
+    elim = frt.elimination_map()
     e = elim.e_image()
     for k in E_INVERSE_TAIL_ORDERS:
         einv = elim.e_inverse(tail_order=k)
@@ -455,7 +460,7 @@ def check_coproduct_homomorphism(config):
 
 def check_counit(config):
     ok = frt.counit_annihilates_relations()
-    e_val = frt.counit(frt.EliminationMap().e_image())
+    e_val = frt.counit(frt.elimination_map().e_image())
     ok2 = e_val == Scalar.one()
     return ok and ok2, ("counit annihilates the relation ideal; middle entry "
                         "has counit 1" if ok and ok2 else "counit defect")
@@ -508,7 +513,7 @@ def check_hopf_classical_limit(config):
     comms = _graded_commutators(a)
     rel0 = [f.substitute_parameter(p=0) for f in frt.defining_relations()]
     ok1 = span_equal(rel0, comms, 2, seed=config.seed, symbolic=False)
-    elim = frt.EliminationMap()
+    elim = frt.elimination_map()
     e0 = elim.e_image().substitute_parameter(p=0)
     ga0 = elim.images["ga"].substitute_parameter(p=0)
     be0 = elim.images["be"].substitute_parameter(p=0)

@@ -11,6 +11,10 @@ REP ox REP ox REP is injective on g ox g ox g, so a tensor there is zero, or
 ad-invariant, exactly when its image (``rep_image``) is.  A family's
 parameters stay outside the coefficient ring, so every tensor here is p-free
 and rational (``family_groups``).
+
+The two shared builds, the lowering equations (``lowering_equations``) and
+[[r3(1), r3(1)]] (``r3_schouten``), are made once per run; callers only
+read them.
 """
 
 from __future__ import annotations
@@ -164,14 +168,31 @@ def lowering_equations() -> dict:
     Returns ``{relation pair: [row, ...]}``, one row ``{column: Scalar}`` per
     nonzero defect entry, column 18 holding the constant term.  These
     relations are affine in the entries, so ``affine_rows`` gives the rows
-    exactly.  Built once while ``REP`` holds equal matrices, and shared:
-    callers only read it.
+    exactly.  A relation is solved only over the unknown entries it reads:
+    those of Xm or Vm when one is an argument or in its bracket, so (Xm, Vp)
+    reads Vm through [Xm, Vp] = Vm; the others stay 0, which its defect does
+    not see.  Built once per run, while ``REP`` holds equal matrices, and
+    shared: callers only read it.
     """
+    zero = [Scalar.zero()] * 18
+
+    def rows(x, y):
+        read = [9 * k + i for k, name in enumerate(("Xm", "Vm"))
+                if name in (x, y) or name in bracket(x, y) for i in range(9)]
+
+        def defect(values):
+            full = zero[:]
+            for col, value in zip(read, values):
+                full[col] = value
+            return [relation_defect({**REP, **_lowering(full)}, x, y)]
+        columns = read + [18]
+        return [{columns[k]: c for k, c in row.items()}
+                for row in affine_rows(defect, len(read))]
+
     known = tuple(REP.values())
     if _lowering_memo[0] != known:
         _lowering_memo[:] = known, {
-            pair: affine_rows(lambda values, pair=pair: [
-                relation_defect({**REP, **_lowering(values)}, *pair)], 18)
+            pair: rows(*pair)
             for pair in RELATIONS if sum(name in ("Xm", "Vm") for name in pair) < 2}
     return _lowering_memo[1]
 

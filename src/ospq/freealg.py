@@ -301,7 +301,9 @@ def extend(image, one, grade=None):
     the graded anti-homomorphism S(ux) = (-1)^{|u||x|} S(x) S(u); ``one`` is
     the image of the empty word.  The returned map's ``word`` attribute maps
     one word, built once from its prefix with one product (a letter is its
-    image) and memoized: the image is shared and must not be mutated.
+    image) and memoized for as long as the map lives, so a map that is built
+    once serves a whole run: callers only read the images it returns.  An
+    element's image sums the scaled terms of its words' images in one pass.
     """
     memo = {(): one}
 
@@ -321,10 +323,10 @@ def extend(image, one, grade=None):
         return out
 
     def extended(element):
-        total = one * 0
-        for w, c in element._terms.items():
-            total = total + word(w) * c
-        return total
+        if not isinstance(one, Combination):
+            return sum((word(w) * c for w, c in element._terms.items()), one * 0)
+        return one._like(_accumulate((k, a * c) for w, c in element._terms.items()
+                                     for k, a in word(w)._terms.items()))
 
     extended.word = word
     return extended
@@ -375,9 +377,14 @@ class GradedTensor(Combination):
         return self._like(_accumulate(products()))
 
     def map_leg(self, leg: int, fn):
-        """Apply a linear map to one leg; fn sends a key to a one-leg element."""
-        return self.expand_leg(leg, lambda x: self._like(
-            {(k,): c for k, c in fn(x)._terms.items()}, 1), self.arity)
+        """Apply a linear map to one leg; fn sends a key to a one-leg element,
+        whose terms are copied into the result as they stand."""
+        def mapped():
+            for k, c in self._terms.items():
+                head, tail = k[:leg], k[leg + 1:]
+                for k2, c2 in fn(k[leg])._terms.items():
+                    yield head + (k2,) + tail, c * c2
+        return self._like(_accumulate(mapped()))
 
     def expand_leg(self, leg: int, fn, new_arity: int):
         """Splice the tensor fn(key) in place of one leg, as (Delta ox id) does."""

@@ -11,6 +11,11 @@ the rule audits, the normal forms and the one set of Hopf maps
 (``hopf_maps``, an instance of ``freealg.HopfMaps``), whose generator
 images are taken at p = 2.  The lifted Scalar rules are built only for the
 exported rule set.
+
+Each stage the checks share is built once per run and cached: the R-matrix,
+the exchange residuals, the metric and its solution space, the elimination
+map with its word images, the eliminated residuals, the presentation and the
+Hopf maps.  Callers only read what these return.
 """
 
 from __future__ import annotations
@@ -69,9 +74,11 @@ def exchange_residuals(alphabet, layout, dual=False):
     return [e for row in diff.entries for e in row]
 
 
+@lru_cache(maxsize=None)
 def rtt_residuals():
-    """The 81 entries of R T1 T2 - T2 T1 R over the 9-letter algebra."""
-    return exchange_residuals(ALPHABET9, T_ENTRIES)
+    """The 81 entries of R T1 T2 - T2 T1 R over the 9-letter algebra, built
+    once and shared: callers only read them."""
+    return tuple(exchange_residuals(ALPHABET9, T_ENTRIES))
 
 
 # ----------------------------------------------------------------------
@@ -99,11 +106,18 @@ def derive_metric_solutions(r: SuperMatrix = None):
 
     The first-leg transpose is the graded variant validated by this very
     equation having a one-dimensional solution space (the ungraded transpose
-    admits no solution at all).  Solutions are 3x3 Scalar matrices.
+    admits no solution at all).  Solutions are 3x3 Scalar matrices.  For the
+    default R, ``quantum_r_matrix``, the basis is built once and shared:
+    callers only read it.
     """
     if r is None:
-        r = quantum_r_matrix()
+        return _quantum_metric_solutions()
     return metric_solutions(r, partial_transpose_first(r, graded=True))
+
+
+@lru_cache(maxsize=None)
+def _quantum_metric_solutions():
+    return derive_metric_solutions(quantum_r_matrix())
 
 
 @lru_cache(maxsize=None)
@@ -163,7 +177,12 @@ def _w(word, coeff=None) -> SuperPoly:
 
 
 class EliminationMap:
-    """Substitutions expressing e, ga, be through the six surviving letters."""
+    """Substitutions expressing e, ga, be through the six surviving letters.
+
+    ``letters`` gives each of the nine letters its image, and ``substitute``
+    extends it as one algebra map (``extend``), so each word's image is built
+    once for as long as the map lives; ``elimination_map`` is the one every
+    stage shares."""
 
     def __init__(self):
         self.images = {
@@ -175,9 +194,9 @@ class EliminationMap:
                              _w(("al", "c"), HALF_P), _w(("de", "a"), -HALF_P),
                              _w(("de", "d"), P), _w(("de", "c"), HALF_P2)]),
         }
-
-    def substitute(self, poly: SuperPoly) -> SuperPoly:
-        return poly.substitute_letters(self.images)
+        self.letters = {x: self.images[x] if x in self.images else SuperPoly.letter(ALPHABET, x)
+                        for x in ALPHABET9.letters}
+        self.substitute = extend(self.letters.__getitem__, SuperPoly.one(ALPHABET))
 
     def e_image(self) -> SuperPoly:
         return self.images["e"]
@@ -191,6 +210,13 @@ class EliminationMap:
     def geometric_tail(self, tail_order: int = 3) -> SuperPoly:
         """((p^2/4) c^2)^(tail_order + 1)."""
         return _w(("c",) * (2 * tail_order + 2), QUARTER_P2 ** (tail_order + 1))
+
+
+@lru_cache(maxsize=None)
+def elimination_map() -> EliminationMap:
+    """The elimination map of a run, built once: every substitution shares
+    its word images, which callers only read."""
+    return EliminationMap()
 
 
 # ----------------------------------------------------------------------
@@ -307,14 +333,13 @@ def presentation() -> Presentation:
 @lru_cache(maxsize=None)
 def _eliminated_orthogonality():
     """The orthogonality residuals in the 6 letters, substituted once."""
-    return tuple(map(EliminationMap().substitute, orthogonality_residuals()))
+    return tuple(map(elimination_map().substitute, orthogonality_residuals()))
 
 
 @lru_cache(maxsize=None)
 def eliminated_residuals():
     """All RTT and orthogonality residuals pushed down to the 6-letter algebra."""
-    elim = EliminationMap()
-    rtt = [elim.substitute(f) for f in rtt_residuals()]
+    rtt = list(map(elimination_map().substitute, rtt_residuals()))
     return ([f for f in rtt if not f.is_zero],
             [f for f in _eliminated_orthogonality() if not f.is_zero])
 
@@ -342,15 +367,14 @@ counit = extend({x: int(i == j) for x, (i, j) in POSITIONS.items()}.__getitem__,
 def antipode_images():
     """S(t_ij) for the nine entries: the entries of S(T) = C T^st C^-1 with
     the dependent letters eliminated."""
-    s = antipode_matrix().map_entries(EliminationMap().substitute).entries
+    s = antipode_matrix().map_entries(elimination_map().substitute).entries
     return {x: s[i][j] for x, (i, j) in POSITIONS.items()}
 
 
 def eliminated_matrix() -> SuperMatrix:
     """The defining matrix with e, ga, be substituted (entries in 6 letters)."""
-    images = EliminationMap().images
-    return SuperMatrix(ALPHABET, [[images.get(x) or SuperPoly.letter(ALPHABET, x)
-                                   for x in row] for row in T_ENTRIES])
+    letters = elimination_map().letters
+    return SuperMatrix(ALPHABET, [[letters[x] for x in row] for row in T_ENTRIES])
 
 
 def generator_images():

@@ -55,7 +55,7 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .scalars import Scalar, ONE as S_ONE, _accumulate
+from .scalars import Scalar, ONE as S_ONE, _accumulate, _whole
 from .freealg import SuperPoly, TensorElement
 
 
@@ -65,12 +65,6 @@ class OrientationError(ValueError):
 
 # the torus weight of p (module docstring)
 P_WEIGHT = 2
-
-
-def _whole(q):
-    """An integral Fraction as an int, whose arithmetic is cheaper; any other
-    coefficient unchanged."""
-    return q.numerator if isinstance(q, Fraction) and q.denominator == 1 else q
 
 
 def orient(polys):
@@ -401,7 +395,10 @@ def _evaluation_points(seed: int, count: int):
     return points
 
 
+@lru_cache(maxsize=None)
 def _word_ranks(alphabet, degree_bound):
+    """{word: rank} of the words up to ``degree_bound`` in the monomial order,
+    sorted once per alphabet and bound and shared: callers only read it."""
     words = alphabet.words_up_to(degree_bound)
     words.sort(key=alphabet.word_key)
     return {w: i for i, w in enumerate(words)}

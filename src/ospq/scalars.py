@@ -3,8 +3,8 @@
 A :class:`Scalar` is an element of Q(sqrt2)[p]: a polynomial with rational
 coefficients in the deformation parameter ``p`` and the square root ``s`` of
 2.  That ring is Q[p, s]/(s^2 - 2), so a term maps a key (p-degree, s), with
-s 0 or 1, to one Fraction; a product of two s terms drops s and doubles the
-coefficient.  The classical r-matrix families keep their parameters outside
+s 0 or 1, to one rational, kept as an int when it is integral; a product of
+two s terms drops s and doubles the coefficient.  The classical r-matrix families keep their parameters outside
 this ring (``classical.family_coboundary_check``).
 
 All arithmetic is exact; there is no floating point anywhere in this package.
@@ -40,21 +40,34 @@ def _accumulate(pairs, out=None):
     return out
 
 
+def _whole(q):
+    """An integral Fraction as an int, whose arithmetic is cheaper; any other
+    coefficient unchanged."""
+    return q.numerator if type(q) is Fraction and q.denominator == 1 else q
+
+
 def _products(terms1, terms2):
-    """Term products of two Scalars, with s*s reduced to 2."""
-    for (d1, s1), c1 in terms1.items():
-        for (d2, s2), c2 in terms2.items():
-            if s1 and s2:
-                yield (d1 + d2, 0), 2 * c1 * c2
-            else:
-                yield (d1 + d2, s1 + s2), c1 * c2
+    """The terms of the product of two Scalars, with s*s reduced to 2.  A
+    product of one term by one term, nearly every product, is formed
+    directly; an integral coefficient of it is an int."""
+    if len(terms1) == 1 == len(terms2):
+        ((d1, s1), c1), = terms1.items()
+        ((d2, s2), c2), = terms2.items()
+        if s1 and s2:
+            return {(d1 + d2, 0): _whole(2 * c1 * c2)}
+        return {(d1 + d2, s1 + s2): _whole(c1 * c2)}
+    return _accumulate(((d1 + d2, 0), 2 * c1 * c2) if s1 and s2
+                       else ((d1 + d2, s1 + s2), c1 * c2)
+                       for (d1, s1), c1 in terms1.items()
+                       for (d2, s2), c2 in terms2.items())
 
 
 def _q2_inv(u):
-    d = u[0] * u[0] - 2 * u[1] * u[1]
+    a, b = map(Fraction, u)
+    d = a * a - 2 * b * b
     if d == 0:
         raise ZeroDivisionError("zero element of Q(sqrt2)")
-    return (u[0] / d, -u[1] / d)
+    return (a / d, -b / d)
 
 
 def _fraction_sqrt(q: Fraction):
@@ -68,7 +81,7 @@ def _fraction_sqrt(q: Fraction):
 
 def _q2_sqrt(u):
     """Square root in Q(sqrt2), or None.  Covers a + b*sqrt2 generally."""
-    a, b = u
+    a, b = map(Fraction, u)
     if b == 0:
         r = _fraction_sqrt(a)
         if r is not None:
@@ -97,7 +110,7 @@ class Scalar:
 
     def __init__(self, terms=None):
         """``terms`` maps (p-degree, s) keys, s in {0, 1}, to nonzero
-        Fractions; it is stored as given."""
+        rationals, an integral one best as an int; it is stored as given."""
         self._terms = {} if terms is None else terms
         self._hash = None
 
@@ -105,7 +118,7 @@ class Scalar:
 
     @classmethod
     def rational(cls, value) -> "Scalar":
-        value = Fraction(value)
+        value = _whole(Fraction(value))
         return cls({_ZEXP: value}) if value else _ZERO
 
     @classmethod
@@ -115,12 +128,12 @@ class Scalar:
     @classmethod
     def in_p(cls, coeffs) -> "Scalar":
         """The polynomial in p with coefficients ``{degree: Fraction}``."""
-        return cls({(d, 0): Fraction(c) for d, c in coeffs.items() if c})
+        return cls({(d, 0): _whole(Fraction(c)) for d, c in coeffs.items() if c})
 
     @classmethod
     def _monomial(cls, degree, pair) -> "Scalar":
         """(a + b*s) * p^degree for a pair (a, b)."""
-        return cls({(degree, k): c for k, c in enumerate(pair) if c})
+        return cls({(degree, k): _whole(c) for k, c in enumerate(pair) if c})
 
     @classmethod
     def zero(cls) -> "Scalar":
@@ -152,7 +165,7 @@ class Scalar:
             return Fraction(0)
         if not self.is_rational:
             raise ValueError(f"not a rational constant: {self}")
-        return self._terms[_ZEXP]
+        return Fraction(self._terms[_ZEXP])
 
     # -- coefficient views ----------------------------------------------
 
@@ -161,7 +174,7 @@ class Scalar:
         return tuple(self._terms.get((degree, s), Fraction(0)) for s in (0, 1))
 
     def p_coefficients(self):
-        """``{degree: Fraction}`` of a rational polynomial in p alone;
+        """``{degree: rational}`` of a rational polynomial in p alone;
         raises ValueError on sqrt2."""
         out = {}
         for (d, s), c in self._terms.items():
@@ -207,7 +220,7 @@ class Scalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Scalar(_accumulate(_products(self._terms, other._terms)))
+        return Scalar(_products(self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -353,9 +366,9 @@ def format_scalar(value: Scalar) -> str:
 
 
 ZERO = _ZERO = Scalar({})
-ONE = _ONE = Scalar({_ZEXP: Fraction(1)})
-SQRT2 = _SQRT2 = Scalar({_SEXP: Fraction(1)})
-P = Scalar({(1, 0): Fraction(1)})
+ONE = _ONE = Scalar({_ZEXP: 1})
+SQRT2 = _SQRT2 = Scalar({_SEXP: 1})
+P = Scalar({(1, 0): 1})
 HALF = Scalar.rational(Fraction(1, 2))
 
 

@@ -1,5 +1,9 @@
 """Every registered check must pass; reports carry the stable shape."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from ospq import borel, frt
@@ -22,6 +26,19 @@ def test_reports_have_the_contractual_shape():
         assert set(d) == {"name", "status", "details", "elapsed_ms", "config"}
         assert d["config"] == {"truncation": 8, "seed": 3}
         assert isinstance(d["elapsed_ms"], int)
+
+
+def test_config_defaults_and_import_without_dataclasses():
+    # the record types are plain classes, so importing the CLI does not pull
+    # in ``dataclasses`` and with it ``inspect``
+    assert CheckConfig().as_dict() == {"truncation": borel.DEFAULT_TRUNCATION, "seed": 0}
+    assert CheckConfig(seed=5).as_dict() == {"truncation": borel.DEFAULT_TRUNCATION, "seed": 5}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(borel.__file__)))
+    probe = ("import sys; before = set(sys.modules); import ospq.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("alphabet", [frt.ALPHABET9, frt.ALPHABET, borel.RLL_ALPHABET],

@@ -159,3 +159,32 @@ def test_word_key_orders_by_weight_then_length():
     # c has weight 1, a weight 2: the square of c is lighter than a single a pair
     assert key(("c", "c")) < key(("a", "a"))
     assert key(("c", "a")) > key(("c", "c"))
+
+
+def _spliced_map_leg(t, leg, fn):
+    """map_leg as one-leg tensors spliced by expand_leg: the reference."""
+    return t.expand_leg(leg, lambda x: t._like({(k,): c for k, c in fn(x)._terms.items()}, 1),
+                        t.arity)
+
+
+def test_map_leg_builds_no_one_leg_tensor_and_matches_the_splice(monkeypatch):
+    from ospq import classical, frt
+    hopf, at2 = frt.hopf_maps(), frt.presentation().at2
+    r = classical.r3(Scalar.one()).tensor()
+    cases = [(hopf.images["delta"]["b"], at2.nf_word),
+             (hopf.delta(SuperPoly.word(ALPHABET, ("b", "c"), 1)), at2.nf_word),
+             (classical._schouten(r, r, 0), classical.PBW.nf_word)]
+    references = [[_spliced_map_leg(t, leg, fn) for leg in range(t.arity)]
+                  for t, fn in cases]
+    arities = []
+    init = TensorElement.__init__
+
+    def spy(self, alphabet, arity, terms=None, _internal=False):
+        arities.append(arity)
+        init(self, alphabet, arity, terms, _internal)
+
+    monkeypatch.setattr(TensorElement, "__init__", spy)
+    mapped = [[t.map_leg(leg, fn) for leg in range(t.arity)] for t, fn in cases]
+    assert 1 not in arities and len(arities) == 7
+    assert mapped == references
+    assert all(ref._terms for refs in references for ref in refs)

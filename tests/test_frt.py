@@ -8,7 +8,7 @@ from ospq.freealg import SuperPoly, TensorElement, sum_polys
 from ospq.supermatrix import (SuperMatrix, INDEX_GRADE, INDEX_WEIGHT, letter_matrix,
                               partial_transpose_first)
 from ospq.rewrite import P_WEIGHT, RewriteSystem, _graded_echelon, span_contains
-from ospq import borel, checks, frt, rewrite, scalars
+from ospq import borel, checks, classical, frt, rewrite, scalars
 from ospq.checks import quantum_r_target_matrix, derived_metric_expected
 
 
@@ -455,3 +455,53 @@ def test_antipode_and_its_square_map_relations_into_the_ideal(pres):
         assert pres.at2.normal_form(image).is_zero
         assert pres.at2.normal_form(antipode(image)).is_zero
     assert any(not image.is_zero for image in images)
+
+
+def _clear_stage_caches():
+    for module in (frt, borel, classical, rewrite):
+        for stage in vars(module).values():
+            if hasattr(stage, "cache_clear"):
+                stage.cache_clear()
+
+
+def test_one_run_builds_each_shared_stage_and_elimination_word_once(monkeypatch):
+    # a cold ``all`` run builds the two exchange residual families and the
+    # metric solution space once each, and every substitution of e, ga, be
+    # shares one extension: each word of the substituted residuals has its
+    # image built once, the 80 words of two or more letters among them
+    built, words, letters = [], set(), []
+    exchange, solutions, extend = frt.exchange_residuals, frt.metric_solutions, frt.extend
+
+    def spy_exchange(alphabet, layout, dual=False):
+        built.append(alphabet)
+        return exchange(alphabet, layout, dual)
+
+    def spy_solutions(left, right):
+        built.append("metric")
+        return solutions(left, right)
+
+    def spy_extend(image, one, grade=None):
+        def counted(x):
+            letters.append(x)
+            return image(x)
+        extended = extend(counted, one, grade)
+
+        def substitute(element):
+            words.update(element.words())
+            return extended(element)
+        return substitute
+
+    monkeypatch.setattr(frt, "exchange_residuals", spy_exchange)
+    monkeypatch.setattr(frt, "metric_solutions", spy_solutions)
+    monkeypatch.setattr(frt, "extend", spy_extend)
+    _clear_stage_caches()
+    try:
+        reports = checks.run_checks("all", checks.CheckConfig())
+    finally:
+        _clear_stage_caches()
+    assert [r.status for r in reports] == ["pass"] * 46
+    assert sorted(map(str, built)) == sorted(map(str, [frt.ALPHABET9, borel.RLL_ALPHABET,
+                                                       "metric"]))
+    prefixes = {u[:k] for u in words for k in range(1, len(u) + 1)}
+    assert len(letters) == len(prefixes)
+    assert sum(len(u) > 1 for u in prefixes) == 80

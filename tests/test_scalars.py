@@ -16,6 +16,20 @@ def test_half_p_times_two_is_p():
     assert (P * HALF) * rat(2) == P
 
 
+def test_integral_coefficients_are_ints_equal_to_their_fractions():
+    # a one-term product with an integral coefficient stores an int, which
+    # compares, hashes and prints as the Scalar built from a Fraction
+    for value, stored in (((P * HALF) * rat(2), P), (SQRT2 * SQRT2, rat(2)),
+                          (rat(Fraction(-6, 3)), rat(-2))):
+        (coeff,) = value._terms.values()
+        assert type(coeff) is int
+        reference = Scalar({key: Fraction(c) for key, c in stored._terms.items()})
+        assert value == reference and hash(value) == hash(reference)
+        assert format_scalar(value) == format_scalar(reference)
+    assert type((P * HALF)._terms[(1, 0)]) is Fraction
+    assert rat(3).as_rational() == 3 and type(rat(3).as_rational()) is Fraction
+
+
 def test_eval_is_ring_homomorphism():
     rng = random.Random(7)
     for _ in range(50):

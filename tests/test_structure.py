@@ -183,6 +183,9 @@ def test_one_frt_construction_serves_both_dual_sides(monkeypatch):
         return exchange(alphabet, layout, dual)
 
     monkeypatch.setattr(frt, "exchange_residuals", spy)
+    # both residual stages are cached: build them again under the spy
+    for stage in (frt.rtt_residuals, borel.rll_residuals):
+        stage.cache_clear()
     assert len(frt.rtt_residuals()) == len(borel.rll_residuals()) == 81
     assert calls == [(frt.ALPHABET9, frt.T_ENTRIES, False),
                      (borel.RLL_ALPHABET, borel.L_ENTRIES, True)]
