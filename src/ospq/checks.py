@@ -306,9 +306,10 @@ def check_e_inverse(config):
     ``frt.COMPLETION_DEGREE`` = 6.  Every rule lies in the ideal, so a zero
     normal form still proves the identity; above the audited degree a
     nonzero one would not refute it, since the normal form there may depend
-    on the order in which rules are applied.  Reducing suffix-first instead
-    of leftmost keeps the 35 rules and the ``--export`` bytes, yet makes this
-    check report "right inverse fails at tail order 2".
+    on the order in which rules are applied.  Reducing at the rightmost
+    match, instead of from the left by right extension, keeps the 35 rules
+    and the ``--export`` bytes, yet makes this check report "right inverse
+    fails at tail order 2".
     """
     pres = frt.presentation()
     elim = frt.elimination_map()
@@ -395,8 +396,8 @@ def check_flatness(config):
     counts = []
     for degree in range(5):
         words = [w for w in frt.ALPHABET.words_up_to(degree) if len(w) == degree]
-        deformed = sum(1 for w in words if pres.at2._first_match(w) is None)
-        classical_count = sum(1 for w in words if classical_system._first_match(w) is None)
+        deformed = sum(1 for w in words if pres.at2.is_normal(w))
+        classical_count = sum(1 for w in words if classical_system.is_normal(w))
         counts.append((degree, deformed, classical_count))
     ok = all(d == c for _, d, c in counts)
     detail = ", ".join(f"deg {g}: {d}/{c}" for g, d, c in counts)

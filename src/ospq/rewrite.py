@@ -3,7 +3,13 @@ auditing with degree-bounded completion, and degree-sliced span comparison.
 
 Rules are stored as ``lhs word -> rhs SuperPoly`` with every right-hand
 monomial strictly below the left side in the alphabet's monomial order, so
-rewriting terminates and normal forms certify ideal membership.  Span tools
+rewriting terminates and normal forms certify ideal membership.  A word's
+normal form is built from its prefix's, nf(u*x) = nf(nf(u)*x): a left side
+that occurs in v*x with v normal ends at x, so each word is searched only at
+its end, and words that share a normal prefix share its memo entry.  By
+Bergman's diamond lemma the strategy cannot change a normal form on a
+confluent system; on the systems of a completion round that are not yet
+confluent, any reduct of an ambiguity serves as its difference.  Span tools
 compare Scalar-linear spans of shifted relation families inside a degree
 slice and decide membership over Q(p) exactly; the generators are
 interreduced first and only the independent ones are shifted.
@@ -148,15 +154,16 @@ class RewriteSystem:
         self._index()
 
     def _index(self):
-        """Index the left-side lengths by first letter and empty the
-        normal-form cache; called again after ``rules`` changes."""
-        self._cache = {}
+        """Index the left-side lengths by last letter and reset the
+        normal-form cache to the empty word; called again after ``rules``
+        changes."""
+        self._cache = {(): SuperPoly(self.alphabet, {(): self.one}, _internal=True)}
         lengths = {}
         for lhs in self.rules:
             if not lhs:
                 raise ValueError("empty left side")
-            lengths.setdefault(lhs[0], set()).add(len(lhs))
-        # longer left sides first, so the most specific rule matches
+            lengths.setdefault(lhs[-1], set()).add(len(lhs))
+        # longer left sides first, so the match starts furthest left
         self._lengths = {x: sorted(ns, reverse=True) for x, ns in lengths.items()}
 
     def __len__(self):
@@ -174,47 +181,62 @@ class RewriteSystem:
         return [SuperPoly(self.alphabet, {lhs: self.one}, _internal=True) - rhs
                 for lhs, rhs in self.rules.items()]
 
-    def _first_match(self, word):
-        """(i, lhs) of the leftmost rule match in ``word``, the longest left
-        side at that position, or None."""
-        rules, lengths = self.rules, self._lengths
-        for i, x in enumerate(word):
-            for n in lengths.get(x, ()):
-                lhs = word[i:i + n]
-                if lhs in rules:
-                    return i, lhs
+    def _end_match(self, word):
+        """The longest left side that ends a nonempty ``word``, or None."""
+        rules, size = self.rules, len(word)
+        for n in self._lengths.get(word[-1], ()):
+            if n <= size and (lhs := word[size - n:]) in rules:
+                return lhs
         return None
 
+    def is_normal(self, word):
+        """Does no left side occur in ``word``?"""
+        return not any(self._end_match(word[:i]) for i in range(1, len(word) + 1))
+
     def nf_word(self, word) -> SuperPoly:
-        """Normal form of a single word (iterative, memoized).  Each word is
-        searched for a match once: it waits on the stack with its rewritten
-        words until their normal forms are known."""
+        """Normal form of a single word (iterative, memoized), built by right
+        extension: nf(u*x) = nf(nf(u)*x) for the letter x.
+
+        A left side that occurs in v*x with v normal ends at x.  So once the
+        prefix u is known, u*x is searched once, at its end: when u is normal
+        the longest left side ending u*x is rewritten, pre*lhs -> sum of
+        c*nf(pre*r), and it is the match that starts furthest left; otherwise
+        each term c*v of nf(u) gives c*nf(v*x).  Words that share a normal
+        prefix share its memo entry.  A word waits on the stack, first for its
+        prefix and then with these parts, until their normal forms are known.
+        """
         cache = self._cache
         hit = cache.get(word)
         if hit is not None:
             return hit
         stack = [(word, None)]
         while stack:
-            w, rewritten = stack[-1]
-            if rewritten is None:
+            w, parts = stack[-1]
+            if parts is None:
                 if w in cache:
                     stack.pop()
                     continue
-                m = self._first_match(w)
-                if m is None:
+                u = w[:-1]
+                head = cache.get(u)
+                if head is None:
+                    stack.append((u, None))
+                    continue
+                if u not in head._terms:
+                    x = w[-1:]
+                    parts = [(v + x, c) for v, c in head._terms.items()]
+                elif (lhs := self._end_match(w)) is None:
                     cache[w] = SuperPoly(self.alphabet, {w: self.one}, _internal=True)
                     stack.pop()
                     continue
-                i, lhs = m
-                pre, post = w[:i], w[i + len(lhs):]
-                rewritten = [(pre + w2 + post, c2)
-                             for w2, c2 in self.rules[lhs]._terms.items()]
-                missing = [(d, None) for d, _ in rewritten if d not in cache]
+                else:
+                    pre = w[:len(w) - len(lhs)]
+                    parts = [(pre + r, c) for r, c in self.rules[lhs]._terms.items()]
+                missing = [(d, None) for d, _ in parts if d not in cache]
                 if missing:
-                    stack[-1] = (w, rewritten)
+                    stack[-1] = (w, parts)
                     stack.extend(missing)
                     continue
-            acc = _accumulate((w3, c2 * c3) for d, c2 in rewritten
+            acc = _accumulate((w3, c2 * c3) for d, c2 in parts
                               for w3, c3 in cache[d]._terms.items())
             cache[w] = SuperPoly(self.alphabet, acc, _internal=True)
             stack.pop()
@@ -235,26 +257,23 @@ class RewriteSystem:
 
     # -- confluence audit ---------------------------------------------
 
-    def _overlap_words(self, max_degree):
-        seen = set()
+    def _overlap_words(self, max_degree, fresh=None):
+        """The ambiguities (word, l1, 0, l2, i) up to ``max_degree``: left
+        sides l1 at 0 and l2 at i of ``word`` that overlap, or l2 inside l1.
+        With ``fresh``, only those one of whose two rules is in it, in the
+        same order."""
         lhss = list(self.rules)
         for l1 in lhss:
             for l2 in lhss:
+                if fresh is not None and l1 not in fresh and l2 not in fresh:
+                    continue
                 for k in range(1, min(len(l1), len(l2))):
-                    if l1[len(l1) - k:] == l2[:k]:
-                        w = l1 + l2[k:]
-                        if len(w) <= max_degree:
-                            item = (w, l1, 0, l2, len(l1) - k)
-                            if item not in seen:
-                                seen.add(item)
-                                yield item
-                if l1 != l2 and len(l2) < len(l1):
+                    if l1[len(l1) - k:] == l2[:k] and len(l1) + len(l2) - k <= max_degree:
+                        yield l1 + l2[k:], l1, 0, l2, len(l1) - k
+                if len(l2) < len(l1) <= max_degree:
                     for i in range(len(l1) - len(l2) + 1):
-                        if l1[i:i + len(l2)] == l2 and len(l1) <= max_degree:
-                            item = (l1, l1, 0, l2, i)
-                            if item not in seen:
-                                seen.add(item)
-                                yield item
+                        if l1[i:i + len(l2)] == l2:
+                            yield l1, l1, 0, l2, i
 
     def _apply_rule_at(self, word, lhs, i):
         pre, post = word[:i], word[i + len(lhs):]
@@ -294,8 +313,9 @@ def interreduce(alphabet, rules):
     while True:
         rules = {lhs: system.normal_form(system.rules[lhs])
                  for lhs in sorted(system.rules, key=key)}
-        lhs = min((lhs for lhs in rules if system._first_match(lhs[1:])
-                   or system._first_match(lhs[:-1])), key=key, default=None)
+        lhs = min((lhs for lhs in rules if not (system.is_normal(lhs[1:])
+                                                and system.is_normal(lhs[:-1]))),
+                  key=key, default=None)
         if lhs is None:
             return rules
         rhs = rules.pop(lhs)
@@ -336,8 +356,8 @@ def complete(alphabet, relations, max_degree: int) -> RewriteSystem:
         system = RewriteSystem(alphabet, interreduce(alphabet, rules), one=1)
         fresh = {lhs for lhs, rhs in system.rules.items() if audited.get(lhs) != rhs}
         # once the overlaps resolve, the relations that do not reduce come back
-        bad = ([d for item in system._overlap_words(max_degree)
-                if {item[1], item[3]} & fresh and (d := system._difference(*item))]
+        bad = ([d for item in system._overlap_words(max_degree, fresh)
+                if (d := system._difference(*item))]
                or [d for f in relations if (d := system.normal_form(f))])
         if not bad:
             return system

@@ -13,7 +13,7 @@ from ospq.rewrite import (RewriteSystem, affine_rows, at_two, complete, orient,
 from ospq.rewrite import (_evaluation_points, _graded_echelon, _int_echelons,
                           _int_insert, _int_reduces_to_zero, _int_row,
                           _weight_components, _word_ranks, shift_family)
-from ospq import frt, rewrite, scalars
+from ospq import classical, frt, rewrite, scalars
 
 
 def w(*letters):
@@ -724,6 +724,51 @@ def _complete_over_qp(alphabet, relations, max_degree):
     raise RuntimeError("completion did not converge")
 
 
+def _leftmost_nf(system):
+    """The reducer that ``nf_word`` replaced, kept as a reference: a word is
+    rewritten at its leftmost match, by the longest left side there, and
+    waits on the stack with its rewritten words, memoized whole, until their
+    normal forms are known.  Returns its normal-form function on words."""
+    rules, cache, lengths = system.rules, {}, {}
+    for lhs in rules:
+        lengths.setdefault(lhs[0], set()).add(len(lhs))
+    lengths = {x: sorted(ns, reverse=True) for x, ns in lengths.items()}
+
+    def first_match(word):
+        for i, x in enumerate(word):
+            for n in lengths.get(x, ()):
+                if word[i:i + n] in rules:
+                    return i, word[i:i + n]
+        return None
+
+    def nf(word):
+        stack = [(word, None)]
+        while stack:
+            w, rewritten = stack[-1]
+            if rewritten is None:
+                if w in cache:
+                    stack.pop()
+                    continue
+                m = first_match(w)
+                if m is None:
+                    cache[w] = SuperPoly(system.alphabet, {w: system.one})
+                    stack.pop()
+                    continue
+                i, lhs = m
+                rewritten = [(w[:i] + r + w[i + len(lhs):], c)
+                             for r, c in rules[lhs]._terms.items()]
+                missing = [(d, None) for d, _ in rewritten if d not in cache]
+                if missing:
+                    stack[-1] = (w, rewritten)
+                    stack.extend(missing)
+                    continue
+            cache[w] = sum((cache[d].scale(c) for d, c in rewritten),
+                           SuperPoly.zero(system.alphabet))
+            stack.pop()
+        return cache[word]
+    return nf
+
+
 def _completion(alphabet, relations, fn):
     """The rules of ``fn(alphabet, relations, 4)`` with the term order of
     each right side, or the type of the error it raised."""
@@ -744,13 +789,18 @@ def _seeded_family(rng, alphabet):
 
 
 def _spy_audits(monkeypatch, rounds):
-    """Append to ``rounds``, for each overlap audit, (its number of
-    ambiguities, [(ambiguity, right sides of its two rules) normal-formed])."""
+    """Append to ``rounds``, for each overlap audit, (the number of all its
+    system's ambiguities, [(ambiguity, right sides of its two rules)
+    normal-formed]).  An audit of the fresh rules enumerates exactly the
+    ambiguities one of whose rules is fresh, in the order of all of them."""
     overlap_words, difference = RewriteSystem._overlap_words, RewriteSystem._difference
 
-    def words_spy(self, max_degree):
-        items = list(overlap_words(self, max_degree))
-        rounds.append((len(items), []))
+    def words_spy(self, max_degree, fresh=None):
+        every = list(overlap_words(self, max_degree))
+        items = list(overlap_words(self, max_degree, fresh))
+        assert items == [item for item in every
+                         if fresh is None or {item[1], item[3]} & fresh]
+        rounds.append((len(every), []))
         return iter(items)
 
     def difference_spy(self, *item):
@@ -835,7 +885,10 @@ def test_presentation_audits_each_ambiguity_once_per_rule_version(monkeypatch):
     for start, end in zip(runs, runs[1:] + [len(rounds)]):
         audits = [audit for _, round_audits in rounds[start:end] for audit in round_audits]
         assert len(audits) == len(set(audits))
-    assert sum(len(audits) for _, audits in rounds) < sum(count for count, _ in rounds)
+    audited, every = sum(len(audits) for _, audits in rounds), sum(count for count, _ in rounds)
+    assert audited < every
+    # only the ambiguities with a fresh rule are enumerated: 198 of 611
+    assert (audited, every) == (198, 611)
 
 
 def _contains(word, sub):
@@ -942,20 +995,66 @@ def test_completion_multiplies_no_scalars(monkeypatch):
 
 
 def test_nf_word_searches_each_word_once(monkeypatch):
-    # a word waits on the stack with its match until its rewritten words
-    # are reduced, and is not searched again; the normal forms equal those
-    # the completed system built
+    # every word of degree <= 4, normal-formed by right extension on a fresh
+    # copy of the presentation's rules: a word waits on the stack for its
+    # prefix and then for its parts, and is searched at its end only once,
+    # so there are no more searches than memo entries; the normal forms
+    # equal those the completed system built
     at2 = frt.presentation().at2
     words = list(frt.ALPHABET.words_up_to(4))
     expected = [at2.nf_word(word) for word in words]
     fresh = RewriteSystem(frt.ALPHABET, at2.rules, one=1)
     searched = []
-    first_match = RewriteSystem._first_match
+    end_match = RewriteSystem._end_match
 
     def spy(self, word):
         searched.append(word)
-        return first_match(self, word)
+        return end_match(self, word)
 
-    monkeypatch.setattr(RewriteSystem, "_first_match", spy)
+    monkeypatch.setattr(RewriteSystem, "_end_match", spy)
     assert [fresh.nf_word(word) for word in words] == expected
-    assert len(searched) == len(set(searched)) == len(fresh._cache)
+    assert len(searched) == len(set(searched)) <= len(fresh._cache)
+
+
+def _assert_leftmost_normal_forms(system, degree):
+    nf = _leftmost_nf(system)
+    for word in system.alphabet.words_up_to(degree):
+        assert system.nf_word(word) == nf(word), word
+
+
+def test_nf_word_agrees_with_the_leftmost_reducer():
+    # on confluent systems the normal form does not depend on the strategy:
+    # the presentation at p = 2 to degree 5, the classical PBW system with
+    # Scalar coefficients to degree 4, and the seeded completion families at
+    # p = 2 and lifted to degree 4
+    _assert_leftmost_normal_forms(RewriteSystem(frt.ALPHABET, frt.presentation().at2.rules,
+                                                one=1), 5)
+    _assert_leftmost_normal_forms(RewriteSystem(classical.ALPHABET, classical.PBW.rules), 4)
+    rng, completed = random.Random(15), 0
+    for alphabet in (XZY, XZY_BY_WEIGHT):
+        for _ in range(20):
+            try:
+                system = complete(alphabet, _seeded_family(rng, alphabet), 4)
+            except ValueError:
+                continue
+            completed += 1
+            _assert_leftmost_normal_forms(system, 4)
+            _assert_leftmost_normal_forms(system.lifted(), 4)
+    assert completed >= 10
+
+
+def test_a_long_word_normal_forms_without_recursion():
+    # the stack is explicit: a seeded word of 200 letters in three commuting
+    # letters sorts into its normal form, one more normal-form pass changes
+    # nothing, and the leftmost reducer agrees
+    alphabet = GradedAlphabet(("x", "y", "z"), {"x": 0, "y": 0, "z": 0})
+
+    def ww(*letters):
+        return SuperPoly.word(alphabet, letters)
+    system = RewriteSystem(alphabet, {("y", "x"): ww("x", "y"), ("z", "x"): ww("x", "z"),
+                                      ("z", "y"): ww("y", "z")})
+    rng = random.Random(200)
+    word = tuple(rng.choice("xyz") for _ in range(200))
+    nf = system.nf_word(word)
+    assert nf == ww(*sorted(word)) == _leftmost_nf(system)(word)
+    assert system.normal_form(nf) == nf
