@@ -30,12 +30,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .scalars import Scalar, rat, P, HALF, SQRT2, _accumulate
+from .scalars import Scalar, rat, P, P_WEIGHT, HALF, SQRT2, _accumulate
 from .freealg import (Combination, GradedAlphabet, GradedTensor, HopfMaps, SuperPoly,
                        _scaled, extend)
 from .supermatrix import layout_alphabet
-from .rewrite import P_WEIGHT, span_equal
-from . import frt
 
 DEFAULT_TRUNCATION = 16  # filtration weight; X-degree up to 8
 
@@ -575,11 +573,13 @@ def rll_residuals():
     residuals are R L2 L1 - L1 L2 R.  (The other order produces the mirror
     relation set with p negated.)
     """
+    from . import frt
     return tuple(frt.exchange_residuals(RLL_ALPHABET, L_ENTRIES, dual=True))
 
 
 def rll_span_matches_relations() -> bool:
     """Mutual containment of the residual span and the relation span (degree 2)."""
+    from .rewrite import span_equal
     return span_equal(rll_residuals(), dual_relations(), 2)
 
 

@@ -7,15 +7,36 @@ check name and carry the configuration echo.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 import time
 
 from .scalars import Scalar, rat, P, HALF
 from .freealg import SuperPoly, TensorElement
-from .rewrite import RewriteSystem, complete, span_contains, span_equal
 from .supermatrix import SuperMatrix, desuperize, kron, ybe_check
-from . import classical
-from . import frt
 from . import borel
+
+
+def _lazy(name):
+    """The submodule ``name``, bound now and executed on first attribute
+    access (the lazy-import recipe of the ``importlib`` docs), so a run
+    compiles only the layers its checks touch: the Borel coproduct and
+    ansatz groups never load ``rewrite``, ``frt`` or ``classical``.  A
+    module already imported is returned as it is, so there is one copy."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+rewrite = _lazy("rewrite")
+classical = _lazy("classical")
+frt = _lazy("frt")
 
 
 class CheckConfig:
@@ -342,8 +363,8 @@ def _graded_commutators(alphabet):
 def check_rtt_classical_limit(config):
     residuals = frt.rtt_residuals()
     comms = _graded_commutators(frt.ALPHABET9)
-    ok, detail = span_contains(comms, [f.substitute_parameter(p=0) for f in residuals],
-                               2, seed=config.seed, symbolic=False)
+    at0 = [f.substitute_parameter(p=0) for f in residuals]
+    ok, detail = rewrite.span_contains(comms, at0, 2, seed=config.seed, symbolic=False)
     return ok, ("at p=0 every exchange residual is a graded commutator"
                 if ok else detail)
 
@@ -377,7 +398,7 @@ def check_overlap_negative(config):
             dropped = lhs
             break
     del rules[dropped]
-    weakened = RewriteSystem(at2.alphabet, rules, one=1)
+    weakened = rewrite.RewriteSystem(at2.alphabet, rules, one=1)
     bad = weakened.overlap_check(4)
     return bool(bad), (f"dropping one rule leaves {len(bad)} unresolved overlaps"
                        if bad else "dropping a rule unexpectedly stayed confluent")
@@ -392,7 +413,7 @@ def check_flatness(config):
     """
     pres = frt.presentation()
     rel0 = [f.substitute_parameter(p=0) for f in pres.all_relations()]
-    classical_system = complete(frt.ALPHABET, rel0, max_degree=6)
+    classical_system = rewrite.complete(frt.ALPHABET, rel0, max_degree=6)
     counts = []
     for degree in range(5):
         words = [w for w in frt.ALPHABET.words_up_to(degree) if len(w) == degree]
@@ -410,10 +431,10 @@ def check_rtt_span(config):
     rtt, orth = frt.eliminated_residuals()
     residuals = rtt + orth
     relations = pres.all_relations()
-    ok1, d1 = span_contains(relations, residuals, 4)
+    ok1, d1 = rewrite.span_contains(relations, residuals, 4)
     if not ok1:
         return False, f"residuals escape the relation span: {d1}"
-    ok2, d2 = span_contains(residuals, relations, 4)
+    ok2, d2 = rewrite.span_contains(residuals, relations, 4)
     if not ok2:
         return False, f"relations escape the residual span: {d2}"
     return True, "mutual degree-4 span containment holds both ways"
@@ -423,7 +444,7 @@ def check_span_negative(config):
     relations = frt.defining_relations()
     flipped = list(relations)
     flipped[0] = _flip_sign_of_deformation(flipped[0])
-    ok = not span_equal(relations, flipped, 3)
+    ok = not rewrite.span_equal(relations, flipped, 3)
     return ok, ("sign-flipped relation breaks span equality"
                 if ok else "sign flip not detected")
 
@@ -441,8 +462,8 @@ def check_relation_membership(config):
     good = frt.defining_relations()[10]           # [c,al] = p c de
     perturbed = (SuperPoly.word(a, ("c", "al")) - SuperPoly.word(a, ("al", "c"))
                  - SuperPoly.word(a, ("c", "de")))  # coefficient 1 instead of p
-    ok_good, _ = span_contains(residuals, [good], 4)
-    ok_bad, _ = span_contains(residuals, [perturbed], 4)
+    ok_good, _ = rewrite.span_contains(residuals, [good], 4)
+    ok_bad, _ = rewrite.span_contains(residuals, [perturbed], 4)
     ok = ok_good and not ok_bad
     return ok, ("the deformed odd exchange relation is a member; the same "
                 "relation with unit coefficient is not" if ok
@@ -513,7 +534,7 @@ def check_hopf_classical_limit(config):
     a = frt.ALPHABET
     comms = _graded_commutators(a)
     rel0 = [f.substitute_parameter(p=0) for f in frt.defining_relations()]
-    ok1 = span_equal(rel0, comms, 2, seed=config.seed, symbolic=False)
+    ok1 = rewrite.span_equal(rel0, comms, 2, seed=config.seed, symbolic=False)
     elim = frt.elimination_map()
     e0 = elim.e_image().substitute_parameter(p=0)
     ga0 = elim.images["ga"].substitute_parameter(p=0)
@@ -546,7 +567,7 @@ def check_borel_rll_classical(config):
     a = borel.RLL_ALPHABET
     comms = _graded_commutators(a)
     res0 = [f.substitute_parameter(p=0) for f in borel.rll_residuals()]
-    ok = span_equal(res0, comms, 2, seed=config.seed, symbolic=False)
+    ok = rewrite.span_equal(res0, comms, 2, seed=config.seed, symbolic=False)
     return ok, ("p=0 dual relations state graded commutativity with vanishing "
                 "odd squares" if ok else "classical limit mismatch")
 

@@ -410,13 +410,15 @@ def counit_annihilates_relations() -> bool:
     return all(counit(rel).is_zero for rel in presentation().all_relations())
 
 
+@lru_cache(maxsize=None)
 def antipode_axiom_defects():
     """The antipode defects of Delta(t_ij) = sum_k t_ik ox t_kj for the nine
-    entries, reduced at p = 2 and lifted at the weight of t_ij."""
+    entries, reduced at p = 2 and lifted at the weight of t_ij; built once
+    and shared by the check and the export: callers only read them."""
     hopf = hopf_maps()
-    return [((i, j), *(lift(f, ALPHABET9.torus[x])
-                       for f in hopf.antipode_defects(x)))
-            for x, (i, j) in POSITIONS.items()]
+    return tuple(((i, j), *(lift(f, ALPHABET9.torus[x])
+                            for f in hopf.antipode_defects(x)))
+                 for x, (i, j) in POSITIONS.items())
 
 
 def s_squared_images():

@@ -61,16 +61,12 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .scalars import Scalar, ONE as S_ONE, _accumulate, _whole
+from .scalars import Scalar, ONE as S_ONE, P_WEIGHT, _accumulate, _whole
 from .freealg import SuperPoly, TensorElement
 
 
 class OrientationError(ValueError):
     """A relation cannot be oriented with a unit leading coefficient."""
-
-
-# the torus weight of p (module docstring)
-P_WEIGHT = 2
 
 
 def orient(polys):

@@ -365,10 +365,12 @@ def format_scalar(value: Scalar) -> str:
     return out
 
 
-ZERO = _ZERO = Scalar({})
+_ZERO = Scalar({})
 ONE = _ONE = Scalar({_ZEXP: 1})
 SQRT2 = _SQRT2 = Scalar({_SEXP: 1})
 P = Scalar({(1, 0): 1})
+# the torus weight of p: a term u*p^d of a graded element weighs wt(u) + 2d
+P_WEIGHT = 2
 HALF = Scalar.rational(Fraction(1, 2))
 
 

@@ -122,13 +122,14 @@ def test_flatness_system_is_confluent_to_the_completion_degree(monkeypatch):
     # the p = 0 system that rtt.flatness completes has as many rules as the
     # deformed presentation and resolves every overlap to degree 6
     systems = []
-    complete = checks.complete
+    complete = rewrite.complete
 
     def spy(*args, **kwargs):
         systems.append(complete(*args, **kwargs))
         return systems[-1]
 
-    monkeypatch.setattr(checks, "complete", spy)
+    # ``checks`` calls ``complete`` through the ``rewrite`` module
+    monkeypatch.setattr(rewrite, "complete", spy)
     ok, _ = checks.check_flatness(checks.CheckConfig())
     assert ok
     (system,) = systems
@@ -505,3 +506,25 @@ def test_one_run_builds_each_shared_stage_and_elimination_word_once(monkeypatch)
     prefixes = {u[:k] for u in words for k in range(1, len(u) + 1)}
     assert len(letters) == len(prefixes)
     assert sum(len(u) > 1 for u in prefixes) == 80
+
+
+def test_hopf_export_builds_the_antipode_defects_once(monkeypatch, tmp_path, capsys):
+    # the export and hopf.antipode-identities read one cached stage, so a
+    # ``hopf --export`` run takes the defects of the nine entries once
+    from ospq import cli
+    from ospq.freealg import HopfMaps
+    entries = []
+    defects = HopfMaps.antipode_defects
+
+    def spy(hopf, g):
+        entries.append(g)
+        return defects(hopf, g)
+
+    monkeypatch.setattr(HopfMaps, "antipode_defects", spy)
+    frt.antipode_axiom_defects.cache_clear()
+    try:
+        assert cli.main(["hopf", "--export", str(tmp_path)]) == 0
+    finally:
+        frt.antipode_axiom_defects.cache_clear()
+    capsys.readouterr()
+    assert sorted(entries) == sorted(frt.POSITIONS)

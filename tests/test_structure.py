@@ -71,6 +71,11 @@ counit are read off the defining matrix, not typed in.
 The coefficient ring is Q(sqrt2)[p]: a Scalar term's key is (p-degree, s),
 and the classical r-matrix families keep their parameters outside it, as
 exponent tuples beside p-free rational pieces.
+
+A run compiles only the layers it uses: the package, its CLI and the Borel
+side import none of ``rewrite``, ``frt``, ``classical`` and ``serialize``
+at module level, except that ``checks`` binds the first three as modules
+that execute on first use.
 """
 
 import ast
@@ -126,6 +131,52 @@ def test_no_module_imports_private_rewrite_helpers():
                 private += [f"{path.name}: {alias.name}" for alias in node.names
                             if alias.name.startswith("_")]
     assert not private, f"private rewrite helpers imported: {private}"
+
+
+LAZY_LAYERS = {"rewrite", "frt", "classical", "serialize"}
+EAGER_MODULES = ("__init__", "__main__", "cli", "checks", "borel", "scalars", "freealg",
+                 "supermatrix")
+
+
+def _module_level(tree):
+    """The nodes that run when the module is imported: all but function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _imported_layers(node):
+    """The ``ospq`` modules an import statement, or a call naming one, loads."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        base = node.module or ""
+        names = ([f"{base}.{alias.name}" for alias in node.names] if base in ("", "ospq")
+                 else [base])
+    elif isinstance(node, ast.Call):
+        names = [arg.value for arg in node.args
+                 if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+    else:
+        return set()
+    return {name.rsplit(".", 1)[-1] for name in names} & LAZY_LAYERS
+
+
+def test_the_cli_and_the_borel_side_import_no_later_layer_at_module_level():
+    package = Path(ospq.__file__).parent
+    imports, lazy = [], []
+    for stem in EAGER_MODULES:
+        for node in _module_level(ast.parse((package / f"{stem}.py").read_text())):
+            layers = _imported_layers(node)
+            if (stem == "checks" and isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name) and node.func.id == "_lazy"):
+                lazy += layers
+            elif layers:
+                imports.append(f"{stem}.py:{node.lineno}: {sorted(layers)}")
+    assert not imports, f"later layers imported at module level: {imports}"
+    assert sorted(lazy) == ["classical", "frt", "rewrite"]
 
 
 def test_rewrite_has_one_exact_kernel():
