@@ -8,7 +8,10 @@ integral basis v = 2V, h = 2H, X.  There the paper's rules X H = (H - 1) X,
 V H = (H - 1/2) V, V V = X / 4 and X V = V X have integer constants:
     X h = (h - 2) X,   v h = (h - 1) v,   v v = X,   X v = v X.
 They preserve the filtration weight w = eps + 2n, so truncating at a weight
-bound is an algebra quotient.  The ansatz checks run on these series.
+bound is an algebra quotient.  The ansatz checks run on these series, and
+each series they need is a binomial series (1 + cX)^a (``binomial_series``),
+whose coefficient of X^n is binom(a, n) c^n: e^+-sigma = (1 + pX)^(+-1/2),
+so no series square root or inverse is computed.
 
 The Hopf structure is exact.  K = e^sigma = (1 + pX)^(1/2) makes it finite:
 in the basis v^eps h^m K^n (n in Z) with v = 2V and h = 4H,
@@ -156,57 +159,13 @@ class BorelSeries(Combination):
 
     # -- the commutative slice of series in X alone ------------------------
 
-    def _x_coeffs(self):
-        """{n: coefficient of X^n}; the recurrences below hold only on this
-        slice (H has weight 0 and is not nilpotent)."""
-        if any(e or m for e, m, _ in self._terms):
-            raise ValueError("series in X alone expected, found a V or H term")
-        return {n: c for (_, _, n), c in self._terms.items()}
-
-    def inverse(self) -> "BorelSeries":
-        coeffs = self._x_coeffs()
-        c0 = coeffs.get(0, Scalar.zero())
-        if c0.is_zero or not c0.is_constant:
-            raise ValueError("inverse needs an invertible constant term")
-        inv0 = c0.unit_inverse()
-        out = {0: inv0}
-        for n in range(1, self.weight_bound // 2 + 1):
-            acc = Scalar.zero()
-            for i in range(1, n + 1):
-                ci = coeffs.get(i)
-                oj = out.get(n - i)
-                if ci is not None and oj is not None:
-                    acc = acc + ci * oj
-            c = -(inv0 * acc)
-            if not c.is_zero:
-                out[n] = c
-        return BorelSeries.in_x(self.weight_bound, out)
-
-    def sqrt(self) -> "BorelSeries":
-        """Series square root; the constant term must be a perfect square."""
-        coeffs = self._x_coeffs()
-        c0 = coeffs.get(0, Scalar.zero())
-        if c0.is_zero:
-            raise ValueError("square root needs a nonzero constant term")
-        g0 = c0.sqrt()
-        two_g0 = rat(2) * g0
-        out = {0: g0}
-        for n in range(1, self.weight_bound // 2 + 1):
-            acc = coeffs.get(n, Scalar.zero())
-            for i in range(1, n):
-                gi, gj = out.get(i), out.get(n - i)
-                if gi is not None and gj is not None:
-                    acc = acc - gi * gj
-            c = acc.divide_exact(two_g0)
-            if not c.is_zero:
-                out[n] = c
-        return BorelSeries.in_x(self.weight_bound, out)
-
     def x_derivative(self) -> "BorelSeries":
         """X d/dX of a series in X alone: n c_n on X^n, exact up to the full
         weight bound (d/dX would need the unknown next coefficient)."""
+        if any(e or m for e, m, _ in self._terms):
+            raise ValueError("series in X alone expected, found a V or H term")
         return BorelSeries.in_x(self.weight_bound,
-                                {n: rat(n) * c for n, c in self._x_coeffs().items()})
+                                {n: rat(n) * c for (_, _, n), c in self._terms.items()})
 
     def __repr__(self):
         if not self._terms:
@@ -223,16 +182,27 @@ def one_plus_px(w: int) -> BorelSeries:
     return BorelSeries.in_x(w, {0: Scalar.one(), 1: P})
 
 
+def binomial_series(a, c: Scalar, w: int) -> BorelSeries:
+    """(1 + cX)^a for a rational a up to weight bound w: binom(a, n) c^n on
+    X^n, by binom(a, n + 1) = binom(a, n) (a - n) / (n + 1)."""
+    a, term, coeffs = Fraction(a), Scalar.one(), {}
+    for n in range(w // 2 + 1):
+        coeffs[n] = term
+        term = term * c * rat((a - n) / (n + 1))
+    return BorelSeries.in_x(w, coeffs)
+
+
 @lru_cache(maxsize=None)
 def exp_sigma(w: int) -> BorelSeries:
     """(1 + pX)^(1/2) over Q[p], built once per w and shared: no BorelSeries
     method mutates it."""
-    return one_plus_px(w).sqrt()
+    return binomial_series(Fraction(1, 2), P, w)
 
 
 @lru_cache(maxsize=None)
 def exp_minus_sigma(w: int) -> BorelSeries:
-    return exp_sigma(w).inverse()
+    """(1 + pX)^(-1/2), built once per w and shared like ``exp_sigma``."""
+    return binomial_series(Fraction(-1, 2), P, w)
 
 
 def generator_images(w: int):
@@ -504,13 +474,13 @@ def trivial_solution(w: int) -> AnsatzFunctions:
 
 
 def affine_solution(w: int) -> AnsatzFunctions:
-    """The K = 1 + pX family (square roots stay inside the coefficient ring)."""
-    k = one_plus_px(w)
-    ksq = k * k
-    num = BorelSeries.in_x(w, {0: rat(4) * P * P, 1: rat(2) * P * P * P})
-    n = (num * ksq.inverse()).sqrt()
+    """The K = 1 + pX family.  Its N solves (X/2) N^2 K^2 = p(K^2 - 1), so
+    N^2 = (4p^2 + 2p^3 X) / K^2 = 4p^2 (1 + (p/2) X) (1 + pX)^-2, and N is
+    the binomial series 2p (1 + (p/2) X)^(1/2) (1 + pX)^-1; L = (1 + pX)^-1."""
+    k, l = one_plus_px(w), binomial_series(-1, P, w)
+    n = (binomial_series(Fraction(1, 2), HALF * P, w) * l).scale(rat(2) * P)
     p_series = BorelSeries.in_x(w, {0: rat(2) * P, 1: P * P})
-    return AnsatzFunctions(K=k, L=k.inverse(), M=k * n, N=n, P=p_series)
+    return AnsatzFunctions(K=k, L=l, M=k * n, N=n, P=p_series)
 
 
 def check_ansatz_conditions(f: AnsatzFunctions) -> bool:

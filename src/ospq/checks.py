@@ -176,7 +176,8 @@ def check_families(config):
     probe_inv = classical.family_coboundary_check([((), probe)])
     ok = ok1 and ok2 and probe_inv is False
     return ok, (f"both families symbolically coboundary-compatible; "
-                f"odd probe ad-invariance recorded as {probe_inv}")
+                f"odd probe ad-invariance recorded as {probe_inv}" if ok else
+                f"family_one={ok1} family_two={ok2} probe={probe_inv}")
 
 
 def check_h_tensor_h_probe(config):
@@ -599,7 +600,7 @@ def check_rll_solutions(config):
 def check_ansatz_prefix_consistency(config):
     w = config.truncation
     f_hi = borel.particular_solution(w)
-    f_lo = borel.particular_solution(max(w - 2, 4))
+    f_lo = borel.particular_solution(w - 2)
     ok_hi = borel.check_ansatz_conditions(f_hi)
     ok_lo = borel.check_ansatz_conditions(f_lo)
     # K at the working order, cut down to the lower order's bound

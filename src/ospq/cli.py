@@ -16,7 +16,7 @@ import sys
 from .checks import CheckConfig, run_checks, SUBCOMMANDS
 from . import borel
 
-MAX_TRUNCATION = 40  # borel-ansatz takes about 1.5x as long at 40 as at 16
+MAX_TRUNCATION = 40  # filtration weight; X-degree up to 20
 
 
 def build_parser():
@@ -32,8 +32,7 @@ def build_parser():
                              "borel-ansatz checks and the series sanity half of "
                              "borel-coproduct.homomorphism, whose Hopf checks are "
                              "exact (borel-coproduct takes as long at any "
-                             "weight; borel-ansatz takes about 1.6 times as long "
-                             "at 40 as at 16)")
+                             "weight; borel-ansatz grows with it)")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format")
     parser.add_argument("--seed", type=int, default=0,

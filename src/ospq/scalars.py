@@ -13,7 +13,6 @@ All arithmetic is exact; there is no floating point anywhere in this package.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 _ZEXP = (0, 0)
 _SEXP = (0, 1)
@@ -68,39 +67,6 @@ def _q2_inv(u):
     if d == 0:
         raise ZeroDivisionError("zero element of Q(sqrt2)")
     return (a / d, -b / d)
-
-
-def _fraction_sqrt(q: Fraction):
-    if q < 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def _q2_sqrt(u):
-    """Square root in Q(sqrt2), or None.  Covers a + b*sqrt2 generally."""
-    a, b = map(Fraction, u)
-    if b == 0:
-        r = _fraction_sqrt(a)
-        if r is not None:
-            return (r, Fraction(0))
-        r = _fraction_sqrt(a / 2)
-        if r is not None:
-            return (Fraction(0), r)
-        return None
-    # (x + y sqrt2)^2 = x^2 + 2 y^2 + 2xy sqrt2
-    disc = a * a - 2 * b * b
-    rdisc = _fraction_sqrt(disc)
-    if rdisc is None:
-        return None
-    for x2 in ((a + rdisc) / 2, (a - rdisc) / 2):
-        rx = _fraction_sqrt(x2)
-        if rx is not None and rx != 0:
-            y = b / (2 * rx)
-            return (rx, y)
-    return None
 
 
 class Scalar:
@@ -305,25 +271,6 @@ class Scalar:
             q = Scalar._monomial(qdeg, rlc) * dlc_inv
             quo, rem = quo + q, rem - q * divisor
         return quo
-
-    def sqrt(self) -> "Scalar":
-        """Square root of a perfect-square polynomial; raises ValueError."""
-        if self.is_zero:
-            return _ZERO
-        lead, lc = self._lead()
-        if lead % 2:
-            raise ValueError(f"no polynomial square root: {self}")
-        glc = _q2_sqrt(lc)
-        if glc is None:
-            raise ValueError(f"no square root in Q(sqrt2) for leading coefficient of {self}")
-        g = Scalar._monomial(lead // 2, glc)
-        two_g_lead = g + g
-        rem = self - g * g
-        while rem:
-            lead, lc = rem._lead(lead)
-            g = g + Scalar._monomial(lead, lc).divide_exact(two_g_lead)
-            rem = self - g * g
-        return g
 
     # -- presentation ---------------------------------------------------
 

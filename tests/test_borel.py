@@ -8,8 +8,8 @@ from ospq.scalars import Scalar, rat, P, HALF, SQRT2
 from ospq import borel, scalars
 from ospq.checks import CheckConfig, run_checks
 from ospq.freealg import GradedTensor, HopfMaps, SuperPoly, TensorElement, extend
-from ospq.borel import (BorelSeries, ExactBorel, ExactBorelTensor, exp_sigma,
-                        exp_minus_sigma, one_plus_px)
+from ospq.borel import (BorelSeries, ExactBorel, ExactBorelTensor, binomial_series,
+                        exp_sigma, exp_minus_sigma, one_plus_px)
 
 W = 12  # enough weight for every identity below; acceptance uses 16
 
@@ -29,33 +29,28 @@ def test_sqrt_inverse_roundtrip():
 
 
 def test_sqrt_square_roundtrip_random():
+    # the binomial square root of 1 + cX squares back, and the -1/2 power
+    # inverts it
     rng = random.Random(2)
     for _ in range(10):
-        f = BorelSeries.in_x(12, {0: Scalar.one(),
-                                  **{n: rat(rng.randint(-3, 3)) * P ** rng.randint(0, 2)
-                                     for n in range(1, 5)}})
-        assert f.sqrt() * f.sqrt() == f
-        g = f * f
-        assert g.sqrt() == f or g.sqrt() == -f
+        c = rat(rng.choice([-3, -2, -1, 1, 2, 3])) * P ** rng.randint(0, 2)
+        root = binomial_series(Fraction(1, 2), c, 12)
+        assert root * root == BorelSeries.in_x(12, {0: Scalar.one(), 1: c})
+        assert root * binomial_series(Fraction(-1, 2), c, 12) == BorelSeries.one(12)
 
 
 def test_inverse_of_one():
     one = BorelSeries.one(12)
-    assert one.inverse() == one
-
-
-def test_sqrt_rejects_zero_constant_term():
-    with pytest.raises(ValueError):
-        BorelSeries.in_x(12, {1: P}).sqrt()
+    assert binomial_series(-1, Scalar.zero(), 12) == one
+    assert binomial_series(0, P, 12) == one
 
 
 def test_x_slice_operations_reject_v_and_h_terms():
     for f in (BorelSeries.v(12), BorelSeries.h(12),
               BorelSeries.one(12) + BorelSeries.h(12).scale(P),
               one_plus_px(12) + BorelSeries.v(12)):
-        for op in (f.inverse, f.sqrt, f.x_derivative):
-            with pytest.raises(ValueError):
-                op()
+        with pytest.raises(ValueError):
+            f.x_derivative()
 
 
 def test_derivative():
@@ -107,8 +102,22 @@ def test_ansatz_trivial_and_affine():
     assert borel.check_ansatz_conditions(borel.trivial_solution(16))
     aff = borel.affine_solution(16)
     assert borel.check_ansatz_conditions(aff)
-    # the derived square root begins at 2p
+    # N = 2p (1 + (p/2) X)^(1/2) (1 + pX)^-1 begins at 2p
     assert aff.N.coefficient((0, 0, 0)) == rat(2) * P
+
+
+def test_ansatz_conditions_reject_each_broken_condition():
+    # negative controls: one perturbation of the particular solution per
+    # condition (KL = 1, M = KN, P X K' = p(K^2 - 1), (X/2) N^2 K^2 = p(K^2 - 1))
+    f = borel.particular_solution(W)
+    p2 = P * P
+    for field, broken in (("L", f.L + BorelSeries.in_x(W, {2: p2})),
+                          ("M", f.M.scale(rat(2))),
+                          ("P", f.P.scale(rat(2))),
+                          ("N", f.N + BorelSeries.in_x(W, {1: p2}))):
+        fields = {k: getattr(f, k) for k in "KLMNP"}
+        fields[field] = broken
+        assert not borel.check_ansatz_conditions(borel.AnsatzFunctions(**fields)), field
 
 
 def test_rll_solutions():

@@ -1,12 +1,14 @@
 """Fixed-seed property tests for the Borel series algebra at weight <= 8."""
 
+from fractions import Fraction
+
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from ospq.scalars import rat, P, SQRT2
-from ospq.borel import BorelSeries
+from ospq.scalars import rat, P, SQRT2, HALF
+from ospq.borel import BorelSeries, binomial_series
 
 W = 8
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -27,8 +29,8 @@ def x_series(draw, constant):
     return BorelSeries.in_x(W, {0: draw(constant), **body})
 
 
-unit_x_series = x_series(st.sampled_from([rat(1), rat(-2), rat("1/3")]))
-square_x_series = x_series(st.sampled_from([rat(1), rat(4), rat("1/9")]))
+exponents = st.sampled_from([Fraction(n, 2) for n in (-2, -1, 0, 1, 3, 4)])
+bases = st.sampled_from([P, HALF * P, rat(1) + SQRT2 * P])
 
 
 def restrict(f, w):
@@ -55,19 +57,38 @@ def test_truncation_is_a_quotient(a, b, w):
             == (restrict(a, w) * restrict(b, w)).terms())
 
 
-@PROPERTY
-@given(square_x_series)
-def test_sqrt_squares_back(f):
-    root = f.sqrt()
-    assert root * root == f
+def one_plus(c):
+    return BorelSeries.in_x(W, {0: rat(1), 1: c})
 
 
 @PROPERTY
-@given(unit_x_series)
-def test_inverse_is_two_sided(f):
-    one = BorelSeries.one(W)
-    assert f * f.inverse() == one
-    assert f.inverse() * f == one
+@given(exponents, exponents, bases)
+def test_binomial_exponent_law(a, b, c):
+    assert binomial_series(a, c, W) * binomial_series(b, c, W) == binomial_series(a + b, c, W)
+
+
+@PROPERTY
+@given(st.integers(0, 5), coeffs)
+def test_binomial_integer_exponent_is_repeated_product(a, c):
+    power = BorelSeries.one(W)
+    for _ in range(a):
+        power = power * one_plus(c)
+    assert binomial_series(a, c, W) == power
+
+
+@PROPERTY
+@given(coeffs)
+def test_sqrt_squares_back(c):
+    root = binomial_series(Fraction(1, 2), c, W)
+    assert root * root == one_plus(c)
+
+
+@PROPERTY
+@given(coeffs)
+def test_inverse_is_two_sided(c):
+    one, inverse = BorelSeries.one(W), binomial_series(-1, c, W)
+    assert one_plus(c) * inverse == one
+    assert inverse * one_plus(c) == one
 
 
 @PROPERTY

@@ -8,9 +8,9 @@ import textwrap
 
 import pytest
 
-from ospq import borel, frt
-from ospq.checks import (CHECKS, CheckConfig, _graded_commutators, check_overlap_negative,
-                         run_checks)
+from ospq import borel, checks, frt
+from ospq.checks import (CHECKS, CheckConfig, _graded_commutators, check_ansatz_prefix_consistency,
+                         check_families, check_overlap_negative, run_checks)
 from ospq.freealg import SuperPoly
 from ospq.scalars import rat
 
@@ -130,3 +130,22 @@ def test_overlap_negative_control_reports_35_unresolved_overlaps():
     # ambiguity difference, and the count is pinned
     assert check_overlap_negative(CheckConfig()) == (
         True, "dropping one rule leaves 35 unresolved overlaps")
+
+
+def test_family_failure_detail_does_not_claim_compatibility(monkeypatch):
+    monkeypatch.setattr(checks.classical, "family_coboundary_check", lambda family: False)
+    ok, details = check_families(CheckConfig())
+    assert not ok
+    assert "compatible" not in details
+    assert details == "family_one=False family_two=False probe=False"
+
+
+def test_prefix_consistency_compares_two_orders_at_the_lowest_truncation(monkeypatch):
+    weights, solve = [], borel.particular_solution
+
+    def particular_solution(w):
+        weights.append(w)
+        return solve(w)
+    monkeypatch.setattr(borel, "particular_solution", particular_solution)
+    assert check_ansatz_prefix_consistency(CheckConfig(truncation=4))[0]
+    assert weights == [4, 2]

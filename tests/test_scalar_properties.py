@@ -72,13 +72,6 @@ def test_unit_inverse_of_nonzero_constants(u):
     assert rat(1) / u == u.unit_inverse()
 
 
-@PROPERTY
-@given(scalars)
-def test_sqrt_of_a_square_is_plus_or_minus(a):
-    root = (a * a).sqrt()
-    assert root == a or root == -a
-
-
 words = st.lists(st.sampled_from(frt.ALPHABET.letters), max_size=3).map(tuple)
 polys = st.dictionaries(words, scalars, max_size=4).map(
     lambda t: SuperPoly(frt.ALPHABET, t))

@@ -76,16 +76,6 @@ def test_unit_inverse_in_quadratic_extension():
         P.unit_inverse()
 
 
-def test_sqrt_perfect_squares():
-    assert (P * P * rat(4)).sqrt() == P * rat(2)
-    assert (P * P * rat(2)).sqrt() == SQRT2 * P
-    assert Scalar.zero().sqrt() == Scalar.zero()
-    f = (P + rat(1)) * (P + rat(1))
-    assert f.sqrt() == P + rat(1)
-    with pytest.raises(ValueError):
-        (P + rat(1)).sqrt()
-
-
 def test_substitute_extra_symbols():
     # p is the only variable: any other name is rejected, and no name at all
     # is the identity

@@ -70,7 +70,9 @@ counit are read off the defining matrix, not typed in.
 
 The coefficient ring is Q(sqrt2)[p]: a Scalar term's key is (p-degree, s),
 and the classical r-matrix families keep their parameters outside it, as
-exponent tuples beside p-free rational pieces.
+exponent tuples beside p-free rational pieces.  Every ansatz series is a
+binomial series (1 + cX)^a with closed-form coefficients, so neither a
+Scalar nor a Borel series takes a square root or a series inverse.
 
 A run compiles only the layers it uses: the package, its CLI and the Borel
 side import none of ``rewrite``, ``frt``, ``classical`` and ``serialize``
@@ -86,7 +88,7 @@ from pathlib import Path
 
 import ospq
 from ospq import borel, classical, freealg, frt, rewrite, scalars, supermatrix
-from ospq.borel import ExactBorelTensor
+from ospq.borel import BorelSeries, ExactBorelTensor
 from ospq.checks import CHECKS, CheckConfig, run_checks
 from ospq.cli import export_artifacts
 from ospq.freealg import SuperPoly, TensorElement, extend
@@ -549,6 +551,14 @@ def test_the_coefficient_ring_is_q_sqrt2_p():
     for family in (classical.family_one(), classical.family_two()):
         for _, piece in family:
             assert all(c.is_rational for c, _, _ in piece.terms)
+
+
+def test_the_ansatz_series_are_binomial_series():
+    for cls in (Scalar, BorelSeries):
+        for name in ("sqrt", "inverse"):
+            assert not hasattr(cls, name), (cls.__name__, name)
+    for name in ("_q2_sqrt", "_fraction_sqrt"):
+        assert not hasattr(scalars, name), name
 
 
 def test_matrix_unknowns_are_solved_through_affine_rows():
