@@ -19,8 +19,7 @@ _EXPORTS = {
     "supermatrix": ("SuperMatrix", "kron", "exp_nilpotent", "invert_unipotent",
                     "partial_transpose_first", "supertranspose3", "desuperize",
                     "ybe_check"),
-    "borel": ("BorelSeries", "ExactBorel", "ExactBorelTensor", "AnsatzFunctions",
-              "DEFAULT_TRUNCATION"),
+    "borel": ("BorelSeries", "AnsatzFunctions", "DEFAULT_TRUNCATION"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

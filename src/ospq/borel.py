@@ -21,7 +21,11 @@ and the coproduct, counit and antipode of K^+-1, v and h are finite
 (``hopf_images``).  With p of weight 2, v weighs -1 and h, K 0, the rules
 and every image are homogeneous, so an element is zero exactly when its
 value at p = 1 is (``at_one``), where every structure constant is an
-integer: v v = K^2 - 1.  The map K -> e^sigma, v -> v, h -> 2h into the
+integer: v v = K^2 - 1.  An element is a SuperPoly over ``BOREL_ALPHABET``
+and a tensor a TensorElement, multiplied as words; the structure constants
+at p = 1 (``_exact_mul``) enter only through the word normal form
+(``normal_form``), the reduce of the Hopf maps, which takes values at p = 1
+alone.  The map K -> e^sigma, v -> v, h -> 2h into the
 series algebra is an algebra map (``borel_relation_defect``), so each exact
 identity holds at every truncation weight; it sends K to the particular
 solution's K, so the Hopf checks certify that solution only.
@@ -34,8 +38,8 @@ from functools import lru_cache
 from math import comb
 
 from .scalars import Scalar, rat, P, P_WEIGHT, HALF, SQRT2, _accumulate
-from .freealg import (Combination, GradedAlphabet, GradedTensor, HopfMaps, SuperPoly,
-                       _scaled, extend)
+from .freealg import (Combination, GradedAlphabet, HopfMaps, SuperPoly, TensorElement,
+                      extend)
 from .supermatrix import layout_alphabet
 
 DEFAULT_TRUNCATION = 16  # filtration weight; X-degree up to 8
@@ -151,11 +155,13 @@ class BorelSeries(Combination):
         return BorelSeries(self.weight_bound, terms, _internal=True)
 
     def _product(self, other):
+        # each monomial product scales c1 c2 by an int q, skipped at q = 1
         w = self.weight_bound
-        return self._like(_accumulate(kc for k1, c1 in self._terms.items()
+        return self._like(_accumulate((k, c if q == 1 else c * q)
+                                      for k1, c1 in self._terms.items()
                                       for k2, c2 in other._terms.items()
                                       if _weight(k1) + _weight(k2) <= w
-                                      for kc in _scaled(_mono_mul(k1, k2), c1 * c2)))
+                                      for c in [c1 * c2] for k, q in _mono_mul(k1, k2)))
 
     # -- the commutative slice of series in X alone ------------------------
 
@@ -249,87 +255,64 @@ def _exact_mul(k1, k2):
     return tuple(out.items())
 
 
-def _at_one_only(*operands):
-    """ValueError unless each coefficient is an int or a Fraction, a value at
-    p = 1, where ``_exact_mul`` holds the structure constants."""
-    if not all(isinstance(c, (int, Fraction)) for f in operands for c in f._terms.values()):
-        raise ValueError("the exact Borel product takes values at p = 1: apply at_one first")
+def _word(key):
+    """The exact monomial v^eps h^m K^n as a word in K, K^-1, v, h."""
+    eps, m, n = key
+    return ("v",) * eps + ("h",) * m + (("K",) * n if n >= 0 else ("K^-1",) * -n)
 
 
-class ExactBorel(Combination):
-    """Element of the exact Borel algebra: a combination of the monomials
-    v^eps h^m K^n (eps in {0, 1}, m >= 0, n in Z), with Scalars over Q[p]
-    for a generator image, or ints for its value at p = 1, which is what
-    ``_exact_mul`` multiplies."""
-
-    __slots__ = ()
-
-    def __init__(self, terms, _internal=False):
-        self._terms = terms if _internal else {k: c for k, c in terms.items() if c}
-
-    def _like(self, terms):
-        return ExactBorel(terms, _internal=True)
-
-    def _product(self, other):
-        _at_one_only(self, other)
-        return self._like(_accumulate(kc for k1, c1 in self._terms.items()
-                                      for k2, c2 in other._terms.items()
-                                      for kc in _scaled(_exact_mul(k1, k2), c1 * c2)))
-
-    def counit(self):
-        """eps(K) = 1 and eps(v) = eps(h) = 0."""
-        return sum(c for (e, m, _), c in self._terms.items() if not e and not m)
+def _key(word):
+    """The key (eps, m, n) of the normal word v^eps h^m K^n."""
+    return word.count("v"), word.count("h"), word.count("K") - word.count("K^-1")
 
 
-class ExactBorelTensor(GradedTensor):
-    """Tensor power of the exact Borel algebra: leg keys (eps, m, n) of
-    v^eps h^m K^n, grade eps, product ``_exact_mul``."""
+@lru_cache(maxsize=None)
+def _normal_word(word) -> SuperPoly:
+    """The normal form at p = 1 of a word, built once from its prefix's and
+    shared: nf(u x) sums c ``_exact_mul``(key(w), key(x)) over the terms c w
+    of nf(u), an int combination of the words v^eps h^m K^n."""
+    if len(word) < 2:
+        terms = {word: 1}
+    else:
+        x = _key(word[-1:])
+        terms = _accumulate((_word(k), c * d) for w, c in _normal_word(word[:-1])._terms.items()
+                            for k, d in _exact_mul(_key(w), x))
+    return SuperPoly(BOREL_ALPHABET, terms, _internal=True)
 
-    __slots__ = ()
 
-    _key_product = staticmethod(_exact_mul)
+def normal_form(f):
+    """The normal form of a SuperPoly over ``BOREL_ALPHABET``, or of a
+    TensorElement leg by leg, at p = 1, where ``_exact_mul`` holds the
+    structure constants: ValueError unless each coefficient is an int or a
+    Fraction, a value there (``at_one``)."""
+    if not all(isinstance(c, (int, Fraction)) for c in f._terms.values()):
+        raise ValueError("the exact Borel normal form takes values at p = 1: apply at_one first")
+    if isinstance(f, TensorElement):
+        for leg in range(f.arity):
+            f = f.map_leg(leg, _normal_word)
+        return f
+    return f._like(_accumulate((w, c * d) for u, c in f._terms.items()
+                               for w, d in _normal_word(u)._terms.items()))
 
-    def _product(self, other):
-        _at_one_only(self, other)
-        return super()._product(other)
 
-    @staticmethod
-    def _key_grade(key):
-        return key[0]
-
-    @classmethod
-    def of(cls, *legs):
-        return cls(len(legs))._tensor_of(legs)
-
-    def _like(self, terms, arity=None):
-        return ExactBorelTensor(self.arity if arity is None else arity, terms, _internal=True)
-
-    def _leg_element(self, terms):
-        return ExactBorel(terms)
-
-    def _check(self, other):
-        if self.arity != other.arity:
-            raise ValueError("mixing tensor arities")
+# eps(K^+-1) = 1 and eps(v) = eps(h) = 0
+counit = extend({"K": 1, "K^-1": 1, "v": 0, "h": 0}.__getitem__, 1)
 
 
 def at_one(element):
-    """(E, value at p = 1) of an ExactBorel, an ExactBorelTensor or a relation
-    over ``BOREL_ALPHABET`` with coefficients in Q[p], of weight E in the
-    grading where v weighs -1, h and K 0 and p 2; E is None for zero and the
-    value has int coefficients.  ValueError when a term weighs otherwise,
+    """(E, value at p = 1) of a SuperPoly or TensorElement over
+    ``BOREL_ALPHABET`` with coefficients in Q[p], of weight E in the grading
+    where v weighs -1, h and K 0 and p 2; E is None for zero and the value
+    has int coefficients.  ValueError when a term weighs otherwise,
     ArithmeticError when a value is not an integer."""
-    if isinstance(element, SuperPoly):
-        weight = lambda word: -word.count("v")
-    elif isinstance(element, ExactBorelTensor):
-        weight = lambda key: -sum(k[0] for k in key)
-    else:
-        weight = lambda key: -key[0]
+    tensor = isinstance(element, TensorElement)
     top, terms = None, {}
     for key, c in element._terms.items():
+        weight = -sum(w.count("v") for w in key) if tensor else -key.count("v")
         for d, q in c.p_coefficients().items():
             if top is None:
-                top = weight(key) + d * P_WEIGHT
-            elif weight(key) + d * P_WEIGHT != top:
+                top = weight + d * P_WEIGHT
+            elif weight + d * P_WEIGHT != top:
                 raise ValueError(f"not homogeneous in the Borel grading: {element!r}")
             if q.denominator != 1:
                 raise ArithmeticError(f"term {key} of {element!r} is not integral at p = 1")
@@ -348,39 +331,34 @@ def hopf_images():
     K = e^sigma these are the paper's Delta(H) = 1 ox H + p V e^-sigma ox
     V e^-2sigma + H ox e^-2sigma and S(H) = -H e^{2 sigma} + (p/4) X.
     """
-    one, unit, v, h = Scalar.one(), (0, 0, 0), (1, 0, 0), (0, 1, 0)
-    k, k_inv = (0, 0, 1), (0, 0, -1)
+    one = Scalar.one()
+    unit, k, k_inv, v, h = (), ("K",), ("K^-1",), ("v",), ("h",)
 
     def tensor(*terms):
-        return ExactBorelTensor(2, {(a, b): c for a, b, c in terms})
-    ids = {g: ExactBorel({key: one}) for g, key in
+        return TensorElement(BOREL_ALPHABET, 2, {(a, b): c for a, b, c in terms})
+    ids = {g: SuperPoly.word(BOREL_ALPHABET, u) for g, u in
            (("1", unit), ("K", k), ("K^-1", k_inv), ("v", v), ("h", h))}
     return {
         "id": ids,
         "delta": {"1": tensor((unit, unit, one)), "K": tensor((k, k, one)),
                   "K^-1": tensor((k_inv, k_inv, one)),
                   "v": tensor((k, v, one), (v, unit, one)),
-                  "h": tensor((unit, h, one), ((1, 0, -1), (1, 0, -2), P),
-                              (h, (0, 0, -2), one))},
+                  "h": tensor((unit, h, one), (v + k_inv, v + 2 * k_inv, P),
+                              (h, 2 * k_inv, one))},
         "antipode": {"1": ids["1"], "K": ids["K^-1"], "K^-1": ids["K"],
-                     "v": ExactBorel({(1, 0, -1): -one}),
-                     "h": ExactBorel({(0, 1, 2): -one, (0, 0, 2): one, unit: -one})},
+                     "v": SuperPoly.word(BOREL_ALPHABET, v + k_inv, -one),
+                     "h": SuperPoly(BOREL_ALPHABET, {h + 2 * k: -one, 2 * k: one,
+                                                     unit: -one})},
     }
-
-
-def _word(key):
-    """The exact monomial v^eps h^m K^n as a word in K, K^-1, v, h."""
-    eps, m, n = key
-    return ("v",) * eps + ("h",) * m + (("K",) * n if n >= 0 else ("K^-1",) * -n)
 
 
 @lru_cache(maxsize=None)
 def hopf_maps() -> HopfMaps:
-    """The Hopf maps on ``hopf_images`` at p = 1, each image evaluated once:
-    every coefficient is an int, and since every element is homogeneous it
-    is zero exactly when its value at p = 1 is."""
-    return HopfMaps(hopf_images(), at_one, BOREL_ALPHABET.grades, ExactBorel.counit,
-                    "Borel", word_of=_word)
+    """The Hopf maps on ``hopf_images`` at p = 1, each image evaluated once,
+    with ``normal_form`` as their reduce: every coefficient is an int, and
+    since every element is homogeneous it is zero exactly when its value at
+    p = 1 is."""
+    return HopfMaps(hopf_images(), at_one, BOREL_ALPHABET.grades, counit, normal_form)
 
 
 # the defining relations of the exact algebra, {word: coefficient}: K K^-1 =
@@ -410,23 +388,25 @@ def borel_relation_defect(which: str, w: int) -> BorelSeries:
     return extend(images.__getitem__, BorelSeries.one(w))(borel_relation(which))
 
 
-# views that keep the paper's names: each is exact at p = 1, so w is ignored
+# views that keep the paper's names: each is exact at p = 1, so w is ignored.
+# The coproducts of words are their images in the free tensor algebra, which
+# ``normal_form`` reduces; the defects are reduced.
 PAPER_NAMES = {"exp_sigma": "K", "V": "v", "H": "h"}
 
 
-def delta_v(w=None) -> ExactBorelTensor:
+def delta_v(w=None) -> TensorElement:
     return hopf_maps().images["delta"]["v"].scale(Fraction(1, 2))  # Delta(V)
 
 
-def delta_x(w=None) -> ExactBorelTensor:
+def delta_x(w=None) -> TensorElement:
     return hopf_maps().delta.word(("v", "v"))  # Delta(X) = Delta(v v)
 
 
-def delta_monomial(key, w=None) -> ExactBorelTensor:
+def delta_monomial(key, w=None) -> TensorElement:
     return hopf_maps().delta.word(_word(key))
 
 
-def coassociativity_defect(which: str, w=None) -> ExactBorelTensor:
+def coassociativity_defect(which: str, w=None) -> TensorElement:
     return hopf_maps().coassociativity_defect(PAPER_NAMES.get(which, which))
 
 
@@ -434,9 +414,10 @@ def counit_defects(w=None):
     return {g: hopf_maps().counit_defects(g) for g in BOREL_ALPHABET.letters}
 
 
-def coproduct_relation_defect(which: str, w=None) -> ExactBorelTensor:
+def coproduct_relation_defect(which: str, w=None) -> TensorElement:
     """Delta applied to a defining relation (homomorphism certificate)."""
-    return hopf_maps().delta(at_one(borel_relation(which))[1])
+    hopf = hopf_maps()
+    return hopf.reduce(hopf.delta(at_one(borel_relation(which))[1]))
 
 
 # ----------------------------------------------------------------------

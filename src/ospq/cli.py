@@ -1,7 +1,8 @@
 """Command-line verification driver.
 
 Subcommands select check groups; ``all`` runs everything.  Exit status: 0 when
-every non-skipped check passes, 1 when any fails, 2 on usage errors.  The seed
+every non-skipped check passes, 1 when any fails, 2 on usage errors; a
+reader that closes standard output early does not change it.  The seed
 only moves the integer evaluation points of p in the classical-limit span
 comparisons; their inputs are free of p, so it never changes any verdict.
 """
@@ -125,11 +126,17 @@ def main(argv=None) -> int:
             print(f"export failed: {exc}", file=sys.stderr)
             return 2
     reports = run_checks(args.subcommand, config)
-    if args.format == "json":
-        json.dump([r.as_dict() for r in reports], sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        render_text(reports, sys.stdout)
+    try:
+        if args.format == "json":
+            json.dump([r.as_dict() for r in reports], sys.stdout, indent=2)
+            sys.stdout.write("\n")
+        else:
+            render_text(reports, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: send the rest to devnull, so that the
+        # flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if all(r.status != "fail" for r in reports) else 1
 
 

@@ -2,26 +2,26 @@
 extended from letters, and graded tensor powers with the Koszul sign rule.
 
 Every element kind is a :class:`Combination` of keys, which holds the sum,
-difference, negation, scaling, equality and ``*`` of all five:
+difference, negation, scaling, equality and ``*`` of all three:
 :class:`SuperPoly`, :class:`TensorElement` and, in :mod:`ospq.borel`,
-``ExactBorelTensor``, ``BorelSeries`` and ``ExactBorel``.  A kind writes
-only its key product, its constructor and its operand check.
+``BorelSeries``.  A kind writes only its key product, its constructor and
+its operand check.
 Words are tuples of letter names.  A :class:`SuperPoly` is a finite Scalar
 combination of words, or a number combination: its value at p = 2 (see
-:mod:`ospq.rewrite`); containers keep the type of their coefficients.  Its
-product is concatenation; normal forms live in :mod:`ospq.rewrite`.
+:mod:`ospq.rewrite`) or at p = 1 (see :mod:`ospq.borel`); containers keep
+the type of their coefficients.  Its product is concatenation; normal forms
+live in :mod:`ospq.rewrite` and, for the exact Borel algebra, in
+:mod:`ospq.borel`.
 :func:`extend` extends a map given on letters over words, as an algebra map
 or as a graded anti-homomorphism with its Koszul sign, and linearly over
 elements: the Hopf maps of both sides and every letter substitution are
 such extensions.
-:class:`GradedTensor` holds what every graded tensor power shares: the
-Koszul-sign product, the leg maps and the counit contraction.  Its kinds are
-:class:`TensorElement` (word legs) and ``borel.ExactBorelTensor`` (legs the
-monomials v^eps h^m K^n of the exact Borel algebra).
+:class:`TensorElement` is the one graded tensor power: words on every leg,
+the Koszul-sign product, the leg maps and the counit contraction.
 :class:`HopfMaps` builds Delta and S from generator images by :func:`extend`,
 guards that they keep the weight, and writes the Hopf axioms on a generator
 once: the function algebra (``frt.hopf_maps``) and the exact Borel algebra
-(``borel.hopf_maps``) are its instances.
+(``borel.hopf_maps``) are its instances, each with its own normal form.
 """
 
 from __future__ import annotations
@@ -89,11 +89,6 @@ class GradedAlphabet:
 
 
 SCALAR_ALPHABET = GradedAlphabet((), {})
-
-
-def _scaled(pairs, coeff):
-    """(key, q * coeff) for (key, rational q) pairs, skipping the product at q = 1."""
-    return ((k, coeff if q == 1 else coeff * q) for k, q in pairs)
 
 
 class Combination:
@@ -332,62 +327,76 @@ def extend(image, one, grade=None):
     return extended
 
 
-class GradedTensor(Combination):
-    """Element of a graded tensor power: a map from tuples of leg keys, one
-    per leg, to coefficients.
+class TensorElement(Combination):
+    """Element of a graded tensor power of a free graded algebra: a map from
+    tuples of words, one per leg, to coefficients.
 
-    A subclass says what a leg key is: its Z2 ``_key_grade`` and the
-    ``_key_product`` of two keys as (key, rational) pairs.  ``_like`` and
-    ``_leg_element`` (one leg alone) build results of its kind; ``_check``
-    raises ValueError unless two operands share their arity (and alphabet).
-    The product applies the Koszul rule leg by leg:
-    (x ox y)(u ox v) = (-1)^{|y||u|} xu ox yv.
+    The product concatenates the words leg by leg with the Koszul sign:
+    (x ox y)(u ox v) = (-1)^{|y||u|} xu ox yv.  Combining two arities or two
+    alphabets raises ValueError.
     """
 
-    __slots__ = ("arity",)
+    __slots__ = ("alphabet", "arity")
 
-    def __init__(self, arity, terms=None, _internal=False):
-        self.arity = arity
+    def __init__(self, alphabet, arity, terms=None, _internal=False):
+        self.alphabet, self.arity = alphabet, arity
         if terms is None:
             terms = {}
         if not _internal:
             if any(len(k) != arity for k in terms):
                 raise ValueError("wrong arity in term")
-            terms = {k: c for k, c in terms.items() if c}
+            terms = {tuple(tuple(w) for w in k): c for k, c in terms.items() if c}
         self._terms = terms
 
+    @classmethod
+    def zero(cls, alphabet, arity):
+        return cls(alphabet, arity, {}, _internal=True)
+
+    @classmethod
+    def of(cls, *legs):
+        """Tensor product of SuperPoly legs (no signs; this is x ox y, not a product)."""
+        terms = [((w,), c) for w, c in legs[0]._terms.items()]
+        for leg in legs[1:]:
+            terms = [(key + (w,), coeff * c) for key, coeff in terms
+                     for w, c in leg._terms.items()]
+        return cls(legs[0].alphabet, len(legs), _accumulate(terms), _internal=True)
+
+    def _like(self, terms, arity=None):
+        return TensorElement(self.alphabet, self.arity if arity is None else arity,
+                             terms, _internal=True)
+
+    def _check(self, other):
+        if self.alphabet is not other.alphabet or self.arity != other.arity:
+            raise ValueError("mixing tensor arities or alphabets")
+
     def _product(self, other):
-        grade, key_product = self._key_grade, self._key_product
-        right = [(k2, c2, [i for i, x in enumerate(k2) if grade(x)])
+        grade = self.alphabet.grade
+        right = [(k2, c2, [i for i, w in enumerate(k2) if grade(w)])
                  for k2, c2 in other._terms.items()]
 
         def products():
             for k1, c1 in self._terms.items():
-                g1 = [grade(x) for x in k1]
+                g1 = [grade(w) for w in k1]
                 after = [sum(g1[i + 1:]) for i in range(len(g1))]
                 for k2, c2, odd2 in right:
                     c = c1 * c2
                     if sum(after[i] for i in odd2) % 2:
                         c = -c
-                    legs = [((), 1)]
-                    for x, y in zip(k1, k2):
-                        legs = [(key + (z,), q * r) for key, q in legs
-                                for z, r in key_product(x, y)]
-                    yield from _scaled(legs, c)
+                    yield tuple(w1 + w2 for w1, w2 in zip(k1, k2)), c
         return self._like(_accumulate(products()))
 
     def map_leg(self, leg: int, fn):
-        """Apply a linear map to one leg; fn sends a key to a one-leg element,
+        """Apply a linear map to one leg; fn sends a word to a SuperPoly,
         whose terms are copied into the result as they stand."""
         def mapped():
             for k, c in self._terms.items():
                 head, tail = k[:leg], k[leg + 1:]
-                for k2, c2 in fn(k[leg])._terms.items():
-                    yield head + (k2,) + tail, c * c2
+                for w, c2 in fn(k[leg])._terms.items():
+                    yield head + (w,) + tail, c * c2
         return self._like(_accumulate(mapped()))
 
     def expand_leg(self, leg: int, fn, new_arity: int):
-        """Splice the tensor fn(key) in place of one leg, as (Delta ox id) does."""
+        """Splice the tensor fn(word) in place of one leg, as (Delta ox id) does."""
         def spliced():
             for k, c in self._terms.items():
                 head, tail = k[:leg], k[leg + 1:]
@@ -400,63 +409,14 @@ class GradedTensor(Combination):
 
     def apply_counit_leg(self, leg: int, counit):
         """Contract one leg with ``counit``, a coefficient-valued linear map on
-        one-leg elements; an arity-2 tensor collapses to a one-leg element."""
+        SuperPolys; an arity-2 tensor collapses to a SuperPoly."""
+        alphabet = self.alphabet
         out = _accumulate((k[:leg] + k[leg + 1:], c * e) for k, c in self._terms.items()
-                          for e in [counit(self._leg_element({k[leg]: 1}))] if e)
+                          for e in [counit(SuperPoly(alphabet, {k[leg]: 1}, _internal=True))]
+                          if e)
         if self.arity == 2:
-            return self._leg_element({k: c for (k,), c in out.items()})
+            return SuperPoly(alphabet, {w: c for (w,), c in out.items()}, _internal=True)
         return self._like(out, self.arity - 1)
-
-    def _tensor_of(self, legs):
-        """x ox y (ox z) of one-leg elements in this kind: no sign, this is not
-        a product."""
-        terms = [((k,), c) for k, c in legs[0]._terms.items()]
-        for leg in legs[1:]:
-            terms = [(key + (k,), coeff * c) for key, coeff in terms
-                     for k, c in leg._terms.items()]
-        return self._like(_accumulate(terms), len(legs))
-
-
-class TensorElement(GradedTensor):
-    """Element of a graded tensor power of a free graded algebra.
-
-    Leg keys are words; their product is concatenation.
-    """
-
-    __slots__ = ("alphabet",)
-
-    def __init__(self, alphabet, arity, terms=None, _internal=False):
-        self.alphabet = alphabet
-        if terms and not _internal:
-            terms = {tuple(tuple(w) for w in k): c for k, c in terms.items()}
-        super().__init__(arity, terms, _internal)
-
-    @classmethod
-    def zero(cls, alphabet, arity):
-        return cls(alphabet, arity, {}, _internal=True)
-
-    @classmethod
-    def of(cls, *legs):
-        """Tensor product of SuperPoly legs (no signs; this is x ox y, not a product)."""
-        return cls.zero(legs[0].alphabet, len(legs))._tensor_of(legs)
-
-    def _key_grade(self, word):
-        return self.alphabet.grade(word)
-
-    @staticmethod
-    def _key_product(w1, w2):
-        return ((w1 + w2, 1),)
-
-    def _like(self, terms, arity=None):
-        return TensorElement(self.alphabet, self.arity if arity is None else arity,
-                             terms, _internal=True)
-
-    def _leg_element(self, terms):
-        return SuperPoly(self.alphabet, terms, _internal=True)
-
-    def _check(self, other):
-        if self.alphabet is not other.alphabet or self.arity != other.arity:
-            raise ValueError("mixing tensor arities or alphabets")
 
     def __repr__(self):
         from .serialize import format_tensor
@@ -470,34 +430,29 @@ class HopfMaps:
     ``images`` maps "id", "delta" and "antipode" to {generator: image}, the
     unit under "1"; ``evaluate`` sends an image to (weight, value) at the p
     where zero tests are decided.  ValueError unless each Delta and S image
-    weighs as its generator (``grading`` names the weight): then so does the
-    image of a homogeneous element, and its value decides its zero test.
-    Delta extends as an algebra map and S as a graded anti-homomorphism
-    (letter ``grades``); ``counit`` is eps on one-leg elements; ``reduce``
-    brings an element or a tensor to the form whose truthiness decides its
-    zero test, and ``word_of`` reads a leg key as a word.
+    weighs as its generator: then so does the image of a homogeneous
+    element, and its value decides its zero test.  Delta extends as an
+    algebra map and S as a graded anti-homomorphism (letter ``grades``);
+    ``counit`` is eps on SuperPolys; ``reduce`` brings a SuperPoly or a
+    TensorElement to the normal form whose truthiness decides its zero test.
     """
 
-    def __init__(self, images, evaluate, grades, counit, grading,
-                 reduce=lambda f: f, word_of=lambda key: key):
+    def __init__(self, images, evaluate, grades, counit, reduce):
         values = {name: {g: evaluate(f) for g, f in by_g.items()}
                   for name, by_g in images.items()}
         if any(values[name][g][0] != top for name in ("delta", "antipode")
                for g, (top, _) in values["id"].items()):
-            raise ValueError(f"a Hopf map does not keep the {grading} weight")
+            raise ValueError("a Hopf map does not keep the torus weight")
         self.images = {name: {g: f for g, (_, f) in by_g.items()}
                        for name, by_g in values.items()}
         delta, anti = self.images["delta"], self.images["antipode"]
         self.delta = extend(delta.__getitem__, delta["1"])
         self.antipode = extend(anti.__getitem__, anti["1"], grades)
-        self.counit, self.reduce, self.word_of = counit, reduce, word_of
+        self.counit, self.reduce = counit, reduce
 
     def coassociativity_defect(self, g):
         """(Delta ox id)Delta(g) - (id ox Delta)Delta(g), reduced."""
-        d = self.reduce(self.images["delta"][g])
-
-        def delta(key):
-            return self.delta.word(self.word_of(key))
+        d, delta = self.reduce(self.images["delta"][g]), self.delta.word
         return self.reduce(d.expand_leg(0, delta, 3) - d.expand_leg(1, delta, 3))
 
     def counit_defects(self, g):
@@ -509,19 +464,19 @@ class HopfMaps:
         """m(S ox id)Delta(g) - eps(g) 1 and m(id ox S)Delta(g) - eps(g) 1,
         reduced.  A unit leg is not multiplied: x ox 1 adds S(x) or x, and
         1 ox y adds y or S(y)."""
-        ids, d = self.images["id"], self.images["delta"][g]
-        s, word_of, leg = self.antipode.word, self.word_of, d._leg_element
-        unit = ids["1"].scale(self.counit(ids[g]))
+        ids, d, s = self.images["id"], self.images["delta"][g], self.antipode.word
+        one = ids["1"]
+        unit = one.scale(self.counit(ids[g]))
 
         def side(anti):
             def terms():
                 for key, c in d.terms():
-                    factors = [s(w) if i == anti else leg({k: 1})
-                               for i, k in enumerate(key) if (w := word_of(k))]
+                    factors = [s(w) if i == anti else one._like({w: 1})
+                               for i, w in enumerate(key) if w]
                     if len(factors) == 2:
                         product = factors[0] * factors[1]
                     else:
-                        product = factors[0] if factors else ids["1"]
-                    yield from ((k, c * a) for k, a in product._terms.items())
-            return leg(_accumulate(terms()))
+                        product = factors[0] if factors else one
+                    yield from ((w, c * a) for w, a in product._terms.items())
+            return one._like(_accumulate(terms()))
         return self.reduce(side(0) - unit), self.reduce(side(1) - unit)

@@ -395,7 +395,7 @@ def hopf_maps() -> HopfMaps:
     decide zero tests on normal forms, leg by leg for a tensor (``rewrite``);
     ValueError unless each image keeps the torus weight.  The counit
     contraction keeps it too, since eps is nonzero only on a and d, of weight 0."""
-    return HopfMaps(generator_images(), at_two, ALPHABET.grades, counit, "torus",
+    return HopfMaps(generator_images(), at_two, ALPHABET.grades, counit,
                     lambda f: presentation().at2.normal_form(f))
 
 

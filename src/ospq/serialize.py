@@ -15,6 +15,7 @@ from .freealg import SuperPoly, TensorElement, GradedAlphabet
 from .supermatrix import SuperMatrix
 
 MAX_EXPONENT = 64  # after ``^``, built by repeated products; --export writes <= 9
+MAX_DEPTH = 32  # parenthesis nesting, parsed by recursion; --export writes 1
 
 
 def _format_coeff(c: Scalar):
@@ -126,7 +127,11 @@ class _Tokens:
 
 
 def parse_poly(alphabet: GradedAlphabet, text: str) -> SuperPoly:
-    toks = _Tokens(text)
+    toks, depth = _Tokens(text), 0
+    for tok in toks.toks:
+        depth += (tok == "(") - (tok == ")")
+        if depth > MAX_DEPTH:
+            raise ValueError(f"parentheses nested deeper than {MAX_DEPTH}")
     poly = _parse_sum(alphabet, toks)
     if toks.peek() is not None:
         raise ValueError(f"trailing input at {toks.peek()!r}")

@@ -7,9 +7,10 @@ import pytest
 from ospq.scalars import Scalar, rat, P, HALF, SQRT2
 from ospq import borel, scalars
 from ospq.checks import CheckConfig, run_checks
-from ospq.freealg import GradedTensor, HopfMaps, SuperPoly, TensorElement, extend
-from ospq.borel import (BorelSeries, ExactBorel, ExactBorelTensor, binomial_series,
-                        exp_sigma, exp_minus_sigma, one_plus_px)
+from ospq.freealg import GradedAlphabet, HopfMaps, SuperPoly, TensorElement, extend
+from ospq.rewrite import RewriteSystem
+from ospq.borel import (BOREL_ALPHABET, BorelSeries, binomial_series, exp_sigma,
+                        exp_minus_sigma, normal_form, one_plus_px)
 
 W = 12  # enough weight for every identity below; acceptance uses 16
 
@@ -145,7 +146,15 @@ def test_rll_residuals_shape():
 
 
 ONE = Scalar.one()
-UNIT = (0, 0, 0)
+UNIT = ()
+
+
+def _poly(terms):
+    return SuperPoly(BOREL_ALPHABET, terms)
+
+
+def _tensor(terms):
+    return TensorElement(BOREL_ALPHABET, 2, terms)
 
 
 def _fresh_hopf():
@@ -160,37 +169,85 @@ def _grid(m_max, n_max):
 
 
 def test_exact_product_is_associative_on_a_monomial_grid():
-    monos = [ExactBorel({key: 1}) for key in _grid(2, 2)]
+    monos = [_poly({borel._word(key): 1}) for key in _grid(2, 2)]
     for a in monos:
         for b in monos:
-            ab = a * b
+            ab = normal_form(a * b)
             for c in monos:
-                assert ab * c == a * (b * c)
+                assert normal_form(ab * c) == normal_form(a * normal_form(b * c))
 
 
 def test_exact_normal_ordering_rules():
     hopf = borel.hopf_maps()
     k, k_inv, v, h = (hopf.images["id"][g] for g in ("K", "K^-1", "v", "h"))
-    one = hopf.images["id"]["1"]
-    assert k * k_inv == one == k_inv * k
-    assert k * v == v * k
-    assert h * v == v * h + v.scale(2)
-    assert v * v == k * k - one
-    assert k * h == h * k - k.scale(2) + k_inv.scale(2)
+    one, nf = hopf.images["id"]["1"], hopf.reduce
+    assert nf(k * k_inv) == one == nf(k_inv * k)
+    assert nf(k * v) == v * k
+    assert nf(h * v) == v * h + v.scale(2)
+    assert nf(v * v) == k * k - one
+    assert nf(k * h) == h * k - k.scale(2) + k_inv.scale(2)
 
 
 def test_exact_products_take_values_at_p_1():
     # the structure constants are those at p = 1: v v = K^2 - 1 there, while
-    # over Q[p] the exact product is (K^2 - 1)/p, so Scalar operands raise
+    # over Q[p] the exact product is (K^2 - 1)/p, so the normal form of an
+    # element with Scalar coefficients raises
     images = borel.hopf_images()
     v = images["id"]["v"]
     with pytest.raises(ValueError, match="p = 1"):
-        v * v
+        normal_form(v * v)
     with pytest.raises(ValueError, match="p = 1"):
-        images["delta"]["v"] * images["delta"]["v"]
+        normal_form(images["delta"]["v"] * images["delta"]["v"])
     v1 = borel.at_one(v)[1]
     k1 = borel.at_one(images["id"]["K"])[1]
-    assert v1 * v1 == k1 * k1 - borel.at_one(images["id"]["1"])[1]
+    assert normal_form(v1 * v1) == normal_form(k1 * k1) - borel.at_one(images["id"]["1"])[1]
+
+
+def test_normal_form_rejects_a_scalar_coefficient():
+    # the p = 1 guard: a value at p = 1 has int or Fraction coefficients
+    for element in (_poly({("h", "K"): ONE}), _poly({("v",): P}),
+                    _tensor({(("K",), ("h",)): ONE})):
+        with pytest.raises(ValueError, match="p = 1"):
+            normal_form(element)
+    assert normal_form(_poly({("K", "h"): Fraction(1, 2)})) == _poly(
+        {("h", "K"): Fraction(1, 2), ("K",): -1, ("K^-1",): 1})
+
+
+# an independent oracle for the exact normal form: the p = 1 structure
+# constants as 8 length-2 rules, with v and h heavier than K and K^-1
+ORACLE_ALPHABET = GradedAlphabet(("v", "h", "K", "K^-1"), BOREL_ALPHABET.grades,
+                                 {"v": 3, "h": 3, "K": 1, "K^-1": 1})
+ORACLE_RULES = {
+    ("v", "v"): {("K", "K"): 1, (): -1},
+    ("h", "v"): {("v", "h"): 1, ("v",): 2},
+    ("K", "v"): {("v", "K"): 1},
+    ("K^-1", "v"): {("v", "K^-1"): 1},
+    ("K", "h"): {("h", "K"): 1, ("K",): -2, ("K^-1",): 2},
+    ("K^-1", "h"): {("h", "K^-1"): 1, ("K^-1",): 2, ("K^-1", "K^-1", "K^-1"): -2},
+    ("K", "K^-1"): {(): 1},
+    ("K^-1", "K"): {(): 1},
+}
+
+
+def _oracle():
+    return RewriteSystem(ORACLE_ALPHABET, {lhs: SuperPoly(ORACLE_ALPHABET, rhs)
+                                           for lhs, rhs in ORACLE_RULES.items()}, one=1)
+
+
+def test_oracle_rules_are_confluent_and_hold_the_relations():
+    oracle = _oracle()
+    assert not oracle.overlap_check(3)
+    for name in borel.BOREL_RELATIONS:
+        value = borel.at_one(borel.borel_relation(name))[1]
+        assert oracle.normal_form(SuperPoly(ORACLE_ALPHABET, value._terms)).is_zero, name
+
+
+def test_word_normal_form_matches_the_oracle_on_a_monomial_grid():
+    oracle, monos = _oracle(), [borel._word(key) for key in _grid(3, 3)]
+    assert len(monos) ** 2 == 3136
+    for a in monos:
+        for b in monos:
+            assert borel._normal_word(a + b)._terms == oracle.nf_word(a + b)._terms, (a, b)
 
 
 def test_coproduct_square_identity():
@@ -198,7 +255,7 @@ def test_coproduct_square_identity():
     assert lhs == borel.delta_x(W).scale(rat(Fraction(1, 4)))
     # p Delta(v)^2 = Delta(K)^2 - 1 ox 1, at p = 1
     delta = borel.hopf_maps().images["delta"]
-    assert borel.delta_x(W) == delta["K"] * delta["K"] - delta["1"]
+    assert normal_form(borel.delta_x(W)) == normal_form(delta["K"] * delta["K"] - delta["1"])
 
 
 def test_grouplike_inverse():
@@ -206,13 +263,14 @@ def test_grouplike_inverse():
     esi = exp_minus_sigma(W)
     assert es * esi == BorelSeries.one(W)
     ids = borel.hopf_maps().images["id"]
-    assert (ExactBorelTensor.of(ids["K"], ids["K"]) * ExactBorelTensor.of(ids["K^-1"], ids["K^-1"])
-            == ExactBorelTensor.of(ids["1"], ids["1"]))
+    assert (normal_form(TensorElement.of(ids["K"], ids["K"])
+                        * TensorElement.of(ids["K^-1"], ids["K^-1"]))
+            == TensorElement.of(ids["1"], ids["1"]))
 
 
 def test_tensor_constructors_reject_terms_of_the_wrong_arity():
     with pytest.raises(ValueError, match="arity"):
-        ExactBorelTensor(2, {(UNIT,): ONE})
+        _tensor({(UNIT,): ONE})
     with pytest.raises(ValueError, match="arity"):
         TensorElement(borel.RLL_ALPHABET, 2, {(("A",),): Scalar.one()})
 
@@ -229,7 +287,7 @@ def _antipode_and_counit_of_relations(hopf):
     counit = extend(lambda g: hopf.counit(ids[g]), 1)
     rels = {name: borel.at_one(borel.borel_relation(name))[1]
             for name in borel.BOREL_RELATIONS}
-    return {name: (hopf.antipode(rel), counit(rel)) for name, rel in rels.items()}
+    return {name: (hopf.reduce(hopf.antipode(rel)), counit(rel)) for name, rel in rels.items()}
 
 
 def test_antipode_and_counit_map_the_relations_to_zero():
@@ -242,9 +300,9 @@ def test_wrong_antipode_of_v_breaks_the_relations():
     # S(v) = -v K in place of -v K^-1 keeps the weight and the KV relation,
     # but S no longer maps VV and HV to zero
     images = borel.hopf_images()
-    images["antipode"]["v"] = ExactBorel({(1, 0, 1): -ONE})
-    hopf = HopfMaps(images, borel.at_one, borel.BOREL_ALPHABET.grades,
-                    ExactBorel.counit, "Borel", word_of=borel._word)
+    images["antipode"]["v"] = _poly({("v", "K"): -ONE})
+    hopf = HopfMaps(images, borel.at_one, BOREL_ALPHABET.grades, borel.counit,
+                    normal_form)
     bad = _antipode_and_counit_of_relations(hopf)
     assert [name for name, (s, _) in bad.items() if s] == ["VV", "HV"]
     assert all(e == 0 for _, e in bad.values())
@@ -271,8 +329,7 @@ def _in_series(element, w):
     """An exact element over Q[p] mapped into the series algebra by
     K -> e^sigma, v -> v and h -> 2h."""
     images = borel.generator_images(w)
-    word = SuperPoly(borel.BOREL_ALPHABET, {borel._word(k): c for k, c in element._terms.items()})
-    return extend(images.__getitem__, BorelSeries.one(w))(word)
+    return extend(images.__getitem__, BorelSeries.one(w))(element)
 
 
 def test_antipode_candidate_images():
@@ -332,7 +389,7 @@ def _count_calls(monkeypatch, cls, name):
 def test_coassociativity_builds_each_leg_coproduct_once(monkeypatch):
     hopf = _fresh_hopf()
     keys = _leg_keys(hopf.images["delta"]["h"]) - {UNIT}
-    calls = _count_calls(monkeypatch, ExactBorelTensor, "__mul__")
+    calls = _count_calls(monkeypatch, TensorElement, "__mul__")
     assert hopf.coassociativity_defect("h").is_zero
     assert calls[0] <= len(keys)
 
@@ -342,7 +399,7 @@ def test_antipode_builds_each_leg_image_once(monkeypatch):
     gens = [hopf.images["delta"][g] for g in borel.BOREL_ALPHABET.letters]
     terms = sum(len(d._terms) for d in gens)
     keys = set().union(*map(_leg_keys, gens)) - {UNIT}
-    calls = _count_calls(monkeypatch, ExactBorel, "__mul__")
+    calls = _count_calls(monkeypatch, SuperPoly, "__mul__")
     for g in borel.BOREL_ALPHABET.letters:
         left, right = hopf.antipode_defects(g)
         assert left.is_zero and right.is_zero
@@ -369,7 +426,8 @@ def test_mono_mul_memo_matches_the_product_and_shares_a_tuple():
 
 
 def _clear_caches():
-    for cache in (borel.hopf_maps, borel.exp_sigma, borel.exp_minus_sigma):
+    for cache in (borel.hopf_maps, borel.exp_sigma, borel.exp_minus_sigma,
+                  borel._normal_word):
         cache.cache_clear()
 
 
@@ -390,12 +448,13 @@ def test_cached_generators_equal_fresh_builds_after_every_check():
         assert [r.status for r in reports] == ["pass"] * len(reports)
     cached = _generator_data(w)
     keys = set().union(*map(_leg_keys, cached["images"]["delta"].values()))
-    monomials = {key: borel.delta_monomial(key) for key in keys}
+    monomials = {key: normal_form(borel.delta_monomial(borel._key(key))) for key in keys}
     _clear_caches()
     fresh = _generator_data(w)
     assert all(fresh[name] is not cached[name] for name in cached)
     assert fresh == cached
-    assert {key: borel.delta_monomial(key) for key in keys} == monomials
+    assert {key: normal_form(borel.delta_monomial(borel._key(key)))
+            for key in keys} == monomials
 
 
 def test_one_run_builds_delta_h_once_per_weight(monkeypatch):
@@ -421,34 +480,36 @@ def test_one_run_builds_delta_h_once_per_weight(monkeypatch):
 
 def _lift(value, top):
     """The Scalar element of weight ``top`` whose value at p = 1 is ``value``:
-    a term q on a key of weight -eps goes to q p^k with 2k = top + eps."""
-    tensor = isinstance(value, ExactBorelTensor)
+    a term q on a key of weight -eps, with eps letters v, goes to q p^k with
+    2k = top + eps."""
+    tensor = isinstance(value, TensorElement)
     terms = {}
     for key, q in value._terms.items():
-        eps = sum(k[0] for k in key) if tensor else key[0]
+        eps = sum(w.count("v") for w in key) if tensor else key.count("v")
         k, r = divmod(top + eps, 2)
         assert not r and k >= 0
         terms[key] = Scalar.in_p({k: Fraction(q)})
-    return value._like(terms) if tensor else ExactBorel(terms)
+    return value._like(terms)
 
 
 def test_at_one_rejects_an_element_that_is_not_homogeneous():
-    v, k = (1, 0, 0), (0, 0, 1)
-    for element in (ExactBorel({UNIT: ONE, v: ONE}),
-                    ExactBorel({k: P + rat(1)}),
-                    ExactBorelTensor(2, {(UNIT, UNIT): ONE, (UNIT, v): ONE}),
-                    SuperPoly.word(borel.BOREL_ALPHABET, ("v", "v")) + SuperPoly.one(
-                        borel.BOREL_ALPHABET)):
+    v, k = ("v",), ("K",)
+    for element in (_poly({UNIT: ONE, v: ONE}),
+                    _poly({k: P + rat(1)}),
+                    _tensor({(UNIT, UNIT): ONE, (UNIT, v): ONE}),
+                    SuperPoly.word(BOREL_ALPHABET, ("v", "v")) + SuperPoly.one(
+                        BOREL_ALPHABET)):
         with pytest.raises(ValueError, match="not homogeneous"):
             borel.at_one(element)
     # p v v - K^2 + 1 is homogeneous of weight 0
     top, value = borel.at_one(borel.borel_relation("VV"))
     assert top == 0
     assert value._terms == {("v", "v"): 1, ("K", "K"): -1, (): 1}
-    assert borel.at_one(ExactBorel({})) == (None, ExactBorel({}))
+    zero = SuperPoly.zero(BOREL_ALPHABET)
+    assert borel.at_one(zero) == (None, zero)
     # homogeneous but not integral at p = 1: the paper's V = v/2, and p K / 2
-    for element in (ExactBorel({v: HALF}), ExactBorel({k: HALF * P}),
-                    ExactBorelTensor(2, {((0, 1, 0), UNIT): HALF})):
+    for element in (_poly({v: HALF}), _poly({k: HALF * P}),
+                    _tensor({(("h",), UNIT): HALF})):
         with pytest.raises(ArithmeticError, match="not integral"):
             borel.at_one(element)
 
@@ -496,8 +557,8 @@ def test_doubled_p_term_of_delta_h_fails_the_homomorphism_check(monkeypatch):
 
     def doubled():
         images = original()
-        images["delta"]["h"] = images["delta"]["h"] + ExactBorelTensor(
-            2, {((1, 0, -1), (1, 0, -2)): P})
+        images["delta"]["h"] = images["delta"]["h"] + _tensor(
+            {(("v", "K^-1"), ("v", "K^-1", "K^-1")): P})
         return images
 
     monkeypatch.setattr(borel, "hopf_images", doubled)
@@ -567,14 +628,14 @@ def test_one_run_multiplies_delta_v_by_delta_v_once(monkeypatch):
     # word memo of the coproduct
     dv = _fresh_hopf().images["delta"]["v"]._terms
     squares = []
-    original = GradedTensor.__mul__
+    original = TensorElement.__mul__
 
     def spy(self, other):
-        if isinstance(other, ExactBorelTensor) and self._terms == other._terms == dv:
+        if isinstance(other, TensorElement) and self._terms == other._terms == dv:
             squares.append(self)
         return original(self, other)
 
-    monkeypatch.setattr(GradedTensor, "__mul__", spy)
+    monkeypatch.setattr(TensorElement, "__mul__", spy)
     try:
         reports = run_checks("borel-coproduct", CheckConfig(truncation=16))
         assert [r.status for r in reports] == ["pass"] * 5
@@ -594,7 +655,7 @@ def test_combining_two_weight_bounds_raises():
     one = borel.hopf_maps().images["id"]["1"]
     for op in binary:
         with pytest.raises(ValueError, match="arities"):
-            op(ExactBorelTensor.of(one, one), ExactBorelTensor.of(one, one, one))
+            op(TensorElement.of(one, one), TensorElement.of(one, one, one))
 
 
 @pytest.mark.parametrize("name, g", [("delta", "h"), ("antipode", "v")])
@@ -613,7 +674,7 @@ def test_hopf_images_must_keep_the_weight(monkeypatch, name, g):
     monkeypatch.setattr(borel, "hopf_images", scaled)
     borel.hopf_maps.cache_clear()
     try:
-        with pytest.raises(ValueError, match="does not keep the Borel weight"):
+        with pytest.raises(ValueError, match="does not keep the torus weight"):
             borel.hopf_maps()
     finally:
         monkeypatch.undo()
@@ -667,6 +728,7 @@ def test_perturbed_exact_h_v_constant_fails_the_homomorphism_check(monkeypatch):
 
     monkeypatch.setattr(borel, "_h_shift_poly", perturbed)
     borel._exact_mul.cache_clear()
+    borel._normal_word.cache_clear()
     borel.hopf_maps.cache_clear()
     try:
         reports = _borel_reports(W)
@@ -679,4 +741,5 @@ def test_perturbed_exact_h_v_constant_fails_the_homomorphism_check(monkeypatch):
     finally:
         monkeypatch.undo()
         borel._exact_mul.cache_clear()
+        borel._normal_word.cache_clear()
         borel.hopf_maps.cache_clear()

@@ -79,8 +79,7 @@ PACKAGE_EXPORTS = {
     "supermatrix": ["SuperMatrix", "kron", "exp_nilpotent", "invert_unipotent",
                     "partial_transpose_first", "supertranspose3", "desuperize",
                     "ybe_check"],
-    "borel": ["BorelSeries", "ExactBorel", "ExactBorelTensor", "AnsatzFunctions",
-              "DEFAULT_TRUNCATION"],
+    "borel": ["BorelSeries", "AnsatzFunctions", "DEFAULT_TRUNCATION"],
 }
 
 

@@ -1,7 +1,12 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
+import pytest
+
+import ospq
 from ospq.cli import main
 from ospq.checks import (CheckConfig, run_checks, check_borel_rll_classical,
                          check_hopf_classical_limit, check_rtt_classical_limit)
@@ -112,3 +117,20 @@ def test_unwritable_export_is_usage_error(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory")
     assert main(["ybe", "--export", str(blocker)]) == 2
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_leaves_no_traceback_and_keeps_the_status(fmt):
+    # stdout is a pipe whose read end is closed before the CLI starts, as
+    # with ``ospq-verify borel-ansatz | head -c 0``: every write to it fails
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ospq.__file__)))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ospq", "borel-ansatz", "--format", fmt],
+                              stdout=write, stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write)
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
+    assert proc.returncode == 0

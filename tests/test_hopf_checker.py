@@ -10,9 +10,9 @@ FAIL through ``run_checks``.
 import pytest
 
 from ospq import borel, frt
-from ospq.borel import ExactBorel, ExactBorelTensor
+from ospq.borel import BOREL_ALPHABET
 from ospq.checks import CheckConfig, run_checks
-from ospq.freealg import GradedTensor, SuperPoly, TensorElement
+from ospq.freealg import SuperPoly, TensorElement
 from ospq.scalars import P, Scalar
 
 
@@ -35,12 +35,12 @@ FRT_CONTROLS = [
 W = 12
 
 # the same on the exact h = 4H, of weight 0, as K^2 - 1 = p v v is
-K2_MINUS_1 = {(0, 0, 2): Scalar.one(), (0, 0, 0): -Scalar.one()}
+K2_MINUS_1 = {("K", "K"): Scalar.one(), (): -Scalar.one()}
 BOREL_CONTROLS = [
-    ("delta", "h", lambda: ExactBorelTensor(2, {((0, 0, 0), k): c
-                                                for k, c in K2_MINUS_1.items()}),
+    ("delta", "h", lambda: TensorElement(BOREL_ALPHABET, 2, {((), k): c
+                                                             for k, c in K2_MINUS_1.items()}),
      ["borel-coproduct.coassociativity", "borel-coproduct.counit-axiom"]),
-    ("antipode", "h", lambda: ExactBorel(K2_MINUS_1),
+    ("antipode", "h", lambda: SuperPoly(BOREL_ALPHABET, K2_MINUS_1),
      ["borel-coproduct.antipode-candidate"]),
 ]
 
@@ -124,14 +124,14 @@ def test_extend_takes_a_letter_to_its_image(monkeypatch):
     borel.hopf_maps.cache_clear()
     unit = borel.hopf_maps().images["delta"]["1"]
     units = []
-    mul = GradedTensor.__mul__
+    mul = TensorElement.__mul__
 
     def spy(a, b):
-        if isinstance(b, GradedTensor) and unit in (a, b):
+        if isinstance(b, TensorElement) and unit in (a, b):
             units.append((a, b))
         return mul(a, b)
 
-    monkeypatch.setattr(GradedTensor, "__mul__", spy)
+    monkeypatch.setattr(TensorElement, "__mul__", spy)
     try:
         reports = run_checks("borel-coproduct", CheckConfig(truncation=W))
     finally:

@@ -5,7 +5,7 @@ import pytest
 
 from ospq.scalars import Scalar, rat, P, HALF, SQRT2, format_scalar, _accumulate
 from ospq.freealg import SCALAR_ALPHABET, GradedAlphabet, SuperPoly, TensorElement
-from ospq.borel import BorelSeries, ExactBorel, ExactBorelTensor
+from ospq.borel import BorelSeries
 
 
 def test_sqrt2_squares_to_two():
@@ -189,9 +189,6 @@ def _container_makers():
         ("TensorElement", lambda rng: (rng.choice(words), rng.choice(words)),
          lambda t: TensorElement(alphabet, 2, t)),
         ("BorelSeries", mono, lambda t: BorelSeries(8, t)),
-        ("ExactBorel", mono, ExactBorel),
-        ("ExactBorelTensor", lambda rng: (mono(rng), mono(rng)),
-         lambda t: ExactBorelTensor(2, t)),
     ]
 
 

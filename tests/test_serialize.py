@@ -71,6 +71,10 @@ def test_parse_rejects_unknown_symbols():
     for text in ("a^65", "a^1000000", "p^65*a"):
         with pytest.raises(ValueError, match="exponent"):
             parse_poly(frt.ALPHABET, text)
+    for depth in (33, 2000):
+        with pytest.raises(ValueError, match="nested deeper than 32"):
+            parse_poly(frt.ALPHABET, "(" * depth + "a" + ")" * depth)
+    assert parse_poly(frt.ALPHABET, "(" * 32 + "a" + ")" * 32) == w("a")
     for text in ("", "0\n", "-1\n"):
         with pytest.raises(ValueError, match="dimension"):
             parse_matrix(frt.ALPHABET, text)

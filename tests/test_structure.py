@@ -29,16 +29,16 @@ dual sides are one FRT construction: ``supermatrix.letter_matrix`` builds
 both letter matrices and ``frt.exchange_residuals`` both residual sets, which
 differ only in the layout and the order of the tensor legs.
 
-Every element kind (``SuperPoly``, ``TensorElement``, ``ExactBorelTensor``,
-``BorelSeries``, ``ExactBorel``) is a ``freealg.Combination``, which owns the
-sum, difference, negation, scaling, equality and ``*`` of all five; a kind
-writes only its key product, its constructor and its operand check.
-The element tensors ``TensorElement`` and ``ExactBorelTensor`` take their
-linear structure, Koszul-sign product and leg maps from
-``freealg.GradedTensor``, so that loop is written once; each class body says
-only what its leg keys are.  The Borel series of one computation share one
-weight bound, so no operation cuts an operand down to the bound of the
-other, and no tensor is truncated.
+Every element kind (``SuperPoly``, ``TensorElement``, ``BorelSeries``) is a
+``freealg.Combination``, which owns the sum, difference, negation, scaling,
+equality and ``*`` of all three; a kind writes only its key product, its
+constructor and its operand check.  The exact Borel algebra has no element
+class of its own: its elements are SuperPolys over ``borel.BOREL_ALPHABET``
+and its tensors TensorElements, and its structure constants enter only
+through ``borel.normal_form``.  ``TensorElement`` is the one graded tensor,
+so its Koszul-sign product and leg maps are written once.  The Borel series
+of one computation share one weight bound, so no operation cuts an operand
+down to the bound of the other, and no tensor is truncated.
 
 The per-layer timings of ``perfbench/run.py`` sum traced spans by qualified
 name, so a renamed function would read as 0 s; every name it quotes still
@@ -52,8 +52,8 @@ map on letters over words through ``freealg.extend``, so the Koszul sign of
 an anti-homomorphism is written in ``freealg.py`` alone.  The Hopf axioms on
 a generator are written once too, on ``freealg.HopfMaps``: its instances
 ``frt.hopf_maps()`` (generator images at p = 2) and ``borel.hopf_maps()``
-(exact, at p = 1) supply images, a ``reduce`` and a ``word_of``, so no other module
-splices or contracts tensor legs.  Every ``frt`` check decides on the rules
+(exact, at p = 1) supply images, a counit and a ``reduce``, so no other
+module splices or contracts tensor legs.  Every ``frt`` check decides on the rules
 at p = 2: only the export lifts them to Scalars.
 
 A matrix product sums the products for each output entry into one dict, so
@@ -88,7 +88,7 @@ from pathlib import Path
 
 import ospq
 from ospq import borel, classical, freealg, frt, rewrite, scalars, supermatrix
-from ospq.borel import BorelSeries, ExactBorelTensor
+from ospq.borel import BorelSeries
 from ospq.checks import CHECKS, CheckConfig, run_checks
 from ospq.cli import export_artifacts
 from ospq.freealg import SuperPoly, TensorElement, extend
@@ -195,7 +195,7 @@ GRADING_PARAMETERS = {"grading", "weight", "weights", "p_weight"}
 def test_the_torus_grading_is_declared_once_on_the_alphabets():
     assert not hasattr(rewrite, "_p_grading")
     for fn in (rewrite.at_two, rewrite.lift, rewrite.orient, rewrite.interreduce,
-               rewrite.RewriteSystem):
+               rewrite.RewriteSystem, freealg.HopfMaps):
         params = set(inspect.signature(fn).parameters)
         assert not params & GRADING_PARAMETERS, f"{fn.__name__} takes a grading"
     package = Path(ospq.__file__).parent
@@ -258,22 +258,39 @@ SHARED_TENSOR_API = {"__mul__", "__add__", "__neg__", "__sub__", "scale", "__eq_
 
 def test_borel_operands_share_one_weight_bound():
     assert not hasattr(borel.BorelSeries, "_bound_with")
-    assert not hasattr(freealg.GradedTensor, "_within")
-    assert not hasattr(freealg.GradedTensor, "weight_bound")
+    assert not hasattr(TensorElement, "_within")
+    assert not hasattr(TensorElement, "weight_bound")
 
 
 def test_tensor_types_inherit_one_product_and_leg_maps():
-    for cls in (TensorElement, ExactBorelTensor):
-        body = ast.parse(textwrap.dedent(inspect.getsource(cls))).body[0].body
-        names = {node.name for node in body if isinstance(node, ast.FunctionDef)}
-        names |= {target.id for node in body if isinstance(node, ast.Assign)
-                  for target in node.targets if isinstance(target, ast.Name)}
-        own = sorted(names & SHARED_TENSOR_API)
-        assert not own, f"{cls.__name__} defines its own {own}"
+    # TensorElement is the one tensor: it writes the product and the leg maps
+    # once and takes the linear structure from Combination
+    body = ast.parse(textwrap.dedent(inspect.getsource(TensorElement))).body[0].body
+    names = {node.name for node in body if isinstance(node, ast.FunctionDef)}
+    assert names & SHARED_TENSOR_API == {"map_leg", "expand_leg", "apply_counit_leg"}
+    assert {"_product"} <= names
+    assert TensorElement.__bases__ == (freealg.Combination,)
+    tensors = [cls.__name__ for module in (freealg, borel) for cls in vars(module).values()
+               if isinstance(cls, type) and cls.__module__ == module.__name__
+               and hasattr(cls, "expand_leg")]
+    assert tensors == ["TensorElement"]
 
 
-ELEMENT_KINDS = (SuperPoly, TensorElement, ExactBorelTensor, borel.BorelSeries,
-                 borel.ExactBorel)
+def test_the_exact_borel_algebra_has_no_element_class_of_its_own():
+    assert not hasattr(freealg, "GradedTensor")
+    for name in ("ExactBorel", "ExactBorelTensor", "_at_one_only"):
+        assert not hasattr(borel, name), name
+    assert set(inspect.signature(freealg.HopfMaps).parameters) == {
+        "images", "evaluate", "grades", "counit", "reduce"}
+    hopf = borel.hopf_maps()
+    assert hopf.reduce is borel.normal_form and hopf.counit is borel.counit
+    kinds = {type(f) for by_g in hopf.images.values() for f in by_g.values()}
+    assert kinds == {SuperPoly, TensorElement}
+    assert {f.alphabet for by_g in hopf.images.values()
+            for f in by_g.values()} == {borel.BOREL_ALPHABET}
+
+
+ELEMENT_KINDS = (SuperPoly, TensorElement, borel.BorelSeries)
 SHARED_LINEAR_API = {"__add__", "__sub__", "__neg__", "scale", "__mul__", "__rmul__",
                      "__bool__", "is_zero", "__eq__"}
 
@@ -425,7 +442,7 @@ def test_word_extensions_go_through_extend(monkeypatch):
 
 def test_hopf_axioms_are_written_once():
     # only the shared checker splices a coproduct into a leg or contracts one
-    # with the counit: frt and borel supply images, a reduce and a word_of
+    # with the counit: frt and borel supply images, a counit and a reduce
     package = Path(ospq.__file__).parent
     callers = sorted({path.name for path in package.glob("*.py")
                       for node in ast.walk(ast.parse(path.read_text()))

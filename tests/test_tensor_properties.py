@@ -1,11 +1,11 @@
 """Fixed-seed property tests for the graded products.
 
-SuperPoly is a ring; TensorElement, ExactBorelTensor and the graded Kronecker
-product ``kron`` are associative and obey the Koszul rule
-(x ox y)(u ox v) = (-1)^{|y||u|} xu ox yv on homogeneous factors.  Both
-element tensors run the one product of ``freealg.GradedTensor``, each with
-its own leg keys, so these properties test that product on words and on the
-monomials v^eps h^m K^n of the exact Borel algebra.
+SuperPoly is a ring; TensorElement and the graded Kronecker product ``kron``
+are associative and obey the Koszul rule
+(x ox y)(u ox v) = (-1)^{|y||u|} xu ox yv on homogeneous factors.  The exact
+Borel tensors are TensorElements too, reduced by ``borel.normal_form``, so
+these properties test the one tensor product on free words and, through that
+normal form, on the monomials v^eps h^m K^n of the exact Borel algebra.
 """
 
 import pytest
@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from ospq.scalars import Scalar, rat, P
 from ospq.freealg import GradedAlphabet, SuperPoly, TensorElement, SCALAR_ALPHABET
-from ospq.borel import ExactBorel, ExactBorelTensor
+from ospq.borel import BOREL_ALPHABET, _word, normal_form
 from ospq.supermatrix import SuperMatrix, entry_grade, kron
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -81,28 +81,28 @@ def test_tensor_element_koszul_rule(data, gy, gu):
     assert lhs == signed(gy * gu, TensorElement.of(x * u, y * v))
 
 
-# -- ExactBorelTensor ---------------------------------------------------
+# -- exact Borel tensors -------------------------------------------------
 
 @st.composite
 def exact_elements(draw, grade=None):
-    """An exact Borel element at p = 1; with ``grade`` every term has
-    v-exponent grade."""
+    """An exact Borel element at p = 1 in normal words v^eps h^m K^n; with
+    ``grade`` every term has v-exponent grade."""
     eps = st.integers(0, 1) if grade is None else st.just(grade)
-    key = st.tuples(eps, st.integers(0, 2), st.integers(-2, 2))
-    return ExactBorel(draw(st.dictionaries(key, st.integers(-3, 3), min_size=1,
-                                           max_size=3)))
+    word = st.tuples(eps, st.integers(0, 2), st.integers(-2, 2)).map(_word)
+    return SuperPoly(BOREL_ALPHABET, draw(st.dictionaries(word, st.integers(-3, 3),
+                                                          min_size=1, max_size=3)))
 
 
 exact_tensors = st.lists(st.tuples(exact_elements(), exact_elements()), min_size=1,
                          max_size=2).map(
-    lambda pairs: sum((ExactBorelTensor.of(x, y) for x, y in pairs[1:]),
-                      ExactBorelTensor.of(*pairs[0])))
+    lambda pairs: sum((TensorElement.of(x, y) for x, y in pairs[1:]),
+                      TensorElement.of(*pairs[0])))
 
 
 @PROPERTY
 @given(exact_tensors, exact_tensors, exact_tensors)
 def test_borel_tensor_product_is_associative(a, b, c):
-    assert (a * b) * c == a * (b * c)
+    assert normal_form(normal_form(a * b) * c) == normal_form(a * normal_form(b * c))
 
 
 @PROPERTY
@@ -110,8 +110,8 @@ def test_borel_tensor_product_is_associative(a, b, c):
 def test_borel_tensor_koszul_rule(data, gy, gu):
     x, v = data.draw(exact_elements()), data.draw(exact_elements())
     y, u = data.draw(exact_elements(gy)), data.draw(exact_elements(gu))
-    lhs = ExactBorelTensor.of(x, y) * ExactBorelTensor.of(u, v)
-    assert lhs == signed(gy * gu, ExactBorelTensor.of(x * u, y * v))
+    lhs = normal_form(TensorElement.of(x, y) * TensorElement.of(u, v))
+    assert lhs == signed(gy * gu, normal_form(TensorElement.of(x * u, y * v)))
 
 
 # -- kron ---------------------------------------------------------------
